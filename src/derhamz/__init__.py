@@ -42,7 +42,6 @@ from .derham import (
     d_matrix,
     frobenius_matrix,
     koszul_matrix,
-    reduce_mod_p,
     substitution_map,
 )
 from .intlinalg import IntMatrix, hnf, lattice_solve, snf
@@ -89,7 +88,6 @@ __all__ = [
     "modp_cohomology",
     "pages",
     "primary_part",
-    "reduce_mod_p",
     "snf",
     "subgroup_pk",
     "substitution_map",

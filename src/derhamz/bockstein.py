@@ -13,7 +13,7 @@ abstract isomorphism claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from . import modp
@@ -26,9 +26,14 @@ from .abgroups import (
     preimage_basis,
     subgroup_presentation,
 )
-from .cohomology import integral_cohomology, modp_cohomology
+from .cohomology import (
+    class_matrix,
+    integral_cohomology,
+    modp_cohomology,
+    modp_homology,
+)
 from .derham import cartier_rep_matrix, complex_z, dim_formula
-from .intlinalg import IntMatrix, hstack, lattice_solve, unimodular_inverse
+from .intlinalg import IntMatrix, lattice_solve, unimodular_inverse
 from .modp import check_prime, valuation
 
 
@@ -41,13 +46,14 @@ class ExactCouple:
 
     D and E hold the per-degree groups, i/j/k the three maps (k raises the
     degree by one and lands in the zero group at the top).  e_reps carries
-    mod-p cochain representatives for the E generators; parent points to
-    the couple this one was derived from.
+    mod-p cochain representatives for the E generators.  stages[i] is E^i
+    as a mod-p subquotient: of the cochains at level 1, of the parent's E^i
+    (by the parent's differential) at later levels; parent points to the
+    couple this one was derived from.
     """
 
     def __init__(self, r, n, p, level, D, E, i_maps, j_maps, k_maps,
-                 e_reps, parent=None, modp_result=None,
-                 stage_reps=None, stage_im=None):
+                 e_reps, stages, parent=None):
         self.r = r
         self.n = n
         self.p = p
@@ -59,11 +65,8 @@ class ExactCouple:
         self.j_maps = tuple(j_maps)
         self.k_maps = tuple(k_maps)
         self.e_reps = tuple(e_reps)
+        self.stages = tuple(stages)
         self.parent = parent
-        self._modp = modp_result
-        self._stage_reps = stage_reps      # E generators in parent-E coords
-        self._stage_im = stage_im          # image of the parent differential
-        self._solvers = {}
 
     def D_at(self, i: int) -> FgAbGroup:
         if 0 <= i <= self.imax:
@@ -80,36 +83,21 @@ class ExactCouple:
         return tuple(g.ngens for g in self.E)
 
     def d_matrix(self, i: int) -> IntMatrix:
-        """The page differential j∘k on E, entries reduced mod p."""
-        if i + 1 > self.imax:
-            return IntMatrix.zeros(0, self.e_dim(i))
+        """The page differential j∘k: E^i -> E^(i+1), entries reduced mod p;
+        the zero map outside 0 <= i < imax."""
+        if not 0 <= i < self.imax:
+            return IntMatrix.zeros(self.e_dim(i + 1), self.e_dim(i))
         return (self.j_maps[i + 1].matrix @ self.k_maps[i].matrix).mod(self.p)
-
-    def _stage_solver(self, i: int) -> modp.Solver:
-        solver = self._solvers.get(i)
-        if solver is None:
-            solver = modp.Solver(
-                hstack(self._stage_reps[i], self._stage_im[i]), self.p)
-            self._solvers[i] = solver
-        return solver
 
     def express_cochain(self, i: int, z: Sequence[int]) -> Optional[tuple]:
         """Coordinates on E^i of the class of a mod-p cochain, walking the
         tower of subquotients; None when the class does not survive to this
         page (or z is no cocycle)."""
-        if self.parent is None:
-            return self._modp.express(i, z)
-        prev = self.parent.express_cochain(i, z)
-        if prev is None:
-            return None
-        return self.express_cochain_from_parent_coords(i, prev)
-
-    def express_cochain_from_parent_coords(self, i: int,
-                                           prev: Sequence[int]) -> Optional[tuple]:
-        sol = self._stage_solver(i).solve(prev)
-        if sol is None:
-            return None
-        return sol[: self.e_dim(i)]
+        if self.parent is not None:
+            z = self.parent.express_cochain(i, z)
+            if z is None:
+                return None
+        return self.stages[i].express(z)
 
     def exactness_failures(self) -> list:
         """All broken exactness nodes, each with a witness element."""
@@ -161,15 +149,11 @@ def initial_couple(r: int, n: int, p: int) -> ExactCouple:
 
     j_maps = []
     for i in range(imax + 1):
-        cols = []
-        lift = HZ.lift(i)
-        for j in range(D[i].ngens):
-            coords = MP.express(i, [v % p for v in lift.col(j)])
-            if coords is None:
-                raise RuntimeError("integral cocycle failed to reduce mod p")
-            cols.append(list(coords))
-        j_maps.append(Homomorphism(
-            D[i], E[i], IntMatrix.from_columns(cols, E[i].ngens)))
+        matrix, _ = class_matrix(MP.degrees[i].express, HZ.lift(i),
+                                 E[i].ngens)
+        if matrix is None:
+            raise RuntimeError("integral cocycle failed to reduce mod p")
+        j_maps.append(Homomorphism(D[i], E[i], matrix))
 
     k_maps = []
     for i in range(imax + 1):
@@ -185,9 +169,9 @@ def initial_couple(r: int, n: int, p: int) -> ExactCouple:
         k_maps.append(Homomorphism(
             E[i], target, IntMatrix.from_columns(cols, target.ngens)))
 
-    e_reps = [MP.rep_matrix(i) for i in range(imax + 1)]
+    e_reps = [MP.degrees[i].rep_matrix() for i in range(imax + 1)]
     return ExactCouple(r, n, p, 1, D, E, i_maps, j_maps, k_maps, e_reps,
-                       modp_result=MP)
+                       MP.degrees)
 
 
 def derive(c: ExactCouple) -> ExactCouple:
@@ -217,27 +201,12 @@ def derive(c: ExactCouple) -> ExactCouple:
         new_i.append(cor)
 
     # E' = ker d / im d with d = j∘k, handled entirely mod p
-    stage_reps = []
-    stage_im = []
-    new_E = []
-    new_e_reps = []
-    for i in range(imax + 1):
-        d_here = c.d_matrix(i)
-        d_prev = c.d_matrix(i - 1) if i >= 1 else IntMatrix.zeros(c.e_dim(0), 0)
-        kernel = modp.nullspace(d_here, p)
-        im_basis, _ = modp.image_basis(d_prev.mod(p), p)
-        added = modp.complete_basis(im_basis, kernel, p)
-        reps = [kernel[t] for t in added]
-        dim_e = c.e_dim(i)
-        stage_reps.append(IntMatrix.from_columns(reps, dim_e))
-        stage_im.append(IntMatrix.from_columns(im_basis, dim_e))
-        new_E.append(FgAbGroup.elementary(p, len(reps)))
-        new_e_reps.append((c.e_reps[i] @ stage_reps[i]).mod(p))
-
-    out = ExactCouple(c.r, c.n, p, c.level + 1, subs, new_E,
-                      new_i, [None] * (imax + 1), [None] * (imax + 1),
-                      new_e_reps, parent=c,
-                      stage_reps=stage_reps, stage_im=stage_im)
+    stages = [modp_homology(i, c.d_matrix(i - 1), c.d_matrix(i), p)
+              for i in range(imax + 1)]
+    stage_reps = [st.rep_matrix() for st in stages]
+    new_E = [FgAbGroup.elementary(p, st.dim) for st in stages]
+    new_e_reps = [(c.e_reps[i] @ stage_reps[i]).mod(p)
+                  for i in range(imax + 1)]
 
     new_j = []
     for i in range(imax + 1):
@@ -255,14 +224,12 @@ def derive(c: ExactCouple) -> ExactCouple:
             x = express_through(i_mat, c.D[i].relations, a)
             if x is None:
                 raise ExactnessError("generator of im(i) has no i-preimage")
-            coords = out.express_cochain_from_parent_coords(
-                i, c.j_maps[i].matrix.apply(x))
+            coords = stages[i].express(c.j_maps[i].matrix.apply(x))
             if coords is None:
                 raise ExactnessError("j' value does not survive to E'")
             if spare is not None:
                 x2 = tuple(u + v for u, v in zip(x, spare))
-                coords2 = out.express_cochain_from_parent_coords(
-                    i, c.j_maps[i].matrix.apply(x2))
+                coords2 = stages[i].express(c.j_maps[i].matrix.apply(x2))
                 if coords2 is None or any(
                         (u - v) % p for u, v in zip(coords, coords2)):
                     raise ExactnessError(
@@ -278,20 +245,15 @@ def derive(c: ExactCouple) -> ExactCouple:
             else IntMatrix.zeros(0, 0)
         target_rel = c.D[i + 1].relations if i + 1 <= imax \
             else IntMatrix.zeros(0, 0)
-        cols = []
-        for t in range(new_E[i].ngens):
-            u = stage_reps[i].col(t)
-            w = c.k_maps[i].matrix.apply(u)
-            y = express_through(target_incl, target_rel, w)
-            if y is None:
-                raise ExactnessError("k of a surviving class misses im(i)")
-            cols.append(list(y))
-        new_k.append(Homomorphism(
-            new_E[i], target, IntMatrix.from_columns(cols, target.ngens)))
+        matrix, _ = class_matrix(
+            partial(express_through, target_incl, target_rel),
+            c.k_maps[i].matrix @ stage_reps[i], target.ngens)
+        if matrix is None:
+            raise ExactnessError("k of a surviving class misses im(i)")
+        new_k.append(Homomorphism(new_E[i], target, matrix))
 
-    out.j_maps = tuple(new_j)
-    out.k_maps = tuple(new_k)
-    return out
+    return ExactCouple(c.r, c.n, p, c.level + 1, subs, new_E, new_i, new_j,
+                       new_k, new_e_reps, stages, parent=c)
 
 
 _COUPLES: dict = {}
@@ -464,38 +426,50 @@ def compare_with_closed_form(r: int, n: int, p: int,
             report.update(ok=False, reason="dimension mismatch")
             results.append(report)
             continue
-        phis = []
-        for i in range(couple.imax + 1):
-            cols = []
-            failed = None
-            for j in range(cf.cochain_reps[i].ncols):
-                coords = couple.express_cochain(i, cf.cochain_reps[i].col(j))
-                if coords is None:
-                    failed = j
-                    break
-                cols.append([v % p for v in coords])
-            if failed is not None:
+        failure = _page_isomorphism_failure(
+            couple, cf.cochain_reps, cf.differentials.__getitem__)
+        if failure is not None:
+            check, i, detail = failure
+            if check == "survives":
                 report.update(ok=False, reason="class does not survive",
-                              degree=i, generator=failed)
-                break
-            phi = IntMatrix.from_columns(cols, couple.e_dim(i))
-            if modp.rank(phi, p) != cf.dims[i]:
+                              degree=i, generator=detail)
+            elif check == "bijective":
                 report.update(ok=False, reason="comparison map not bijective",
                               degree=i)
-                break
-            phis.append(phi)
-        if not report["ok"]:
-            results.append(report)
-            continue
-        for i in range(couple.imax):
-            lhs = (phis[i + 1] @ cf.differentials[i]).mod(p)
-            rhs = (couple.d_matrix(i) @ phis[i]).mod(p)
-            if lhs != rhs:
+            else:
+                lhs, rhs = detail
                 report.update(ok=False, reason="differentials not conjugate",
                               degree=i, lhs=lhs.to_lists(), rhs=rhs.to_lists())
-                break
         results.append(report)
     return results
+
+
+def _page_isomorphism_failure(couple: ExactCouple, sources: Sequence[IntMatrix],
+                              source_d) -> Optional[tuple]:
+    """Check that sending each column of sources[i] to its class on E^i of
+    the couple is an isomorphism of complexes, source_d(i) being the source
+    differential.
+
+    Returns None on success, else the first failure as (check, degree,
+    detail): ("survives", i, column index), ("bijective", i, class matrix)
+    or ("conjugates", i, (lhs, rhs)).
+    """
+    p = couple.p
+    phis = []
+    for i, cochains in enumerate(sources):
+        phi, failed = class_matrix(partial(couple.express_cochain, i),
+                                   cochains, couple.e_dim(i))
+        if phi is None:
+            return "survives", i, failed
+        if modp.rank(phi, p) != cochains.ncols:
+            return "bijective", i, phi
+        phis.append(phi)
+    for i in range(couple.imax):
+        lhs = (phis[i + 1] @ source_d(i)).mod(p)
+        rhs = (couple.d_matrix(i) @ phis[i]).mod(p)
+        if lhs != rhs:
+            return "conjugates", i, (lhs, rhs)
+    return None
 
 
 # -- page identification (Cartier composite) ------------------------------------
@@ -543,8 +517,8 @@ def verify_page_identification(r: int, n: int, p: int,
                    "page": list(dims_page)}
     checks.append(("dimensions agree", dims_source == dims_page))
 
-    phis = []
     if ok:
+        comps = []
         for i in range(imax + 1):
             comp = IntMatrix.identity(dim_formula(r, m, i))
             for s in range(k):
@@ -553,35 +527,28 @@ def verify_page_identification(r: int, n: int, p: int,
                 ok = False
                 witness = {"check": "cocycle", "degree": i}
                 break
-            cols = []
-            for j in range(comp.ncols):
-                coords = couple.express_cochain(i, comp.col(j))
-                if coords is None:
-                    ok = False
-                    witness = {"check": "class survives", "degree": i,
-                               "column": list(comp.col(j))}
-                    break
-                cols.append([v % p for v in coords])
-            if not ok:
-                break
-            phi = IntMatrix.from_columns(cols, couple.e_dim(i))
-            if modp.rank(phi, p) != dims_source[i]:
-                ok = False
-                witness = {"check": "bijective", "degree": i,
-                           "matrix": phi.to_lists()}
-                break
-            phis.append(phi)
-    checks.append(("cartier composite is an isomorphism per degree", ok))
-
+            comps.append(comp)
+    failure = None
     if ok:
-        for i in range(imax):
-            lhs = (phis[i + 1] @ cpx_m.d(i)).mod(p)
-            rhs = (couple.d_matrix(i) @ phis[i]).mod(p)
-            if lhs != rhs:
-                ok = False
-                witness = {"check": "conjugates d", "degree": i,
-                           "lhs": lhs.to_lists(), "rhs": rhs.to_lists()}
-                break
+        failure = _page_isomorphism_failure(couple, comps, cpx_m.d)
+    if failure is not None:
+        check, i, detail = failure
+        ok = False
+        if check == "survives":
+            witness = {"check": "class survives", "degree": i,
+                       "column": list(comps[i].col(detail))}
+        elif check == "bijective":
+            witness = {"check": "bijective", "degree": i,
+                       "matrix": detail.to_lists()}
+        else:
+            lhs, rhs = detail
+            witness = {"check": "conjugates d", "degree": i,
+                       "lhs": lhs.to_lists(), "rhs": rhs.to_lists()}
+    # a failed conjugation still has every degree map bijective
+    degreewise = ok or (failure is not None and failure[0] == "conjugates")
+    checks.append(("cartier composite is an isomorphism per degree",
+                   degreewise))
+    if degreewise:
         checks.append(("conjugates the differential", ok))
 
     if ok and k == nu:

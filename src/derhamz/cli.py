@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ from .abgroups import FgAbGroup
 from .bockstein import pages, verify_page_identification
 from .cohomology import integral_cohomology
 from .derham import basis
-from .modp import is_prime, valuation
+from .modp import MAX_PRIME, check_prime, is_prime, valuation
 from .theorems import STATEMENTS, sweep
 
 SCHEMA_VERSION = "1"
@@ -32,14 +33,34 @@ class BoundsError(Exception):
     pass
 
 
-def _check_bounds(args, r=None, n=None) -> None:
-    if getattr(args, "unsafe_bounds", False):
+def _check_bounds(args) -> None:
+    """Reject, before any work, every input that has no answer, and unless
+    --unsafe-bounds is given, every input outside the desk-scale bounds."""
+    r, n = args.rank, args.degree
+    if r < 0 or n < 0:
+        raise BoundsError(f"rank {r} and degree {n} must be nonnegative")
+    prime = getattr(args, "prime", None)
+    if prime is not None:
+        try:
+            check_prime(prime)
+        except ValueError as exc:
+            raise BoundsError(str(exc)) from None
+    kmax = getattr(args, "kmax", None)
+    if kmax is not None and kmax < 1:
+        raise BoundsError(f"page count {kmax} must be >= 1")
+    # the sweep checks statements at every prime up to n
+    if args.command == "verify" and any(
+            is_prime(q) for q in range(MAX_PRIME + 1, n + 1)):
+        raise BoundsError(
+            f"verify -n {n} sweeps every prime up to {n}, which would need "
+            f"a prime above {MAX_PRIME}")
+    if args.unsafe_bounds:
         return
-    if r is not None and not 1 <= r <= DEFAULT_RMAX:
+    if not 1 <= r <= DEFAULT_RMAX:
         raise BoundsError(
             f"rank {r} outside safe bounds 1..{DEFAULT_RMAX} "
             "(use --unsafe-bounds to override)")
-    if n is not None and not 0 <= n <= DEFAULT_NMAX:
+    if not 0 <= n <= DEFAULT_NMAX:
         raise BoundsError(
             f"degree {n} outside safe bounds 0..{DEFAULT_NMAX} "
             "(use --unsafe-bounds to override)")
@@ -73,29 +94,31 @@ def _group_latex(G: FgAbGroup) -> str:
     return r" \oplus ".join(parts) if parts else "0"
 
 
-def _emit(args, doc: dict, csv_rows=None, latex_lines=None) -> None:
-    if getattr(args, "format", "json") == "json":
+def _emit(args, doc: dict, csv_rows, latex_lines=None) -> None:
+    if args.format == "json":
         payload = json.dumps(doc, indent=2, sort_keys=False) + "\n"
     elif args.format == "csv":
-        if csv_rows is None:
-            raise BoundsError("this command has no flat csv form")
         payload = "\n".join(",".join(str(v) for v in row)
                             for row in csv_rows) + "\n"
     else:
-        if latex_lines is None:
-            raise BoundsError("this command has no latex form")
         payload = "\n".join(latex_lines) + "\n"
-    cache_dir = getattr(args, "cache", None)
-    if cache_dir:
-        path = Path(cache_dir) / _cache_name(doc, args.format)
+    if args.cache:
+        path = Path(args.cache) / _cache_name(doc, args.format)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(payload)
+        # a killed run leaves at most a temp file, never a truncated document
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(payload)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     sys.stdout.write(payload)
 
 
 def _cache_name(doc: dict, fmt: str) -> str:
     key = json.dumps({"command": doc["command"],
-                      "parameters": doc["parameters"], "format": fmt},
+                      "parameters": doc["parameters"], "format": fmt,
+                      "version": __version__},
                      sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     ext = {"json": "json", "csv": "csv", "latex": "tex"}[fmt]
@@ -115,7 +138,6 @@ def _cache_lookup(args, command: str, parameters: dict) -> bool:
 
 
 def cmd_cohomology(args) -> int:
-    _check_bounds(args, r=args.rank, n=args.degree)
     params = {"r": args.rank, "n": args.degree}
     if _cache_lookup(args, "cohomology", params):
         return 0
@@ -135,9 +157,6 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_pages(args) -> int:
-    _check_bounds(args, r=args.rank, n=args.degree)
-    if not is_prime(args.prime):
-        raise BoundsError(f"{args.prime} is not prime")
     params = {"r": args.rank, "n": args.degree, "p": args.prime}
     if args.kmax is not None:
         params["kmax"] = args.kmax
@@ -148,7 +167,7 @@ def cmd_pages(args) -> int:
                         {"note": "degenerate: total degree 0 carries the "
                                  "constant Z in degree 0; no pages computed",
                          "pages": []})
-        _emit(args, doc, [("k", "i", "dim")], None)
+        _emit(args, doc, [("k", "i", "dim")])
         return 0
     nu = valuation(args.degree, args.prime)
     kmax = args.kmax if args.kmax is not None else nu + 1
@@ -168,12 +187,11 @@ def cmd_pages(args) -> int:
         out_pages.append(entry)
         rows += [(page.k, i, dim) for i, dim in enumerate(page.dims)]
     doc = _document("pages", params, {"nu": nu, "pages": out_pages})
-    _emit(args, doc, [("k", "i", "dim")] + rows, None)
+    _emit(args, doc, [("k", "i", "dim")] + rows)
     return 0
 
 
 def cmd_basis(args) -> int:
-    _check_bounds(args, r=args.rank, n=args.degree)
     params = {"r": args.rank, "n": args.degree, "i": args.form_degree}
     if _cache_lookup(args, "basis", params):
         return 0
@@ -185,13 +203,12 @@ def cmd_basis(args) -> int:
     csv_rows = [("index", "alpha", "T")]
     csv_rows += [(k, " ".join(map(str, e.alpha)), " ".join(map(str, e.T)))
                  for k, e in enumerate(piece.elements)]
-    _emit(args, doc, csv_rows, None)
+    _emit(args, doc, csv_rows)
     return 0
 
 
 def cmd_verify(args) -> int:
     rmax, nmax = args.rank, args.degree
-    _check_bounds(args, r=rmax, n=nmax)
     statement = "all" if args.all else args.statement
     params = {"statement": statement, "rmax": rmax, "nmax": nmax}
     reports = [rep for rep in sweep(rmax, nmax)
@@ -205,7 +222,7 @@ def cmd_verify(args) -> int:
     csv_rows += [(rep.statement,
                   " ".join(f"{k}={v}" for k, v in rep.params), rep.status)
                  for rep in reports]
-    _emit(args, doc, csv_rows, None)
+    _emit(args, doc, csv_rows)
     return 1 if failed else 0
 
 
@@ -217,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, prime=False, form_degree=False):
+    def common(p, prime=False, form_degree=False, latex=False):
         p.add_argument("-r", "--rank", type=int, required=True,
                        help="number of variables")
         p.add_argument("-n", "--degree", type=int, required=True,
@@ -231,15 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
                          const="json", default="json")
         fmt.add_argument("--csv", dest="format", action="store_const",
                          const="csv")
-        fmt.add_argument("--latex", dest="format", action="store_const",
-                         const="latex")
+        if latex:
+            fmt.add_argument("--latex", dest="format", action="store_const",
+                             const="latex")
         p.add_argument("--unsafe-bounds", action="store_true",
                        help="disable the desk-scale guard rails")
         p.add_argument("--cache", metavar="DIR",
                        help="memoize serialized documents in DIR")
 
     p_coh = sub.add_parser("cohomology", help="integral cohomology table")
-    common(p_coh)
+    common(p_coh, latex=True)
     p_coh.set_defaults(func=cmd_cohomology)
 
     p_pages = sub.add_parser("pages", help="Bockstein spectral pages")
@@ -269,6 +287,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.monotonic()
     try:
+        _check_bounds(args)
         code = args.func(args)
     except BoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)

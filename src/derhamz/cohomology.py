@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import modp
 from .abgroups import FgAbGroup, Homomorphism, homology_at
@@ -85,6 +85,9 @@ class ModpDegree:
     def dim(self) -> int:
         return len(self.reps)
 
+    def rep_matrix(self) -> IntMatrix:
+        return IntMatrix.from_columns(list(self.reps), self.dim_cochain)
+
     def express(self, z: Sequence[int]) -> Optional[tuple]:
         """Class coordinates of a mod-p cocycle, or None if z is no cocycle."""
         if self._solver is None:
@@ -95,6 +98,22 @@ class ModpDegree:
         if sol is None:
             return None
         return sol[: self.dim]
+
+
+def modp_homology(i: int, d_in: IntMatrix, d_out: IntMatrix,
+                  p: int) -> ModpDegree:
+    """ker(d_out) / im(d_in) over the p-element field, in one degree.
+
+    The class representatives are the cocycles that greedily extend a basis
+    of the coboundaries; this is the one builder of mod-p subquotients, used
+    for mod-p cohomology and for every derived Bockstein page.
+    """
+    cocycles = modp.nullspace(d_out, p)
+    coboundaries, _ = modp.image_basis(d_in.mod(p), p)
+    added = modp.complete_basis(coboundaries, cocycles, p)
+    reps = tuple(cocycles[k] for k in added)
+    return ModpDegree(i, d_out.ncols, tuple(cocycles), tuple(coboundaries),
+                      reps, p)
 
 
 class ModpCohomologyResult:
@@ -125,26 +144,15 @@ class ModpCohomologyResult:
     def express(self, i: int, z: Sequence[int]) -> Optional[tuple]:
         return self.degree(i).express(z)
 
-    def rep_matrix(self, i: int) -> IntMatrix:
-        d = self.degree(i)
-        return IntMatrix.from_columns(list(d.reps), d.dim_cochain)
-
 
 @lru_cache(maxsize=None)
 def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
     """Cohomology of the complex tensored with Z/p, by mod-p row reduction."""
     check_prime(p)
     cpx = complex_z(r, n)
-    degrees = []
-    for i in range(cpx.top + 1):
-        dim_cochain = basis(r, n, i).dim
-        cocycles = modp.nullspace(cpx.d(i), p)
-        coboundaries, _ = modp.image_basis(cpx.d(i - 1).mod(p), p)
-        added = modp.complete_basis(coboundaries, cocycles, p)
-        reps = tuple(cocycles[k] for k in added)
-        degrees.append(ModpDegree(i, dim_cochain, tuple(cocycles),
-                                  tuple(coboundaries), reps, p))
-    return ModpCohomologyResult(r, n, p, degrees)
+    return ModpCohomologyResult(r, n, p, [
+        modp_homology(i, cpx.d(i - 1), cpx.d(i), p)
+        for i in range(cpx.top + 1)])
 
 
 def cocycle_dim(r: int, n: int, i: int, p: int) -> int:
@@ -157,17 +165,32 @@ def cocycle_dim(r: int, n: int, i: int, p: int) -> int:
     return dim - modp.rank(cpx.d(i), p)
 
 
+def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
+                 cochain_cols: IntMatrix, dim: int):
+    """Class coordinates of each cochain column, as columns of a dim-row
+    matrix.
+
+    Returns (matrix, None), or (None, j) for the first column j that
+    express maps to None.
+    """
+    cols = []
+    for j in range(cochain_cols.ncols):
+        coords = express(cochain_cols.col(j))
+        if coords is None:
+            return None, j
+        cols.append(coords)
+    return IntMatrix.from_columns(cols, dim), None
+
+
 def modp_class_matrix(target: ModpCohomologyResult, i: int,
                       cochain_cols: IntMatrix) -> IntMatrix:
     """Classes of mod-p cocycle columns, as a matrix over the target H^i."""
     deg = target.degree(i)
-    cols = []
-    for j in range(cochain_cols.ncols):
-        coords = deg.express(cochain_cols.col(j))
-        if coords is None:
-            raise ValueError(f"column {j} is not a mod-p cocycle in degree {i}")
-        cols.append(list(coords))
-    return IntMatrix.from_columns(cols, deg.dim)
+    matrix, failed = class_matrix(deg.express, cochain_cols, deg.dim)
+    if matrix is None:
+        raise ValueError(
+            f"column {failed} is not a mod-p cocycle in degree {i}")
+    return matrix
 
 
 def cartier_iso(r: int, n: int, i: int, p: int) -> Homomorphism:

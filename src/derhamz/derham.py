@@ -153,21 +153,11 @@ def frobenius_matrix(r: int, n: int, i: int, p: int) -> IntMatrix:
     """The p-th power chain map: x to x^p, dx to p x^(p-1) dx.
 
     F(x^alpha dx_T) = p^i x^(p alpha + (p-1) 1_T) dx_T, landing in total
-    degree p*n.  Defined only after the coordinate basis is chosen; it is
-    not natural and no naturality is claimed.
+    degree p*n: p^i times the Cartier representative.  Defined only after
+    the coordinate basis is chosen; it is not natural and no naturality is
+    claimed.
     """
-    src = basis(r, n, i)
-    tgt = basis(r, p * n, i)
-    idx = _index_map(r, p * n, i)
-    coeff = p ** i
-    cols = []
-    for alpha, T in src:
-        col = [0] * tgt.dim
-        new_alpha = tuple(p * a + (p - 1 if (j + 1) in T else 0)
-                          for j, a in enumerate(alpha))
-        col[idx[BasisElement(new_alpha, T)]] = coeff
-        cols.append(col)
-    return IntMatrix.from_columns(cols, tgt.dim)
+    return (p ** i) * cartier_rep_matrix(r, n, i, p)
 
 
 @lru_cache(maxsize=None)
@@ -232,11 +222,6 @@ def substitution_map(f: IntMatrix, n: int, i: int) -> IntMatrix:
                 col[idx[BasisElement(a, W)]] += c
         cols.append(col)
     return IntMatrix.from_columns(cols, tgt.dim)
-
-
-def reduce_mod_p(M: IntMatrix, p: int) -> IntMatrix:
-    """Entrywise residues in 0..p-1."""
-    return M.mod(p)
 
 
 @dataclass(frozen=True)

@@ -59,26 +59,12 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
-    def diagonal(cls, entries: Sequence[int], nrows: int | None = None,
-                 ncols: int | None = None) -> "IntMatrix":
-        entries = [_int(e) for e in entries]
-        m = len(entries) if nrows is None else nrows
-        n = len(entries) if ncols is None else ncols
-        rows = [[entries[i] if (i == j and i < len(entries)) else 0
-                 for j in range(n)] for i in range(m)]
-        return cls(rows, ncols=n)
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column of wrong length")
         rows = [[c[i] for c in cols] for i in range(nrows)]
         return cls(rows, ncols=len(cols))
-
-    @classmethod
-    def column(cls, vec: Sequence[int]) -> "IntMatrix":
-        return cls([[v] for v in vec], ncols=1)
 
     # -- access ----------------------------------------------------------------
 
@@ -93,9 +79,6 @@ class IntMatrix:
         if not 0 <= j < self.ncols:
             raise IndexError(j)
         return tuple(row[j] for row in self._rows)
-
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.ncols)]
 
     def top_rows(self, k: int) -> "IntMatrix":
         return IntMatrix._raw(self._rows[:k], self.ncols)
@@ -331,11 +314,6 @@ def lattice_solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     return tuple(out)
 
 
-def lattice_contains(M: IntMatrix, vectors: Iterable[Sequence[int]]) -> bool:
-    """Whether every given vector lies in the column lattice of M."""
-    return all(lattice_solve(M, v) is not None for v in vectors)
-
-
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice {x : M @ x = 0}, as columns."""
     _, U, pivots, _, _ = _hnf_cached(M)
@@ -490,11 +468,6 @@ def snf(M: IntMatrix):
     intermediate entries small; correctness, not speed, is the contract.
     """
     return _snf_cached(M)
-
-
-def snf_diagonal(M: IntMatrix) -> tuple:
-    S, _, _ = _snf_cached(M)
-    return tuple(S[i, i] for i in range(min(S.nrows, S.ncols)))
 
 
 def det(M: IntMatrix) -> int:

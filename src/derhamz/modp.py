@@ -156,10 +156,6 @@ class Solver:
         return tuple(x)
 
 
-def solve(A: IntMatrix, b: Sequence[int], p: int) -> Optional[tuple]:
-    return Solver(A, p).solve(b)
-
-
 def image_basis(M: IntMatrix, p: int):
     """Pivot columns of M mod p: a deterministic basis of its column space."""
     _, pivots = rref(_to_rows(M, p), M.ncols, p)
@@ -207,7 +203,3 @@ def complete_basis(base: Sequence[Sequence[int]],
         if ech.add(v):
             added.append(idx)
     return added
-
-
-def matrices_equal_mod(A: IntMatrix, B: IntMatrix, p: int) -> bool:
-    return A.shape == B.shape and A.mod(p) == B.mod(p)

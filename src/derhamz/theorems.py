@@ -9,6 +9,7 @@ the failure in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import bockstein
@@ -24,6 +25,7 @@ from .abgroups import (
 )
 from .cohomology import (
     cartier_iso,
+    class_matrix,
     cocycle_dim,
     integral_cohomology,
     modp_cohomology,
@@ -165,13 +167,9 @@ def _divided_frobenius_times_p(r: int, n: int, p: int, i: int) -> Homomorphism:
     """
     src = integral_cohomology(r, n)
     tgt = integral_cohomology(r, p * n)
-    C = cartier_rep_matrix(r, n, i, p)
-    cols = []
-    for j in range(src.group(i).ngens):
-        v = C.apply(src.lift(i).col(j))
-        cols.append(list(tgt.express(i, tuple(p * x for x in v))))
-    return Homomorphism(src.group(i), tgt.group(i),
-                        IntMatrix.from_columns(cols, tgt.group(i).ngens))
+    return induced_map(p * cartier_rep_matrix(r, n, i, p),
+                       (src.group(i), src.lift(i)),
+                       (tgt.group(i), tgt.lift(i)))
 
 
 def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
@@ -209,24 +207,14 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
 
     phi_e = []
     for i in range(top + 1):
-        C = cartier_rep_matrix(r, n, i, p)
-        cols = []
-        failed = None
-        for j in range(couple_n.e_dim(i)):
-            w = C.apply(couple_n.e_reps[i].col(j))
-            coords = couple2_pn.express_cochain(i, [v % p for v in w])
-            if coords is None:
-                failed = j
-                break
-            cols.append([v % p for v in coords])
+        images = cartier_rep_matrix(r, n, i, p) @ couple_n.e_reps[i]
+        matrix, failed = class_matrix(
+            partial(couple2_pn.express_cochain, i), images,
+            couple2_pn.e_dim(i))
         checks.add(f"cartier image survives to E_2, degree {i}",
                    failed is None, {"degree": i, "generator": failed})
-        if failed is not None:
-            phi_e.append(None)
-            continue
-        phi_e.append(Homomorphism(
-            couple_n.E[i], couple2_pn.E[i],
-            IntMatrix.from_columns(cols, couple2_pn.e_dim(i))))
+        phi_e.append(None if matrix is None else Homomorphism(
+            couple_n.E[i], couple2_pn.E[i], matrix))
 
     if all(h is not None for h in phi_d) and all(h is not None for h in phi_e):
         for i in range(top + 1):

@@ -41,6 +41,11 @@ class TestInitialCouple:
         with pytest.raises(ValueError):
             initial_couple(1, 0, 2)
 
+    def test_differential_is_zero_outside_degree_range(self):
+        c = initial_couple(2, 4, 2)
+        assert c.d_matrix(-1).shape == (c.e_dim(0), 0)
+        assert c.d_matrix(c.imax).shape == (0, c.e_dim(c.imax))
+
 
 class TestExactness:
     def test_couples_exact_small_sweep(self):
@@ -62,7 +67,7 @@ class TestExactness:
         broken = ExactCouple(
             c.r, c.n, c.p, c.level, c.D, c.E, c.i_maps,
             [Homomorphism.zero(c.D[i], c.E[i]) for i in range(c.imax + 1)],
-            c.k_maps, c.e_reps, modp_result=c._modp)
+            c.k_maps, c.e_reps, c.stages)
         with pytest.raises(ExactnessError):
             derive(broken)
 

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from derhamz import cli
 from derhamz.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -133,6 +136,33 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_latex_rejected_before_the_sweep(self, capsys, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        code = main(["verify", "--all", "-r", "1", "-n", "2", "--latex"])
+        capsys.readouterr()
+        assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "pages -r 2 -n 4 -p 17",
+    "pages -r 2 -n 4 -p 2 -k 0",
+    "verify --statement filtration -r 1 -n 17 --unsafe-bounds",
+    "verify --all -r 1 -n 17 --unsafe-bounds",
+    "cohomology -r 2 -n -3 --unsafe-bounds",
+    "cohomology -r -1 -n 3 --unsafe-bounds",
+])
+def test_domain_errors_exit_2(capsys, argv):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
 
 class TestContracts:
     def test_json_roundtrip(self, capsys):
@@ -161,6 +191,16 @@ class TestContracts:
         assert len(files) == 1
         _, second = run_cli(capsys, *args)
         assert first == second
+
+    def test_cache_key_includes_version(self, capsys, tmp_path, monkeypatch):
+        args = ("cohomology", "-r", "1", "-n", "4", "--cache", str(tmp_path))
+        run_cli(capsys, *args)
+        first = {f.name for f in tmp_path.iterdir()}
+        assert len(first) == 1
+        monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+        run_cli(capsys, *args)
+        second = {f.name for f in tmp_path.iterdir()}
+        assert len(second) == 2 and first < second
 
     def test_unsafe_bounds_override(self, capsys):
         code, _ = run_json(capsys, "cohomology", "-r", "1", "-n", "17",

@@ -12,7 +12,6 @@ from derhamz.derham import (
     dim_formula,
     frobenius_matrix,
     koszul_matrix,
-    reduce_mod_p,
     substitution_map,
 )
 from derhamz.intlinalg import IntMatrix
@@ -185,10 +184,10 @@ class TestSubstitution:
 
 class TestReduceModP:
     def test_spec_examples(self):
-        assert reduce_mod_p(IntMatrix([[2]]), 2) == IntMatrix([[0]])
-        assert reduce_mod_p(IntMatrix([[3]]), 2) == IntMatrix([[1]])
+        assert IntMatrix([[2]]).mod(2) == IntMatrix([[0]])
+        assert IntMatrix([[3]]).mod(2) == IntMatrix([[1]])
         I = IntMatrix.identity(3)
-        assert reduce_mod_p(I, 5) == I
+        assert I.mod(5) == I
 
 
 class TestComplex:
