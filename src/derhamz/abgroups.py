@@ -8,7 +8,7 @@ checked for well-definedness against the target relations.
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .intlinalg import (
@@ -28,7 +28,7 @@ from .modp import check_prime, valuation
 class FgAbGroup:
     """Z^ngens / (column lattice of relations)."""
 
-    __slots__ = ("ngens", "relations", "_snf", "_invariants", "_diag")
+    __slots__ = ("ngens", "relations", "_snf", "_smith_diag", "_diag")
 
     def __init__(self, ngens: int, relations: IntMatrix | None = None):
         if ngens < 0:
@@ -40,7 +40,7 @@ class FgAbGroup:
         self.ngens = ngens
         self.relations = relations
         self._snf = None
-        self._invariants = None
+        self._smith_diag = None
         self._diag = -1  # -1 unknown, None not diagonal, else tuple
 
     # -- constructors ---------------------------------------------------------
@@ -67,7 +67,22 @@ class FgAbGroup:
 
     @classmethod
     def elementary(cls, p: int, dim: int) -> "FgAbGroup":
-        return cls(dim, p * IntMatrix.identity(dim))
+        return cls.from_diagonal([p] * dim)
+
+    @classmethod
+    def from_diagonal(cls, entries: Sequence[int]) -> "FgAbGroup":
+        """Square diagonal presentation: one generator e_k per entry, with
+        the relation d_k e_k (0 leaves a free summand, 1 a trivial one)."""
+        entries = tuple(int(d) for d in entries)
+        k = len(entries)
+        rows = []
+        for t, d in enumerate(entries):
+            row = [0] * k
+            row[t] = d
+            rows.append(tuple(row))
+        G = cls(k, IntMatrix._raw(tuple(rows), k))
+        G._diag = entries
+        return G
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         groups = (self,) + others
@@ -96,21 +111,33 @@ class FgAbGroup:
 
     @property
     def diagonal(self) -> tuple:
-        S, _, _ = self._snf_data()
-        d = [S[i, i] for i in range(min(S.nrows, S.ncols))]
-        d += [0] * (self.ngens - len(d))
-        return tuple(d)
+        """The Smith diagonal: 1s, then the invariant factors, zeros last."""
+        if self._smith_diag is not None:
+            return self._smith_diag
+        rel_diag = self._diagonal_relations()
+        if rel_diag is not None:
+            # the Smith diagonal is unique, so recombining the entries into
+            # their invariant chain gives it without a Smith reduction
+            entries = [abs(d) for d in rel_diag]
+            chain = _invariant_chain(d for d in entries if d > 1)
+            nonzero = len(entries) - entries.count(0)
+            d = ((1,) * (nonzero - len(chain)) + chain
+                 + (0,) * (self.ngens - nonzero))
+        else:
+            S, _, _ = self._snf_data()
+            d = tuple(S[i, i] for i in range(min(S.nrows, S.ncols)))
+            d += (0,) * (self.ngens - len(d))
+        self._smith_diag = d
+        return d
 
     @property
     def free_rank(self) -> int:
-        return sum(1 for d in self.diagonal if d == 0)
+        return self.diagonal.count(0)
 
     @property
     def invariant_factors(self) -> tuple:
         """The divisibility chain d1 | d2 | ..., each > 1, ascending."""
-        if self._invariants is None:
-            self._invariants = tuple(sorted(d for d in self.diagonal if d > 1))
-        return self._invariants
+        return tuple(sorted(d for d in self.diagonal if d > 1))
 
     def order(self) -> Optional[int]:
         if self.free_rank:
@@ -162,6 +189,29 @@ class FgAbGroup:
 
     def __repr__(self) -> str:
         return f"FgAbGroup({self.describe()})"
+
+
+def _invariant_chain(entries) -> tuple:
+    """Invariant factors d1 | d2 | ... of the sum of the cyclic groups Z/d.
+
+    Each entry is merged into the chain from the top: Z/a + Z/b is
+    Z/gcd(a, b) + Z/lcm(a, b), and the gcd carries down to the next link.
+    """
+    chain = []
+    for x in entries:
+        for k in range(len(chain) - 1, -1, -1):
+            c = chain[k]
+            if x % c == 0:
+                # c | x: the carry takes c's place and c moves down
+                chain[k], x = x, c
+            elif c % x:
+                g = gcd(c, x)
+                chain[k], x = c // g * x, g
+                if x == 1:
+                    break
+        if x > 1:
+            chain.insert(0, x)
+    return tuple(chain)
 
 
 def _strip_zero_columns(H: IntMatrix, npiv: int) -> IntMatrix:

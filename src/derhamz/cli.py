@@ -125,21 +125,33 @@ def _cache_name(doc: dict, fmt: str) -> str:
     return f"v{SCHEMA_VERSION}_{doc['command']}_{digest}.{ext}"
 
 
-def _cache_lookup(args, command: str, parameters: dict) -> bool:
+def _cache_lookup(args, command: str, parameters: dict):
+    """Write the cached payload to stdout and return it, or return None."""
     cache_dir = getattr(args, "cache", None)
     if not cache_dir:
-        return False
+        return None
     doc = {"command": command, "parameters": parameters}
     path = Path(cache_dir) / _cache_name(doc, getattr(args, "format", "json"))
-    if path.exists():
-        sys.stdout.write(path.read_text())
-        return True
-    return False
+    if not path.exists():
+        return None
+    payload = path.read_text()
+    sys.stdout.write(payload)
+    return payload
+
+
+def _verify_exit_code(payload: str, fmt: str) -> int:
+    """The exit code of the verify run that wrote this payload."""
+    if fmt == "json":
+        failed = json.loads(payload)["results"]["failed"]
+    else:
+        failed = sum(1 for line in payload.splitlines()[1:]
+                     if line.rsplit(",", 1)[-1] == "fail")
+    return 1 if failed else 0
 
 
 def cmd_cohomology(args) -> int:
     params = {"r": args.rank, "n": args.degree}
-    if _cache_lookup(args, "cohomology", params):
+    if _cache_lookup(args, "cohomology", params) is not None:
         return 0
     H = integral_cohomology(args.rank, args.degree)
     results = [{"i": d.i, **_group_json(d.group)} for d in H.degrees]
@@ -160,7 +172,7 @@ def cmd_pages(args) -> int:
     params = {"r": args.rank, "n": args.degree, "p": args.prime}
     if args.kmax is not None:
         params["kmax"] = args.kmax
-    if _cache_lookup(args, "pages", params):
+    if _cache_lookup(args, "pages", params) is not None:
         return 0
     if args.degree == 0:
         doc = _document("pages", params,
@@ -193,7 +205,7 @@ def cmd_pages(args) -> int:
 
 def cmd_basis(args) -> int:
     params = {"r": args.rank, "n": args.degree, "i": args.form_degree}
-    if _cache_lookup(args, "basis", params):
+    if _cache_lookup(args, "basis", params) is not None:
         return 0
     piece = basis(args.rank, args.degree, args.form_degree)
     results = {"dim": piece.dim,
@@ -211,6 +223,9 @@ def cmd_verify(args) -> int:
     rmax, nmax = args.rank, args.degree
     statement = "all" if args.all else args.statement
     params = {"statement": statement, "rmax": rmax, "nmax": nmax}
+    cached = _cache_lookup(args, "verify", params)
+    if cached is not None:
+        return _verify_exit_code(cached, args.format)
     reports = [rep for rep in sweep(rmax, nmax)
                if statement == "all" or rep.statement == statement]
     results = [rep.to_json_dict() for rep in reports]

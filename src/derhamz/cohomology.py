@@ -13,8 +13,14 @@ from typing import Callable, Optional, Sequence
 
 from . import modp
 from .abgroups import FgAbGroup, Homomorphism, homology_at
-from .derham import basis, cartier_rep_matrix, complex_z, dim_formula
-from .intlinalg import IntMatrix
+from .derham import (
+    basis,
+    cartier_rep_matrix,
+    complex_z,
+    dim_formula,
+    koszul_blocks,
+)
+from .intlinalg import IntMatrix, snf, unimodular_inverse
 from .modp import check_prime
 
 
@@ -57,13 +63,53 @@ class CohomologyResult:
 
 @lru_cache(maxsize=None)
 def integral_cohomology(r: int, n: int) -> CohomologyResult:
-    """H^i over Z for every degree of the total-degree-n complex."""
-    cpx = complex_z(r, n)
+    """H^i over Z for every degree of the total-degree-n complex.
+
+    The complex is the direct sum of its multidegree blocks
+    (derham.koszul_blocks), so H^i is the sum of the blocks' H^i.  Each
+    block's H^i comes from homology_at on its own differentials; its
+    generators are then moved to the Smith-adapted basis of its relations.
+    H^i is presented by the square diagonal matrix of the Smith entries,
+    and the lift columns (each block's generators at its global indices,
+    blocks in basis order) are a basis of the integer cocycles.
+    """
+    blocks = koszul_blocks(r, n)
     degrees = []
-    for i in range(cpx.top + 1):
-        G, lift = homology_at(cpx.d(i - 1), cpx.d(i))
-        degrees.append(HDegree(i, G, lift))
+    for i in range(min(n, r) + 1):
+        diag = []
+        placed = []          # (global rows, generator columns) per block
+        for blk in blocks:
+            if i >= len(blk.cells):
+                continue
+            d_out = blk.differentials[i]
+            d_in = (blk.differentials[i - 1] if i
+                    else IntMatrix.zeros(d_out.ncols, 0))
+            G, K = homology_at(d_in, d_out)
+            if not K.ncols:
+                continue
+            S, U, _ = snf(G.relations)
+            gens = K @ unimodular_inverse(U)
+            diag += [S[t, t] for t in range(min(S.shape))]
+            diag += [0] * (K.ncols - min(S.shape))
+            placed.append((blk.cells[i], gens))
+        degrees.append(HDegree(i, FgAbGroup.from_diagonal(diag),
+                               _embed(placed, dim_formula(r, n, i), len(diag))))
     return CohomologyResult(r, n, tuple(degrees))
+
+
+def _embed(placed, nrows: int, ncols: int) -> IntMatrix:
+    """The nrows x ncols matrix holding each block of columns at its rows."""
+    rows = [None] * nrows
+    offset = 0
+    for cells, gens in placed:
+        for g, row in zip(cells, gens._rows):
+            full = [0] * ncols
+            full[offset:offset + gens.ncols] = row
+            rows[g] = tuple(full)
+        offset += gens.ncols
+    zero = (0,) * ncols
+    return IntMatrix._raw(tuple(zero if row is None else row for row in rows),
+                          ncols)
 
 
 class ModpDegree:

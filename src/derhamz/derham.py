@@ -125,6 +125,70 @@ def d_matrix(r: int, n: int, i: int) -> IntMatrix:
     return IntMatrix.from_columns(cols, tgt.dim)
 
 
+class KoszulBlock(NamedTuple):
+    """One multidegree summand of the total-degree-n complex.
+
+    d preserves the weight alpha + 1_T of x^alpha dx_T, so the cells of
+    weight beta (|beta| = n) span a subcomplex: the Koszul complex of the
+    integers beta_j, j in the support of beta.  Its degree-i cells are
+    x^(beta - 1_T) dx_T for the i-subsets T of the support, in colex order.
+    """
+    beta: tuple             # the weight, length r
+    support: tuple          # the j with beta_j > 0, increasing
+    cells: tuple            # cells[i]: global indices in basis(r, n, i)
+    differentials: tuple    # differentials[i]: block d from degree i to i+1
+
+
+def koszul_blocks(r: int, n: int) -> tuple:
+    """The blocks of the total-degree-n complex, beta in lex decreasing order.
+
+    Embedding every block's differentials[i] at its cells and summing gives
+    d_matrix(r, n, i).  A block matrix depends only on the ordered nonzero
+    weights: d sends dx_T to dx_(T + j) with coefficient beta_j times
+    _merge_sign read in support-relative positions.
+    """
+    blocks = []
+    by_weights = {}
+    for beta in _compositions_desc(n, r):
+        support = tuple(j for j in range(1, r + 1) if beta[j - 1])
+        s = len(support)
+        cells = []
+        for i in range(s + 1):
+            idx = _index_map(r, n, i)
+            row = []
+            for T in _subsets_colex(s, i):
+                glob = tuple(support[t - 1] for t in T)
+                alpha = list(beta)
+                for t in glob:
+                    alpha[t - 1] -= 1
+                row.append(idx[BasisElement(tuple(alpha), glob)])
+            cells.append(tuple(row))
+        weights = tuple(beta[j - 1] for j in support)
+        if weights not in by_weights:
+            by_weights[weights] = _koszul_differentials(weights)
+        blocks.append(KoszulBlock(beta, support, tuple(cells),
+                                  by_weights[weights]))
+    return tuple(blocks)
+
+
+def _koszul_differentials(weights: tuple) -> tuple:
+    """d^0 .. d^s of the Koszul complex of the s given integers."""
+    s = len(weights)
+    subsets = [_subsets_colex(s, i) for i in range(s + 2)]
+    diffs = []
+    for i in range(s + 1):
+        pos = {T: k for k, T in enumerate(subsets[i + 1])}
+        rows = [[0] * len(subsets[i]) for _ in subsets[i + 1]]
+        for c, T in enumerate(subsets[i]):
+            for j in range(1, s + 1):
+                if j not in T:
+                    k = pos[tuple(sorted(T + (j,)))]
+                    rows[k][c] = _merge_sign(T, j) * weights[j - 1]
+        diffs.append(IntMatrix._raw(tuple(map(tuple, rows)),
+                                    len(subsets[i])))
+    return tuple(diffs)
+
+
 @lru_cache(maxsize=None)
 def koszul_matrix(r: int, n: int, i: int) -> IntMatrix:
     """The Koszul contraction: polynomials to 0, dx_t to x_t.

@@ -20,7 +20,7 @@ from derhamz.abgroups import (
     subgroup_presentation,
 )
 from derhamz.derham import complex_z, frobenius_matrix
-from derhamz.intlinalg import IntMatrix, kernel_basis
+from derhamz.intlinalg import IntMatrix, hstack, kernel_basis
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=30)
@@ -179,6 +179,45 @@ class TestInducedMap:
         with pytest.raises(ValueError):
             induced_map(IntMatrix([[1]]), (G, lift), (G, lift),
                         tgt_d_out=IntMatrix([[1]]))
+
+
+DIAGONAL_ENTRIES = st.lists(
+    st.tuples(st.sampled_from([0, 1, 2, 3, 4, 6] + [
+        q ** k for q in (2, 3, 5, 7) for k in range(1, 41) if q ** k <= 2 ** 40]),
+        st.booleans()).map(lambda e: -e[0] if e[1] else e[0]),
+    max_size=6)
+
+
+class TestDiagonalFastPath:
+    @given(DIAGONAL_ENTRIES, st.data())
+    def test_matches_the_smith_path(self, entries, data):
+        G = FgAbGroup.from_diagonal(entries)
+        k = len(entries)
+        # W: a random product of unimodular column operations
+        W = [[int(a == b) for b in range(k)] for a in range(k)]
+        if k > 1:
+            for a, b, c in data.draw(st.lists(st.tuples(
+                    st.integers(0, k - 1), st.integers(0, k - 1),
+                    st.integers(-3, 3)), max_size=8)):
+                if a != b:
+                    for row in W:
+                        row[a] += c * row[b]
+        moved = G.relations @ IntMatrix(W, ncols=k)
+        # the extra zero column keeps the lattice and makes the presentation
+        # non-square, so its diagonal comes from the Smith reduction
+        H = FgAbGroup(k, hstack(moved, IntMatrix.zeros(k, 1)))
+        assert G.diagonal == H.diagonal
+        for p in (2, 3, 5, 7):
+            P, incl = primary_inclusion(G, p)
+            assert is_isomorphic(P, primary_part(G, p))
+            assert incl.is_injective()
+
+    def test_square_diagonal_groups_skip_the_smith_reduction(self):
+        G = FgAbGroup.from_diagonal([4, 0, 6, 1, 2 ** 40, 3])
+        assert G.diagonal == (1, 1, 2, 12, 2 ** 40 * 3, 0)
+        assert G._snf is None
+        assert G.element_is_zero([8, 0, 6, 5, 0, 3])
+        assert not G.element_is_zero([0, 1, 0, 0, 0, 0])
 
 
 class TestSubgroups:

@@ -202,6 +202,21 @@ class TestContracts:
         second = {f.name for f in tmp_path.iterdir()}
         assert len(second) == 2 and first < second
 
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    def test_verify_reads_the_cache(self, capsys, tmp_path, monkeypatch, fmt):
+        args = ("verify", "--statement", "filtration", "-r", "2", "-n", "8",
+                fmt, "--cache", str(tmp_path))
+        code, first = run_cli(capsys, *args)
+        assert code == 1
+
+        def no_sweep(*args):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        code, second = run_cli(capsys, *args)
+        assert code == 1
+        assert second == first
+
     def test_unsafe_bounds_override(self, capsys):
         code, _ = run_json(capsys, "cohomology", "-r", "1", "-n", "17",
                            "--unsafe-bounds")

@@ -1,5 +1,8 @@
 """Integral and mod-p cohomology, Cartier bijectivity, naturality."""
 
+from itertools import product
+from math import comb, gcd, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import GF, Matrix
@@ -18,7 +21,7 @@ from derhamz.derham import (
     dim_formula,
     substitution_map,
 )
-from derhamz.intlinalg import IntMatrix
+from derhamz.intlinalg import IntMatrix, hnf, kernel_basis
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=15)
@@ -30,6 +33,38 @@ def gf_rank(M, p):
         return 0
     dm = DomainMatrix.from_Matrix(Matrix(M.to_lists())).convert_to(GF(p))
     return len(dm.rref()[1])
+
+
+def lattice(M):
+    """The nonzero Hermite columns: equal iff the column lattices are."""
+    H = hnf(M)[0]
+    return [H.col(j) for j in range(H.ncols) if any(H.col(j))]
+
+
+def closed_form_torsion(r, n, i):
+    """Invariant factors of the closed form, recombined prime by prime."""
+    exponents = {}           # prime -> exponents of its cyclic summands
+    for beta in product(range(n + 1), repeat=r):
+        s = sum(1 for b in beta if b)
+        if sum(beta) != n or s == 0 or i == 0:
+            continue
+        g, copies = gcd(*beta), comb(s - 1, i - 1)
+        q = 2
+        while g > 1:
+            e = 0
+            while g % q == 0:
+                g //= q
+                e += 1
+            if e:
+                exponents.setdefault(q, []).extend([e] * copies)
+            q += 1
+    for exps in exponents.values():
+        exps.sort(reverse=True)
+    count = max((len(exps) for exps in exponents.values()), default=0)
+    factors = [prod(q ** exps[k] for q, exps in exponents.items()
+                    if k < len(exps))
+               for k in range(count)]
+    return tuple(sorted(factors))
 
 
 class TestIntegralCohomology:
@@ -81,6 +116,22 @@ class TestIntegralCohomology:
                                      if abs(S[k, k]) > 1)
                 assert H.group(i).free_rank == free, (r, n, i)
                 assert list(H.group(i).invariant_factors) == torsion, (r, n, i)
+
+    def test_closed_form_oracle(self):
+        # H^i = sum over |beta| = n of (Z/gcd beta)^C(s-1, i-1), s the
+        # number of nonzero entries of beta; the engine never uses this
+        cases = [(r, n) for r in range(1, 5) for n in range(13)]
+        for (r, n) in cases + [(4, 16)]:
+            # uncached, so the (4,16) lifts are not kept for the session
+            H = integral_cohomology.__wrapped__(r, n)
+            for i in range(H.top + 1):
+                G = H.group(i)
+                if n == 0:
+                    assert (G.free_rank, G.invariant_factors) == (1, ())
+                    continue
+                assert G.free_rank == 0, (r, n, i)
+                assert G.invariant_factors == closed_form_torsion(r, n, i), \
+                    (r, n, i)
 
     def test_annihilated_by_n(self):
         for r in (1, 2):
@@ -193,12 +244,26 @@ class TestCartierIso:
 
 class TestExpress:
     def test_integral_express_roundtrip(self):
-        H = integral_cohomology(2, 4)
-        lift = H.lift(1)
-        for j in range(H.group(1).ngens):
-            coords = H.express(1, lift.col(j))
-            unit = tuple(1 if t == j else 0 for t in range(H.group(1).ngens))
-            assert H.group(1).elements_equal(coords, unit)
+        # lift is a basis of the integer cocycles, the relations are square
+        # diagonal and map onto the coboundaries, and every lift column
+        # expresses as its unit vector
+        for r in range(4):
+            for n in range(11):
+                H = integral_cohomology(r, n)
+                cpx = complex_z(r, n)
+                for i in range(H.top + 1):
+                    lift, G = H.lift(i), H.group(i)
+                    assert (hnf(lift)[0]
+                            == hnf(kernel_basis(cpx.d(i)))[0]), (r, n, i)
+                    assert (lattice(lift @ G.relations)
+                            == lattice(cpx.d(i - 1))), (r, n, i)
+                    rel = G.relations
+                    assert rel.shape == (G.ngens, G.ngens), (r, n, i)
+                    assert all(not rel[a, b] for a in range(G.ngens)
+                               for b in range(G.ngens) if a != b), (r, n, i)
+                    for j in range(G.ngens):
+                        unit = tuple(int(t == j) for t in range(G.ngens))
+                        assert H.express(i, lift.col(j)) == unit, (r, n, i)
 
     def test_modp_express_rejects_non_cocycle(self):
         mp = modp_cohomology(2, 2, 2)

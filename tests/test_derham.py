@@ -11,6 +11,7 @@ from derhamz.derham import (
     d_matrix,
     dim_formula,
     frobenius_matrix,
+    koszul_blocks,
     koszul_matrix,
     substitution_map,
 )
@@ -200,3 +201,41 @@ class TestComplex:
         cpx = complex_z(2, 4)
         assert cpx.d(-1).shape == (dim_formula(2, 4, 0), 0)
         assert cpx.d(5).shape == (0, 0)
+
+
+class TestKoszulBlocks:
+    def test_blocks_reproduce_d_matrix(self):
+        # embed every block differential at its cells and sum: the result
+        # is the global differential, and the cells partition the basis
+        for r in range(5):
+            for n in range(9):
+                blocks = koszul_blocks(r, n)
+                for i in range(r + 1):
+                    d = d_matrix(r, n, i)
+                    rows = [[0] * d.ncols for _ in range(d.nrows)]
+                    covered = []
+                    for blk in blocks:
+                        if i >= len(blk.cells):
+                            continue
+                        covered += blk.cells[i]
+                        src = blk.cells[i]
+                        tgt = blk.cells[i + 1] if i + 1 < len(blk.cells) \
+                            else ()
+                        block_d = blk.differentials[i]
+                        assert block_d.shape == (len(tgt), len(src))
+                        for a, g in enumerate(tgt):
+                            for b, h in enumerate(src):
+                                rows[g][h] += block_d[a, b]
+                    assert IntMatrix(rows, ncols=d.ncols) == d, (r, n, i)
+                    assert sorted(covered) == list(range(d.ncols)), (r, n, i)
+
+    def test_block_cells_carry_their_weight(self):
+        for blk in koszul_blocks(3, 5):
+            beta, support = blk.beta, blk.support
+            assert support == tuple(j for j in (1, 2, 3) if beta[j - 1])
+            for i, cells in enumerate(blk.cells):
+                for k in cells:
+                    alpha, T = basis(3, 5, i).elements[k]
+                    weight = tuple(a + (j + 1 in T)
+                                   for j, a in enumerate(alpha))
+                    assert weight == beta
