@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 from .intlinalg import (
     IntMatrix,
     augmented,
+    block_diagonal,
     hnf,
     hstack,
     kernel_basis,
@@ -86,6 +87,10 @@ class FgAbGroup:
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         groups = (self,) + others
+        diags = [g._diagonal_relations() for g in groups]
+        if all(d is not None for d in diags):
+            # block diagonal of square diagonal blocks: the same matrix
+            return FgAbGroup.from_diagonal([d for diag in diags for d in diag])
         n = sum(g.ngens for g in groups)
         cols = []
         offset = 0
@@ -253,6 +258,24 @@ class Homomorphism:
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "Homomorphism":
         return cls(source, target, IntMatrix.zeros(target.ngens, source.ngens))
+
+    @classmethod
+    def direct_sum(cls, source: FgAbGroup, target: FgAbGroup,
+                   maps: Sequence["Homomorphism"]) -> "Homomorphism":
+        """The block-diagonal sum of maps, from source (the direct sum of
+        their sources) to target (the direct sum of their targets).
+
+        A direct sum of well-defined maps is well defined, and each summand
+        was checked when it was built, so the sum is not checked again.
+        """
+        if (source.ngens != sum(f.source.ngens for f in maps)
+                or target.ngens != sum(f.target.ngens for f in maps)):
+            raise ValueError("summands do not add up to source and target")
+        obj = object.__new__(cls)
+        obj.source = source
+        obj.target = target
+        obj.matrix = block_diagonal([f.matrix for f in maps])
+        return obj
 
     def apply(self, coords: Sequence[int]) -> tuple:
         return self.matrix.apply(coords)

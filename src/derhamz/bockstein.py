@@ -4,6 +4,8 @@ The couple at a prime p is H --(xp)--> H --(reduce)--> H(mod p) --(del)-->,
 generated by the short exact coefficient sequence for multiplication by p.
 Deriving it repeatedly yields the spectral-sequence pages; a closed-form
 lattice computation of the same pages serves as an independent oracle.
+The couple and every derived couple are direct sums over the multidegree
+blocks of the complex, and are computed block by block (CoupleSum).
 
 Pages are stored as elementary abelian p-groups with explicit cochain-level
 representatives, so later comparisons are matrix equalities rather than
@@ -13,7 +15,7 @@ abstract isomorphism claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Optional, Sequence
 
 from . import modp
@@ -27,13 +29,20 @@ from .abgroups import (
     subgroup_presentation,
 )
 from .cohomology import (
+    ModpDegreeSum,
     class_matrix,
-    integral_cohomology,
     modp_cohomology,
     modp_homology,
+    smith_homology,
 )
 from .derham import cartier_rep_matrix, complex_z, dim_formula
-from .intlinalg import IntMatrix, lattice_solve, unimodular_inverse
+from .intlinalg import (
+    IntMatrix,
+    block_diagonal,
+    lattice_solve,
+    place_blocks,
+    unimodular_inverse,
+)
 from .modp import check_prime, valuation
 
 
@@ -127,51 +136,158 @@ class ExactCouple:
                 f"p={self.p}) fails {label} in degree {i}; witness {witness}")
 
 
-def initial_couple(r: int, n: int, p: int) -> ExactCouple:
+class CoupleSum(ExactCouple):
+    """The couple of the total-degree-n complex as a direct sum of block
+    couples.
+
+    d, the Bockstein maps and every derived couple respect the
+    multidegree, so the couple is the direct sum over the Koszul blocks
+    (derham.koszul_blocks) of their own couples: summands[b] is the couple
+    of blocks[b] in the block's cochain coordinates (blocks with the same
+    differentials share one object).  stages[i] splits a vector by block
+    cells at level 1 and by the parent's E-coordinate ranges later, and
+    solves inside each block.  The groups and maps are block diagonal,
+    blocks in basis order, and are assembled on first use.  A direct sum is
+    exact (and its maps well defined) exactly when every summand is, so
+    those certificates run on the summands.
+    """
+
+    def __init__(self, r, n, p, level, blocks, summands, stages, parent=None):
+        self.r = r
+        self.n = n
+        self.p = p
+        self.level = level
+        self.imax = min(n, r)
+        self.blocks = tuple(blocks)
+        self.summands = tuple(summands)
+        self.stages = tuple(stages)
+        self.parent = parent
+        self._dims = tuple(sum(s.e_dim(i) for s in self.summands)
+                           for i in range(self.imax + 1))
+
+    @property
+    def dims(self) -> tuple:
+        return self._dims
+
+    def e_dim(self, i: int) -> int:
+        return self._dims[i] if 0 <= i <= self.imax else 0
+
+    def _summed(self, i: int, attr: str) -> list:
+        return [getattr(s, attr)[i] for s in self.summands if i <= s.imax]
+
+    @cached_property
+    def D(self) -> tuple:
+        return tuple(FgAbGroup.zero().direct_sum(*self._summed(i, "D"))
+                     for i in range(self.imax + 1))
+
+    @cached_property
+    def E(self) -> tuple:
+        return tuple(FgAbGroup.elementary(self.p, d) for d in self._dims)
+
+    @cached_property
+    def i_maps(self) -> tuple:
+        return tuple(Homomorphism.direct_sum(self.D[i], self.D[i],
+                                             self._summed(i, "i_maps"))
+                     for i in range(self.imax + 1))
+
+    @cached_property
+    def j_maps(self) -> tuple:
+        return tuple(Homomorphism.direct_sum(self.D[i], self.E[i],
+                                             self._summed(i, "j_maps"))
+                     for i in range(self.imax + 1))
+
+    @cached_property
+    def k_maps(self) -> tuple:
+        return tuple(Homomorphism.direct_sum(self.E[i], self.D_at(i + 1),
+                                             self._summed(i, "k_maps"))
+                     for i in range(self.imax + 1))
+
+    @cached_property
+    def e_reps(self) -> tuple:
+        return tuple(
+            place_blocks([(blk.cells[i], s.e_reps[i]) for blk, s
+                           in zip(self.blocks, self.summands) if i <= s.imax],
+                          dim_formula(self.r, self.n, i), self._dims[i])
+            for i in range(self.imax + 1))
+
+    def distinct_summands(self) -> list:
+        return list({id(s): s for s in self.summands}.values())
+
+    def d_matrix(self, i: int) -> IntMatrix:
+        if not 0 <= i < self.imax:
+            return super().d_matrix(i)
+        mats = {id(s): s.d_matrix(i) for s in self.distinct_summands()}
+        return block_diagonal([mats[id(s)] for s in self.summands
+                               if i <= s.imax])
+
+
+def initial_couple(r: int, n: int, p: int) -> CoupleSum:
     """The couple of the mod-p coefficient sequence in total degree n.
 
     D is integral cohomology with the multiplication-by-p map, E is mod-p
     cohomology with j the reduction of lifts and k the connecting map
-    sending a class [z] to [(d z~)/p] for any integral lift z~.
+    sending a class [z] to [(d z~)/p] for any integral lift z~.  It is
+    built block by block; D and its generators are integral_cohomology's
+    groups and lifts, in the same order.
     """
     check_prime(p)
     if n < 1:
         raise ValueError("total degree must be >= 1")
-    HZ = integral_cohomology(r, n)
     MP = modp_cohomology(r, n, p)
-    cpx = complex_z(r, n)
-    imax = cpx.top
+    by_diffs = {}
+    summands = []
+    for blk, mp in zip(MP.blocks, MP.block_degrees):
+        if blk.differentials not in by_diffs:
+            by_diffs[blk.differentials] = _block_couple(r, n, p, blk, mp)
+        summands.append(by_diffs[blk.differentials])
+    return CoupleSum(r, n, p, 1, MP.blocks, summands, MP.degrees)
 
-    D = [HZ.group(i) for i in range(imax + 1)]
-    E = [FgAbGroup.elementary(p, MP.dim(i)) for i in range(imax + 1)]
-    i_maps = [Homomorphism(D[i], D[i], p * IntMatrix.identity(D[i].ngens))
-              for i in range(imax + 1)]
+
+def _block_couple(r: int, n: int, p: int, blk, mp: Sequence) -> ExactCouple:
+    """The level-1 couple of one Koszul block, in its cochain coordinates.
+
+    D^i has the block's Smith-adapted integral generators (smith_homology,
+    as in integral_cohomology) and E^i = mp[i] its mod-p cohomology.
+    """
+    top = len(blk.cells) - 1
+    orders, gens = [], []
+    for i in range(top + 1):
+        entries, lift = smith_homology(blk.d(i - 1), blk.d(i))
+        orders.append(entries)
+        gens.append(lift)
+    D = [FgAbGroup.from_diagonal(entries) for entries in orders]
+    E = [FgAbGroup.elementary(p, st.dim) for st in mp]
+    i_maps = [Homomorphism(G, G, p * IntMatrix.identity(G.ngens)) for G in D]
 
     j_maps = []
-    for i in range(imax + 1):
-        matrix, _ = class_matrix(MP.degrees[i].express, HZ.lift(i),
-                                 E[i].ngens)
+    for i in range(top + 1):
+        matrix, _ = class_matrix(mp[i].express, gens[i], E[i].ngens)
         if matrix is None:
             raise RuntimeError("integral cocycle failed to reduce mod p")
         j_maps.append(Homomorphism(D[i], E[i], matrix))
 
     k_maps = []
-    for i in range(imax + 1):
-        target = D[i + 1] if i + 1 <= imax else FgAbGroup.zero()
+    for i in range(top + 1):
+        target = D[i + 1] if i < top else FgAbGroup.zero()
+        target_orders = orders[i + 1] if i < top else ()
         cols = []
-        for rep in MP.degree(i).reps:
-            dv = cpx.d(i).apply(rep)
+        for rep in mp[i].reps:
+            dv = blk.d(i).apply(rep)
             if any(v % p for v in dv):
                 raise RuntimeError("d of a mod-p cocycle lift not divisible by p")
-            w = tuple(v // p for v in dv)
-            coords = HZ.express(i + 1, w) if i + 1 <= imax else ()
-            cols.append(list(coords))
+            coords = (lattice_solve(gens[i + 1], [v // p for v in dv])
+                      if i < top else ())
+            if coords is None:
+                raise RuntimeError("(d z~)/p is not an integral cocycle")
+            # reduced modulo the orders of the generators, so that blocks
+            # with equal classes share their matrices
+            cols.append([v % d if d else v
+                         for v, d in zip(coords, target_orders)])
         k_maps.append(Homomorphism(
             E[i], target, IntMatrix.from_columns(cols, target.ngens)))
 
-    e_reps = [MP.degrees[i].rep_matrix() for i in range(imax + 1)]
-    return ExactCouple(r, n, p, 1, D, E, i_maps, j_maps, k_maps, e_reps,
-                       MP.degrees)
+    e_reps = [st.rep_matrix() for st in mp]
+    return ExactCouple(r, n, p, 1, D, E, i_maps, j_maps, k_maps, e_reps, mp)
 
 
 def derive(c: ExactCouple) -> ExactCouple:
@@ -267,8 +383,27 @@ def couples(r: int, n: int, p: int, upto: int) -> list:
         chain = [initial_couple(r, n, p)]
         _COUPLES[key] = chain
     while len(chain) < upto:
-        chain.append(derive(chain[-1]))
+        chain.append(_derive_sum(chain[-1]))
     return chain[:upto]
+
+
+def _derive_sum(c: CoupleSum) -> CoupleSum:
+    """The derived couple of a direct sum: derive on each distinct block
+    couple, with stages that split the parent's E coordinates by block."""
+    derived = {id(s): derive(s) for s in c.distinct_summands()}
+    summands = [derived[id(s)] for s in c.summands]
+    stages = []
+    for i in range(c.imax + 1):
+        parts = []
+        offset = 0
+        for old, new in zip(c.summands, summands):
+            width = old.e_dim(i)
+            if width:
+                parts.append((range(offset, offset + width), new.stages[i]))
+                offset += width
+        stages.append(ModpDegreeSum(i, offset, parts, c.p))
+    return CoupleSum(c.r, c.n, c.p, c.level + 1, c.blocks, summands, stages,
+                     parent=c)
 
 
 @dataclass(frozen=True)
@@ -304,10 +439,13 @@ def pages(r: int, n: int, p: int, kmax: int | None = None) -> list:
     chain = couples(r, n, p, kmax)
     out = []
     for c in chain:
+        # d∘d = 0 on a direct sum iff on every summand
+        for s in c.distinct_summands():
+            for i in range(s.imax):
+                if not (s.d_matrix(i + 1) @ s.d_matrix(i)).mod(p).is_zero():
+                    raise RuntimeError(
+                        "page differential does not square to zero")
         diffs = tuple(c.d_matrix(i) for i in range(c.imax + 1))
-        for i in range(c.imax):
-            if not (diffs[i + 1] @ diffs[i]).mod(p).is_zero():
-                raise RuntimeError("page differential does not square to zero")
         out.append(SpectralPage(r, n, p, c.level, c.dims, diffs, c.e_reps))
     return out
 
@@ -475,6 +613,20 @@ def _page_isomorphism_failure(couple: ExactCouple, sources: Sequence[IntMatrix],
 # -- page identification (Cartier composite) ------------------------------------
 
 
+def _are_modp_cocycles(blocks, i: int, cochains: IntMatrix, p: int) -> bool:
+    """Whether every column is a mod-p cocycle in degree i, checked block
+    by block: d acts inside each Koszul block."""
+    for blk in blocks:
+        if i >= len(blk.cells):
+            continue
+        rows = [cochains.row(g) for g in blk.cells[i]]
+        if not any(v % p for row in rows for v in row):
+            continue
+        if not (blk.d(i) @ IntMatrix(rows, cochains.ncols)).mod(p).is_zero():
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PageIdentification:
     r: int
@@ -502,7 +654,6 @@ def verify_page_identification(r: int, n: int, p: int,
         raise ValueError(f"need 1 <= k <= nu_p(n) = {nu}")
     m = n // p ** k
     couple = couples(r, n, p, k)[k - 1]
-    cpx_n = complex_z(r, n)
     cpx_m = complex_z(r, m)
     imax = couple.imax
     checks = []
@@ -520,10 +671,10 @@ def verify_page_identification(r: int, n: int, p: int,
     if ok:
         comps = []
         for i in range(imax + 1):
-            comp = IntMatrix.identity(dim_formula(r, m, i))
-            for s in range(k):
+            comp = cartier_rep_matrix(r, m, i, p)
+            for s in range(1, k):
                 comp = (cartier_rep_matrix(r, m * p ** s, i, p) @ comp).mod(p)
-            if not (cpx_n.d(i) @ comp).mod(p).is_zero():
+            if not _are_modp_cocycles(couple.blocks, i, comp, p):
                 ok = False
                 witness = {"check": "cocycle", "degree": i}
                 break

@@ -20,7 +20,7 @@ from .derham import (
     dim_formula,
     koszul_blocks,
 )
-from .intlinalg import IntMatrix, snf, unimodular_inverse
+from .intlinalg import IntMatrix, place_blocks, snf, unimodular_inverse
 from .modp import check_prime
 
 
@@ -66,12 +66,11 @@ def integral_cohomology(r: int, n: int) -> CohomologyResult:
     """H^i over Z for every degree of the total-degree-n complex.
 
     The complex is the direct sum of its multidegree blocks
-    (derham.koszul_blocks), so H^i is the sum of the blocks' H^i.  Each
-    block's H^i comes from homology_at on its own differentials; its
-    generators are then moved to the Smith-adapted basis of its relations.
-    H^i is presented by the square diagonal matrix of the Smith entries,
-    and the lift columns (each block's generators at its global indices,
-    blocks in basis order) are a basis of the integer cocycles.
+    (derham.koszul_blocks), so H^i is the sum of the blocks' H^i, each from
+    smith_homology on the block's own differentials.  H^i is presented by
+    the square diagonal matrix of the Smith entries, and the lift columns
+    (each block's generators at its global indices, blocks in basis order)
+    are a basis of the integer cocycles.
     """
     blocks = koszul_blocks(r, n)
     degrees = []
@@ -81,42 +80,37 @@ def integral_cohomology(r: int, n: int) -> CohomologyResult:
         for blk in blocks:
             if i >= len(blk.cells):
                 continue
-            d_out = blk.differentials[i]
-            d_in = (blk.differentials[i - 1] if i
-                    else IntMatrix.zeros(d_out.ncols, 0))
-            G, K = homology_at(d_in, d_out)
-            if not K.ncols:
+            entries, gens = smith_homology(blk.d(i - 1), blk.d(i))
+            if not gens.ncols:
                 continue
-            S, U, _ = snf(G.relations)
-            gens = K @ unimodular_inverse(U)
-            diag += [S[t, t] for t in range(min(S.shape))]
-            diag += [0] * (K.ncols - min(S.shape))
+            diag += entries
             placed.append((blk.cells[i], gens))
-        degrees.append(HDegree(i, FgAbGroup.from_diagonal(diag),
-                               _embed(placed, dim_formula(r, n, i), len(diag))))
+        lift = place_blocks(placed, dim_formula(r, n, i), len(diag))
+        degrees.append(HDegree(i, FgAbGroup.from_diagonal(diag), lift))
     return CohomologyResult(r, n, tuple(degrees))
 
 
-def _embed(placed, nrows: int, ncols: int) -> IntMatrix:
-    """The nrows x ncols matrix holding each block of columns at its rows."""
-    rows = [None] * nrows
-    offset = 0
-    for cells, gens in placed:
-        for g, row in zip(cells, gens._rows):
-            full = [0] * ncols
-            full[offset:offset + gens.ncols] = row
-            rows[g] = tuple(full)
-        offset += gens.ncols
-    zero = (0,) * ncols
-    return IntMatrix._raw(tuple(zero if row is None else row for row in rows),
-                          ncols)
+def smith_homology(d_in: IntMatrix, d_out: IntMatrix):
+    """ker(d_out) / im(d_in) over Z on Smith-adapted generators.
+
+    Returns (entries, gens): generator t has order entries[t] (0 for a free
+    one, 1 for a trivial one), and the columns of gens are cochain
+    representatives, a basis of ker(d_out).  homology_at checks d∘d = 0.
+    """
+    G, K = homology_at(d_in, d_out)
+    if not K.ncols:
+        return [], K
+    S, U, _ = snf(G.relations)
+    entries = [S[t, t] for t in range(min(S.shape))]
+    entries += [0] * (K.ncols - min(S.shape))
+    return entries, K @ unimodular_inverse(U)
 
 
 class ModpDegree:
     """Cocycles, coboundaries and chosen class representatives in one degree."""
 
     __slots__ = ("i", "dim_cochain", "cocycles", "coboundaries", "reps",
-                 "_solver", "_p")
+                 "dim", "_solver", "_p")
 
     def __init__(self, i, dim_cochain, cocycles, coboundaries, reps, p):
         self.i = i
@@ -124,12 +118,9 @@ class ModpDegree:
         self.cocycles = cocycles
         self.coboundaries = coboundaries
         self.reps = reps
+        self.dim = len(reps)
         self._p = p
         self._solver = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
 
     def rep_matrix(self) -> IntMatrix:
         return IntMatrix.from_columns(list(self.reps), self.dim_cochain)
@@ -154,6 +145,8 @@ def modp_homology(i: int, d_in: IntMatrix, d_out: IntMatrix,
     of the coboundaries; this is the one builder of mod-p subquotients, used
     for mod-p cohomology and for every derived Bockstein page.
     """
+    if not (d_out @ d_in).mod(p).is_zero():
+        raise ValueError("d_out @ d_in is nonzero mod p: not a complex")
     cocycles = modp.nullspace(d_out, p)
     coboundaries, _ = modp.image_basis(d_in.mod(p), p)
     added = modp.complete_basis(coboundaries, cocycles, p)
@@ -162,23 +155,103 @@ def modp_homology(i: int, d_in: IntMatrix, d_out: IntMatrix,
                       reps, p)
 
 
-class ModpCohomologyResult:
-    """dim H^i = dim Z^i - dim B^i over the p-element field, per degree."""
+class ModpDegreeSum:
+    """A direct sum of mod-p subquotients in one degree.
 
-    def __init__(self, r, n, p, degrees):
+    parts holds (indices, summand) pairs: the summand's cochain coordinates
+    are the entries at indices of a dim_cochain vector, and class
+    coordinates are the summands' coordinates concatenated in part order.
+    The indices of the parts partition range(dim_cochain).
+    """
+
+    __slots__ = ("i", "dim_cochain", "parts", "dim", "_p", "_part_of",
+                 "_offsets")
+
+    def __init__(self, i, dim_cochain, parts, p):
+        self.i = i
+        self.dim_cochain = dim_cochain
+        self.parts = tuple(parts)
+        self._offsets = []
+        self.dim = 0
+        for _, st in self.parts:
+            self._offsets.append(self.dim)
+            self.dim += st.dim
+        self._p = p
+        self._part_of = None
+
+    def _embedded(self, attr: str) -> tuple:
+        out = []
+        for idx, st in self.parts:
+            for v in getattr(st, attr):
+                full = [0] * self.dim_cochain
+                for g, x in zip(idx, v):
+                    full[g] = x
+                out.append(tuple(full))
+        return tuple(out)
+
+    @property
+    def reps(self) -> tuple:
+        return self._embedded("reps")
+
+    @property
+    def cocycles(self) -> tuple:
+        return self._embedded("cocycles")
+
+    @property
+    def coboundaries(self) -> tuple:
+        return self._embedded("coboundaries")
+
+    def rep_matrix(self) -> IntMatrix:
+        return place_blocks([(idx, st.rep_matrix()) for idx, st in self.parts],
+                            self.dim_cochain, self.dim)
+
+    def express(self, z: Sequence[int]) -> Optional[tuple]:
+        """Class coordinates of a mod-p cocycle, or None if z is no cocycle;
+        solved only in the parts where z is nonzero mod p."""
+        if self._part_of is None:
+            self._part_of = [None] * self.dim_cochain
+            for t, (idx, _) in enumerate(self.parts):
+                for g in idx:
+                    self._part_of[g] = t
+        p = self._p
+        coords = [0] * self.dim
+        for t in {self._part_of[g] for g, v in enumerate(z) if v % p}:
+            idx, st = self.parts[t]
+            part = st.express([z[g] for g in idx])
+            if part is None:
+                return None
+            coords[self._offsets[t]:self._offsets[t] + st.dim] = part
+        return tuple(coords)
+
+
+class ModpCohomologyResult:
+    """dim H^i = dim Z^i - dim B^i over the p-element field, per degree.
+
+    block_degrees[b][i] is H^i of the Koszul block blocks[b], and degrees[i]
+    is the direct sum of the blocks' H^i, blocks in basis order.
+    """
+
+    def __init__(self, r, n, p, blocks, block_degrees):
         self.r = r
         self.n = n
         self.p = p
-        self.degrees = tuple(degrees)
+        self.blocks = tuple(blocks)
+        self.block_degrees = tuple(block_degrees)
+        self.degrees = tuple(
+            ModpDegreeSum(i, dim_formula(r, n, i),
+                          [(blk.cells[i], bd[i]) for blk, bd
+                           in zip(self.blocks, self.block_degrees)
+                           if i < len(bd)], p)
+            for i in range(min(n, r) + 1))
 
     @property
     def top(self) -> int:
         return len(self.degrees) - 1
 
-    def degree(self, i: int) -> ModpDegree:
+    def degree(self, i: int) -> ModpDegreeSum:
         if 0 <= i <= self.top:
             return self.degrees[i]
-        return ModpDegree(i, dim_formula(self.r, self.n, i), (), (), (), self.p)
+        return ModpDegreeSum(i, dim_formula(self.r, self.n, i), (), self.p)
 
     def dim(self, i: int) -> int:
         return self.degree(i).dim
@@ -193,22 +266,30 @@ class ModpCohomologyResult:
 
 @lru_cache(maxsize=None)
 def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
-    """Cohomology of the complex tensored with Z/p, by mod-p row reduction."""
+    """Cohomology of the complex tensored with Z/p, block by block.
+
+    Each block's H^i comes from modp_homology on the block's own
+    differentials, once per distinct differentials (blocks with the same
+    ordered nonzero weights share them).
+    """
     check_prime(p)
-    cpx = complex_z(r, n)
-    return ModpCohomologyResult(r, n, p, [
-        modp_homology(i, cpx.d(i - 1), cpx.d(i), p)
-        for i in range(cpx.top + 1)])
+    blocks = koszul_blocks(r, n)
+    by_diffs = {}
+    for blk in blocks:
+        if blk.differentials not in by_diffs:
+            by_diffs[blk.differentials] = tuple(
+                modp_homology(i, blk.d(i - 1), blk.d(i), p)
+                for i in range(len(blk.cells)))
+    return ModpCohomologyResult(
+        r, n, p, blocks, [by_diffs[blk.differentials] for blk in blocks])
 
 
 def cocycle_dim(r: int, n: int, i: int, p: int) -> int:
-    """Dimension of the mod-p cocycle space in one degree."""
+    """Dimension of the mod-p cocycle space in one degree: the cochain
+    dimension minus the mod-p ranks of the blocks' d^i."""
     check_prime(p)
-    dim = basis(r, n, i).dim
-    if dim == 0:
-        return 0
-    cpx = complex_z(r, n)
-    return dim - modp.rank(cpx.d(i), p)
+    return dim_formula(r, n, i) - sum(modp.rank(blk.d(i), p)
+                                      for blk in koszul_blocks(r, n))
 
 
 def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
@@ -220,8 +301,8 @@ def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
     express maps to None.
     """
     cols = []
-    for j in range(cochain_cols.ncols):
-        coords = express(cochain_cols.col(j))
+    for j, col in enumerate(cochain_cols.columns()):
+        coords = express(col)
         if coords is None:
             return None, j
         cols.append(coords)

@@ -138,6 +138,15 @@ class KoszulBlock(NamedTuple):
     cells: tuple            # cells[i]: global indices in basis(r, n, i)
     differentials: tuple    # differentials[i]: block d from degree i to i+1
 
+    def d(self, i: int) -> IntMatrix:
+        """The block d^i; the zero map outside 0 <= i <= len(support)."""
+        if 0 <= i < len(self.differentials):
+            return self.differentials[i]
+        return IntMatrix.zeros(self._dim(i + 1), self._dim(i))
+
+    def _dim(self, i: int) -> int:
+        return len(self.cells[i]) if 0 <= i < len(self.cells) else 0
+
 
 def koszul_blocks(r: int, n: int) -> tuple:
     """The blocks of the total-degree-n complex, beta in lex decreasing order.
@@ -235,14 +244,12 @@ def cartier_rep_matrix(r: int, n: int, i: int, p: int) -> IntMatrix:
     src = basis(r, n, i)
     tgt = basis(r, p * n, i)
     idx = _index_map(r, p * n, i)
-    cols = []
-    for alpha, T in src:
-        col = [0] * tgt.dim
+    rows = [[0] * src.dim for _ in range(tgt.dim)]
+    for c, (alpha, T) in enumerate(src):
         new_alpha = tuple(p * a + (p - 1 if (j + 1) in T else 0)
                           for j, a in enumerate(alpha))
-        col[idx[BasisElement(new_alpha, T)]] = 1
-        cols.append(col)
-    return IntMatrix.from_columns(cols, tgt.dim)
+        rows[idx[BasisElement(new_alpha, T)]][c] = 1
+    return IntMatrix._raw(tuple(map(tuple, rows)), src.dim)
 
 
 def substitution_map(f: IntMatrix, n: int, i: int) -> IntMatrix:

@@ -80,6 +80,12 @@ class IntMatrix:
             raise IndexError(j)
         return tuple(row[j] for row in self._rows)
 
+    def columns(self) -> list:
+        """Every column as a tuple, in one pass over the rows."""
+        if not self._rows:
+            return [()] * self.ncols
+        return list(zip(*self._rows))
+
     def top_rows(self, k: int) -> "IntMatrix":
         return IntMatrix._raw(self._rows[:k], self.ncols)
 
@@ -187,6 +193,34 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
         raise ValueError("hstack: row counts differ")
     rows = tuple(sum((m._rows[i] for m in mats), ()) for i in range(nrows))
     return IntMatrix._raw(rows, sum(m.ncols for m in mats))
+
+
+def place_blocks(placed, nrows: int, ncols: int) -> IntMatrix:
+    """The nrows x ncols matrix holding each (rows, M) of placed: the rows
+    of M at the given row indices, its columns right after the previous
+    blocks' columns.  Every other entry is zero; row index sets must be
+    disjoint."""
+    out = [None] * nrows
+    offset = 0
+    for rows, M in placed:
+        for g, row in zip(rows, M._rows):
+            full = [0] * ncols
+            full[offset:offset + M.ncols] = row
+            out[g] = tuple(full)
+        offset += M.ncols
+    zero = (0,) * ncols
+    return IntMatrix._raw(tuple(zero if row is None else row for row in out),
+                          ncols)
+
+
+def block_diagonal(mats: Sequence[IntMatrix]) -> IntMatrix:
+    """The block-diagonal matrix of the given blocks, in order."""
+    placed = []
+    nrows = 0
+    for M in mats:
+        placed.append((range(nrows, nrows + M.nrows), M))
+        nrows += M.nrows
+    return place_blocks(placed, nrows, sum(M.ncols for M in mats))
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,12 @@ from derhamz.bockstein import (
     pages,
     verify_page_identification,
 )
-from derhamz.cohomology import integral_cohomology, modp_cohomology
-from derhamz.derham import dim_formula
+from derhamz.cohomology import (
+    class_matrix,
+    integral_cohomology,
+    modp_cohomology,
+)
+from derhamz.derham import complex_z, dim_formula
 from derhamz.intlinalg import IntMatrix
 from derhamz.modp import valuation
 
@@ -41,6 +45,33 @@ class TestInitialCouple:
         with pytest.raises(ValueError):
             initial_couple(1, 0, 2)
 
+    def test_matches_the_dense_construction(self):
+        # D and its generators are integral_cohomology's, in order: j is the
+        # reduction of the integral lifts and k sends [z] to [(d z~)/p],
+        # both computed here on the global complex
+        for (r, n, p) in [(1, 4, 2), (2, 4, 2), (2, 6, 3), (3, 6, 2),
+                          (3, 4, 2), (3, 9, 3)]:
+            c = couples(r, n, p, 1)[0]
+            HZ = integral_cohomology(r, n)
+            MP = modp_cohomology(r, n, p)
+            cpx = complex_z(r, n)
+            assert c.imax == HZ.top
+            for i in range(c.imax + 1):
+                assert c.D[i] == HZ.group(i), (r, n, p, i)
+                dense_j, _ = class_matrix(MP.degree(i).express, HZ.lift(i),
+                                          c.e_dim(i))
+                assert c.j_maps[i].matrix == dense_j, (r, n, p, i)
+                reps = MP.degree(i).rep_matrix()
+                assert reps == c.e_reps[i], (r, n, p, i)
+                for col, rep in enumerate(MP.degree(i).reps):
+                    dv = cpx.d(i).apply(rep)
+                    assert all(v % p == 0 for v in dv)
+                    if i == c.imax:
+                        continue
+                    coords = HZ.express(i + 1, [v // p for v in dv])
+                    assert c.D[i + 1].elements_equal(
+                        coords, c.k_maps[i].matrix.col(col)), (r, n, p, i)
+
     def test_differential_is_zero_outside_degree_range(self):
         c = initial_couple(2, 4, 2)
         assert c.d_matrix(-1).shape == (c.e_dim(0), 0)
@@ -57,10 +88,12 @@ class TestExactness:
                         assert c.exactness_failures() == [], (r, n, p, c.level)
 
     def test_couples_exact_three_variables(self):
-        for (n, p) in [(10, 5), (12, 2), (12, 3), (9, 3)]:
+        # the global certificate on the assembled direct sums
+        for (r, n, p) in [(3, 10, 5), (3, 12, 2), (3, 12, 3), (3, 9, 3),
+                          (4, 6, 2), (4, 6, 3)]:
             kmax = valuation(n, p) + 1
-            for c in couples(3, n, p, kmax):
-                assert c.exactness_failures() == [], (n, p, c.level)
+            for c in couples(r, n, p, kmax):
+                assert c.exactness_failures() == [], (r, n, p, c.level)
 
     def test_derive_rejects_broken_couple(self):
         c = initial_couple(1, 2, 2)
@@ -101,6 +134,20 @@ class TestDerive:
             pg = pages(r, n, p, nu + 2)
             for page in pg[nu:]:
                 assert page.is_zero
+
+    def test_page_dims_at_four_variables(self):
+        # page k is the mod-p complex of degree n/p^k, page nu+1 is zero
+        for (r, n, p) in [(4, 8, 2), (4, 9, 3), (4, 12, 2)]:
+            nu = valuation(n, p)
+            pg = pages(r, n, p)
+            assert len(pg) == nu + 1
+            for page in pg[:nu]:
+                m = n // p ** page.k
+                assert page.dims == tuple(dim_formula(r, m, i)
+                                          for i in range(min(n, r) + 1))
+                assert verify_page_identification(r, n, p, page.k).ok, \
+                    (r, n, p, page.k)
+            assert pg[nu].is_zero
 
     def test_page_dims_match_graded_bookkeeping(self):
         # dim E_k^i = graded_k(H^i) + graded_k(H^(i+1)) for finite H
@@ -181,8 +228,6 @@ class TestPagesApi:
                 assert page.cochain_reps[i].shape == (dim_formula(2, 4, i), dim)
 
     def test_cochain_reps_are_modp_cocycles(self):
-        from derhamz.derham import complex_z
-
         for (r, n, p) in [(2, 4, 2), (2, 8, 2), (3, 6, 3)]:
             cpx = complex_z(r, n)
             for page in pages(r, n, p):

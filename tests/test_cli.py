@@ -1,11 +1,14 @@
 """CLI contract: payload shapes, exit codes, determinism, caching."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from derhamz import cli
 from derhamz.cli import main
@@ -162,6 +165,70 @@ def test_domain_errors_exit_2(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@st.composite
+def cli_argv(draw):
+    """argv from a small grammar: the four commands, in- and out-of-range
+    sizes, primes and page counts, format flags, and one option dropped or
+    given twice."""
+    # each value is drawn from its valid range or from the whole range, so
+    # that answered inputs are not rare
+    def value(valid, whole):
+        return str(draw(st.one_of(valid, whole)))
+
+    command = draw(st.sampled_from(["cohomology", "pages", "basis",
+                                    "verify"]))
+    unsafe = draw(st.booleans())
+    if unsafe:
+        # past the safe bounds only where every size is cheap
+        rank = value(st.integers(0, 1), st.integers(-2, 1))
+        degree = value(st.integers(0, 20), st.integers(0, 20))
+    else:
+        rank = value(st.integers(1, 4), st.integers(-2, 6))
+        degree = value(st.integers(0, 6), st.integers(-2, 6))
+    opts = [["-r", rank], ["-n", degree]]
+    if command == "pages":
+        opts.append(["-p", value(st.sampled_from([2, 3]),
+                                 st.sampled_from([0, 1, 2, 3, 4, 17]))])
+        if draw(st.booleans()):
+            opts.append(["-k", value(st.integers(1, 4), st.integers(-1, 4))])
+    elif command == "basis":
+        opts.append(["-i", str(draw(st.integers(-1, 3)))])
+    elif command == "verify":
+        opts.append(draw(st.sampled_from(
+            [["--all"], ["--statement", "filtration"],
+             ["--statement", "cartier"]])))
+    opts.append(draw(st.sampled_from([[], ["--json"], ["--csv"],
+                                      ["--latex"]])))
+    if unsafe:
+        opts.append(["--unsafe-bounds"])
+    change = draw(st.sampled_from(["none", "none", "drop", "duplicate"]))
+    picked = draw(st.integers(0, len(opts) - 1))
+    if change == "drop":
+        del opts[picked]
+    elif change == "duplicate":
+        opts.append(opts[picked])
+    opts = draw(st.permutations(opts))
+    return [command] + [arg for opt in opts for arg in opt]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cli_argv())
+@example(["pages", "-r", "0", "-n", "2", "-p", "2", "--unsafe-bounds"])
+@example(["pages", "-r", "2", "-n", "1", "-p", "3"])
+def test_any_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert argv[0] == "verify"
+    if code == 0 and argv[0] == "pages" and "--csv" not in argv:
+        doc = json.loads(out.getvalue())
+        for page in doc["results"]["pages"]:
+            r, n = doc["parameters"]["r"], doc["parameters"]["n"]
+            assert len(page["dims"]) == min(n, r) + 1, argv
 
 
 class TestContracts:

@@ -19,6 +19,7 @@ from derhamz.derham import (
     cartier_rep_matrix,
     complex_z,
     dim_formula,
+    koszul_blocks,
     substitution_map,
 )
 from derhamz.intlinalg import IntMatrix, hnf, kernel_basis
@@ -183,11 +184,50 @@ class TestModpCohomology:
                       for d in mp.degrees)
             assert lhs == rhs
 
+    def test_block_routing(self):
+        # the direct sum over blocks: reps express as unit vectors,
+        # coboundaries as zero, a non-cocycle inside the first or the last
+        # block that has one is rejected, and the cocycle and coboundary
+        # counts are the sympy ranks
+        for r in range(4):
+            for n in range(9):
+                for p in (2, 3):
+                    mp = modp_cohomology(r, n, p)
+                    cpx = complex_z(r, n)
+                    blocks = koszul_blocks(r, n)
+                    for i in range(mp.top + 1):
+                        deg = mp.degree(i)
+                        where = (r, n, p, i)
+                        assert len(deg.cocycles) == \
+                            dim_formula(r, n, i) - gf_rank(cpx.d(i), p), where
+                        assert len(deg.coboundaries) == \
+                            gf_rank(cpx.d(i - 1), p), where
+                        for j, rep in enumerate(deg.reps):
+                            unit = tuple(int(t == j) for t in range(deg.dim))
+                            assert mp.express(i, rep) == unit, where
+                        zero = (0,) * deg.dim
+                        for b in deg.coboundaries:
+                            assert mp.express(i, b) == zero, where
+                        bad = [g for blk in blocks if i < len(blk.cells)
+                               for g in _non_cocycle_cells(blk, i, p)[:1]]
+                        for g in bad[:1] + bad[-1:]:
+                            z = tuple(int(t == g) for t in
+                                      range(dim_formula(r, n, i)))
+                            assert any(v % p for v in cpx.d(i).apply(z))
+                            assert mp.express(i, z) is None, (where, g)
+
     def test_prime_guard(self):
         with pytest.raises(ValueError):
             modp_cohomology(2, 4, 4)
         with pytest.raises(ValueError):
             modp_cohomology(2, 4, 17)
+
+
+def _non_cocycle_cells(blk, i, p):
+    """Global indices of the block's degree-i cells whose d is nonzero mod p."""
+    d = blk.d(i)
+    return [g for c, g in enumerate(blk.cells[i])
+            if any(v % p for v in d.col(c))]
 
 
 class TestCocycleDim:
@@ -198,6 +238,16 @@ class TestCocycleDim:
 
     def test_empty_piece(self):
         assert cocycle_dim(2, 4, 3, 2) == 0
+
+    def test_against_sympy_rank(self):
+        for r in range(4):
+            for n in range(11):
+                cpx = complex_z(r, n)
+                for p in (2, 3):
+                    for i in range(-1, min(n, r) + 2):
+                        assert cocycle_dim(r, n, i, p) == (
+                            dim_formula(r, n, i) - gf_rank(cpx.d(i), p)), \
+                            (r, n, i, p)
 
 
 class TestCartierIso:
