@@ -38,11 +38,7 @@ from .derham import (
     BasisElement,
     GradedPiece,
     basis,
-    cartier_rep_matrix,
     d_matrix,
-    frobenius_matrix,
-    koszul_matrix,
-    substitution_map,
 )
 from .intlinalg import IntMatrix, hnf, lattice_solve, snf
 from .theorems import (
@@ -69,13 +65,11 @@ __all__ = [
     "VerificationReport",
     "basis",
     "cartier_iso",
-    "cartier_rep_matrix",
     "closed_form_page",
     "cocycle_dim",
     "compare_with_closed_form",
     "d_matrix",
     "derive",
-    "frobenius_matrix",
     "graded_piece_dim",
     "hnf",
     "homology_at",
@@ -83,14 +77,12 @@ __all__ = [
     "initial_couple",
     "integral_cohomology",
     "is_isomorphic",
-    "koszul_matrix",
     "lattice_solve",
     "modp_cohomology",
     "pages",
     "primary_part",
     "snf",
     "subgroup_pk",
-    "substitution_map",
     "sweep",
     "verify_annihilation",
     "verify_cartier",

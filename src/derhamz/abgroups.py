@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 from .intlinalg import (
     IntMatrix,
     augmented,
-    block_diagonal,
     hnf,
     hstack,
     kernel_basis,
@@ -87,10 +86,6 @@ class FgAbGroup:
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         groups = (self,) + others
-        diags = [g._diagonal_relations() for g in groups]
-        if all(d is not None for d in diags):
-            # block diagonal of square diagonal blocks: the same matrix
-            return FgAbGroup.from_diagonal([d for diag in diags for d in diag])
         n = sum(g.ngens for g in groups)
         cols = []
         offset = 0
@@ -259,24 +254,6 @@ class Homomorphism:
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "Homomorphism":
         return cls(source, target, IntMatrix.zeros(target.ngens, source.ngens))
 
-    @classmethod
-    def direct_sum(cls, source: FgAbGroup, target: FgAbGroup,
-                   maps: Sequence["Homomorphism"]) -> "Homomorphism":
-        """The block-diagonal sum of maps, from source (the direct sum of
-        their sources) to target (the direct sum of their targets).
-
-        A direct sum of well-defined maps is well defined, and each summand
-        was checked when it was built, so the sum is not checked again.
-        """
-        if (source.ngens != sum(f.source.ngens for f in maps)
-                or target.ngens != sum(f.target.ngens for f in maps)):
-            raise ValueError("summands do not add up to source and target")
-        obj = object.__new__(cls)
-        obj.source = source
-        obj.target = target
-        obj.matrix = block_diagonal([f.matrix for f in maps])
-        return obj
-
     def apply(self, coords: Sequence[int]) -> tuple:
         return self.matrix.apply(coords)
 
@@ -382,14 +359,6 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
         cols.append(list(y))
     G = FgAbGroup(K.ncols, IntMatrix.from_columns(cols, K.ncols))
     return G, K
-
-
-def express_cocycle(lift: IntMatrix, z: Sequence[int]) -> tuple:
-    """Coordinates of the class of cocycle z on the homology generators."""
-    y = lattice_solve(lift, z)
-    if y is None:
-        raise ValueError("vector is not a cocycle of this complex")
-    return y
 
 
 def induced_map(f_cochain: IntMatrix, src, tgt,

@@ -35,7 +35,13 @@ from .cohomology import (
     modp_homology,
     smith_homology,
 )
-from .derham import cartier_rep_matrix, complex_z, dim_formula
+from .derham import (
+    block_multiples,
+    complex_z,
+    dim_formula,
+    distinct_blocks,
+    koszul_blocks,
+)
 from .intlinalg import (
     IntMatrix,
     block_diagonal,
@@ -76,11 +82,6 @@ class ExactCouple:
         self.e_reps = tuple(e_reps)
         self.stages = tuple(stages)
         self.parent = parent
-
-    def D_at(self, i: int) -> FgAbGroup:
-        if 0 <= i <= self.imax:
-            return self.D[i]
-        return FgAbGroup.zero()
 
     def e_dim(self, i: int) -> int:
         if 0 <= i <= self.imax:
@@ -144,12 +145,13 @@ class CoupleSum(ExactCouple):
     multidegree, so the couple is the direct sum over the Koszul blocks
     (derham.koszul_blocks) of their own couples: summands[b] is the couple
     of blocks[b] in the block's cochain coordinates (blocks with the same
-    differentials share one object).  stages[i] splits a vector by block
+    differentials share one object).  Its groups and maps are those of the
+    summands and are never assembled.  stages[i] splits a vector by block
     cells at level 1 and by the parent's E-coordinate ranges later, and
-    solves inside each block.  The groups and maps are block diagonal,
-    blocks in basis order, and are assembled on first use.  A direct sum is
-    exact (and its maps well defined) exactly when every summand is, so
-    those certificates run on the summands.
+    solves inside each block; E coordinates are the summands' coordinates,
+    blocks in basis order.  A direct sum is exact (and its maps well
+    defined) exactly when every summand is, so those certificates run on
+    the summands.
     """
 
     def __init__(self, r, n, p, level, blocks, summands, stages, parent=None):
@@ -172,36 +174,6 @@ class CoupleSum(ExactCouple):
     def e_dim(self, i: int) -> int:
         return self._dims[i] if 0 <= i <= self.imax else 0
 
-    def _summed(self, i: int, attr: str) -> list:
-        return [getattr(s, attr)[i] for s in self.summands if i <= s.imax]
-
-    @cached_property
-    def D(self) -> tuple:
-        return tuple(FgAbGroup.zero().direct_sum(*self._summed(i, "D"))
-                     for i in range(self.imax + 1))
-
-    @cached_property
-    def E(self) -> tuple:
-        return tuple(FgAbGroup.elementary(self.p, d) for d in self._dims)
-
-    @cached_property
-    def i_maps(self) -> tuple:
-        return tuple(Homomorphism.direct_sum(self.D[i], self.D[i],
-                                             self._summed(i, "i_maps"))
-                     for i in range(self.imax + 1))
-
-    @cached_property
-    def j_maps(self) -> tuple:
-        return tuple(Homomorphism.direct_sum(self.D[i], self.E[i],
-                                             self._summed(i, "j_maps"))
-                     for i in range(self.imax + 1))
-
-    @cached_property
-    def k_maps(self) -> tuple:
-        return tuple(Homomorphism.direct_sum(self.E[i], self.D_at(i + 1),
-                                             self._summed(i, "k_maps"))
-                     for i in range(self.imax + 1))
-
     @cached_property
     def e_reps(self) -> tuple:
         return tuple(
@@ -212,6 +184,10 @@ class CoupleSum(ExactCouple):
 
     def distinct_summands(self) -> list:
         return list({id(s): s for s in self.summands}.values())
+
+    def exactness_failures(self) -> list:
+        return [f for s in self.distinct_summands()
+                for f in s.exactness_failures()]
 
     def d_matrix(self, i: int) -> IntMatrix:
         if not 0 <= i < self.imax:
@@ -613,20 +589,6 @@ def _page_isomorphism_failure(couple: ExactCouple, sources: Sequence[IntMatrix],
 # -- page identification (Cartier composite) ------------------------------------
 
 
-def _are_modp_cocycles(blocks, i: int, cochains: IntMatrix, p: int) -> bool:
-    """Whether every column is a mod-p cocycle in degree i, checked block
-    by block: d acts inside each Koszul block."""
-    for blk in blocks:
-        if i >= len(blk.cells):
-            continue
-        rows = [cochains.row(g) for g in blk.cells[i]]
-        if not any(v % p for row in rows for v in row):
-            continue
-        if not (blk.d(i) @ IntMatrix(rows, cochains.ncols)).mod(p).is_zero():
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class PageIdentification:
     r: int
@@ -644,9 +606,14 @@ def verify_page_identification(r: int, n: int, p: int,
                                k: int) -> PageIdentification:
     """Identify page k with the mod-p de Rham complex of total degree n/p^k.
 
-    Builds the explicit map by composing k Cartier cochain representatives,
-    then checks it is an isomorphism of complexes: bijective per degree and
-    conjugating d into d_k.  At k = nu_p(n) the next page must vanish.
+    The explicit map composes k Cartier cochain representatives.  In block
+    coordinates it is the identity from block gamma of degree m = n/p^k to
+    block p^k*gamma of degree n (derham.block_multiples), so it is checked
+    one distinct block pair at a time: its columns are mod-p cocycles, and
+    it is an isomorphism of complexes, bijective per degree and conjugating
+    the block d into d_k.  Every other block of degree n has a weight not
+    divisible by p^k, and its page k must be zero.  At k = nu_p(n) the next
+    page must vanish.
     """
     check_prime(p)
     nu = valuation(n, p)
@@ -654,7 +621,6 @@ def verify_page_identification(r: int, n: int, p: int,
         raise ValueError(f"need 1 <= k <= nu_p(n) = {nu}")
     m = n // p ** k
     couple = couples(r, n, p, k)[k - 1]
-    cpx_m = complex_z(r, m)
     imax = couple.imax
     checks = []
     witness = None
@@ -668,35 +634,12 @@ def verify_page_identification(r: int, n: int, p: int,
                    "page": list(dims_page)}
     checks.append(("dimensions agree", dims_source == dims_page))
 
+    degreewise = ok
     if ok:
-        comps = []
-        for i in range(imax + 1):
-            comp = cartier_rep_matrix(r, m, i, p)
-            for s in range(1, k):
-                comp = (cartier_rep_matrix(r, m * p ** s, i, p) @ comp).mod(p)
-            if not _are_modp_cocycles(couple.blocks, i, comp, p):
-                ok = False
-                witness = {"check": "cocycle", "degree": i}
-                break
-            comps.append(comp)
-    failure = None
-    if ok:
-        failure = _page_isomorphism_failure(couple, comps, cpx_m.d)
-    if failure is not None:
-        check, i, detail = failure
-        ok = False
-        if check == "survives":
-            witness = {"check": "class survives", "degree": i,
-                       "column": list(comps[i].col(detail))}
-        elif check == "bijective":
-            witness = {"check": "bijective", "degree": i,
-                       "matrix": detail.to_lists()}
-        else:
-            lhs, rhs = detail
-            witness = {"check": "conjugates d", "degree": i,
-                       "lhs": lhs.to_lists(), "rhs": rhs.to_lists()}
-    # a failed conjugation still has every degree map bijective
-    degreewise = ok or (failure is not None and failure[0] == "conjugates")
+        witness = _block_identification_failure(couple, koszul_blocks(r, m),
+                                                p ** k)
+        ok = witness is None
+        degreewise = ok or witness["check"] == "conjugates d"
     checks.append(("cartier composite is an isomorphism per degree",
                    degreewise))
     if degreewise:
@@ -712,3 +655,48 @@ def verify_page_identification(r: int, n: int, p: int,
 
     return PageIdentification(r, n, p, k, ok, dims_source, dims_page,
                               tuple(checks), witness)
+
+
+def _block_identification_failure(couple: CoupleSum, sources: Sequence,
+                                  q: int) -> Optional[dict]:
+    """The witness of the first failure of the page identification on the
+    blocks, or None.
+
+    sources are the blocks of degree n/q; each distinct one is paired with
+    its block q*gamma of couple.  The witness carries the block weight.
+    Failures to conjugate the differentials come last, after every failure
+    of a cocycle check or of bijectivity in some degree (a class that does
+    not survive, a class matrix of low rank, a nonzero page on a block that
+    is no q-multiple).
+    """
+    images, others = block_multiples(sources, couple.blocks, q)
+    conjugation = None
+    for b in distinct_blocks(sources):
+        blk, summand = couple.blocks[images[b]], couple.summands[images[b]]
+        for i in range(len(blk.cells)):
+            if not blk.d(i).mod(couple.p).is_zero():
+                return {"check": "cocycle", "degree": i,
+                        "beta": list(blk.beta)}
+        failure = _page_isomorphism_failure(
+            summand, [IntMatrix.identity(len(cells)) for cells in blk.cells],
+            sources[b].d)
+        if failure is None:
+            continue
+        check, i, detail = failure
+        witness = {"degree": i, "beta": list(blk.beta)}
+        if check == "survives":
+            column = [0] * dim_formula(couple.r, couple.n, i)
+            column[blk.cells[i][detail]] = 1
+            return {"check": "class survives", **witness, "column": column}
+        if check == "bijective":
+            return {"check": "bijective", **witness,
+                    "matrix": detail.to_lists()}
+        lhs, rhs = detail
+        conjugation = conjugation or {"check": "conjugates d", **witness,
+                                      "lhs": lhs.to_lists(),
+                                      "rhs": rhs.to_lists()}
+    for c in others:
+        if any(couple.summands[c].dims):
+            return {"check": "bijective", "beta": list(couple.blocks[c].beta),
+                    "page": list(couple.summands[c].dims)}
+    return conjugation

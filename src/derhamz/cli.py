@@ -1,9 +1,9 @@
 """Command-line front end: cohomology tables, spectral pages, verification.
 
 Exit codes are a stable contract for CI: 0 success / all checks pass,
-1 verification failure, 2 usage or bounds error.  Identical invocations
-produce byte-identical stdout; timing goes to stderr so the payload stays
-deterministic.
+1 verification failure, 2 usage or bounds error, or out of memory.
+Identical invocations produce byte-identical stdout; timing goes to stderr
+so the payload stays deterministic.
 """
 
 from __future__ import annotations
@@ -226,8 +226,7 @@ def cmd_verify(args) -> int:
     cached = _cache_lookup(args, "verify", params)
     if cached is not None:
         return _verify_exit_code(cached, args.format)
-    reports = [rep for rep in sweep(rmax, nmax)
-               if statement == "all" or rep.statement == statement]
+    reports = sweep(rmax, nmax, STATEMENTS if args.all else (statement,))
     results = [rep.to_json_dict() for rep in reports]
     failed = sum(1 for rep in reports if not rep.ok)
     doc = _document("verify", params,
@@ -306,6 +305,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except BoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; lower -r or -n", file=sys.stderr)
         return 2
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code

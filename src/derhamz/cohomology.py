@@ -1,8 +1,7 @@
-"""Integral and mod-p cohomology of the de Rham complex, with lifts.
+"""Integral and mod-p cohomology of the de Rham complex, block by block.
 
-Generator lifts are retained for every group so induced maps (Frobenius,
-connecting maps) can be computed later against the same identifications;
-results are cached per (r, n) and (r, n, p).
+Both are direct sums over the multidegree blocks of the complex
+(derham.koszul_blocks); results are cached per (r, n) and (r, n, p).
 """
 
 from __future__ import annotations
@@ -13,13 +12,7 @@ from typing import Callable, Optional, Sequence
 
 from . import modp
 from .abgroups import FgAbGroup, Homomorphism, homology_at
-from .derham import (
-    basis,
-    cartier_rep_matrix,
-    complex_z,
-    dim_formula,
-    koszul_blocks,
-)
+from .derham import block_multiples, dim_formula, koszul_blocks
 from .intlinalg import IntMatrix, place_blocks, snf, unimodular_inverse
 from .modp import check_prime
 
@@ -28,7 +21,6 @@ from .modp import check_prime
 class HDegree:
     i: int
     group: FgAbGroup
-    lift: IntMatrix          # cochain representatives of the generators
 
 
 @dataclass(frozen=True)
@@ -46,20 +38,6 @@ class CohomologyResult:
             return self.degrees[i].group
         return FgAbGroup.zero()
 
-    def lift(self, i: int) -> IntMatrix:
-        if 0 <= i <= self.top:
-            return self.degrees[i].lift
-        return IntMatrix.zeros(dim_formula(self.r, self.n, i), 0)
-
-    def express(self, i: int, z: Sequence[int]) -> tuple:
-        """Class coordinates of an integer cocycle on the stored generators."""
-        from .intlinalg import lattice_solve
-
-        y = lattice_solve(self.lift(i), z)
-        if y is None:
-            raise ValueError(f"not a cocycle in degree {i}")
-        return y
-
 
 @lru_cache(maxsize=None)
 def integral_cohomology(r: int, n: int) -> CohomologyResult:
@@ -67,26 +45,23 @@ def integral_cohomology(r: int, n: int) -> CohomologyResult:
 
     The complex is the direct sum of its multidegree blocks
     (derham.koszul_blocks), so H^i is the sum of the blocks' H^i, each from
-    smith_homology on the block's own differentials.  H^i is presented by
-    the square diagonal matrix of the Smith entries, and the lift columns
-    (each block's generators at its global indices, blocks in basis order)
-    are a basis of the integer cocycles.
+    smith_homology on the block's own differentials, once per distinct
+    differentials.  H^i is presented by the square diagonal matrix of the
+    Smith entries, blocks in basis order; smith_homology on a block gives
+    that block's generators.
     """
     blocks = koszul_blocks(r, n)
+    entries = {}             # per distinct differentials, per degree
+    for blk in blocks:
+        if blk.differentials not in entries:
+            entries[blk.differentials] = [
+                smith_homology(blk.d(i - 1), blk.d(i))[0]
+                for i in range(len(blk.cells))]
     degrees = []
     for i in range(min(n, r) + 1):
-        diag = []
-        placed = []          # (global rows, generator columns) per block
-        for blk in blocks:
-            if i >= len(blk.cells):
-                continue
-            entries, gens = smith_homology(blk.d(i - 1), blk.d(i))
-            if not gens.ncols:
-                continue
-            diag += entries
-            placed.append((blk.cells[i], gens))
-        lift = place_blocks(placed, dim_formula(r, n, i), len(diag))
-        degrees.append(HDegree(i, FgAbGroup.from_diagonal(diag), lift))
+        diag = [e for blk in blocks if i < len(blk.cells)
+                for e in entries[blk.differentials][i]]
+        degrees.append(HDegree(i, FgAbGroup.from_diagonal(diag)))
     return CohomologyResult(r, n, tuple(degrees))
 
 
@@ -201,10 +176,6 @@ class ModpDegreeSum:
     def coboundaries(self) -> tuple:
         return self._embedded("coboundaries")
 
-    def rep_matrix(self) -> IntMatrix:
-        return place_blocks([(idx, st.rep_matrix()) for idx, st in self.parts],
-                            self.dim_cochain, self.dim)
-
     def express(self, z: Sequence[int]) -> Optional[tuple]:
         """Class coordinates of a mod-p cocycle, or None if z is no cocycle;
         solved only in the parts where z is nonzero mod p."""
@@ -309,38 +280,70 @@ def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
     return IntMatrix.from_columns(cols, dim), None
 
 
-def modp_class_matrix(target: ModpCohomologyResult, i: int,
-                      cochain_cols: IntMatrix) -> IntMatrix:
-    """Classes of mod-p cocycle columns, as a matrix over the target H^i."""
-    deg = target.degree(i)
-    matrix, failed = class_matrix(deg.express, cochain_cols, deg.dim)
-    if matrix is None:
-        raise ValueError(
-            f"column {failed} is not a mod-p cocycle in degree {i}")
-    return matrix
+def cartier_blocks(r: int, n: int, i: int, p: int):
+    """The inverse Cartier map in degree i on each distinct block pair,
+    certified bijective.
+
+    In block coordinates the representative x -> x^p, dx -> x^(p-1) dx is
+    the identity from block beta of total degree n to block p*beta of
+    degree p*n (derham.block_multiples), so the map of a pair sends the
+    unit cochains of p*beta to their mod-p classes.  Checks, once per
+    distinct pair, that those cochains are mod-p cocycles and that their
+    classes are a basis of the block's H^i, and on every other block of
+    degree p*n, whose weight has an entry prime to p, that its mod-p H^i
+    vanishes.
+
+    Returns a dict from a block's differentials to its class matrix.
+    Raises RuntimeError when a check fails, which would falsify the
+    implementation rather than the statement.
+    """
+    check_prime(p)
+    target = modp_cohomology(r, p * n, p)
+    blocks = koszul_blocks(r, n)
+    images, others = block_multiples(blocks, target.blocks, p)
+    where = f"(r={r}, n={n}, i={i}, p={p})"
+    matrices = {}
+    for blk, c in zip(blocks, images):
+        if blk.differentials in matrices or i >= len(blk.cells):
+            continue
+        image = target.blocks[c]
+        if not image.d(i).mod(p).is_zero():
+            raise RuntimeError(f"representative columns are not mod-p "
+                               f"cocycles at {where}, block {image.beta}")
+        deg = target.block_degrees[c][i]
+        cells = len(blk.cells[i])
+        matrix, _ = class_matrix(deg.express, IntMatrix.identity(cells),
+                                 deg.dim)
+        if deg.dim != cells or matrix is None or \
+                modp.rank(matrix, p) != cells:
+            raise RuntimeError(
+                f"cartier map not bijective at {where}, block {image.beta}: "
+                f"dims {cells} vs {deg.dim}")
+        matrices[blk.differentials] = matrix
+    for c in others:
+        degs = target.block_degrees[c]
+        if i < len(degs) and degs[i].dim:
+            raise RuntimeError(
+                f"mod-p H^{i} of block {target.blocks[c].beta} at {where} "
+                f"is nonzero, though p does not divide its weight")
+    return matrices
 
 
 def cartier_iso(r: int, n: int, i: int, p: int) -> Homomorphism:
     """The map of the cited isomorphism on mod-p groups, certified bijective.
 
     Sends the full space of forms in degree (n, i) to H^i of total degree
-    p*n mod p, via the cochain representative x -> x^p, dx -> x^(p-1) dx.
-    Raises if the result is not bijective, which would falsify the
-    implementation rather than the statement.
+    p*n mod p, via the cochain representative x -> x^p, dx -> x^(p-1) dx:
+    the direct sum of the block maps of cartier_blocks, which raises if
+    one is not bijective.
     """
-    check_prime(p)
-    C = cartier_rep_matrix(r, n, i, p)
-    tgt_cpx = complex_z(r, p * n)
-    if not (tgt_cpx.d(i) @ C).mod(p).is_zero():
-        raise RuntimeError("representative columns are not mod-p cocycles")
-    target = modp_cohomology(r, p * n, p)
-    matrix = modp_class_matrix(target, i, C)
-    src_dim = basis(r, n, i).dim
-    source = FgAbGroup.elementary(p, src_dim)
-    tgt_group = FgAbGroup.elementary(p, target.dim(i))
-    hom = Homomorphism(source, tgt_group, matrix.mod(p))
-    if target.dim(i) != src_dim or modp.rank(matrix, p) != src_dim:
-        raise RuntimeError(
-            f"cartier map not bijective at (r={r}, n={n}, i={i}, p={p}): "
-            f"dims {src_dim} vs {target.dim(i)}")
-    return hom
+    matrices = cartier_blocks(r, n, i, p)
+    # the blocks p*beta are in basis order and the other blocks have no
+    # classes, so the blocks' classes follow each other
+    placed = [(blk.cells[i], matrices[blk.differentials].transpose())
+              for blk in koszul_blocks(r, n) if i < len(blk.cells)]
+    src_dim = dim_formula(r, n, i)
+    dim = modp_cohomology(r, p * n, p).dim(i)
+    return Homomorphism(FgAbGroup.elementary(p, src_dim),
+                        FgAbGroup.elementary(p, dim),
+                        place_blocks(placed, src_dim, dim).transpose())

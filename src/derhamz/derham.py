@@ -1,4 +1,5 @@
-"""Monomial bases of polynomial differential forms over Z and their maps.
+"""Monomial bases of polynomial differential forms over Z, d, and the
+multidegree (Koszul) blocks of the complex.
 
 The graded piece of form degree i and total degree n in r variables has
 basis x^alpha dx_T with |alpha| = n - i and T an i-subset of {1..r}; the
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .intlinalg import IntMatrix
 
@@ -128,21 +129,30 @@ def d_matrix(r: int, n: int, i: int) -> IntMatrix:
 class KoszulBlock(NamedTuple):
     """One multidegree summand of the total-degree-n complex.
 
-    d preserves the weight alpha + 1_T of x^alpha dx_T, so the cells of
-    weight beta (|beta| = n) span a subcomplex: the Koszul complex of the
-    integers beta_j, j in the support of beta.  Its degree-i cells are
-    x^(beta - 1_T) dx_T for the i-subsets T of the support, in colex order.
+    d and the Koszul contraction kappa preserve the weight alpha + 1_T of
+    x^alpha dx_T, so the cells of weight beta (|beta| = n) span a
+    subcomplex: the Koszul complex of the integers beta_j, j in the support
+    of beta.  Its degree-i cells are x^(beta - 1_T) dx_T for the i-subsets T
+    of the support, in colex order.
     """
     beta: tuple             # the weight, length r
     support: tuple          # the j with beta_j > 0, increasing
     cells: tuple            # cells[i]: global indices in basis(r, n, i)
     differentials: tuple    # differentials[i]: block d from degree i to i+1
+    contractions: tuple     # contractions[i]: block kappa from degree i to i-1
 
     def d(self, i: int) -> IntMatrix:
         """The block d^i; the zero map outside 0 <= i <= len(support)."""
         if 0 <= i < len(self.differentials):
             return self.differentials[i]
         return IntMatrix.zeros(self._dim(i + 1), self._dim(i))
+
+    def kappa(self, i: int) -> IntMatrix:
+        """The block kappa from degree i to i-1; the zero map outside
+        0 <= i <= len(support)."""
+        if 0 <= i < len(self.contractions):
+            return self.contractions[i]
+        return IntMatrix.zeros(self._dim(i - 1), self._dim(i))
 
     def _dim(self, i: int) -> int:
         return len(self.cells[i]) if 0 <= i < len(self.cells) else 0
@@ -154,7 +164,10 @@ def koszul_blocks(r: int, n: int) -> tuple:
     Embedding every block's differentials[i] at its cells and summing gives
     d_matrix(r, n, i).  A block matrix depends only on the ordered nonzero
     weights: d sends dx_T to dx_(T + j) with coefficient beta_j times
-    _merge_sign read in support-relative positions.
+    _merge_sign read in support-relative positions.  kappa sends x^alpha
+    dx_T to the sum over positions k of (-1)^(k-1) x^(alpha + e_(t_k))
+    dx_(T - t_k), which stays in the block with coefficient +-1, so the
+    block kappa depends only on the size of the support.
     """
     blocks = []
     by_weights = {}
@@ -176,8 +189,41 @@ def koszul_blocks(r: int, n: int) -> tuple:
         if weights not in by_weights:
             by_weights[weights] = _koszul_differentials(weights)
         blocks.append(KoszulBlock(beta, support, tuple(cells),
-                                  by_weights[weights]))
+                                  by_weights[weights],
+                                  _koszul_contractions(s)))
     return tuple(blocks)
+
+
+def block_multiples(blocks: Sequence[KoszulBlock],
+                    multiples: Sequence[KoszulBlock], q: int):
+    """Pair the blocks of total degree n with the blocks of degree q*n.
+
+    Frobenius x -> x^p, dx -> p x^(p-1) dx sends the cell x^(beta - 1_T)
+    dx_T to p^i x^(p beta - 1_T) dx_T, and the Cartier representative sends
+    it to x^(p beta - 1_T) dx_T.  Block p*beta has the support and so the
+    cells of beta, in the same order, and its differentials are p times
+    those of beta.  In block coordinates Frobenius is therefore p^i times
+    the identity from beta to p*beta and Cartier (composed k times, from
+    beta to p^k*beta) is the identity.
+
+    blocks and multiples are koszul_blocks(r, n) and koszul_blocks(r, q*n).
+    Returns (images, others): images[b] is the index in multiples of the
+    block of weight q * blocks[b].beta, and others lists, increasing, the
+    indices of the blocks of multiples whose weight is not q times a
+    weight.
+    """
+    where = {blk.beta: c for c, blk in enumerate(multiples)}
+    images = [where[tuple(q * b for b in blk.beta)] for blk in blocks]
+    return images, sorted(set(range(len(multiples))) - set(images))
+
+
+def distinct_blocks(blocks: Sequence[KoszulBlock]) -> list:
+    """The index of the first block of each distinct differentials: blocks
+    with the same ordered nonzero weights are the same complex."""
+    first = {}
+    for b, blk in enumerate(blocks):
+        first.setdefault(blk.differentials, b)
+    return list(first.values())
 
 
 def _koszul_differentials(weights: tuple) -> tuple:
@@ -199,100 +245,19 @@ def _koszul_differentials(weights: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def koszul_matrix(r: int, n: int, i: int) -> IntMatrix:
-    """The Koszul contraction: polynomials to 0, dx_t to x_t.
-
-    kappa(x^alpha dx_T) = sum over positions k of
-    (-1)^(k-1) x^(alpha + e_{t_k}) dx_{T minus t_k}.
-    """
-    src = basis(r, n, i)
-    tgt = basis(r, n, i - 1)
-    idx = _index_map(r, n, i - 1)
-    cols = []
-    for alpha, T in src:
-        col = [0] * tgt.dim
-        for pos, t in enumerate(T):
-            new_alpha = list(alpha)
-            new_alpha[t - 1] += 1
-            new_T = T[:pos] + T[pos + 1:]
-            k = idx[BasisElement(tuple(new_alpha), new_T)]
-            col[k] += -1 if pos % 2 else 1
-        cols.append(col)
-    return IntMatrix.from_columns(cols, tgt.dim)
-
-
-@lru_cache(maxsize=None)
-def frobenius_matrix(r: int, n: int, i: int, p: int) -> IntMatrix:
-    """The p-th power chain map: x to x^p, dx to p x^(p-1) dx.
-
-    F(x^alpha dx_T) = p^i x^(p alpha + (p-1) 1_T) dx_T, landing in total
-    degree p*n: p^i times the Cartier representative.  Defined only after
-    the coordinate basis is chosen; it is not natural and no naturality is
-    claimed.
-    """
-    return (p ** i) * cartier_rep_matrix(r, n, i, p)
-
-
-@lru_cache(maxsize=None)
-def cartier_rep_matrix(r: int, n: int, i: int, p: int) -> IntMatrix:
-    """Cochain representative of the inverse Cartier map, mod p.
-
-    x^alpha dx_T maps to x^(p alpha + (p-1) 1_T) dx_T; this is the
-    Frobenius divided by p^i, read modulo p.  Every image column is a mod-p
-    cocycle in total degree p*n.
-    """
-    src = basis(r, n, i)
-    tgt = basis(r, p * n, i)
-    idx = _index_map(r, p * n, i)
-    rows = [[0] * src.dim for _ in range(tgt.dim)]
-    for c, (alpha, T) in enumerate(src):
-        new_alpha = tuple(p * a + (p - 1 if (j + 1) in T else 0)
-                          for j, a in enumerate(alpha))
-        rows[idx[BasisElement(new_alpha, T)]][c] = 1
-    return IntMatrix._raw(tuple(map(tuple, rows)), src.dim)
-
-
-def substitution_map(f: IntMatrix, n: int, i: int) -> IntMatrix:
-    """Functoriality under the linear substitution given by f (s x r).
-
-    x_j maps to sum_k f[k][j] y_k and dx_j to sum_k f[k][j] dy_k, expanded
-    multiplicatively; the result commutes with both d and kappa.
-    """
-    s, r = f.nrows, f.ncols
-    src = basis(r, n, i)
-    tgt = basis(s, n, i)
-    idx = _index_map(s, n, i)
-    cols = []
-    zero_alpha = (0,) * s
-    for alpha, T in src:
-        terms = {(zero_alpha, ()): 1}
-        for j in range(1, r + 1):
-            for _ in range(alpha[j - 1]):
-                new = {}
-                for (a, W), c in terms.items():
-                    for k in range(s):
-                        fk = f[k, j - 1]
-                        if fk:
-                            a2 = a[:k] + (a[k] + 1,) + a[k + 1:]
-                            key = (a2, W)
-                            new[key] = new.get(key, 0) + c * fk
-                terms = new
-        for j in T:
-            new = {}
-            for (a, W), c in terms.items():
-                for k in range(1, s + 1):
-                    fk = f[k - 1, j - 1]
-                    if fk and k not in W:
-                        sign = -1 if sum(1 for w in W if w > k) % 2 else 1
-                        key = (a, tuple(sorted(W + (k,))))
-                        new[key] = new.get(key, 0) + c * fk * sign
-            terms = new
-        col = [0] * tgt.dim
-        for (a, W), c in terms.items():
-            if c:
-                col[idx[BasisElement(a, W)]] += c
-        cols.append(col)
-    return IntMatrix.from_columns(cols, tgt.dim)
+def _koszul_contractions(s: int) -> tuple:
+    """kappa^0 .. kappa^s of the Koszul complex on s weights."""
+    subsets = [_subsets_colex(s, i) for i in range(s + 1)]
+    kappas = [IntMatrix.zeros(0, 1)]
+    for i in range(1, s + 1):
+        pos = {T: k for k, T in enumerate(subsets[i - 1])}
+        rows = [[0] * len(subsets[i]) for _ in subsets[i - 1]]
+        for c, T in enumerate(subsets[i]):
+            for k in range(i):
+                rows[pos[T[:k] + T[k + 1:]]][c] = -1 if k % 2 else 1
+        kappas.append(IntMatrix._raw(tuple(map(tuple, rows)),
+                                     len(subsets[i])))
+    return tuple(kappas)
 
 
 @dataclass(frozen=True)

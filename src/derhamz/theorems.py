@@ -21,23 +21,18 @@ from .abgroups import (
     induced_map,
     is_isomorphic,
     primary_inclusion,
+    primary_part,
     subgroup_pk,
 )
 from .cohomology import (
-    cartier_iso,
+    cartier_blocks,
     class_matrix,
     cocycle_dim,
     integral_cohomology,
     modp_cohomology,
+    smith_homology,
 )
-from .derham import (
-    cartier_rep_matrix,
-    complex_z,
-    d_matrix,
-    dim_formula,
-    frobenius_matrix,
-    koszul_matrix,
-)
+from .derham import block_multiples, distinct_blocks, koszul_blocks
 from .intlinalg import IntMatrix
 from .modp import check_prime, primes_dividing, primes_up_to, valuation
 
@@ -87,6 +82,13 @@ class _Checks:
             self.witness = witness if witness is not None else {"check": name}
         return passed
 
+    def add_all(self, name: str, witnesses) -> bool:
+        """One check run on many blocks: it passes when no block gives a
+        failure witness, and keeps the first one."""
+        witnesses = list(witnesses)
+        return self.add(name, not witnesses,
+                        witnesses[0] if witnesses else None)
+
     def report(self, statement: str, params) -> VerificationReport:
         status = "pass" if all(p for _, p in self.items) else "fail"
         return VerificationReport(statement, tuple(params), status,
@@ -96,18 +98,23 @@ class _Checks:
 
 def verify_annihilation(r: int, n: int) -> VerificationReport:
     """Total degree n kills cohomology: the Euler identity d k + k d = n
-    holds in every degree, and every H^i is finite with n H^i = 0."""
+    holds in every degree, and every H^i is finite with n H^i = 0.
+
+    d and kappa respect the weight, so the Euler identity is checked on
+    each distinct Koszul block, with the block's own d and kappa."""
     if r < 0 or n < 0:
         raise ValueError("need r >= 0 and n >= 0")
     checks = _Checks()
     top = min(n, r)
+    blocks = koszul_blocks(r, n)
+    blocks = [blocks[b] for b in distinct_blocks(blocks)]
     for i in range(top + 1):
-        dim = dim_formula(r, n, i)
-        euler = (koszul_matrix(r, n, i + 1) @ d_matrix(r, n, i)
-                 + d_matrix(r, n, i - 1) @ koszul_matrix(r, n, i))
-        expected = n * IntMatrix.identity(dim)
-        checks.add(f"euler identity degree {i}", euler == expected,
-                   {"degree": i, "matrix": euler.to_lists()})
+        eulers = [(blk, blk.kappa(i + 1) @ blk.d(i)
+                   + blk.d(i - 1) @ blk.kappa(i))
+                  for blk in blocks if i < len(blk.cells)]
+        checks.add_all(f"euler identity degree {i}", (
+            _at(i, blk, matrix=euler.to_lists()) for blk, euler in eulers
+            if euler != n * IntMatrix.identity(euler.nrows)))
     H = integral_cohomology(r, n)
     if n == 0:
         checks.add("degree 0 gives Z",
@@ -121,22 +128,26 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
         checks.add(f"n * H^{i} = 0",
                    all(n % d == 0 for d in G.invariant_factors),
                    {"degree": i, "factors": list(G.invariant_factors)})
+        # H^i is the direct sum of the blocks' H^i, generators included
+        groups = [_block_homology(blk, i)[0] for blk in blocks
+                  if i < len(blk.cells)]
         killed = all(
-            G.element_is_zero([n if t == j else 0 for t in range(G.ngens)])
-            for j in range(G.ngens))
+            B.element_is_zero([n if t == j else 0 for t in range(B.ngens)])
+            for B in groups for j in range(B.ngens))
         checks.add(f"n kills the generators of H^{i}", killed, {"degree": i})
     return checks.report("annihilation", (("r", r), ("n", n)))
 
 
 def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
     """The inverse Cartier map is bijective in every degree; mod-p cohomology
-    vanishes when p does not divide the total degree."""
+    vanishes when p does not divide the total degree.  Bijectivity is
+    certified per block pair (cohomology.cartier_blocks)."""
     check_prime(p)
     checks = _Checks()
     top = min(n, r)
     for i in range(top + 2):
         try:
-            cartier_iso(r, n, i, p)
+            cartier_blocks(r, n, i, p)
             checks.add(f"cartier bijective degree {i}", True)
         except RuntimeError as exc:
             checks.add(f"cartier bijective degree {i}", False,
@@ -148,28 +159,33 @@ def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
     return checks.report("cartier", (("r", r), ("n", n), ("p", p)))
 
 
-def _frobenius_induced(r: int, n: int, p: int, i: int) -> Homomorphism:
-    src = integral_cohomology(r, n)
-    tgt = integral_cohomology(r, p * n)
-    return induced_map(frobenius_matrix(r, n, i, p),
-                       (src.group(i), src.lift(i)),
-                       (tgt.group(i), tgt.lift(i)),
-                       tgt_d_out=complex_z(r, p * n).d(i))
+def _block_homology(blk, i: int):
+    """H^i of one Koszul block over Z, with its Smith-adapted generators
+    (the D^i of the block's level-1 couple)."""
+    entries, gens = smith_homology(blk.d(i - 1), blk.d(i))
+    return FgAbGroup.from_diagonal(entries), gens
 
 
-def _divided_frobenius_times_p(r: int, n: int, p: int, i: int) -> Homomorphism:
-    """The class map sending [z] to p * [divided Frobenius of z].
+def _block_frobenius(src, tgt, i: int, scale: int,
+                     literal: bool = False) -> Homomorphism:
+    """The map H^i(src) -> H^i(tgt) of a block pair (beta, p*beta) induced
+    by scale times the identity on cells (derham.block_multiples).
 
-    The divided Frobenius (the Cartier cochain representative, F without
-    its p^i factor) sends cocycles to cocycles but is only well defined on
-    cohomology after one multiplication by p; the result is the vertical
-    map of the couple morphism.  In degree 1 it coincides with F_*.
+    The literal Frobenius F_* is p^i times the identity, and its images are
+    checked to be cocycles.  The vertical map p * (divided Frobenius) is p
+    times the identity: the divided Frobenius (the Cartier representative,
+    F without its p^i factor) sends cocycles to cocycles but is only well
+    defined on cohomology after one multiplication by p.  In degree 1 the
+    two coincide.
     """
-    src = integral_cohomology(r, n)
-    tgt = integral_cohomology(r, p * n)
-    return induced_map(p * cartier_rep_matrix(r, n, i, p),
-                       (src.group(i), src.lift(i)),
-                       (tgt.group(i), tgt.lift(i)))
+    return induced_map(scale * IntMatrix.identity(len(src.cells[i])),
+                       _block_homology(src, i), _block_homology(tgt, i),
+                       tgt_d_out=tgt.d(i) if literal else None)
+
+
+def _at(i: int, blk, **detail) -> dict:
+    """A witness in degree i on one block, carrying the block weight."""
+    return {"degree": i, "beta": list(blk.beta), **detail}
 
 
 def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
@@ -180,7 +196,12 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
     Frobenius), which equals F_* in degree 1, makes all three squares
     commute; and the E-side map induced by the Cartier representative is
     bijective.  (The literal F_* carries an extra p^(i-1) in degree i, so
-    it cannot itself close the j and k squares outside degree 1.)"""
+    it cannot itself close the j and k squares outside degree 1.)
+
+    Both couples are direct sums of block couples and the morphism sends
+    block beta to block p*beta, so every check runs on each distinct block
+    pair, aggregated per degree; bijectivity also needs the derived couple
+    of every other block of degree p*n to have a zero E."""
     check_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -188,57 +209,77 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
     couple_n = bockstein.couples(r, n, p, 1)[0]
     couple2_pn = bockstein.couples(r, p * n, p, 2)[1]
     top = couple_n.imax
+    images, others = block_multiples(couple_n.blocks, couple2_pn.blocks, p)
+    pairs = [(couple_n.blocks[b], couple_n.summands[b],
+              couple2_pn.blocks[images[b]], couple2_pn.summands[images[b]])
+             for b in distinct_blocks(couple_n.blocks)]
 
-    phi_d = []
+    phi_d, phi_e = [], []    # per degree: {pair index: map}, or None
     for i in range(top + 1):
-        f = _frobenius_induced(r, n, p, i)
-        cor_f = corestrict(f, couple2_pn.D[i],
-                           _derived_inclusion(couple2_pn, i))
-        checks.add(f"F_* image divisible by p, degree {i}", cor_f is not None,
-                   {"degree": i, "matrix": f.matrix.to_lists()})
-        g = _divided_frobenius_times_p(r, n, p, i)
-        cor = corestrict(g, couple2_pn.D[i], _derived_inclusion(couple2_pn, i))
-        checks.add(f"vertical map lands in pH, degree {i}", cor is not None,
-                   {"degree": i, "matrix": g.matrix.to_lists()})
-        if i == 1 and cor_f is not None and cor is not None:
-            checks.add("vertical map equals F_* in degree 1", cor_f == cor,
-                       {"degree": i})
-        phi_d.append(cor)
+        row = []             # (pair, block, F_*, its corestriction, g, ...)
+        for b, (blk, C, tgt, S) in enumerate(pairs):
+            if i <= C.imax:
+                incl = _derived_inclusion(S, i)
+                f = _block_frobenius(blk, tgt, i, p ** i, literal=True)
+                g = _block_frobenius(blk, tgt, i, p)
+                row.append((b, blk, f, corestrict(f, S.D[i], incl),
+                            g, corestrict(g, S.D[i], incl)))
+        divisible = checks.add_all(
+            f"F_* image divisible by p, degree {i}",
+            (_at(i, blk, matrix=f.matrix.to_lists())
+             for _, blk, f, cor_f, _, _ in row if cor_f is None))
+        lands = checks.add_all(
+            f"vertical map lands in pH, degree {i}",
+            (_at(i, blk, matrix=g.matrix.to_lists())
+             for _, blk, _, _, g, cor in row if cor is None))
+        if i == 1 and divisible and lands:
+            checks.add_all("vertical map equals F_* in degree 1",
+                           (_at(i, blk) for _, blk, _, cor_f, _, cor in row
+                            if cor_f != cor))
+        phi_d.append({b: cor for b, *_, cor in row} if lands else None)
 
-    phi_e = []
     for i in range(top + 1):
-        images = cartier_rep_matrix(r, n, i, p) @ couple_n.e_reps[i]
-        matrix, failed = class_matrix(
-            partial(couple2_pn.express_cochain, i), images,
-            couple2_pn.e_dim(i))
-        checks.add(f"cartier image survives to E_2, degree {i}",
-                   failed is None, {"degree": i, "generator": failed})
-        phi_e.append(None if matrix is None else Homomorphism(
-            couple_n.E[i], couple2_pn.E[i], matrix))
+        maps, lost = {}, []
+        for b, (blk, C, tgt, S) in enumerate(pairs):
+            if i > C.imax:
+                continue
+            # the Cartier representative is the identity on block cells
+            matrix, failed = class_matrix(partial(S.express_cochain, i),
+                                          C.e_reps[i], S.e_dim(i))
+            if matrix is None:
+                lost.append(_at(i, blk, generator=failed))
+            else:
+                maps[b] = Homomorphism(C.E[i], S.E[i], matrix)
+        survive = checks.add_all(
+            f"cartier image survives to E_2, degree {i}", lost)
+        phi_e.append(maps if survive else None)
 
-    if all(h is not None for h in phi_d) and all(h is not None for h in phi_e):
-        for i in range(top + 1):
-            sq_i = (phi_d[i] @ couple_n.i_maps[i]
-                    == couple2_pn.i_maps[i] @ phi_d[i])
-            checks.add(f"square with i commutes, degree {i}", sq_i,
-                       {"degree": i, "square": "i"})
-            sq_j = (phi_e[i] @ couple_n.j_maps[i]
-                    == couple2_pn.j_maps[i] @ phi_d[i])
-            checks.add(f"square with j commutes, degree {i}", sq_j,
-                       {"degree": i, "square": "j"})
-            # the source couple runs out of degrees before the target one
-            # does (p*n >= n), so the top k-square uses a zero map into the
-            # target's next derived group
-            phi_d_next = phi_d[i + 1] if i + 1 <= top else \
-                Homomorphism.zero(couple_n.D_at(i + 1),
-                                  couple2_pn.D_at(i + 1))
-            sq_k = (phi_d_next @ couple_n.k_maps[i]
-                    == couple2_pn.k_maps[i] @ phi_e[i])
-            checks.add(f"square with k commutes, degree {i}", sq_k,
-                       {"degree": i, "square": "k"})
-            checks.add(f"E_1 -> E_2 bijective, degree {i}",
-                       phi_e[i].is_isomorphism(),
-                       {"degree": i, "matrix": phi_e[i].matrix.to_lists()})
+    if None in phi_d or None in phi_e:
+        return checks.report("couple_morphism",
+                             (("r", r), ("n", n), ("p", p)))
+    # a block and its p-multiple have the same top degree, where k lands in
+    # the zero group on both sides
+    zero = Homomorphism.zero(FgAbGroup.zero(), FgAbGroup.zero())
+    for i in range(top + 1):
+        broken = {"i": [], "j": [], "k": []}
+        for b, d in phi_d[i].items():
+            blk, C, _, S = pairs[b]
+            e = phi_e[i][b]
+            d_next = phi_d[i + 1][b] if i < C.imax else zero
+            for square, holds in (
+                    ("i", d @ C.i_maps[i] == S.i_maps[i] @ d),
+                    ("j", e @ C.j_maps[i] == S.j_maps[i] @ d),
+                    ("k", d_next @ C.k_maps[i] == S.k_maps[i] @ e)):
+                if not holds:
+                    broken[square].append(_at(i, blk, square=square))
+        for square, failures in broken.items():
+            checks.add_all(f"square with {square} commutes, degree {i}",
+                           failures)
+        checks.add_all(f"E_1 -> E_2 bijective, degree {i}", [
+            _at(i, pairs[b][0], matrix=e.matrix.to_lists())
+            for b, e in phi_e[i].items() if not e.is_isomorphism()] + [
+            _at(i, couple2_pn.blocks[c], dims=couple2_pn.summands[c].e_dim(i))
+            for c in others if couple2_pn.summands[c].e_dim(i)])
     return checks.report("couple_morphism", (("r", r), ("n", n), ("p", p)))
 
 
@@ -259,34 +300,50 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
     Frobenius); it equals the literal F_* in degree 1, which is checked.
     (The literal F_* carries p^i on i-forms and is the zero map already on
     H^2 in small cases, so it cannot restrict to this isomorphism outside
-    degree 1.)"""
+    degree 1.)
+
+    The p-primary part of a direct sum is the sum of the p-primary parts,
+    so the map is checked on each distinct block pair (beta, p*beta), and
+    every other block of degree p*n must have a zero p-primary part of
+    p * H^i."""
     check_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")
     checks = _Checks()
-    top = min(n, r)
-    for i in range(top + 1):
-        A = integral_cohomology(r, n).group(i)
-        B = integral_cohomology(r, p * n).group(i)
-        f = _divided_frobenius_times_p(r, n, p, i)
+    blocks, multiples = koszul_blocks(r, n), koszul_blocks(r, p * n)
+    images, others = block_multiples(blocks, multiples, p)
+    others = [multiples[c] for c in others]
+    others = [others[c] for c in distinct_blocks(others)]
+    for i in range(min(n, r) + 1):
+        row = []             # (block, target, vertical map, ..., restriction)
+        for b in distinct_blocks(blocks):
+            blk, tgt = blocks[b], multiples[images[b]]
+            if i < len(blk.cells):
+                f = _block_frobenius(blk, tgt, i, p)
+                PA, inclA = primary_inclusion(f.source, p)
+                pB, incl_pB = subgroup_pk(f.target, p, 1)
+                PpB, incl2 = primary_inclusion(pB, p)
+                g = f @ inclA
+                row.append((blk, tgt, f, g, PA, PpB,
+                            corestrict(g, PpB, incl_pB @ incl2)))
         if i == 1:
-            checks.add("vertical map equals F_* in degree 1",
-                       f == _frobenius_induced(r, n, p, 1),
-                       {"degree": i})
-        PA, inclA = primary_inclusion(A, p)
-        pB, incl_pB = subgroup_pk(B, p, 1)
-        PpB, incl2 = primary_inclusion(pB, p)
-        into_B = incl_pB @ incl2
-        g = f @ inclA
-        h = corestrict(g, PpB, into_B)
-        if not checks.add(f"image lands in p-primary of pH, degree {i}",
-                          h is not None,
-                          {"degree": i, "matrix": g.matrix.to_lists()}):
+            checks.add_all("vertical map equals F_* in degree 1", (
+                _at(i, blk) for blk, tgt, f, *_ in row
+                if f != _block_frobenius(blk, tgt, i, p, literal=True)))
+        if not checks.add_all(
+                f"image lands in p-primary of pH, degree {i}",
+                (_at(i, blk, matrix=g.matrix.to_lists())
+                 for blk, _, _, g, _, _, h in row if h is None)):
             continue
-        checks.add(
-            f"restricted map bijective, degree {i}", h.is_isomorphism(),
-            {"degree": i, "source": PA.describe(), "target": PpB.describe(),
-             "matrix": h.matrix.to_lists()})
+        unhit = [(blk, primary_part(subgroup_pk(
+                      _block_homology(blk, i)[0], p, 1)[0], p))
+                 for blk in others if i < len(blk.cells)]
+        checks.add_all(f"restricted map bijective, degree {i}", [
+            _at(i, blk, source=PA.describe(), target=PpB.describe(),
+                matrix=h.matrix.to_lists())
+            for blk, _, _, _, PA, PpB, h in row if not h.is_isomorphism()] + [
+            _at(i, blk, target=P.describe())
+            for blk, P in unhit if not P.is_trivial])
     return checks.report("frobenius_iso", (("r", r), ("n", n), ("p", p)))
 
 
@@ -384,36 +441,31 @@ def verify_example_deg4(r: int) -> VerificationReport:
     return checks.report("example_deg4", (("r", r),))
 
 
-def sweep(rmax: int, nmax: int) -> list:
-    """Every verification over r <= rmax, n <= nmax; Frobenius and couple
-    statements are bounded by p * n <= nmax.  Reports come back in a fixed
-    order sorted by statement and parameters; failures are data, not
-    exceptions."""
-    reports = []
-    for r in range(1, rmax + 1):
-        for n in range(1, nmax + 1):
-            reports.append(verify_annihilation(r, n))
-    for r in range(1, rmax + 1):
-        for p in primes_up_to(nmax):
-            for n in range(1, nmax + 1):
-                if p * n <= nmax:
-                    reports.append(verify_cartier(r, n, p))
-    for r in range(1, rmax + 1):
-        for p in primes_up_to(nmax):
-            for n in range(1, nmax + 1):
-                if p * n <= nmax:
-                    reports.append(verify_couple_morphism(r, n, p))
-                    reports.append(verify_frobenius_iso(r, n, p))
-    for r in range(1, rmax + 1):
-        for n in range(1, nmax + 1):
-            for p in primes_dividing(n):
-                for k in range(1, valuation(n, p) + 1):
-                    reports.append(verify_page_identification(r, n, p, k))
-    for r in range(1, rmax + 1):
-        for n in range(1, nmax + 1):
-            reports.append(verify_filtration(r, n))
-    if nmax >= 4:
-        for r in range(1, rmax + 1):
-            reports.append(verify_example_deg4(r))
+def sweep(rmax: int, nmax: int, statements=STATEMENTS) -> list:
+    """Every verification of the given statements over r <= rmax,
+    n <= nmax; Frobenius and couple statements are bounded by p * n <= nmax.
+    Reports come back in a fixed order sorted by statement and parameters;
+    failures are data, not exceptions.  Only the given statements'
+    verifiers run."""
+    reports = [globals()[f"verify_{statement}"](*args)
+               for statement, args in _sweep_cases(rmax, nmax)
+               if statement in statements]
     reports.sort(key=lambda rep: (rep.statement, rep.params))
     return reports
+
+
+def _sweep_cases(rmax: int, nmax: int):
+    """(statement, arguments) of every check of a sweep."""
+    for r in range(1, rmax + 1):
+        for n in range(1, nmax + 1):
+            yield "annihilation", (r, n)
+            for p in primes_up_to(nmax // n):
+                yield "cartier", (r, n, p)
+                yield "couple_morphism", (r, n, p)
+                yield "frobenius_iso", (r, n, p)
+            for p in primes_dividing(n):
+                for k in range(1, valuation(n, p) + 1):
+                    yield "page_identification", (r, n, p, k)
+            yield "filtration", (r, n)
+        if nmax >= 4:
+            yield "example_deg4", (r,)

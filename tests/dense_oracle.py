@@ -1,0 +1,117 @@
+"""Dense global structure maps of the de Rham complex, for tests only.
+
+The library works block by block (derham.koszul_blocks); these builders
+construct the same maps on whole graded pieces, straight from their
+formulas on monomials, so that tests can compare the block model with an
+independent dense one at small sizes.
+"""
+
+from functools import lru_cache
+
+from derhamz.derham import BasisElement, basis
+from derhamz.intlinalg import IntMatrix
+
+
+@lru_cache(maxsize=None)
+def koszul_matrix(r: int, n: int, i: int) -> IntMatrix:
+    """The Koszul contraction: polynomials to 0, dx_t to x_t.
+
+    kappa(x^alpha dx_T) = sum over positions k of
+    (-1)^(k-1) x^(alpha + e_{t_k}) dx_{T minus t_k}.
+    """
+    src = basis(r, n, i)
+    tgt = basis(r, n, i - 1)
+    cols = []
+    for alpha, T in src:
+        col = [0] * tgt.dim
+        for pos, t in enumerate(T):
+            new_alpha = list(alpha)
+            new_alpha[t - 1] += 1
+            new_T = T[:pos] + T[pos + 1:]
+            col[tgt.index(BasisElement(tuple(new_alpha), new_T))] += \
+                -1 if pos % 2 else 1
+        cols.append(col)
+    return IntMatrix.from_columns(cols, tgt.dim)
+
+
+@lru_cache(maxsize=None)
+def frobenius_matrix(r: int, n: int, i: int, p: int) -> IntMatrix:
+    """The p-th power chain map: x to x^p, dx to p x^(p-1) dx.
+
+    F(x^alpha dx_T) = p^i x^(p alpha + (p-1) 1_T) dx_T, landing in total
+    degree p*n: p^i times the Cartier representative.
+    """
+    return (p ** i) * cartier_rep_matrix(r, n, i, p)
+
+
+@lru_cache(maxsize=None)
+def cartier_rep_matrix(r: int, n: int, i: int, p: int) -> IntMatrix:
+    """Cochain representative of the inverse Cartier map, mod p.
+
+    x^alpha dx_T maps to x^(p alpha + (p-1) 1_T) dx_T; this is the
+    Frobenius divided by p^i, read modulo p.
+    """
+    src = basis(r, n, i)
+    tgt = basis(r, p * n, i)
+    rows = [[0] * src.dim for _ in range(tgt.dim)]
+    for c, (alpha, T) in enumerate(src):
+        new_alpha = tuple(p * a + (p - 1 if (j + 1) in T else 0)
+                          for j, a in enumerate(alpha))
+        rows[tgt.index(BasisElement(new_alpha, T))][c] = 1
+    return IntMatrix(rows, src.dim)
+
+
+def substitution_map(f: IntMatrix, n: int, i: int) -> IntMatrix:
+    """Functoriality under the linear substitution given by f (s x r).
+
+    x_j maps to sum_k f[k][j] y_k and dx_j to sum_k f[k][j] dy_k, expanded
+    multiplicatively; the result commutes with both d and kappa.
+    """
+    s, r = f.nrows, f.ncols
+    src = basis(r, n, i)
+    tgt = basis(s, n, i)
+    cols = []
+    zero_alpha = (0,) * s
+    for alpha, T in src:
+        terms = {(zero_alpha, ()): 1}
+        for j in range(1, r + 1):
+            for _ in range(alpha[j - 1]):
+                new = {}
+                for (a, W), c in terms.items():
+                    for k in range(s):
+                        fk = f[k, j - 1]
+                        if fk:
+                            a2 = a[:k] + (a[k] + 1,) + a[k + 1:]
+                            key = (a2, W)
+                            new[key] = new.get(key, 0) + c * fk
+                terms = new
+        for j in T:
+            new = {}
+            for (a, W), c in terms.items():
+                for k in range(1, s + 1):
+                    fk = f[k - 1, j - 1]
+                    if fk and k not in W:
+                        sign = -1 if sum(1 for w in W if w > k) % 2 else 1
+                        key = (a, tuple(sorted(W + (k,))))
+                        new[key] = new.get(key, 0) + c * fk * sign
+            terms = new
+        col = [0] * tgt.dim
+        for (a, W), c in terms.items():
+            if c:
+                col[tgt.index(BasisElement(a, W))] += c
+        cols.append(col)
+    return IntMatrix.from_columns(cols, tgt.dim)
+
+
+def modp_class_matrix(target, i: int, cochain_cols: IntMatrix) -> IntMatrix:
+    """Classes of mod-p cocycle columns, as a matrix over H^i of target (a
+    modp_cohomology result)."""
+    deg = target.degree(i)
+    cols = []
+    for j, col in enumerate(cochain_cols.columns()):
+        coords = deg.express(col)
+        if coords is None:
+            raise ValueError(
+                f"column {j} is not a mod-p cocycle in degree {i}")
+        cols.append(coords)
+    return IntMatrix.from_columns(cols, deg.dim)

@@ -23,7 +23,7 @@ from derhamz.cohomology import (
     integral_cohomology,
     modp_cohomology,
 )
-from derhamz.derham import d_matrix, dim_formula, koszul_matrix
+from derhamz.derham import d_matrix, dim_formula
 from derhamz.intlinalg import IntMatrix
 from derhamz.modp import primes_dividing, valuation
 from derhamz.theorems import (
@@ -32,6 +32,8 @@ from derhamz.theorems import (
     verify_frobenius_iso,
     verify_page_identification,
 )
+
+from dense_oracle import koszul_matrix
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from derhamz import cli
+from derhamz import cli, theorems
 from derhamz.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _refuse(*args):
+    raise AssertionError("a verifier of another statement ran")
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +143,55 @@ class TestVerifyCommand:
         code = main(["verify", "--all", "-r", "9999", "-n", "9999"])
         capsys.readouterr()
         assert code == 2
+
+    def test_statement_is_its_subset_of_all(self, capsys, monkeypatch):
+        # --statement S prints the S reports of --all byte for byte, and
+        # never calls another statement's verifier
+        _, everything = run_json(capsys, "verify", "--all", "-r", "2",
+                                 "-n", "6")
+        for statement in theorems.STATEMENTS:
+            reports = [rep for rep in everything["results"]["reports"]
+                       if rep["statement"] == statement]
+            expected = dict(everything, parameters=dict(
+                everything["parameters"], statement=statement))
+            expected["results"] = {
+                "total": len(reports),
+                "failed": sum(rep["status"] == "fail" for rep in reports),
+                "reports": reports}
+            with monkeypatch.context() as patch:
+                for other in theorems.STATEMENTS:
+                    if other != statement:
+                        patch.setattr(theorems, f"verify_{other}", _refuse)
+                code, out = run_cli(capsys, "verify", "--statement",
+                                    statement, "-r", "2", "-n", "6")
+            assert code == 0, statement
+            assert reports, statement
+            assert out == json.dumps(expected, indent=2) + "\n", statement
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "integral_cohomology", exhausted)
+        code = main(["cohomology", "-r", "2", "-n", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_annihilation_sweep_fits_in_one_gib(self):
+        # the statement checks work per block, so the sweep needs far less
+        # than the address-space cap of its own child process
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        cmd = [sys.executable, "-m", "derhamz.cli", "verify", "--statement",
+               "annihilation", "-r", "4", "-n", "12"]
+        run = subprocess.run(cmd, capture_output=True, timeout=120,
+                             preexec_fn=cap_address_space,
+                             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert run.returncode == 0, run.stderr.decode()[-500:]
 
     def test_latex_rejected_before_the_sweep(self, capsys, monkeypatch):
         def no_sweep(*args):

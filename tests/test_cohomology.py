@@ -8,21 +8,22 @@ from hypothesis import given, settings, strategies as st
 from sympy import GF, Matrix
 from sympy.polys.matrices import DomainMatrix
 
+from derhamz.abgroups import FgAbGroup
 from derhamz.cohomology import (
     cartier_iso,
     cocycle_dim,
     integral_cohomology,
-    modp_class_matrix,
     modp_cohomology,
+    smith_homology,
 )
-from derhamz.derham import (
+from derhamz.derham import complex_z, dim_formula, koszul_blocks
+from derhamz.intlinalg import IntMatrix, hnf, kernel_basis, lattice_solve
+
+from dense_oracle import (
     cartier_rep_matrix,
-    complex_z,
-    dim_formula,
-    koszul_blocks,
+    modp_class_matrix,
     substitution_map,
 )
-from derhamz.intlinalg import IntMatrix, hnf, kernel_basis
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=15)
@@ -268,11 +269,17 @@ class TestCartierIso:
         assert h.matrix.shape == (0, 0)
 
     def test_bijective_on_sweep(self):
+        # raises when not bijective; the block pairs assemble to the classes
+        # of the dense representative
         for r in (1, 2, 3):
             for p in (2, 3):
                 for n in range(1, 12 // p + 1):
+                    target = modp_cohomology(r, p * n, p)
                     for i in range(min(n, r) + 2):
-                        cartier_iso(r, n, i, p)  # raises when not bijective
+                        dense = modp_class_matrix(
+                            target, i, cartier_rep_matrix(r, n, i, p))
+                        assert cartier_iso(r, n, i, p).matrix == \
+                            dense.mod(p), (r, n, i, p)
 
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
            st.sampled_from([2, 3]), st.data())
@@ -294,26 +301,33 @@ class TestCartierIso:
 
 class TestExpress:
     def test_integral_express_roundtrip(self):
-        # lift is a basis of the integer cocycles, the relations are square
-        # diagonal and map onto the coboundaries, and every lift column
-        # expresses as its unit vector
+        # per block: the Smith-adapted generators are a basis of the integer
+        # cocycles, the Smith entries times the generators span the
+        # coboundaries, and every generator expresses as its unit vector;
+        # H^i is the square diagonal sum of the blocks' entries
         for r in range(4):
             for n in range(11):
                 H = integral_cohomology(r, n)
-                cpx = complex_z(r, n)
                 for i in range(H.top + 1):
-                    lift, G = H.lift(i), H.group(i)
-                    assert (hnf(lift)[0]
-                            == hnf(kernel_basis(cpx.d(i)))[0]), (r, n, i)
-                    assert (lattice(lift @ G.relations)
-                            == lattice(cpx.d(i - 1))), (r, n, i)
-                    rel = G.relations
-                    assert rel.shape == (G.ngens, G.ngens), (r, n, i)
-                    assert all(not rel[a, b] for a in range(G.ngens)
-                               for b in range(G.ngens) if a != b), (r, n, i)
-                    for j in range(G.ngens):
-                        unit = tuple(int(t == j) for t in range(G.ngens))
-                        assert H.express(i, lift.col(j)) == unit, (r, n, i)
+                    entries = []
+                    for blk in koszul_blocks(r, n):
+                        if i >= len(blk.cells):
+                            continue
+                        d_in, d_out = blk.d(i - 1), blk.d(i)
+                        diag, gens = smith_homology(d_in, d_out)
+                        entries += diag
+                        assert (hnf(gens)[0]
+                                == hnf(kernel_basis(d_out))[0]), (r, n, i)
+                        spans = IntMatrix.from_columns(
+                            [[e * v for v in gens.col(t)]
+                             for t, e in enumerate(diag)], gens.nrows)
+                        assert lattice(spans) == lattice(d_in), (r, n, i)
+                        for j in range(gens.ncols):
+                            unit = tuple(int(t == j)
+                                         for t in range(gens.ncols))
+                            assert lattice_solve(gens, gens.col(j)) == unit
+                    assert H.group(i) == FgAbGroup.from_diagonal(entries), \
+                        (r, n, i)
 
     def test_modp_express_rejects_non_cocycle(self):
         mp = modp_cohomology(2, 2, 2)

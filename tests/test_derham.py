@@ -6,16 +6,20 @@ from hypothesis import given, settings, strategies as st
 from derhamz.derham import (
     BasisElement,
     basis,
-    cartier_rep_matrix,
+    block_multiples,
     complex_z,
     d_matrix,
     dim_formula,
-    frobenius_matrix,
     koszul_blocks,
+)
+from derhamz.intlinalg import IntMatrix
+
+from dense_oracle import (
+    cartier_rep_matrix,
+    frobenius_matrix,
     koszul_matrix,
     substitution_map,
 )
-from derhamz.intlinalg import IntMatrix
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=25)
@@ -203,6 +207,25 @@ class TestComplex:
         assert cpx.d(5).shape == (0, 0)
 
 
+def _embedded_sum(blocks, maps, i, j, shape):
+    """The sum of maps(blk) from degree i to degree j of every block, each
+    embedded at its cells; also the source cells covered."""
+    rows = [[0] * shape[1] for _ in range(shape[0])]
+    covered = []
+    for blk in blocks:
+        if i >= len(blk.cells):
+            continue
+        covered += blk.cells[i]
+        src = blk.cells[i]
+        tgt = blk.cells[j] if 0 <= j < len(blk.cells) else ()
+        block_map = maps(blk)
+        assert block_map.shape == (len(tgt), len(src))
+        for a, g in enumerate(tgt):
+            for b, h in enumerate(src):
+                rows[g][h] += block_map[a, b]
+    return IntMatrix(rows, ncols=shape[1]), covered
+
+
 class TestKoszulBlocks:
     def test_blocks_reproduce_d_matrix(self):
         # embed every block differential at its cells and sum: the result
@@ -212,22 +235,59 @@ class TestKoszulBlocks:
                 blocks = koszul_blocks(r, n)
                 for i in range(r + 1):
                     d = d_matrix(r, n, i)
-                    rows = [[0] * d.ncols for _ in range(d.nrows)]
-                    covered = []
-                    for blk in blocks:
-                        if i >= len(blk.cells):
-                            continue
-                        covered += blk.cells[i]
-                        src = blk.cells[i]
-                        tgt = blk.cells[i + 1] if i + 1 < len(blk.cells) \
-                            else ()
-                        block_d = blk.differentials[i]
-                        assert block_d.shape == (len(tgt), len(src))
-                        for a, g in enumerate(tgt):
-                            for b, h in enumerate(src):
-                                rows[g][h] += block_d[a, b]
-                    assert IntMatrix(rows, ncols=d.ncols) == d, (r, n, i)
+                    total, covered = _embedded_sum(
+                        blocks, lambda blk: blk.differentials[i], i, i + 1,
+                        d.shape)
+                    assert total == d, (r, n, i)
                     assert sorted(covered) == list(range(d.ncols)), (r, n, i)
+
+    def test_block_kappa_reproduces_koszul_matrix(self):
+        for r in range(5):
+            for n in range(9):
+                blocks = koszul_blocks(r, n)
+                for i in range(r + 2):
+                    kappa = koszul_matrix(r, n, i)
+                    total, _ = _embedded_sum(
+                        blocks, lambda blk: blk.kappa(i), i, i - 1,
+                        kappa.shape)
+                    assert total == kappa, (r, n, i)
+
+    def test_frobenius_and_cartier_pair_blocks(self):
+        # cell T of block beta goes to cell T of block p*beta, with
+        # coefficient 1 (Cartier) and p^i (Frobenius), and nowhere else;
+        # the differentials of block p*beta are p times those of beta
+        for r in range(5):
+            for n in range(7):
+                for p in (2, 3):
+                    blocks = koszul_blocks(r, n)
+                    multiples = koszul_blocks(r, p * n)
+                    images, others = block_multiples(blocks, multiples, p)
+                    assert sorted(images + others) == \
+                        list(range(len(multiples)))
+                    for c in others:
+                        assert any(b % p for b in multiples[c].beta)
+                    for i in range(min(n, r) + 1):
+                        source_of = {}
+                        for blk, c in zip(blocks, images):
+                            image = multiples[c]
+                            assert image.beta == tuple(p * b
+                                                       for b in blk.beta)
+                            assert image.differentials == tuple(
+                                p * d for d in blk.differentials)
+                            if i < len(blk.cells):
+                                source_of.update(zip(image.cells[i],
+                                                     blk.cells[i]))
+                        for M, coeff in ((cartier_rep_matrix(r, n, i, p), 1),
+                                         (frobenius_matrix(r, n, i, p),
+                                          p ** i)):
+                            for g in range(M.nrows):
+                                row = M.row(g)
+                                nonzero = len(row) - row.count(0)
+                                if g in source_of:
+                                    assert nonzero == 1, (r, n, p, i, g)
+                                    assert row[source_of[g]] == coeff
+                                else:
+                                    assert nonzero == 0, (r, n, p, i, g)
 
     def test_block_cells_carry_their_weight(self):
         for blk in koszul_blocks(3, 5):

@@ -3,9 +3,14 @@ documented failure set of the filtration statement."""
 
 import pytest
 
-from derhamz.abgroups import graded_piece_dim
+from derhamz.abgroups import (
+    Homomorphism,
+    graded_piece_dim,
+    homology_at,
+    induced_map,
+)
 from derhamz.cohomology import integral_cohomology
-from derhamz.derham import dim_formula
+from derhamz.derham import complex_z, dim_formula
 from derhamz.modp import primes_dividing, valuation
 from derhamz.theorems import (
     VerificationReport,
@@ -18,6 +23,8 @@ from derhamz.theorems import (
     verify_frobenius_iso,
     verify_page_identification,
 )
+
+from dense_oracle import frobenius_matrix
 
 
 class TestAnnihilation:
@@ -72,10 +79,12 @@ class TestFrobeniusIso:
         # the un-normalized chain map multiplies 2-form classes by p^2 and
         # is already the zero map H^2(deg 4) -> H^2(deg 8) at p = 2, so the
         # primary-part isomorphism needs the normalized vertical map
-        from derhamz.abgroups import Homomorphism
-        from derhamz.theorems import _frobenius_induced
-
-        f = _frobenius_induced(2, 4, 2, 2)
+        cpx4, cpx8 = complex_z(2, 4), complex_z(2, 8)
+        f = induced_map(frobenius_matrix(2, 4, 2, 2),
+                        homology_at(cpx4.d(1), cpx4.d(2)),
+                        homology_at(cpx8.d(1), cpx8.d(2)),
+                        tgt_d_out=cpx8.d(2))
+        assert not f.source.is_trivial and not f.target.is_trivial
         assert f == Homomorphism.zero(f.source, f.target)
         assert verify_frobenius_iso(2, 4, 2).ok
 
