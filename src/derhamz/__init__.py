@@ -38,7 +38,6 @@ from .derham import (
     BasisElement,
     GradedPiece,
     basis,
-    d_matrix,
 )
 from .intlinalg import IntMatrix, hnf, lattice_solve, snf
 from .theorems import (
@@ -68,7 +67,6 @@ __all__ = [
     "closed_form_page",
     "cocycle_dim",
     "compare_with_closed_form",
-    "d_matrix",
     "derive",
     "graded_piece_dim",
     "hnf",

@@ -4,18 +4,20 @@ The couple at a prime p is H --(xp)--> H --(reduce)--> H(mod p) --(del)-->,
 generated by the short exact coefficient sequence for multiplication by p.
 Deriving it repeatedly yields the spectral-sequence pages; a closed-form
 lattice computation of the same pages serves as an independent oracle.
-The couple and every derived couple are direct sums over the multidegree
-blocks of the complex, and are computed block by block (CoupleSum).
+The couple, every derived couple and the oracle are direct sums over the
+multidegree blocks of the complex, and are computed block by block
+(CoupleSum).
 
 Pages are stored as elementary abelian p-groups with explicit cochain-level
-representatives, so later comparisons are matrix equalities rather than
-abstract isomorphism claims.
+representatives in block coordinates, so later comparisons are matrix
+equalities rather than abstract isomorphism claims.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import modp
@@ -29,7 +31,6 @@ from .abgroups import (
     subgroup_presentation,
 )
 from .cohomology import (
-    ModpDegreeSum,
     class_matrix,
     modp_cohomology,
     modp_homology,
@@ -37,18 +38,11 @@ from .cohomology import (
 )
 from .derham import (
     block_multiples,
-    complex_z,
     dim_formula,
     distinct_blocks,
     koszul_blocks,
 )
-from .intlinalg import (
-    IntMatrix,
-    block_diagonal,
-    lattice_solve,
-    place_blocks,
-    unimodular_inverse,
-)
+from .intlinalg import IntMatrix, lattice_solve, unimodular_inverse
 from .modp import check_prime, valuation
 
 
@@ -137,7 +131,7 @@ class ExactCouple:
                 f"p={self.p}) fails {label} in degree {i}; witness {witness}")
 
 
-class CoupleSum(ExactCouple):
+class CoupleSum:
     """The couple of the total-degree-n complex as a direct sum of block
     couples.
 
@@ -145,16 +139,13 @@ class CoupleSum(ExactCouple):
     multidegree, so the couple is the direct sum over the Koszul blocks
     (derham.koszul_blocks) of their own couples: summands[b] is the couple
     of blocks[b] in the block's cochain coordinates (blocks with the same
-    differentials share one object).  Its groups and maps are those of the
-    summands and are never assembled.  stages[i] splits a vector by block
-    cells at level 1 and by the parent's E-coordinate ranges later, and
-    solves inside each block; E coordinates are the summands' coordinates,
-    blocks in basis order.  A direct sum is exact (and its maps well
-    defined) exactly when every summand is, so those certificates run on
-    the summands.
+    differentials share one object).  Its groups, maps, representatives
+    and page differentials are those of the summands and are never
+    assembled.  A direct sum is exact (and its maps well defined) exactly
+    when every summand is, so those certificates run on the summands.
     """
 
-    def __init__(self, r, n, p, level, blocks, summands, stages, parent=None):
+    def __init__(self, r, n, p, level, blocks, summands):
         self.r = r
         self.n = n
         self.p = p
@@ -162,25 +153,8 @@ class CoupleSum(ExactCouple):
         self.imax = min(n, r)
         self.blocks = tuple(blocks)
         self.summands = tuple(summands)
-        self.stages = tuple(stages)
-        self.parent = parent
-        self._dims = tuple(sum(s.e_dim(i) for s in self.summands)
-                           for i in range(self.imax + 1))
-
-    @property
-    def dims(self) -> tuple:
-        return self._dims
-
-    def e_dim(self, i: int) -> int:
-        return self._dims[i] if 0 <= i <= self.imax else 0
-
-    @cached_property
-    def e_reps(self) -> tuple:
-        return tuple(
-            place_blocks([(blk.cells[i], s.e_reps[i]) for blk, s
-                           in zip(self.blocks, self.summands) if i <= s.imax],
-                          dim_formula(self.r, self.n, i), self._dims[i])
-            for i in range(self.imax + 1))
+        self.dims = tuple(sum(s.e_dim(i) for s in self.summands)
+                          for i in range(self.imax + 1))
 
     def distinct_summands(self) -> list:
         return list({id(s): s for s in self.summands}.values())
@@ -188,13 +162,6 @@ class CoupleSum(ExactCouple):
     def exactness_failures(self) -> list:
         return [f for s in self.distinct_summands()
                 for f in s.exactness_failures()]
-
-    def d_matrix(self, i: int) -> IntMatrix:
-        if not 0 <= i < self.imax:
-            return super().d_matrix(i)
-        mats = {id(s): s.d_matrix(i) for s in self.distinct_summands()}
-        return block_diagonal([mats[id(s)] for s in self.summands
-                               if i <= s.imax])
 
 
 def initial_couple(r: int, n: int, p: int) -> CoupleSum:
@@ -216,7 +183,7 @@ def initial_couple(r: int, n: int, p: int) -> CoupleSum:
         if blk.differentials not in by_diffs:
             by_diffs[blk.differentials] = _block_couple(r, n, p, blk, mp)
         summands.append(by_diffs[blk.differentials])
-    return CoupleSum(r, n, p, 1, MP.blocks, summands, MP.degrees)
+    return CoupleSum(r, n, p, 1, MP.blocks, summands)
 
 
 def _block_couple(r: int, n: int, p: int, blk, mp: Sequence) -> ExactCouple:
@@ -365,34 +332,20 @@ def couples(r: int, n: int, p: int, upto: int) -> list:
 
 def _derive_sum(c: CoupleSum) -> CoupleSum:
     """The derived couple of a direct sum: derive on each distinct block
-    couple, with stages that split the parent's E coordinates by block."""
+    couple."""
     derived = {id(s): derive(s) for s in c.distinct_summands()}
-    summands = [derived[id(s)] for s in c.summands]
-    stages = []
-    for i in range(c.imax + 1):
-        parts = []
-        offset = 0
-        for old, new in zip(c.summands, summands):
-            width = old.e_dim(i)
-            if width:
-                parts.append((range(offset, offset + width), new.stages[i]))
-                offset += width
-        stages.append(ModpDegreeSum(i, offset, parts, c.p))
-    return CoupleSum(c.r, c.n, c.p, c.level + 1, c.blocks, summands, stages,
-                     parent=c)
+    return CoupleSum(c.r, c.n, c.p, c.level + 1, c.blocks,
+                     [derived[id(s)] for s in c.summands])
 
 
 @dataclass(frozen=True)
 class SpectralPage:
-    """Page k: per-degree dimensions over F_p, differentials d_k, and mod-p
-    cochain representatives of the chosen generators."""
+    """Page k: per-degree dimensions over F_p."""
     r: int
     n: int
     p: int
     k: int
     dims: tuple
-    differentials: tuple
-    cochain_reps: tuple
 
     @property
     def is_zero(self) -> bool:
@@ -421,38 +374,76 @@ def pages(r: int, n: int, p: int, kmax: int | None = None) -> list:
                 if not (s.d_matrix(i + 1) @ s.d_matrix(i)).mod(p).is_zero():
                     raise RuntimeError(
                         "page differential does not square to zero")
-        diffs = tuple(c.d_matrix(i) for i in range(c.imax + 1))
-        out.append(SpectralPage(r, n, p, c.level, c.dims, diffs, c.e_reps))
+        out.append(SpectralPage(r, n, p, c.level, c.dims))
     return out
 
 
 # -- closed-form oracle ------------------------------------------------------------
+#
+# Z_j = {x : dx in p^j C} is a direct sum over the weights, because d is
+# block diagonal and p^j is a scalar; so is the page quotient and its d_k.
+# The oracle therefore works on one Koszul block at a time, keyed by the
+# block's ordered nonzero weights.  It evaluates d on the block's monomials
+# itself, so that it stays independent of derham's block differentials.
+
+
+def _weights(blk) -> tuple:
+    return tuple(blk.beta[j - 1] for j in blk.support)
 
 
 @lru_cache(maxsize=None)
-def _z_basis(r: int, n: int, p: int, j: int, i: int) -> IntMatrix:
-    """Basis of Z_j = {x in the (n, i) piece : dx in p^j * (next piece)}."""
-    dim = dim_formula(r, n, i)
+def _oracle_d(weights: tuple) -> tuple:
+    """d^0 .. d^s on the block of the ordered nonzero weights w: degree-i
+    cells x^(w - 1_T) dx_T, T an i-subset of {1..s} in colex order.
+
+    d(x^a dx_T) = sum over j not in T of a_j x^(a - e_j) dx_j ^ dx_T, and
+    dx_j ^ dx_T = (-1)^(position of j in T + j) dx_(T + j).
+    """
+    s = len(weights)
+    cells = [sorted(combinations(range(1, s + 1), i), key=lambda T: T[::-1])
+             for i in range(s + 2)]
+    ds = []
+    for i in range(s + 1):
+        index = {T: c for c, T in enumerate(cells[i + 1])}
+        cols = []
+        for T in cells[i]:
+            a = [w - (j in T) for j, w in enumerate(weights, 1)]
+            col = [0] * len(cells[i + 1])
+            for j in range(1, s + 1):
+                if j not in T:
+                    U = tuple(sorted(T + (j,)))
+                    col[index[U]] += (-1) ** U.index(j) * a[j - 1]
+            cols.append(col)
+        ds.append(IntMatrix.from_columns(cols, len(cells[i + 1])))
+    for i in range(s):
+        if not (ds[i + 1] @ ds[i]).is_zero():
+            raise AssertionError(f"d∘d != 0 on the block of weights "
+                                 f"{weights}")
+    return tuple(ds)
+
+
+@lru_cache(maxsize=None)
+def _z_basis(weights: tuple, p: int, j: int, i: int) -> IntMatrix:
+    """Basis of Z_j = {x in degree i of the block : dx in p^j * (degree
+    i+1)}."""
+    d = _oracle_d(weights)[i]
     if j == 0:
-        return IntMatrix.identity(dim)
-    cpx = complex_z(r, n)
-    d = cpx.d(i)
+        return IntMatrix.identity(d.ncols)
     return preimage_basis(d, (p ** j) * IntMatrix.identity(d.nrows))
 
 
 @lru_cache(maxsize=None)
-def _closed_form_degree(r: int, n: int, p: int, k: int, i: int):
-    """Minimal presentation data of Z_k / (p Z_{k-1} + p^(1-k) d Z_{k-1})."""
-    cpx = complex_z(r, n)
-    N = _z_basis(r, n, p, k, i)
-    N_prev = _z_basis(r, n, p, k - 1, i)
-    den_cols = [tuple(p * v for v in N_prev.col(j))
-                for j in range(N_prev.ncols)]
+def _closed_form_degree(weights: tuple, p: int, k: int, i: int):
+    """Minimal presentation data of Z_k / (p Z_{k-1} + p^(1-k) d Z_{k-1})
+    in degree i of the block."""
+    N = _z_basis(weights, p, k, i)
+    N_prev = _z_basis(weights, p, k - 1, i)
+    den_cols = [tuple(p * v for v in col) for col in N_prev.columns()]
     if i >= 1:
-        N_low = _z_basis(r, n, p, k - 1, i - 1)
+        d = _oracle_d(weights)[i - 1]
         scale = p ** (k - 1)
-        for j in range(N_low.ncols):
-            dv = cpx.d(i - 1).apply(N_low.col(j))
+        for col in _z_basis(weights, p, k - 1, i - 1).columns():
+            dv = d.apply(col)
             if any(v % scale for v in dv):
                 raise RuntimeError("denominator column is not divisible")
             den_cols.append(tuple(v // scale for v in dv))
@@ -473,39 +464,27 @@ def _closed_form_degree(r: int, n: int, p: int, k: int, i: int):
     return N, U, Uinv, kept
 
 
-def closed_form_page(r: int, n: int, p: int, k: int) -> SpectralPage:
-    """Independent page computation from integer lattices.
-
-    E_k^i = Z_k^i / (p Z_{k-1}^i + p^(1-k) d Z_{k-1}^(i-1)) with
-    d_k[x] = [dx / p^k]; Z lattices come from Hermite forms of [d | -p^k I].
-    Must agree degreewise, compatibly with d_k, with pages(...)[k-1].
-    """
-    check_prime(p)
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    cpx = complex_z(r, n)
-    imax = cpx.top
-    data = [_closed_form_degree(r, n, p, k, i) for i in range(imax + 1)]
+@lru_cache(maxsize=None)
+def _closed_form_block(weights: tuple, p: int, k: int) -> tuple:
+    """Page k of one block: (dims, reps, diffs) with reps[i] the mod-p
+    block cochains of the generators of E_k^i and diffs[i] the matrix of
+    d_k[x] = [dx / p^k] from degree i to i+1."""
+    d = _oracle_d(weights)
+    top = len(weights)
+    data = [_closed_form_degree(weights, p, k, i) for i in range(top + 1)]
     dims = tuple(len(kept) for (_, _, _, kept) in data)
     scale = p ** k
-
-    reps = []
-    for i in range(imax + 1):
-        N, _, Uinv, kept = data[i]
-        cols = [tuple(v % p for v in N.apply(Uinv.col(idx))) for idx in kept]
-        reps.append(IntMatrix.from_columns(cols, dim_formula(r, n, i)))
-
+    gens = [[N.apply(Uinv.col(idx)) for idx in kept]
+            for (N, _, Uinv, kept) in data]
+    reps = tuple(IntMatrix.from_columns([[v % p for v in x] for x in xs],
+                                        d[i].ncols)
+                 for i, xs in enumerate(gens))
     diffs = []
-    for i in range(imax + 1):
-        N, _, Uinv, kept = data[i]
-        if i == imax:
-            diffs.append(IntMatrix.zeros(0, dims[i]))
-            continue
+    for i in range(top):
         N_next, U_next, _, kept_next = data[i + 1]
         cols = []
-        for idx in kept:
-            x = N.apply(Uinv.col(idx))
-            dv = cpx.d(i).apply(x)
+        for x in gens[i]:
+            dv = d[i].apply(x)
             if any(v % scale for v in dv):
                 raise RuntimeError("d of a Z_k element not divisible by p^k")
             y = lattice_solve(N_next, tuple(v // scale for v in dv))
@@ -514,18 +493,39 @@ def closed_form_page(r: int, n: int, p: int, k: int) -> SpectralPage:
             full = U_next.apply(y)
             cols.append([full[t] % p for t in kept_next])
         diffs.append(IntMatrix.from_columns(cols, dims[i + 1]))
+    diffs.append(IntMatrix.zeros(0, dims[top]))
+    return dims, reps, tuple(diffs)
 
-    return SpectralPage(r, n, p, k, dims, tuple(diffs), tuple(reps))
+
+def closed_form_page(r: int, n: int, p: int, k: int) -> SpectralPage:
+    """Independent page computation from integer lattices.
+
+    E_k^i = Z_k^i / (p Z_{k-1}^i + p^(1-k) d Z_{k-1}^(i-1)) with
+    d_k[x] = [dx / p^k]; Z lattices come from Hermite forms of [d | -p^k I]
+    on each Koszul block (_closed_form_block), and the page dims are the
+    sums over the blocks.  Must agree degreewise, compatibly with d_k, with
+    pages(...)[k-1].
+    """
+    check_prime(p)
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    dims = [0] * (min(n, r) + 1)
+    for blk in koszul_blocks(r, n):
+        for i, dim in enumerate(_closed_form_block(_weights(blk), p, k)[0]):
+            dims[i] += dim
+    return SpectralPage(r, n, p, k, tuple(dims))
 
 
 def compare_with_closed_form(r: int, n: int, p: int,
                              kmax: int | None = None) -> list:
     """Check derived-couple pages against the closed-form oracle.
 
-    For each page the canonical map sends a closed-form generator to the
-    class of its cochain representative; the check demands equal dimensions,
+    For each page and each distinct block the canonical map sends a
+    closed-form generator to the class of its cochain representative on
+    the block's summand of the couple; the check demands equal dimensions,
     bijectivity, and conjugation of the differentials.  Returns one dict
-    per page with an "ok" flag and a witness on failure.
+    per page with an "ok" flag and a witness on failure (with the block
+    weight beta when a single block fails).
     """
     if kmax is None:
         kmax = valuation(n, p) + 1
@@ -538,24 +538,50 @@ def compare_with_closed_form(r: int, n: int, p: int,
                   "dims_closed_form": cf.dims}
         if couple.dims != cf.dims:
             report.update(ok=False, reason="dimension mismatch")
-            results.append(report)
-            continue
-        failure = _page_isomorphism_failure(
-            couple, cf.cochain_reps, cf.differentials.__getitem__)
-        if failure is not None:
-            check, i, detail = failure
-            if check == "survives":
-                report.update(ok=False, reason="class does not survive",
-                              degree=i, generator=detail)
-            elif check == "bijective":
-                report.update(ok=False, reason="comparison map not bijective",
-                              degree=i)
-            else:
-                lhs, rhs = detail
-                report.update(ok=False, reason="differentials not conjugate",
-                              degree=i, lhs=lhs.to_lists(), rhs=rhs.to_lists())
+        else:
+            failure = _block_oracle_failure(couple, k)
+            if failure is not None:
+                report.update(ok=False, **failure)
         results.append(report)
     return results
+
+
+def _block_oracle_failure(couple: CoupleSum, k: int) -> Optional[dict]:
+    """The first failure of the comparison on the blocks, or None.
+
+    Each distinct ordered weight vector is checked once, against the
+    summand of its first block (the oracle's own key, so a summand the
+    engine shares between different weights is still checked for each).
+    Failures to conjugate the differentials come last, after every failure
+    of dimensions, survival or bijectivity on some block.
+    """
+    conjugation = None
+    seen = set()
+    for blk, summand in zip(couple.blocks, couple.summands):
+        weights = _weights(blk)
+        if weights in seen:
+            continue
+        seen.add(weights)
+        beta = list(blk.beta)
+        dims, reps, diffs = _closed_form_block(weights, couple.p, k)
+        if dims != summand.dims:
+            return {"reason": "dimension mismatch", "beta": beta}
+        failure = _page_isomorphism_failure(summand, reps,
+                                            diffs.__getitem__)
+        if failure is None:
+            continue
+        check, i, detail = failure
+        if check == "survives":
+            return {"reason": "class does not survive", "degree": i,
+                    "generator": detail, "beta": beta}
+        if check == "bijective":
+            return {"reason": "comparison map not bijective", "degree": i,
+                    "beta": beta}
+        lhs, rhs = detail
+        conjugation = conjugation or {
+            "reason": "differentials not conjugate", "degree": i,
+            "lhs": lhs.to_lists(), "rhs": rhs.to_lists(), "beta": beta}
+    return conjugation
 
 
 def _page_isomorphism_failure(couple: ExactCouple, sources: Sequence[IntMatrix],
@@ -663,11 +689,12 @@ def _block_identification_failure(couple: CoupleSum, sources: Sequence,
     blocks, or None.
 
     sources are the blocks of degree n/q; each distinct one is paired with
-    its block q*gamma of couple.  The witness carries the block weight.
-    Failures to conjugate the differentials come last, after every failure
-    of a cocycle check or of bijectivity in some degree (a class that does
-    not survive, a class matrix of low rank, a nonzero page on a block that
-    is no q-multiple).
+    its block q*gamma of couple.  The witness carries the block weight
+    and, for a class that does not survive, the basis index of its cell in
+    degree n.  Failures to conjugate the differentials come last, after
+    every failure of a cocycle check or of bijectivity in some degree (a
+    class that does not survive, a class matrix of low rank, a nonzero
+    page on a block that is no q-multiple).
     """
     images, others = block_multiples(sources, couple.blocks, q)
     conjugation = None
@@ -685,9 +712,8 @@ def _block_identification_failure(couple: CoupleSum, sources: Sequence,
         check, i, detail = failure
         witness = {"degree": i, "beta": list(blk.beta)}
         if check == "survives":
-            column = [0] * dim_formula(couple.r, couple.n, i)
-            column[blk.cells[i][detail]] = 1
-            return {"check": "class survives", **witness, "column": column}
+            return {"check": "class survives", **witness,
+                    "cell": blk.cells[i][detail]}
         if check == "bijective":
             return {"check": "bijective", **witness,
                     "matrix": detail.to_lists()}

@@ -139,8 +139,7 @@ class ModpDegreeSum:
     The indices of the parts partition range(dim_cochain).
     """
 
-    __slots__ = ("i", "dim_cochain", "parts", "dim", "_p", "_part_of",
-                 "_offsets")
+    __slots__ = ("i", "dim_cochain", "parts", "dim", "_p", "_offsets")
 
     def __init__(self, i, dim_cochain, parts, p):
         self.i = i
@@ -152,46 +151,19 @@ class ModpDegreeSum:
             self._offsets.append(self.dim)
             self.dim += st.dim
         self._p = p
-        self._part_of = None
-
-    def _embedded(self, attr: str) -> tuple:
-        out = []
-        for idx, st in self.parts:
-            for v in getattr(st, attr):
-                full = [0] * self.dim_cochain
-                for g, x in zip(idx, v):
-                    full[g] = x
-                out.append(tuple(full))
-        return tuple(out)
-
-    @property
-    def reps(self) -> tuple:
-        return self._embedded("reps")
-
-    @property
-    def cocycles(self) -> tuple:
-        return self._embedded("cocycles")
-
-    @property
-    def coboundaries(self) -> tuple:
-        return self._embedded("coboundaries")
 
     def express(self, z: Sequence[int]) -> Optional[tuple]:
         """Class coordinates of a mod-p cocycle, or None if z is no cocycle;
         solved only in the parts where z is nonzero mod p."""
-        if self._part_of is None:
-            self._part_of = [None] * self.dim_cochain
-            for t, (idx, _) in enumerate(self.parts):
-                for g in idx:
-                    self._part_of[g] = t
         p = self._p
         coords = [0] * self.dim
-        for t in {self._part_of[g] for g, v in enumerate(z) if v % p}:
-            idx, st = self.parts[t]
-            part = st.express([z[g] for g in idx])
-            if part is None:
-                return None
-            coords[self._offsets[t]:self._offsets[t] + st.dim] = part
+        for (idx, st), offset in zip(self.parts, self._offsets):
+            part = [z[g] for g in idx]
+            if any(v % p for v in part):
+                part = st.express(part)
+                if part is None:
+                    return None
+                coords[offset:offset + st.dim] = part
         return tuple(coords)
 
 

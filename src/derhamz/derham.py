@@ -1,5 +1,5 @@
-"""Monomial bases of polynomial differential forms over Z, d, and the
-multidegree (Koszul) blocks of the complex.
+"""Monomial bases of polynomial differential forms over Z and the
+multidegree (Koszul) blocks of the complex, with their own d and kappa.
 
 The graded piece of form degree i and total degree n in r variables has
 basis x^alpha dx_T with |alpha| = n - i and T an i-subset of {1..r}; the
@@ -100,32 +100,6 @@ def _merge_sign(T: tuple, j: int) -> int:
     return -1 if sum(1 for t in T if t < j) % 2 else 1
 
 
-@lru_cache(maxsize=None)
-def d_matrix(r: int, n: int, i: int) -> IntMatrix:
-    """Polynomial differentiation on the (r, n, i) piece.
-
-    d(x^alpha dx_T) = sum over j not in T of
-    alpha_j x^(alpha - e_j) dx_j ^ dx_T.
-    """
-    src = basis(r, n, i)
-    tgt = basis(r, n, i + 1)
-    idx = _index_map(r, n, i + 1)
-    cols = []
-    for alpha, T in src:
-        col = [0] * tgt.dim
-        in_T = set(T)
-        for j in range(1, r + 1):
-            if j in in_T or alpha[j - 1] == 0:
-                continue
-            new_alpha = list(alpha)
-            new_alpha[j - 1] -= 1
-            new_T = tuple(sorted(T + (j,)))
-            k = idx[BasisElement(tuple(new_alpha), new_T)]
-            col[k] += _merge_sign(T, j) * alpha[j - 1]
-        cols.append(col)
-    return IntMatrix.from_columns(cols, tgt.dim)
-
-
 class KoszulBlock(NamedTuple):
     """One multidegree summand of the total-degree-n complex.
 
@@ -158,16 +132,18 @@ class KoszulBlock(NamedTuple):
         return len(self.cells[i]) if 0 <= i < len(self.cells) else 0
 
 
+@lru_cache(maxsize=None)
 def koszul_blocks(r: int, n: int) -> tuple:
     """The blocks of the total-degree-n complex, beta in lex decreasing order.
 
     Embedding every block's differentials[i] at its cells and summing gives
-    d_matrix(r, n, i).  A block matrix depends only on the ordered nonzero
-    weights: d sends dx_T to dx_(T + j) with coefficient beta_j times
-    _merge_sign read in support-relative positions.  kappa sends x^alpha
-    dx_T to the sum over positions k of (-1)^(k-1) x^(alpha + e_(t_k))
-    dx_(T - t_k), which stays in the block with coefficient +-1, so the
-    block kappa depends only on the size of the support.
+    d on the whole (r, n, i) piece.  A block matrix depends only on the
+    ordered nonzero weights: d sends dx_T to dx_(T + j) with coefficient
+    beta_j times _merge_sign read in support-relative positions.  kappa
+    sends x^alpha dx_T to the sum over positions k of (-1)^(k-1)
+    x^(alpha + e_(t_k)) dx_(T - t_k), which stays in the block with
+    coefficient +-1, so the block kappa depends only on the size of the
+    support.
     """
     blocks = []
     by_weights = {}
@@ -258,31 +234,3 @@ def _koszul_contractions(s: int) -> tuple:
         kappas.append(IntMatrix._raw(tuple(map(tuple, rows)),
                                      len(subsets[i])))
     return tuple(kappas)
-
-
-@dataclass(frozen=True)
-class ComplexZ:
-    """The de Rham complex in one total degree, as integer matrices."""
-    r: int
-    n: int
-    differentials: tuple   # d^i for i = 0 .. min(n, r)
-
-    @property
-    def top(self) -> int:
-        return len(self.differentials) - 1
-
-    def d(self, i: int) -> IntMatrix:
-        if 0 <= i <= self.top:
-            return self.differentials[i]
-        dim = dim_formula(self.r, self.n, i)
-        return IntMatrix.zeros(dim_formula(self.r, self.n, i + 1), dim)
-
-
-@lru_cache(maxsize=None)
-def complex_z(r: int, n: int) -> ComplexZ:
-    top = min(n, r)
-    ds = tuple(d_matrix(r, n, i) for i in range(top + 1))
-    for i in range(top):
-        if not (ds[i + 1] @ ds[i]).is_zero():
-            raise AssertionError(f"d∘d != 0 at (r={r}, n={n}, i={i})")
-    return ComplexZ(r, n, ds)

@@ -213,16 +213,6 @@ def place_blocks(placed, nrows: int, ncols: int) -> IntMatrix:
                           ncols)
 
 
-def block_diagonal(mats: Sequence[IntMatrix]) -> IntMatrix:
-    """The block-diagonal matrix of the given blocks, in order."""
-    placed = []
-    nrows = 0
-    for M in mats:
-        placed.append((range(nrows, nrows + M.nrows), M))
-        nrows += M.nrows
-    return place_blocks(placed, nrows, sum(M.ncols for M in mats))
-
-
 @lru_cache(maxsize=None)
 def augmented(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Cached two-block [a | b]; solver state attaches to the result."""

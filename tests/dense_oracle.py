@@ -6,10 +6,65 @@ formulas on monomials, so that tests can compare the block model with an
 independent dense one at small sizes.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
-from derhamz.derham import BasisElement, basis
+from derhamz.derham import BasisElement, basis, dim_formula
 from derhamz.intlinalg import IntMatrix
+
+
+@lru_cache(maxsize=None)
+def d_matrix(r: int, n: int, i: int) -> IntMatrix:
+    """Polynomial differentiation on the (r, n, i) piece.
+
+    d(x^alpha dx_T) = sum over j not in T of
+    alpha_j x^(alpha - e_j) dx_j ^ dx_T.
+    """
+    src = basis(r, n, i)
+    tgt = basis(r, n, i + 1)
+    cols = []
+    for alpha, T in src:
+        col = [0] * tgt.dim
+        for j in range(1, r + 1):
+            if j in T or alpha[j - 1] == 0:
+                continue
+            new_alpha = list(alpha)
+            new_alpha[j - 1] -= 1
+            new_T = tuple(sorted(T + (j,)))
+            # dx_j moves past the dx_t with t < j
+            sign = -1 if sum(1 for t in T if t < j) % 2 else 1
+            col[tgt.index(BasisElement(tuple(new_alpha), new_T))] += \
+                sign * alpha[j - 1]
+        cols.append(col)
+    return IntMatrix.from_columns(cols, tgt.dim)
+
+
+@dataclass(frozen=True)
+class ComplexZ:
+    """The de Rham complex in one total degree, as integer matrices."""
+    r: int
+    n: int
+    differentials: tuple   # d^i for i = 0 .. min(n, r)
+
+    @property
+    def top(self) -> int:
+        return len(self.differentials) - 1
+
+    def d(self, i: int) -> IntMatrix:
+        if 0 <= i <= self.top:
+            return self.differentials[i]
+        dim = dim_formula(self.r, self.n, i)
+        return IntMatrix.zeros(dim_formula(self.r, self.n, i + 1), dim)
+
+
+@lru_cache(maxsize=None)
+def complex_z(r: int, n: int) -> ComplexZ:
+    top = min(n, r)
+    ds = tuple(d_matrix(r, n, i) for i in range(top + 1))
+    for i in range(top):
+        if not (ds[i + 1] @ ds[i]).is_zero():
+            raise AssertionError(f"d∘d != 0 at (r={r}, n={n}, i={i})")
+    return ComplexZ(r, n, ds)
 
 
 @lru_cache(maxsize=None)

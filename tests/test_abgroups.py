@@ -18,10 +18,9 @@ from derhamz.abgroups import (
     subgroup_pk,
     subgroup_presentation,
 )
-from derhamz.derham import complex_z
 from derhamz.intlinalg import IntMatrix, hstack, kernel_basis, lattice_solve
 
-from dense_oracle import frobenius_matrix
+from dense_oracle import complex_z, frobenius_matrix
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=30)

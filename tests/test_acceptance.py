@@ -23,7 +23,7 @@ from derhamz.cohomology import (
     integral_cohomology,
     modp_cohomology,
 )
-from derhamz.derham import d_matrix, dim_formula
+from derhamz.derham import dim_formula
 from derhamz.intlinalg import IntMatrix
 from derhamz.modp import primes_dividing, valuation
 from derhamz.theorems import (
@@ -33,7 +33,7 @@ from derhamz.theorems import (
     verify_page_identification,
 )
 
-from dense_oracle import koszul_matrix
+from dense_oracle import d_matrix, koszul_matrix
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

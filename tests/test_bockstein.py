@@ -1,11 +1,18 @@
 """Exact couples, derived pages, closed-form oracle agreement."""
 
+import json
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from derhamz.abgroups import FgAbGroup, Homomorphism, graded_piece_dim
 from derhamz.bockstein import (
     ExactCouple,
     ExactnessError,
+    _oracle_d,
     closed_form_page,
     compare_with_closed_form,
     couples,
@@ -20,23 +27,43 @@ from derhamz.cohomology import (
     modp_cohomology,
     smith_homology,
 )
-from derhamz.derham import complex_z, dim_formula
-from derhamz.intlinalg import (
-    IntMatrix,
-    block_diagonal,
-    lattice_solve,
-    place_blocks,
-)
-from derhamz.modp import valuation
+from derhamz.derham import dim_formula, koszul_blocks
+from derhamz.intlinalg import IntMatrix, lattice_solve, place_blocks
+from derhamz.modp import rank, valuation
+
+from dense_oracle import complex_z, d_matrix
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _placed(c, i, mats):
+    """The blocks' degree-i matrices mats[b], their rows at the block's
+    global cells, their columns in block order."""
+    placed = [(blk.cells[i], M) for blk, M in zip(c.blocks, mats)
+              if i < len(blk.cells)]
+    return place_blocks(placed, dim_formula(c.r, c.n, i),
+                        sum(M.ncols for _, M in placed))
 
 
 def _dense_lift(c, i):
     """The blocks' integral generators of degree i at their global cells,
     blocks in basis order."""
-    placed = [(blk.cells[i], smith_homology(blk.d(i - 1), blk.d(i))[1])
-              for blk in c.blocks if i < len(blk.cells)]
-    return place_blocks(placed, dim_formula(c.r, c.n, i),
-                        sum(gens.ncols for _, gens in placed))
+    return _placed(c, i, [smith_homology(blk.d(i - 1), blk.d(i))[1]
+                          for blk in c.blocks])
+
+
+def _dense_reps(c, i):
+    """The summands' degree-i E representatives at their global cells."""
+    return _placed(c, i, [s.e_reps[i] if i <= s.imax else None
+                          for s in c.summands])
+
+
+def _block_diagonal(mats):
+    placed, nrows = [], 0
+    for M in mats:
+        placed.append((range(nrows, nrows + M.nrows), M))
+        nrows += M.nrows
+    return place_blocks(placed, nrows, sum(M.ncols for M in mats))
 
 
 class TestInitialCouple:
@@ -79,14 +106,14 @@ class TestInitialCouple:
                 assert FgAbGroup.zero().direct_sum(
                     *[s.D[i] for s in parts]) == HZ.group(i), (r, n, p, i)
                 dense_j, _ = class_matrix(MP.degree(i).express, lifts[i],
-                                          c.e_dim(i))
-                assert block_diagonal([s.j_maps[i].matrix for s in parts]) \
+                                          c.dims[i])
+                assert _block_diagonal([s.j_maps[i].matrix for s in parts]) \
                     == dense_j, (r, n, p, i)
-                assert IntMatrix.from_columns(
-                    MP.degree(i).reps, dim_formula(r, n, i)) == c.e_reps[i], \
-                    (r, n, p, i)
-                k = block_diagonal([s.k_maps[i].matrix for s in parts])
-                for col, rep in enumerate(MP.degree(i).reps):
+                reps = _placed(c, i, [bd[i].rep_matrix() if i < len(bd)
+                                      else None for bd in MP.block_degrees])
+                assert reps == _dense_reps(c, i), (r, n, p, i)
+                k = _block_diagonal([s.k_maps[i].matrix for s in parts])
+                for col, rep in enumerate(reps.columns()):
                     dv = cpx.d(i).apply(rep)
                     assert all(v % p == 0 for v in dv)
                     if i == c.imax:
@@ -96,9 +123,9 @@ class TestInitialCouple:
                         coords, k.col(col)), (r, n, p, i)
 
     def test_differential_is_zero_outside_degree_range(self):
-        c = initial_couple(2, 4, 2)
-        assert c.d_matrix(-1).shape == (c.e_dim(0), 0)
-        assert c.d_matrix(c.imax).shape == (0, c.e_dim(c.imax))
+        for s in initial_couple(2, 4, 2).distinct_summands():
+            assert s.d_matrix(-1).shape == (s.e_dim(0), 0)
+            assert s.d_matrix(s.imax).shape == (0, s.e_dim(s.imax))
 
 
 class TestExactness:
@@ -146,10 +173,11 @@ class TestDerive:
             assert pages(r, n, p, 1)[0].is_zero
 
     def test_d_squared_zero_on_pages(self):
-        for page in pages(2, 8, 2):
-            for i in range(len(page.dims) - 1):
-                prod = page.differentials[i + 1] @ page.differentials[i]
-                assert prod.mod(2).is_zero()
+        for c in couples(2, 8, 2, valuation(8, 2) + 1):
+            for s in c.distinct_summands():
+                for i in range(s.imax):
+                    prod = s.d_matrix(i + 1) @ s.d_matrix(i)
+                    assert prod.mod(2).is_zero(), (c.level, i)
 
     def test_stationarity_beyond_nu(self):
         for (r, n, p) in [(1, 8, 2), (2, 6, 3), (2, 9, 3)]:
@@ -207,6 +235,51 @@ class TestClosedForm:
                     for rep in compare_with_closed_form(r, n, p):
                         assert rep["ok"], (r, n, p, rep)
 
+    def test_block_d_reproduces_d_matrix(self):
+        # the oracle's own block d, embedded at the block cells and summed,
+        # is the dense global d
+        for r in range(5):
+            for n in range(1, 9):
+                blocks = koszul_blocks(r, n)
+                for i in range(min(n, r) + 1):
+                    d = d_matrix(r, n, i)
+                    rows = [[0] * d.ncols for _ in range(d.nrows)]
+                    for blk in blocks:
+                        if i >= len(blk.cells):
+                            continue
+                        block_d = _oracle_d(
+                            tuple(blk.beta[j - 1] for j in blk.support))[i]
+                        tgt = blk.cells[i + 1] if i + 1 < len(blk.cells) \
+                            else ()
+                        assert block_d.shape == (len(tgt), len(blk.cells[i]))
+                        for a, g in enumerate(tgt):
+                            for b, h in enumerate(blk.cells[i]):
+                                rows[g][h] += block_d[a, b]
+                    assert IntMatrix(rows, d.ncols) == d, (r, n, i)
+
+    def test_four_variables_fit_in_512_mib(self):
+        # the oracle works per block, so (4,8,2) and (4,9,3) run in a
+        # child capped at 512 MiB of address space, within a minute
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        code = ("import json\n"
+                "from derhamz.bockstein import compare_with_closed_form, pages\n"
+                "print(json.dumps([(compare_with_closed_form(*a),\n"
+                "                   [pg.dims for pg in pages(*a)])\n"
+                "                  for a in ((4, 8, 2), (4, 9, 3))]))\n")
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, timeout=60,
+                             preexec_fn=cap_address_space,
+                             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert run.returncode == 0, run.stderr.decode()[-500:]
+        for reports, dims in json.loads(run.stdout):
+            assert len(reports) == len(dims)
+            for rep, page_dims in zip(reports, dims):
+                assert rep["ok"], rep
+                assert rep["dims_derived"] == rep["dims_closed_form"] \
+                    == page_dims, rep
+
 
 class TestPageIdentification:
     def test_golden_rank_two(self):
@@ -220,15 +293,13 @@ class TestPageIdentification:
         assert res.dims_source == (1, 1)
         # d_2 is conjugate to d on Omega_1 mod 2, which has rank 1
         couple = couples(1, 4, 2, 2)[1]
-        from derhamz.modp import rank
-        assert rank(couple.d_matrix(0), 2) == 1
+        assert sum(rank(s.d_matrix(0), 2) for s in couple.summands) == 1
 
     def test_rank_matches_slice_rank(self):
         # d_1 on the first page of (2, 4, 2) has rank 1, like d on
         # Omega_2 mod 2
         couple = couples(2, 4, 2, 1)[0]
-        from derhamz.modp import rank
-        assert rank(couple.d_matrix(1), 2) == 1
+        assert sum(rank(s.d_matrix(1), 2) for s in couple.summands) == 1
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
@@ -246,14 +317,13 @@ class TestPagesApi:
         assert len(pages(2, 8, 2)) == valuation(8, 2) + 1
 
     def test_cochain_reps_shapes(self):
-        for page in pages(2, 4, 2):
+        for page, c in zip(pages(2, 4, 2), couples(2, 4, 2, 3)):
             for i, dim in enumerate(page.dims):
-                assert page.cochain_reps[i].shape == (dim_formula(2, 4, i), dim)
+                assert _dense_reps(c, i).shape == (dim_formula(2, 4, i), dim)
 
     def test_cochain_reps_are_modp_cocycles(self):
         for (r, n, p) in [(2, 4, 2), (2, 8, 2), (3, 6, 3)]:
-            cpx = complex_z(r, n)
-            for page in pages(r, n, p):
-                for i in range(len(page.dims)):
-                    moved = cpx.d(i) @ page.cochain_reps[i]
-                    assert moved.mod(p).is_zero(), (r, n, p, page.k, i)
+            for c in couples(r, n, p, valuation(n, p) + 1):
+                for i in range(c.imax + 1):
+                    moved = d_matrix(r, n, i) @ _dense_reps(c, i)
+                    assert moved.mod(p).is_zero(), (r, n, p, c.level, i)

@@ -16,11 +16,12 @@ from derhamz.cohomology import (
     modp_cohomology,
     smith_homology,
 )
-from derhamz.derham import complex_z, dim_formula, koszul_blocks
+from derhamz.derham import dim_formula, koszul_blocks
 from derhamz.intlinalg import IntMatrix, hnf, kernel_basis, lattice_solve
 
 from dense_oracle import (
     cartier_rep_matrix,
+    complex_z,
     modp_class_matrix,
     substitution_map,
 )
@@ -181,7 +182,8 @@ class TestModpCohomology:
         for (r, n, p) in [(2, 4, 2), (3, 6, 2), (2, 6, 3)]:
             mp = modp_cohomology(r, n, p)
             lhs = sum((-1) ** d.i * d.dim_cochain for d in mp.degrees)
-            rhs = sum((-1) ** d.i * (len(d.cocycles) + len(d.coboundaries))
+            rhs = sum((-1) ** d.i * (len(_embedded(mp, d.i, "cocycles"))
+                                     + len(_embedded(mp, d.i, "coboundaries")))
                       for d in mp.degrees)
             assert lhs == rhs
 
@@ -199,15 +201,17 @@ class TestModpCohomology:
                     for i in range(mp.top + 1):
                         deg = mp.degree(i)
                         where = (r, n, p, i)
-                        assert len(deg.cocycles) == \
+                        assert len(_embedded(mp, i, "cocycles")) == \
                             dim_formula(r, n, i) - gf_rank(cpx.d(i), p), where
-                        assert len(deg.coboundaries) == \
+                        assert len(_embedded(mp, i, "coboundaries")) == \
                             gf_rank(cpx.d(i - 1), p), where
-                        for j, rep in enumerate(deg.reps):
+                        reps = _embedded(mp, i, "reps")
+                        assert len(reps) == deg.dim, where
+                        for j, rep in enumerate(reps):
                             unit = tuple(int(t == j) for t in range(deg.dim))
                             assert mp.express(i, rep) == unit, where
                         zero = (0,) * deg.dim
-                        for b in deg.coboundaries:
+                        for b in _embedded(mp, i, "coboundaries"):
                             assert mp.express(i, b) == zero, where
                         bad = [g for blk in blocks if i < len(blk.cells)
                                for g in _non_cocycle_cells(blk, i, p)[:1]]
@@ -222,6 +226,20 @@ class TestModpCohomology:
             modp_cohomology(2, 4, 4)
         with pytest.raises(ValueError):
             modp_cohomology(2, 4, 17)
+
+
+def _embedded(mp, i, attr):
+    """The blocks' degree-i vectors of the given kind (reps, cocycles or
+    coboundaries) at their global cells, blocks in basis order."""
+    out = []
+    for blk, bd in zip(mp.blocks, mp.block_degrees):
+        if i < len(bd):
+            for v in getattr(bd[i], attr):
+                full = [0] * dim_formula(mp.r, mp.n, i)
+                for g, x in zip(blk.cells[i], v):
+                    full[g] = x
+                out.append(tuple(full))
+    return out
 
 
 def _non_cocycle_cells(blk, i, p):

@@ -7,8 +7,6 @@ from derhamz.derham import (
     BasisElement,
     basis,
     block_multiples,
-    complex_z,
-    d_matrix,
     dim_formula,
     koszul_blocks,
 )
@@ -16,6 +14,8 @@ from derhamz.intlinalg import IntMatrix
 
 from dense_oracle import (
     cartier_rep_matrix,
+    complex_z,
+    d_matrix,
     frobenius_matrix,
     koszul_matrix,
     substitution_map,

@@ -10,7 +10,7 @@ from derhamz.abgroups import (
     induced_map,
 )
 from derhamz.cohomology import integral_cohomology
-from derhamz.derham import complex_z, dim_formula
+from derhamz.derham import dim_formula
 from derhamz.modp import primes_dividing, valuation
 from derhamz.theorems import (
     VerificationReport,
@@ -24,7 +24,7 @@ from derhamz.theorems import (
     verify_page_identification,
 )
 
-from dense_oracle import frobenius_matrix
+from dense_oracle import complex_z, frobenius_matrix
 
 
 class TestAnnihilation:
