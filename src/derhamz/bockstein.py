@@ -6,7 +6,8 @@ Deriving it repeatedly yields the spectral-sequence pages; a closed-form
 lattice computation of the same pages serves as an independent oracle.
 The couple, every derived couple and the oracle are direct sums over the
 multidegree blocks of the complex, and are computed block by block
-(CoupleSum).
+(CoupleSum).  The tower of couples of a block is cached by the block's
+ordered nonzero weights and the prime, and shared by every total degree.
 
 Pages are stored as elementary abelian p-groups with explicit cochain-level
 representatives in block coordinates, so later comparisons are matrix
@@ -31,16 +32,17 @@ from .abgroups import (
     subgroup_presentation,
 )
 from .cohomology import (
+    block_homology,
+    block_modp_homology,
     class_matrix,
-    modp_cohomology,
     modp_homology,
-    smith_homology,
 )
 from .derham import (
     block_multiples,
     dim_formula,
     distinct_blocks,
     koszul_blocks,
+    koszul_d,
 )
 from .intlinalg import IntMatrix, lattice_solve, unimodular_inverse
 from .modp import check_prime, valuation
@@ -51,20 +53,20 @@ class ExactnessError(RuntimeError):
 
 
 class ExactCouple:
-    """One stage of the Bockstein tower for a fixed (r, n, p).
+    """One stage of the Bockstein tower of one Koszul block at a prime p.
 
-    D and E hold the per-degree groups, i/j/k the three maps (k raises the
-    degree by one and lands in the zero group at the top).  e_reps carries
-    mod-p cochain representatives for the E generators.  stages[i] is E^i
-    as a mod-p subquotient: of the cochains at level 1, of the parent's E^i
-    (by the parent's differential) at later levels; parent points to the
-    couple this one was derived from.
+    weights are the block's ordered nonzero weights.  D and E hold the
+    per-degree groups, i/j/k the three maps (k raises the degree by one and
+    lands in the zero group at the top).  e_reps carries mod-p cochain
+    representatives for the E generators, in block coordinates.  stages[i]
+    is E^i as a mod-p subquotient: of the cochains at level 1, of the
+    parent's E^i (by the parent's differential) at later levels; parent
+    points to the couple this one was derived from.
     """
 
-    def __init__(self, r, n, p, level, D, E, i_maps, j_maps, k_maps,
+    def __init__(self, weights, p, level, D, E, i_maps, j_maps, k_maps,
                  e_reps, stages, parent=None):
-        self.r = r
-        self.n = n
+        self.weights = weights
         self.p = p
         self.level = level
         self.imax = len(E) - 1
@@ -127,8 +129,8 @@ class ExactCouple:
         if failures:
             label, i, witness = failures[0]
             raise ExactnessError(
-                f"couple level {self.level} at (r={self.r}, n={self.n}, "
-                f"p={self.p}) fails {label} in degree {i}; witness {witness}")
+                f"couple level {self.level} of weights {self.weights} at "
+                f"p={self.p} fails {label} in degree {i}; witness {witness}")
 
 
 class CoupleSum:
@@ -139,10 +141,10 @@ class CoupleSum:
     multidegree, so the couple is the direct sum over the Koszul blocks
     (derham.koszul_blocks) of their own couples: summands[b] is the couple
     of blocks[b] in the block's cochain coordinates (blocks with the same
-    differentials share one object).  Its groups, maps, representatives
-    and page differentials are those of the summands and are never
-    assembled.  A direct sum is exact (and its maps well defined) exactly
-    when every summand is, so those certificates run on the summands.
+    weights share one object).  Its groups, maps, representatives and page
+    differentials are those of the summands and are never assembled.  A
+    direct sum is exact (and its maps well defined) exactly when every
+    summand is, so those certificates run on the summands.
     """
 
     def __init__(self, r, n, p, level, blocks, summands):
@@ -156,12 +158,9 @@ class CoupleSum:
         self.dims = tuple(sum(s.e_dim(i) for s in self.summands)
                           for i in range(self.imax + 1))
 
-    def distinct_summands(self) -> list:
-        return list({id(s): s for s in self.summands}.values())
-
     def exactness_failures(self) -> list:
-        return [f for s in self.distinct_summands()
-                for f in s.exactness_failures()]
+        return [f for b in distinct_blocks(self.blocks)
+                for f in self.summands[b].exactness_failures()]
 
 
 def initial_couple(r: int, n: int, p: int) -> CoupleSum:
@@ -169,68 +168,49 @@ def initial_couple(r: int, n: int, p: int) -> CoupleSum:
 
     D is integral cohomology with the multiplication-by-p map, E is mod-p
     cohomology with j the reduction of lifts and k the connecting map
-    sending a class [z] to [(d z~)/p] for any integral lift z~.  It is
-    built block by block; D and its generators are integral_cohomology's
-    groups and lifts, in the same order.
+    sending a class [z] to [(d z~)/p] for any integral lift z~.  It is the
+    first level of couples(r, n, p, ...); D and its generators are
+    integral_cohomology's groups and lifts, in the same order.
     """
-    check_prime(p)
-    if n < 1:
-        raise ValueError("total degree must be >= 1")
-    MP = modp_cohomology(r, n, p)
-    by_diffs = {}
-    summands = []
-    for blk, mp in zip(MP.blocks, MP.block_degrees):
-        if blk.differentials not in by_diffs:
-            by_diffs[blk.differentials] = _block_couple(r, n, p, blk, mp)
-        summands.append(by_diffs[blk.differentials])
-    return CoupleSum(r, n, p, 1, MP.blocks, summands)
+    return couples(r, n, p, 1)[0]
 
 
-def _block_couple(r: int, n: int, p: int, blk, mp: Sequence) -> ExactCouple:
-    """The level-1 couple of one Koszul block, in its cochain coordinates.
-
-    D^i has the block's Smith-adapted integral generators (smith_homology,
-    as in integral_cohomology) and E^i = mp[i] its mod-p cohomology.
+def _block_couple(weights: tuple, p: int) -> ExactCouple:
+    """The level-1 couple of the Koszul block of the weights, in its
+    cochain coordinates: D^i is block_homology's H^i with its generators
+    (as in integral_cohomology), E^i is block_modp_homology's H^i.
     """
-    top = len(blk.cells) - 1
-    orders, gens = [], []
-    for i in range(top + 1):
-        entries, lift = smith_homology(blk.d(i - 1), blk.d(i))
-        orders.append(entries)
-        gens.append(lift)
-    D = [FgAbGroup.from_diagonal(entries) for entries in orders]
+    H = block_homology(weights)
+    mp = block_modp_homology(weights, p)
+    top = len(weights)
+    D = [h.group for h in H]
     E = [FgAbGroup.elementary(p, st.dim) for st in mp]
     i_maps = [Homomorphism(G, G, p * IntMatrix.identity(G.ngens)) for G in D]
 
-    j_maps = []
+    j_maps, k_maps = [], []
     for i in range(top + 1):
-        matrix, _ = class_matrix(mp[i].express, gens[i], E[i].ngens)
+        matrix, _ = class_matrix(mp[i].express, H[i].gens, E[i].ngens)
         if matrix is None:
             raise RuntimeError("integral cocycle failed to reduce mod p")
         j_maps.append(Homomorphism(D[i], E[i], matrix))
-
-    k_maps = []
-    for i in range(top + 1):
         target = D[i + 1] if i < top else FgAbGroup.zero()
-        target_orders = orders[i + 1] if i < top else ()
+        target_orders = H[i + 1].entries if i < top else ()
         cols = []
         for rep in mp[i].reps:
-            dv = blk.d(i).apply(rep)
+            dv = koszul_d(weights, i).apply(rep)
             if any(v % p for v in dv):
                 raise RuntimeError("d of a mod-p cocycle lift not divisible by p")
-            coords = (lattice_solve(gens[i + 1], [v // p for v in dv])
+            coords = (lattice_solve(H[i + 1].gens, [v // p for v in dv])
                       if i < top else ())
             if coords is None:
                 raise RuntimeError("(d z~)/p is not an integral cocycle")
-            # reduced modulo the orders of the generators, so that blocks
-            # with equal classes share their matrices
+            # reduced modulo the orders of the generators
             cols.append([v % d if d else v
                          for v, d in zip(coords, target_orders)])
         k_maps.append(Homomorphism(
             E[i], target, IntMatrix.from_columns(cols, target.ngens)))
-
-    e_reps = [st.rep_matrix() for st in mp]
-    return ExactCouple(r, n, p, 1, D, E, i_maps, j_maps, k_maps, e_reps, mp)
+    return ExactCouple(weights, p, 1, D, E, i_maps, j_maps, k_maps,
+                       [st.rep_matrix() for st in mp], mp)
 
 
 def derive(c: ExactCouple) -> ExactCouple:
@@ -311,31 +291,39 @@ def derive(c: ExactCouple) -> ExactCouple:
             raise ExactnessError("k of a surviving class misses im(i)")
         new_k.append(Homomorphism(new_E[i], target, matrix))
 
-    return ExactCouple(c.r, c.n, p, c.level + 1, subs, new_E, new_i, new_j,
+    return ExactCouple(c.weights, p, c.level + 1, subs, new_E, new_i, new_j,
                        new_k, new_e_reps, stages, parent=c)
 
 
-_COUPLES: dict = {}
-
-
 def couples(r: int, n: int, p: int, upto: int) -> list:
-    """The first `upto` couples (levels 1..upto) for (r, n, p), cached."""
-    key = (r, n, p)
-    chain = _COUPLES.get(key)
-    if chain is None:
-        chain = [initial_couple(r, n, p)]
-        _COUPLES[key] = chain
-    while len(chain) < upto:
-        chain.append(_derive_sum(chain[-1]))
-    return chain[:upto]
+    """The first `upto` couples (levels 1..upto) for (r, n, p), each the
+    direct sum of the same level of the blocks' towers (_block_tower).
+
+    A level is certified once, when it joins its tower: d∘d = 0 for its
+    page differential here, exactness when the next level is derived.
+    """
+    check_prime(p)
+    if n < 1:
+        raise ValueError("total degree must be >= 1")
+    blocks = koszul_blocks(r, n)
+    towers = [_block_tower(blk.weights, p) for blk in blocks]
+    for blk, tower in zip(blocks, towers):
+        while len(tower) < upto:
+            c = derive(tower[-1]) if tower else _block_couple(blk.weights, p)
+            if any(not (c.d_matrix(i + 1) @ c.d_matrix(i)).mod(p).is_zero()
+                   for i in range(c.imax)):
+                raise RuntimeError("page differential does not square to zero")
+            tower.append(c)
+    return [CoupleSum(r, n, p, level, blocks,
+                      [tower[level - 1] for tower in towers])
+            for level in range(1, upto + 1)]
 
 
-def _derive_sum(c: CoupleSum) -> CoupleSum:
-    """The derived couple of a direct sum: derive on each distinct block
-    couple."""
-    derived = {id(s): derive(s) for s in c.distinct_summands()}
-    return CoupleSum(c.r, c.n, c.p, c.level + 1, c.blocks,
-                     [derived[id(s)] for s in c.summands])
+@lru_cache(maxsize=None)
+def _block_tower(weights: tuple, p: int) -> list:
+    """The couples of the block of the weights at p computed so far, level
+    1 first; couples extends it in place."""
+    return []
 
 
 @dataclass(frozen=True)
@@ -365,17 +353,8 @@ def pages(r: int, n: int, p: int, kmax: int | None = None) -> list:
         kmax = valuation(n, p) + 1
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    chain = couples(r, n, p, kmax)
-    out = []
-    for c in chain:
-        # d∘d = 0 on a direct sum iff on every summand
-        for s in c.distinct_summands():
-            for i in range(s.imax):
-                if not (s.d_matrix(i + 1) @ s.d_matrix(i)).mod(p).is_zero():
-                    raise RuntimeError(
-                        "page differential does not square to zero")
-        out.append(SpectralPage(r, n, p, c.level, c.dims))
-    return out
+    return [SpectralPage(r, n, p, c.level, c.dims)
+            for c in couples(r, n, p, kmax)]
 
 
 # -- closed-form oracle ------------------------------------------------------------

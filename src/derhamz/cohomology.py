@@ -1,18 +1,21 @@
 """Integral and mod-p cohomology of the de Rham complex, block by block.
 
 Both are direct sums over the multidegree blocks of the complex
-(derham.koszul_blocks); results are cached per (r, n) and (r, n, p).
+(derham.koszul_blocks).  Per-block results are cached by the block's ordered
+nonzero weights (KoszulBlock.weights), shared by every (r, n): block_homology
+by the weights, block_modp_homology and _cartier_block by the weights and
+p.  The assembled results are cached per (r, n) and (r, n, p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import modp
 from .abgroups import FgAbGroup, Homomorphism, homology_at
-from .derham import block_multiples, dim_formula, koszul_blocks
+from .derham import block_multiples, dim_formula, koszul_blocks, koszul_d
 from .intlinalg import IntMatrix, place_blocks, snf, unimodular_inverse
 from .modp import check_prime
 
@@ -44,25 +47,38 @@ def integral_cohomology(r: int, n: int) -> CohomologyResult:
     """H^i over Z for every degree of the total-degree-n complex.
 
     The complex is the direct sum of its multidegree blocks
-    (derham.koszul_blocks), so H^i is the sum of the blocks' H^i, each from
-    smith_homology on the block's own differentials, once per distinct
-    differentials.  H^i is presented by the square diagonal matrix of the
-    Smith entries, blocks in basis order; smith_homology on a block gives
-    that block's generators.
+    (derham.koszul_blocks), so H^i is the sum of the blocks' H^i
+    (block_homology).  H^i is presented by the square diagonal matrix of
+    the Smith entries, blocks in basis order; block_homology gives each
+    block's generators.
     """
     blocks = koszul_blocks(r, n)
-    entries = {}             # per distinct differentials, per degree
-    for blk in blocks:
-        if blk.differentials not in entries:
-            entries[blk.differentials] = [
-                smith_homology(blk.d(i - 1), blk.d(i))[0]
-                for i in range(len(blk.cells))]
     degrees = []
     for i in range(min(n, r) + 1):
         diag = [e for blk in blocks if i < len(blk.cells)
-                for e in entries[blk.differentials][i]]
+                for e in block_homology(blk.weights)[i].entries]
         degrees.append(HDegree(i, FgAbGroup.from_diagonal(diag)))
     return CohomologyResult(r, n, tuple(degrees))
+
+
+class BlockHomology(NamedTuple):
+    """H^i over Z of one block: smith_homology's entries and gens."""
+    entries: tuple
+    gens: IntMatrix
+
+    @property
+    def group(self) -> FgAbGroup:
+        """Presented by the square diagonal of the entries."""
+        return FgAbGroup.from_diagonal(self.entries)
+
+
+@lru_cache(maxsize=None)
+def block_homology(weights: tuple) -> tuple:
+    """H^0 .. H^s over Z of the Koszul block of the s ordered nonzero
+    weights, as BlockHomology from smith_homology on the block d."""
+    return tuple(BlockHomology(*smith_homology(koszul_d(weights, i - 1),
+                                              koszul_d(weights, i)))
+                 for i in range(len(weights) + 1))
 
 
 def smith_homology(d_in: IntMatrix, d_out: IntMatrix):
@@ -74,10 +90,10 @@ def smith_homology(d_in: IntMatrix, d_out: IntMatrix):
     """
     G, K = homology_at(d_in, d_out)
     if not K.ncols:
-        return [], K
+        return (), K
     S, U, _ = snf(G.relations)
-    entries = [S[t, t] for t in range(min(S.shape))]
-    entries += [0] * (K.ncols - min(S.shape))
+    entries = tuple(S[t, t] for t in range(min(S.shape)))
+    entries += (0,) * (K.ncols - min(S.shape))
     return entries, K @ unimodular_inverse(U)
 
 
@@ -209,30 +225,30 @@ class ModpCohomologyResult:
 
 @lru_cache(maxsize=None)
 def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
-    """Cohomology of the complex tensored with Z/p, block by block.
-
-    Each block's H^i comes from modp_homology on the block's own
-    differentials, once per distinct differentials (blocks with the same
-    ordered nonzero weights share them).
-    """
+    """Cohomology of the complex tensored with Z/p: each block's H^i is
+    block_modp_homology of its weights."""
     check_prime(p)
     blocks = koszul_blocks(r, n)
-    by_diffs = {}
-    for blk in blocks:
-        if blk.differentials not in by_diffs:
-            by_diffs[blk.differentials] = tuple(
-                modp_homology(i, blk.d(i - 1), blk.d(i), p)
-                for i in range(len(blk.cells)))
     return ModpCohomologyResult(
-        r, n, p, blocks, [by_diffs[blk.differentials] for blk in blocks])
+        r, n, p, blocks, [block_modp_homology(blk.weights, p)
+                          for blk in blocks])
+
+
+@lru_cache(maxsize=None)
+def block_modp_homology(weights: tuple, p: int) -> tuple:
+    """H^0 .. H^s over the p-element field of the Koszul block of the s
+    ordered nonzero weights, each a ModpDegree from modp_homology."""
+    return tuple(modp_homology(i, koszul_d(weights, i - 1),
+                               koszul_d(weights, i), p)
+                 for i in range(len(weights) + 1))
 
 
 def cocycle_dim(r: int, n: int, i: int, p: int) -> int:
-    """Dimension of the mod-p cocycle space in one degree: the cochain
-    dimension minus the mod-p ranks of the blocks' d^i."""
-    check_prime(p)
-    return dim_formula(r, n, i) - sum(modp.rank(blk.d(i), p)
-                                      for blk in koszul_blocks(r, n))
+    """Dimension of the mod-p cocycle space in one degree: the sum of the
+    blocks' mod-p cocycle counts."""
+    return sum(len(degs[i].cocycles)
+               for degs in modp_cohomology(r, n, p).block_degrees
+               if 0 <= i < len(degs))
 
 
 def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
@@ -252,53 +268,52 @@ def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
     return IntMatrix.from_columns(cols, dim), None
 
 
-def cartier_blocks(r: int, n: int, i: int, p: int):
-    """The inverse Cartier map in degree i on each distinct block pair,
-    certified bijective.
+def cartier_blocks(r: int, n: int, i: int, p: int) -> list:
+    """The inverse Cartier map in degree i on each block, certified
+    bijective.
 
     In block coordinates the representative x -> x^p, dx -> x^(p-1) dx is
     the identity from block beta of total degree n to block p*beta of
-    degree p*n (derham.block_multiples), so the map of a pair sends the
-    unit cochains of p*beta to their mod-p classes.  Checks, once per
-    distinct pair, that those cochains are mod-p cocycles and that their
-    classes are a basis of the block's H^i, and on every other block of
-    degree p*n, whose weight has an entry prime to p, that its mod-p H^i
-    vanishes.
+    degree p*n (derham.block_multiples); _cartier_block gives the map of a
+    pair.  Also checks, on every other block of degree p*n, whose weight
+    has an entry prime to p, that its mod-p H^i vanishes.
 
-    Returns a dict from a block's differentials to its class matrix.
+    Returns per block its class matrix, None above the block's top degree.
     Raises RuntimeError when a check fails, which would falsify the
     implementation rather than the statement.
     """
     check_prime(p)
     target = modp_cohomology(r, p * n, p)
     blocks = koszul_blocks(r, n)
-    images, others = block_multiples(blocks, target.blocks, p)
-    where = f"(r={r}, n={n}, i={i}, p={p})"
-    matrices = {}
-    for blk, c in zip(blocks, images):
-        if blk.differentials in matrices or i >= len(blk.cells):
-            continue
-        image = target.blocks[c]
-        if not image.d(i).mod(p).is_zero():
-            raise RuntimeError(f"representative columns are not mod-p "
-                               f"cocycles at {where}, block {image.beta}")
-        deg = target.block_degrees[c][i]
-        cells = len(blk.cells[i])
-        matrix, _ = class_matrix(deg.express, IntMatrix.identity(cells),
-                                 deg.dim)
-        if deg.dim != cells or matrix is None or \
-                modp.rank(matrix, p) != cells:
-            raise RuntimeError(
-                f"cartier map not bijective at {where}, block {image.beta}: "
-                f"dims {cells} vs {deg.dim}")
-        matrices[blk.differentials] = matrix
+    matrices = [_cartier_block(blk.weights, i, p)
+                if i < len(blk.cells) else None for blk in blocks]
+    _, others = block_multiples(blocks, target.blocks, p)
     for c in others:
         degs = target.block_degrees[c]
         if i < len(degs) and degs[i].dim:
             raise RuntimeError(
-                f"mod-p H^{i} of block {target.blocks[c].beta} at {where} "
-                f"is nonzero, though p does not divide its weight")
+                f"mod-p H^{i} of block {target.blocks[c].beta} at "
+                f"(r={r}, n={n}, i={i}, p={p}) is nonzero, though p does not "
+                f"divide its weight")
     return matrices
+
+
+@lru_cache(maxsize=None)
+def _cartier_block(weights: tuple, i: int, p: int) -> IntMatrix:
+    """The class matrix of the unit cochains of the block of p*w in its
+    mod-p H^i, checked to be cocycles whose classes are a basis."""
+    multiple = tuple(p * w for w in weights)
+    where = f"block of weights {multiple}, i={i}, p={p}"
+    if not koszul_d(multiple, i).mod(p).is_zero():
+        raise RuntimeError(
+            f"representative columns are not mod-p cocycles on the {where}")
+    deg = block_modp_homology(multiple, p)[i]
+    cells = deg.dim_cochain
+    matrix, _ = class_matrix(deg.express, IntMatrix.identity(cells), deg.dim)
+    if deg.dim != cells or matrix is None or modp.rank(matrix, p) != cells:
+        raise RuntimeError(f"cartier map not bijective on the {where}: "
+                           f"dims {cells} vs {deg.dim}")
+    return matrix
 
 
 def cartier_iso(r: int, n: int, i: int, p: int) -> Homomorphism:
@@ -312,8 +327,9 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> Homomorphism:
     matrices = cartier_blocks(r, n, i, p)
     # the blocks p*beta are in basis order and the other blocks have no
     # classes, so the blocks' classes follow each other
-    placed = [(blk.cells[i], matrices[blk.differentials].transpose())
-              for blk in koszul_blocks(r, n) if i < len(blk.cells)]
+    placed = [(blk.cells[i], M.transpose())
+              for blk, M in zip(koszul_blocks(r, n), matrices)
+              if M is not None]
     src_dim = dim_formula(r, n, i)
     dim = modp_cohomology(r, p * n, p).dim(i)
     return Homomorphism(FgAbGroup.elementary(p, src_dim),

@@ -107,66 +107,71 @@ class KoszulBlock(NamedTuple):
     x^alpha dx_T, so the cells of weight beta (|beta| = n) span a
     subcomplex: the Koszul complex of the integers beta_j, j in the support
     of beta.  Its degree-i cells are x^(beta - 1_T) dx_T for the i-subsets T
-    of the support, in colex order.
+    of the support, in colex order.  Blocks with equal ordered nonzero
+    weights are the same complex; every per-block result is cached by them.
     """
     beta: tuple             # the weight, length r
     support: tuple          # the j with beta_j > 0, increasing
     cells: tuple            # cells[i]: global indices in basis(r, n, i)
-    differentials: tuple    # differentials[i]: block d from degree i to i+1
-    contractions: tuple     # contractions[i]: block kappa from degree i to i-1
+    weights: tuple          # beta_j for j in support: the sharing key
 
     def d(self, i: int) -> IntMatrix:
         """The block d^i; the zero map outside 0 <= i <= len(support)."""
-        if 0 <= i < len(self.differentials):
-            return self.differentials[i]
-        return IntMatrix.zeros(self._dim(i + 1), self._dim(i))
+        return koszul_d(self.weights, i)
 
     def kappa(self, i: int) -> IntMatrix:
         """The block kappa from degree i to i-1; the zero map outside
         0 <= i <= len(support)."""
-        if 0 <= i < len(self.contractions):
-            return self.contractions[i]
-        return IntMatrix.zeros(self._dim(i - 1), self._dim(i))
+        s = len(self.weights)
+        if 0 <= i <= s:
+            return _koszul_contractions(s)[i]
+        return IntMatrix.zeros(_ncells(s, i - 1), _ncells(s, i))
 
-    def _dim(self, i: int) -> int:
-        return len(self.cells[i]) if 0 <= i < len(self.cells) else 0
+
+def koszul_d(weights: tuple, i: int) -> IntMatrix:
+    """d^i of the Koszul complex of the given integers; the zero map
+    outside 0 <= i <= len(weights)."""
+    s = len(weights)
+    if 0 <= i <= s:
+        return _koszul_differentials(weights)[i]
+    return IntMatrix.zeros(_ncells(s, i + 1), _ncells(s, i))
+
+
+def _ncells(s: int, i: int) -> int:
+    """Number of degree-i cells of a block with s weights."""
+    return comb(s, i) if 0 <= i <= s else 0
 
 
 @lru_cache(maxsize=None)
 def koszul_blocks(r: int, n: int) -> tuple:
     """The blocks of the total-degree-n complex, beta in lex decreasing order.
 
-    Embedding every block's differentials[i] at its cells and summing gives
-    d on the whole (r, n, i) piece.  A block matrix depends only on the
-    ordered nonzero weights: d sends dx_T to dx_(T + j) with coefficient
-    beta_j times _merge_sign read in support-relative positions.  kappa
-    sends x^alpha dx_T to the sum over positions k of (-1)^(k-1)
-    x^(alpha + e_(t_k)) dx_(T - t_k), which stays in the block with
-    coefficient +-1, so the block kappa depends only on the size of the
-    support.
+    Embedding every block's d^i at its cells and summing gives d on the
+    whole (r, n, i) piece.  A block d depends only on the ordered nonzero
+    weights: d sends dx_T to dx_(T + j) with coefficient beta_j times
+    _merge_sign read in support-relative positions.  kappa sends x^alpha
+    dx_T to the sum over positions k of (-1)^(k-1) x^(alpha + e_(t_k))
+    dx_(T - t_k), which stays in the block with coefficient +-1, so the
+    block kappa depends only on the size of the support.
     """
+    if r < 0 or n < 0:
+        raise ValueError("r and n must be nonnegative")
     blocks = []
-    by_weights = {}
     for beta in _compositions_desc(n, r):
         support = tuple(j for j in range(1, r + 1) if beta[j - 1])
-        s = len(support)
         cells = []
-        for i in range(s + 1):
+        for i in range(len(support) + 1):
             idx = _index_map(r, n, i)
             row = []
-            for T in _subsets_colex(s, i):
+            for T in _subsets_colex(len(support), i):
                 glob = tuple(support[t - 1] for t in T)
                 alpha = list(beta)
                 for t in glob:
                     alpha[t - 1] -= 1
                 row.append(idx[BasisElement(tuple(alpha), glob)])
             cells.append(tuple(row))
-        weights = tuple(beta[j - 1] for j in support)
-        if weights not in by_weights:
-            by_weights[weights] = _koszul_differentials(weights)
         blocks.append(KoszulBlock(beta, support, tuple(cells),
-                                  by_weights[weights],
-                                  _koszul_contractions(s)))
+                                  tuple(beta[j - 1] for j in support)))
     return tuple(blocks)
 
 
@@ -194,14 +199,15 @@ def block_multiples(blocks: Sequence[KoszulBlock],
 
 
 def distinct_blocks(blocks: Sequence[KoszulBlock]) -> list:
-    """The index of the first block of each distinct differentials: blocks
-    with the same ordered nonzero weights are the same complex."""
+    """The index of the first block of each distinct weights: blocks with
+    the same ordered nonzero weights are the same complex."""
     first = {}
     for b, blk in enumerate(blocks):
-        first.setdefault(blk.differentials, b)
+        first.setdefault(blk.weights, b)
     return list(first.values())
 
 
+@lru_cache(maxsize=None)
 def _koszul_differentials(weights: tuple) -> tuple:
     """d^0 .. d^s of the Koszul complex of the s given integers."""
     s = len(weights)

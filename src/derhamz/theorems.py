@@ -25,12 +25,12 @@ from .abgroups import (
     subgroup_pk,
 )
 from .cohomology import (
+    block_homology,
     cartier_blocks,
     class_matrix,
     cocycle_dim,
     integral_cohomology,
     modp_cohomology,
-    smith_homology,
 )
 from .derham import block_multiples, distinct_blocks, koszul_blocks
 from .intlinalg import IntMatrix
@@ -129,7 +129,7 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
                    all(n % d == 0 for d in G.invariant_factors),
                    {"degree": i, "factors": list(G.invariant_factors)})
         # H^i is the direct sum of the blocks' H^i, generators included
-        groups = [_block_homology(blk, i)[0] for blk in blocks
+        groups = [block_homology(blk.weights)[i].group for blk in blocks
                   if i < len(blk.cells)]
         killed = all(
             B.element_is_zero([n if t == j else 0 for t in range(B.ngens)])
@@ -159,13 +159,6 @@ def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
     return checks.report("cartier", (("r", r), ("n", n), ("p", p)))
 
 
-def _block_homology(blk, i: int):
-    """H^i of one Koszul block over Z, with its Smith-adapted generators
-    (the D^i of the block's level-1 couple)."""
-    entries, gens = smith_homology(blk.d(i - 1), blk.d(i))
-    return FgAbGroup.from_diagonal(entries), gens
-
-
 def _block_frobenius(src, tgt, i: int, scale: int,
                      literal: bool = False) -> Homomorphism:
     """The map H^i(src) -> H^i(tgt) of a block pair (beta, p*beta) induced
@@ -178,8 +171,10 @@ def _block_frobenius(src, tgt, i: int, scale: int,
     defined on cohomology after one multiplication by p.  In degree 1 the
     two coincide.
     """
+    h_src = block_homology(src.weights)[i]
+    h_tgt = block_homology(tgt.weights)[i]
     return induced_map(scale * IntMatrix.identity(len(src.cells[i])),
-                       _block_homology(src, i), _block_homology(tgt, i),
+                       (h_src.group, h_src.gens), (h_tgt.group, h_tgt.gens),
                        tgt_d_out=tgt.d(i) if literal else None)
 
 
@@ -336,7 +331,7 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
                  for blk, _, _, g, _, _, h in row if h is None)):
             continue
         unhit = [(blk, primary_part(subgroup_pk(
-                      _block_homology(blk, i)[0], p, 1)[0], p))
+                      block_homology(blk.weights)[i].group, p, 1)[0], p))
                  for blk in others if i < len(blk.cells)]
         checks.add_all(f"restricted map bijective, degree {i}", [
             _at(i, blk, source=PA.describe(), target=PpB.describe(),

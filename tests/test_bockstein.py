@@ -123,7 +123,7 @@ class TestInitialCouple:
                         coords, k.col(col)), (r, n, p, i)
 
     def test_differential_is_zero_outside_degree_range(self):
-        for s in initial_couple(2, 4, 2).distinct_summands():
+        for s in initial_couple(2, 4, 2).summands:
             assert s.d_matrix(-1).shape == (s.e_dim(0), 0)
             assert s.d_matrix(s.imax).shape == (0, s.e_dim(s.imax))
 
@@ -148,7 +148,7 @@ class TestExactness:
     def test_derive_rejects_broken_couple(self):
         (c,) = initial_couple(1, 2, 2).summands
         broken = ExactCouple(
-            c.r, c.n, c.p, c.level, c.D, c.E, c.i_maps,
+            c.weights, c.p, c.level, c.D, c.E, c.i_maps,
             [Homomorphism.zero(c.D[i], c.E[i]) for i in range(c.imax + 1)],
             c.k_maps, c.e_reps, c.stages)
         with pytest.raises(ExactnessError):
@@ -174,7 +174,7 @@ class TestDerive:
 
     def test_d_squared_zero_on_pages(self):
         for c in couples(2, 8, 2, valuation(8, 2) + 1):
-            for s in c.distinct_summands():
+            for s in c.summands:
                 for i in range(s.imax):
                     prod = s.d_matrix(i + 1) @ s.d_matrix(i)
                     assert prod.mod(2).is_zero(), (c.level, i)

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derhamz.bockstein import closed_form_page, pages
+from derhamz.cohomology import integral_cohomology, modp_cohomology
 from derhamz.derham import (
     BasisElement,
     basis,
@@ -236,7 +238,7 @@ class TestKoszulBlocks:
                 for i in range(r + 1):
                     d = d_matrix(r, n, i)
                     total, covered = _embedded_sum(
-                        blocks, lambda blk: blk.differentials[i], i, i + 1,
+                        blocks, lambda blk: blk.d(i), i, i + 1,
                         d.shape)
                     assert total == d, (r, n, i)
                     assert sorted(covered) == list(range(d.ncols)), (r, n, i)
@@ -272,8 +274,10 @@ class TestKoszulBlocks:
                             image = multiples[c]
                             assert image.beta == tuple(p * b
                                                        for b in blk.beta)
-                            assert image.differentials == tuple(
-                                p * d for d in blk.differentials)
+                            assert image.weights == tuple(
+                                p * w for w in blk.weights)
+                            assert all(image.d(j) == p * blk.d(j)
+                                       for j in range(len(blk.cells)))
                             if i < len(blk.cells):
                                 source_of.update(zip(image.cells[i],
                                                      blk.cells[i]))
@@ -288,6 +292,15 @@ class TestKoszulBlocks:
                                     assert row[source_of[g]] == coeff
                                 else:
                                     assert nonzero == 0, (r, n, p, i, g)
+
+    def test_negative_arguments_raise_value_error(self):
+        # as basis does, instead of recursing without end
+        for call, args in ((integral_cohomology, (-1, 3)),
+                           (modp_cohomology, (-1, 3, 2)),
+                           (pages, (-1, 3, 3)),
+                           (closed_form_page, (-2, 4, 2, 1))):
+            with pytest.raises(ValueError):
+                call(*args)
 
     def test_block_cells_carry_their_weight(self):
         for blk in koszul_blocks(3, 5):

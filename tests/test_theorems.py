@@ -9,9 +9,9 @@ from derhamz.abgroups import (
     homology_at,
     induced_map,
 )
-from derhamz.cohomology import integral_cohomology
+from derhamz.cohomology import cocycle_dim, integral_cohomology
 from derhamz.derham import dim_formula
-from derhamz.modp import primes_dividing, valuation
+from derhamz.modp import MAX_PRIME, primes_dividing, valuation
 from derhamz.theorems import (
     VerificationReport,
     sweep,
@@ -112,6 +112,32 @@ class TestFiltration:
                 if not verify_filtration(r, n).ok:
                     failing.add((r, n))
         assert failing == {(2, 8), (3, 8), (2, 12), (3, 12)}
+
+    def test_cocycle_form_defect_is_higher_slice_cohomology(self):
+        # criterion 8b explained exactly: with m = n/p^k, dim Z^i(m) mod p
+        # minus the graded piece is sum_{j>i} (-1)^(j-i-1) dim H^j(m) mod p,
+        # and Cartier makes that the alternating sum of the form dimensions
+        # of degree m/p when p | m, zero otherwise
+        cases, defects = 0, 0
+        for r, nmax in ((1, 24), (2, 24), (3, 24), (4, 12)):
+            for n in range(1, nmax + 1):
+                H = integral_cohomology(r, n)
+                for p in primes_dividing(n):
+                    if p > MAX_PRIME:
+                        continue
+                    for k in range(1, valuation(n, p) + 1):
+                        m = n // p ** k
+                        for i in range(1, min(n, r) + 1):
+                            defect = (cocycle_dim(r, m, i, p)
+                                      - graded_piece_dim(H.group(i), p, k))
+                            predicted = sum(
+                                (-1) ** (j - i - 1) * dim_formula(r, m // p, j)
+                                for j in range(i + 1, r + 1)) \
+                                if m % p == 0 else 0
+                            assert defect == predicted, (r, n, p, k, i)
+                            cases += 1
+                            defects += defect != 0
+        assert (cases, defects) == (324, 24)
 
     def test_failures_carry_witnesses(self):
         rep = verify_filtration(2, 8)
