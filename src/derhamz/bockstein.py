@@ -9,9 +9,9 @@ multidegree blocks of the complex, and are computed block by block
 (CoupleSum).  The tower of couples of a block is cached by the block's
 ordered nonzero weights and the prime, and shared by every total degree.
 
-Pages are stored as elementary abelian p-groups with explicit cochain-level
-representatives in block coordinates, so later comparisons are matrix
-equalities rather than abstract isomorphism claims.
+Each page is an elementary abelian p-group per degree, stored as a mod-p
+subquotient of the previous page (ExactCouple.stages), so the class of a
+cochain on any page, and every comparison, is exact matrix algebra.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .cohomology import (
     modp_homology,
 )
 from .derham import (
-    block_multiples,
+    block_pairs,
     dim_formula,
     distinct_blocks,
     koszul_blocks,
@@ -57,15 +57,14 @@ class ExactCouple:
 
     weights are the block's ordered nonzero weights.  D and E hold the
     per-degree groups, i/j/k the three maps (k raises the degree by one and
-    lands in the zero group at the top).  e_reps carries mod-p cochain
-    representatives for the E generators, in block coordinates.  stages[i]
-    is E^i as a mod-p subquotient: of the cochains at level 1, of the
-    parent's E^i (by the parent's differential) at later levels; parent
-    points to the couple this one was derived from.
+    lands in the zero group at the top).  stages[i] is E^i as a mod-p
+    subquotient: of the block cochains at level 1, of the parent's E^i (by
+    the parent's differential) at later levels; parent points to the couple
+    this one was derived from.
     """
 
     def __init__(self, weights, p, level, D, E, i_maps, j_maps, k_maps,
-                 e_reps, stages, parent=None):
+                 stages, parent=None):
         self.weights = weights
         self.p = p
         self.level = level
@@ -75,7 +74,6 @@ class ExactCouple:
         self.i_maps = tuple(i_maps)
         self.j_maps = tuple(j_maps)
         self.k_maps = tuple(k_maps)
-        self.e_reps = tuple(e_reps)
         self.stages = tuple(stages)
         self.parent = parent
 
@@ -141,8 +139,8 @@ class CoupleSum:
     multidegree, so the couple is the direct sum over the Koszul blocks
     (derham.koszul_blocks) of their own couples: summands[b] is the couple
     of blocks[b] in the block's cochain coordinates (blocks with the same
-    weights share one object).  Its groups, maps, representatives and page
-    differentials are those of the summands and are never assembled.  A
+    weights share one object).  Its groups, maps and page differentials are
+    those of the summands and are never assembled.  A
     direct sum is exact (and its maps well defined) exactly when every
     summand is, so those certificates run on the summands.
     """
@@ -167,10 +165,11 @@ def initial_couple(r: int, n: int, p: int) -> CoupleSum:
     """The couple of the mod-p coefficient sequence in total degree n.
 
     D is integral cohomology with the multiplication-by-p map, E is mod-p
-    cohomology with j the reduction of lifts and k the connecting map
-    sending a class [z] to [(d z~)/p] for any integral lift z~.  It is the
-    first level of couples(r, n, p, ...); D and its generators are
-    integral_cohomology's groups and lifts, in the same order.
+    cohomology with j the reduction mod p of integral cocycles and k the
+    connecting map sending a class [z] to [(d z~)/p] for any integral
+    cochain z~ reducing to z.  It is the first level of couples(r, n, p,
+    ...); each summand's D^i is block_homology's H^i of its block, on the
+    block's Smith-adapted generators.
     """
     return couples(r, n, p, 1)[0]
 
@@ -209,8 +208,7 @@ def _block_couple(weights: tuple, p: int) -> ExactCouple:
                          for v, d in zip(coords, target_orders)])
         k_maps.append(Homomorphism(
             E[i], target, IntMatrix.from_columns(cols, target.ngens)))
-    return ExactCouple(weights, p, 1, D, E, i_maps, j_maps, k_maps,
-                       [st.rep_matrix() for st in mp], mp)
+    return ExactCouple(weights, p, 1, D, E, i_maps, j_maps, k_maps, mp)
 
 
 def derive(c: ExactCouple) -> ExactCouple:
@@ -242,10 +240,7 @@ def derive(c: ExactCouple) -> ExactCouple:
     # E' = ker d / im d with d = j∘k, handled entirely mod p
     stages = [modp_homology(i, c.d_matrix(i - 1), c.d_matrix(i), p)
               for i in range(imax + 1)]
-    stage_reps = [st.rep_matrix() for st in stages]
     new_E = [FgAbGroup.elementary(p, st.dim) for st in stages]
-    new_e_reps = [(c.e_reps[i] @ stage_reps[i]).mod(p)
-                  for i in range(imax + 1)]
 
     new_j = []
     for i in range(imax + 1):
@@ -286,13 +281,13 @@ def derive(c: ExactCouple) -> ExactCouple:
             else IntMatrix.zeros(0, 0)
         matrix, _ = class_matrix(
             partial(express_through, target_incl, target_rel),
-            c.k_maps[i].matrix @ stage_reps[i], target.ngens)
+            c.k_maps[i].matrix @ stages[i].rep_matrix(), target.ngens)
         if matrix is None:
             raise ExactnessError("k of a surviving class misses im(i)")
         new_k.append(Homomorphism(new_E[i], target, matrix))
 
     return ExactCouple(c.weights, p, c.level + 1, subs, new_E, new_i, new_j,
-                       new_k, new_e_reps, stages, parent=c)
+                       new_k, stages, parent=c)
 
 
 def couples(r: int, n: int, p: int, upto: int) -> list:
@@ -529,8 +524,8 @@ def _block_oracle_failure(couple: CoupleSum, k: int) -> Optional[dict]:
     """The first failure of the comparison on the blocks, or None.
 
     Each distinct ordered weight vector is checked once, against the
-    summand of its first block (the oracle's own key, so a summand the
-    engine shares between different weights is still checked for each).
+    summand of its first block: the oracle keeps its own key, and the
+    engine shares a summand only between blocks of the same weights.
     Failures to conjugate the differentials come last, after every failure
     of dimensions, survival or bijectivity on some block.
     """
@@ -613,7 +608,7 @@ def verify_page_identification(r: int, n: int, p: int,
 
     The explicit map composes k Cartier cochain representatives.  In block
     coordinates it is the identity from block gamma of degree m = n/p^k to
-    block p^k*gamma of degree n (derham.block_multiples), so it is checked
+    block p^k*gamma of degree n (derham.block_pairs), so it is checked
     one distinct block pair at a time: its columns are mod-p cocycles, and
     it is an isomorphism of complexes, bijective per degree and conjugating
     the block d into d_k.  Every other block of degree n has a weight not
@@ -675,10 +670,10 @@ def _block_identification_failure(couple: CoupleSum, sources: Sequence,
     class that does not survive, a class matrix of low rank, a nonzero
     page on a block that is no q-multiple).
     """
-    images, others = block_multiples(sources, couple.blocks, q)
+    pairs, others = block_pairs(sources, couple.blocks, q)
     conjugation = None
-    for b in distinct_blocks(sources):
-        blk, summand = couple.blocks[images[b]], couple.summands[images[b]]
+    for b, c in pairs:
+        blk, summand = couple.blocks[c], couple.summands[c]
         for i in range(len(blk.cells)):
             if not blk.d(i).mod(couple.p).is_zero():
                 return {"check": "cocycle", "degree": i,

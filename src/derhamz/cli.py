@@ -64,6 +64,11 @@ def _check_bounds(args) -> None:
         raise BoundsError(
             f"degree {n} outside safe bounds 0..{DEFAULT_NMAX} "
             "(use --unsafe-bounds to override)")
+    # every page costs a derivation of every block's tower
+    if kmax is not None and kmax > DEFAULT_NMAX:
+        raise BoundsError(
+            f"page count {kmax} outside safe bounds 1..{DEFAULT_NMAX} "
+            "(use --unsafe-bounds to override)")
 
 
 def _document(command: str, parameters: dict, results) -> dict:

@@ -14,9 +14,9 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import modp
-from .abgroups import FgAbGroup, Homomorphism, homology_at
-from .derham import block_multiples, dim_formula, koszul_blocks, koszul_d
-from .intlinalg import IntMatrix, place_blocks, snf, unimodular_inverse
+from .abgroups import FgAbGroup, homology_at
+from .derham import block_pairs, koszul_blocks, koszul_d
+from .intlinalg import IntMatrix, snf, unimodular_inverse
 from .modp import check_prime
 
 
@@ -146,81 +146,18 @@ def modp_homology(i: int, d_in: IntMatrix, d_out: IntMatrix,
                       reps, p)
 
 
-class ModpDegreeSum:
-    """A direct sum of mod-p subquotients in one degree.
-
-    parts holds (indices, summand) pairs: the summand's cochain coordinates
-    are the entries at indices of a dim_cochain vector, and class
-    coordinates are the summands' coordinates concatenated in part order.
-    The indices of the parts partition range(dim_cochain).
-    """
-
-    __slots__ = ("i", "dim_cochain", "parts", "dim", "_p", "_offsets")
-
-    def __init__(self, i, dim_cochain, parts, p):
-        self.i = i
-        self.dim_cochain = dim_cochain
-        self.parts = tuple(parts)
-        self._offsets = []
-        self.dim = 0
-        for _, st in self.parts:
-            self._offsets.append(self.dim)
-            self.dim += st.dim
-        self._p = p
-
-    def express(self, z: Sequence[int]) -> Optional[tuple]:
-        """Class coordinates of a mod-p cocycle, or None if z is no cocycle;
-        solved only in the parts where z is nonzero mod p."""
-        p = self._p
-        coords = [0] * self.dim
-        for (idx, st), offset in zip(self.parts, self._offsets):
-            part = [z[g] for g in idx]
-            if any(v % p for v in part):
-                part = st.express(part)
-                if part is None:
-                    return None
-                coords[offset:offset + st.dim] = part
-        return tuple(coords)
-
-
+@dataclass(frozen=True)
 class ModpCohomologyResult:
-    """dim H^i = dim Z^i - dim B^i over the p-element field, per degree.
+    """Mod-p cohomology, the direct sum of its Koszul blocks' cohomology.
 
-    block_degrees[b][i] is H^i of the Koszul block blocks[b], and degrees[i]
-    is the direct sum of the blocks' H^i, blocks in basis order.
-    """
-
-    def __init__(self, r, n, p, blocks, block_degrees):
-        self.r = r
-        self.n = n
-        self.p = p
-        self.blocks = tuple(blocks)
-        self.block_degrees = tuple(block_degrees)
-        self.degrees = tuple(
-            ModpDegreeSum(i, dim_formula(r, n, i),
-                          [(blk.cells[i], bd[i]) for blk, bd
-                           in zip(self.blocks, self.block_degrees)
-                           if i < len(bd)], p)
-            for i in range(min(n, r) + 1))
-
-    @property
-    def top(self) -> int:
-        return len(self.degrees) - 1
-
-    def degree(self, i: int) -> ModpDegreeSum:
-        if 0 <= i <= self.top:
-            return self.degrees[i]
-        return ModpDegreeSum(i, dim_formula(self.r, self.n, i), (), self.p)
-
-    def dim(self, i: int) -> int:
-        return self.degree(i).dim
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(d.dim for d in self.degrees)
-
-    def express(self, i: int, z: Sequence[int]) -> Optional[tuple]:
-        return self.degree(i).express(z)
+    block_degrees[b][i] is H^i of the block blocks[b] over the p-element
+    field, and dims[i] = dim Z^i - dim B^i is the dimension of the sum."""
+    r: int
+    n: int
+    p: int
+    blocks: tuple
+    block_degrees: tuple
+    dims: tuple
 
 
 @lru_cache(maxsize=None)
@@ -229,9 +166,10 @@ def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
     block_modp_homology of its weights."""
     check_prime(p)
     blocks = koszul_blocks(r, n)
-    return ModpCohomologyResult(
-        r, n, p, blocks, [block_modp_homology(blk.weights, p)
-                          for blk in blocks])
+    degs = tuple(block_modp_homology(blk.weights, p) for blk in blocks)
+    dims = tuple(sum(bd[i].dim for bd in degs if i < len(bd))
+                 for i in range(min(n, r) + 1))
+    return ModpCohomologyResult(r, n, p, blocks, degs, dims)
 
 
 @lru_cache(maxsize=None)
@@ -268,17 +206,18 @@ def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
     return IntMatrix.from_columns(cols, dim), None
 
 
-def cartier_blocks(r: int, n: int, i: int, p: int) -> list:
-    """The inverse Cartier map in degree i on each block, certified
-    bijective.
+def cartier_iso(r: int, n: int, i: int, p: int) -> list:
+    """The inverse Cartier map from the mod-p forms of degree (n, i) to
+    mod-p H^i of total degree p*n, block by block, certified bijective.
 
     In block coordinates the representative x -> x^p, dx -> x^(p-1) dx is
     the identity from block beta of total degree n to block p*beta of
-    degree p*n (derham.block_multiples); _cartier_block gives the map of a
+    degree p*n (derham.block_pairs); _cartier_block gives the map of a
     pair.  Also checks, on every other block of degree p*n, whose weight
     has an entry prime to p, that its mod-p H^i vanishes.
 
-    Returns per block its class matrix, None above the block's top degree.
+    Returns per block beta of koszul_blocks(r, n) the class matrix of its
+    degree-i cells in block p*beta, None outside the block's degrees.
     Raises RuntimeError when a check fails, which would falsify the
     implementation rather than the statement.
     """
@@ -286,11 +225,11 @@ def cartier_blocks(r: int, n: int, i: int, p: int) -> list:
     target = modp_cohomology(r, p * n, p)
     blocks = koszul_blocks(r, n)
     matrices = [_cartier_block(blk.weights, i, p)
-                if i < len(blk.cells) else None for blk in blocks]
-    _, others = block_multiples(blocks, target.blocks, p)
+                if 0 <= i < len(blk.cells) else None for blk in blocks]
+    _, others = block_pairs(blocks, target.blocks, p)
     for c in others:
         degs = target.block_degrees[c]
-        if i < len(degs) and degs[i].dim:
+        if 0 <= i < len(degs) and degs[i].dim:
             raise RuntimeError(
                 f"mod-p H^{i} of block {target.blocks[c].beta} at "
                 f"(r={r}, n={n}, i={i}, p={p}) is nonzero, though p does not "
@@ -314,24 +253,3 @@ def _cartier_block(weights: tuple, i: int, p: int) -> IntMatrix:
         raise RuntimeError(f"cartier map not bijective on the {where}: "
                            f"dims {cells} vs {deg.dim}")
     return matrix
-
-
-def cartier_iso(r: int, n: int, i: int, p: int) -> Homomorphism:
-    """The map of the cited isomorphism on mod-p groups, certified bijective.
-
-    Sends the full space of forms in degree (n, i) to H^i of total degree
-    p*n mod p, via the cochain representative x -> x^p, dx -> x^(p-1) dx:
-    the direct sum of the block maps of cartier_blocks, which raises if
-    one is not bijective.
-    """
-    matrices = cartier_blocks(r, n, i, p)
-    # the blocks p*beta are in basis order and the other blocks have no
-    # classes, so the blocks' classes follow each other
-    placed = [(blk.cells[i], M.transpose())
-              for blk, M in zip(koszul_blocks(r, n), matrices)
-              if M is not None]
-    src_dim = dim_formula(r, n, i)
-    dim = modp_cohomology(r, p * n, p).dim(i)
-    return Homomorphism(FgAbGroup.elementary(p, src_dim),
-                        FgAbGroup.elementary(p, dim),
-                        place_blocks(placed, src_dim, dim).transpose())

@@ -26,17 +26,24 @@ class BasisElement(NamedTuple):
 
 
 def _compositions_desc(total: int, parts: int):
-    """Exponent vectors of given length summing to total, lex decreasing."""
-    if parts == 0:
-        if total == 0:
+    """Exponent vectors of given length summing to total, lex decreasing.
+
+    Iterative, for any length: the successor moves one unit of the last
+    nonzero entry before the final one, plus the final entry, to the next.
+    """
+    if parts < 1 or total < 0:
+        if parts == 0 == total:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, parts - 1):
-            yield (first,) + rest
+    a = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(a)
+        j = parts - 2
+        while j >= 0 and not a[j]:
+            j -= 1
+        if j < 0:
+            return
+        a[j], a[-1], a[j + 1] = a[j] - 1, 0, a[-1] + 1
 
 
 def _subsets_colex(r: int, i: int):
@@ -175,9 +182,10 @@ def koszul_blocks(r: int, n: int) -> tuple:
     return tuple(blocks)
 
 
-def block_multiples(blocks: Sequence[KoszulBlock],
-                    multiples: Sequence[KoszulBlock], q: int):
-    """Pair the blocks of total degree n with the blocks of degree q*n.
+def block_pairs(blocks: Sequence[KoszulBlock],
+                multiples: Sequence[KoszulBlock], q: int):
+    """The distinct block pairs (beta, q*beta) of total degrees n and q*n,
+    and the distinct blocks of degree q*n that are no such multiple.
 
     Frobenius x -> x^p, dx -> p x^(p-1) dx sends the cell x^(beta - 1_T)
     dx_T to p^i x^(p beta - 1_T) dx_T, and the Cartier representative sends
@@ -188,14 +196,16 @@ def block_multiples(blocks: Sequence[KoszulBlock],
     beta to p^k*beta) is the identity.
 
     blocks and multiples are koszul_blocks(r, n) and koszul_blocks(r, q*n).
-    Returns (images, others): images[b] is the index in multiples of the
-    block of weight q * blocks[b].beta, and others lists, increasing, the
-    indices of the blocks of multiples whose weight is not q times a
-    weight.
+    Returns (pairs, others): pairs holds (b, c) for the first block b of
+    each distinct weights and the block c of weight q * blocks[b].beta;
+    others lists, increasing, the first block of each distinct weights
+    among those with a weight not divisible by q, the blocks no pair hits.
     """
     where = {blk.beta: c for c, blk in enumerate(multiples)}
-    images = [where[tuple(q * b for b in blk.beta)] for blk in blocks]
-    return images, sorted(set(range(len(multiples))) - set(images))
+    return ([(b, where[tuple(q * x for x in blocks[b].beta)])
+             for b in distinct_blocks(blocks)],
+            [c for c in distinct_blocks(multiples)
+             if any(w % q for w in multiples[c].weights)])
 
 
 def distinct_blocks(blocks: Sequence[KoszulBlock]) -> list:

@@ -195,24 +195,6 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     return IntMatrix._raw(rows, sum(m.ncols for m in mats))
 
 
-def place_blocks(placed, nrows: int, ncols: int) -> IntMatrix:
-    """The nrows x ncols matrix holding each (rows, M) of placed: the rows
-    of M at the given row indices, its columns right after the previous
-    blocks' columns.  Every other entry is zero; row index sets must be
-    disjoint."""
-    out = [None] * nrows
-    offset = 0
-    for rows, M in placed:
-        for g, row in zip(rows, M._rows):
-            full = [0] * ncols
-            full[offset:offset + M.ncols] = row
-            out[g] = tuple(full)
-        offset += M.ncols
-    zero = (0,) * ncols
-    return IntMatrix._raw(tuple(zero if row is None else row for row in out),
-                          ncols)
-
-
 @lru_cache(maxsize=None)
 def augmented(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Cached two-block [a | b]; solver state attaches to the result."""

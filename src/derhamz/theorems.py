@@ -26,13 +26,13 @@ from .abgroups import (
 )
 from .cohomology import (
     block_homology,
-    cartier_blocks,
+    cartier_iso,
     class_matrix,
     cocycle_dim,
     integral_cohomology,
     modp_cohomology,
 )
-from .derham import block_multiples, distinct_blocks, koszul_blocks
+from .derham import block_pairs, distinct_blocks, koszul_blocks
 from .intlinalg import IntMatrix
 from .modp import check_prime, primes_dividing, primes_up_to, valuation
 
@@ -141,13 +141,13 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
 def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
     """The inverse Cartier map is bijective in every degree; mod-p cohomology
     vanishes when p does not divide the total degree.  Bijectivity is
-    certified per block pair (cohomology.cartier_blocks)."""
+    certified per block pair (cohomology.cartier_iso)."""
     check_prime(p)
     checks = _Checks()
     top = min(n, r)
     for i in range(top + 2):
         try:
-            cartier_blocks(r, n, i, p)
+            cartier_iso(r, n, i, p)
             checks.add(f"cartier bijective degree {i}", True)
         except RuntimeError as exc:
             checks.add(f"cartier bijective degree {i}", False,
@@ -162,7 +162,7 @@ def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
 def _block_frobenius(src, tgt, i: int, scale: int,
                      literal: bool = False) -> Homomorphism:
     """The map H^i(src) -> H^i(tgt) of a block pair (beta, p*beta) induced
-    by scale times the identity on cells (derham.block_multiples).
+    by scale times the identity on cells (derham.block_pairs).
 
     The literal Frobenius F_* is p^i times the identity, and its images are
     checked to be cocycles.  The vertical map p * (divided Frobenius) is p
@@ -204,10 +204,9 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
     couple_n = bockstein.couples(r, n, p, 1)[0]
     couple2_pn = bockstein.couples(r, p * n, p, 2)[1]
     top = couple_n.imax
-    images, others = block_multiples(couple_n.blocks, couple2_pn.blocks, p)
+    pairs, others = block_pairs(couple_n.blocks, couple2_pn.blocks, p)
     pairs = [(couple_n.blocks[b], couple_n.summands[b],
-              couple2_pn.blocks[images[b]], couple2_pn.summands[images[b]])
-             for b in distinct_blocks(couple_n.blocks)]
+              couple2_pn.blocks[c], couple2_pn.summands[c]) for b, c in pairs]
 
     phi_d, phi_e = [], []    # per degree: {pair index: map}, or None
     for i in range(top + 1):
@@ -240,7 +239,8 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
                 continue
             # the Cartier representative is the identity on block cells
             matrix, failed = class_matrix(partial(S.express_cochain, i),
-                                          C.e_reps[i], S.e_dim(i))
+                                          C.stages[i].rep_matrix(),
+                                          S.e_dim(i))
             if matrix is None:
                 lost.append(_at(i, blk, generator=failed))
             else:
@@ -306,13 +306,12 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
         raise ValueError("need n >= 1")
     checks = _Checks()
     blocks, multiples = koszul_blocks(r, n), koszul_blocks(r, p * n)
-    images, others = block_multiples(blocks, multiples, p)
+    pairs, others = block_pairs(blocks, multiples, p)
     others = [multiples[c] for c in others]
-    others = [others[c] for c in distinct_blocks(others)]
     for i in range(min(n, r) + 1):
         row = []             # (block, target, vertical map, ..., restriction)
-        for b in distinct_blocks(blocks):
-            blk, tgt = blocks[b], multiples[images[b]]
+        for b, c in pairs:
+            blk, tgt = blocks[b], multiples[c]
             if i < len(blk.cells):
                 f = _block_frobenius(blk, tgt, i, p)
                 PA, inclA = primary_inclusion(f.source, p)

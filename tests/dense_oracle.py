@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from derhamz.derham import BasisElement, basis, dim_formula
 from derhamz.intlinalg import IntMatrix
+from derhamz.modp import Solver
 
 
 @lru_cache(maxsize=None)
@@ -158,15 +159,42 @@ def substitution_map(f: IntMatrix, n: int, i: int) -> IntMatrix:
     return IntMatrix.from_columns(cols, tgt.dim)
 
 
+def place(placed, nrows: int, ncols: int) -> IntMatrix:
+    """The nrows x ncols matrix holding each (rows, M) of placed: the rows
+    of M at the given row indices, its columns right after the previous
+    blocks' columns.  Every other entry is zero; row index sets must be
+    disjoint."""
+    out = [[0] * ncols for _ in range(nrows)]
+    offset = 0
+    for rows, M in placed:
+        for g, row in zip(rows, M.to_lists()):
+            out[g][offset:offset + M.ncols] = row
+        offset += M.ncols
+    return IntMatrix(out, ncols)
+
+
 def modp_class_matrix(target, i: int, cochain_cols: IntMatrix) -> IntMatrix:
     """Classes of mod-p cocycle columns, as a matrix over H^i of target (a
-    modp_cohomology result)."""
-    deg = target.degree(i)
+    modp_cohomology result): solved densely over the blocks' class
+    representatives and coboundaries, embedded at their cells, blocks in
+    basis order."""
+    p = target.p
+    degs = [(blk.cells[i], bd[i]) for blk, bd
+            in zip(target.blocks, target.block_degrees) if 0 <= i < len(bd)]
+    reps = [(cells, v) for cells, deg in degs for v in deg.reps]
+    bounds = [(cells, v) for cells, deg in degs for v in deg.coboundaries]
+    embedded = []
+    for cells, v in reps + bounds:
+        full = [0] * dim_formula(target.r, target.n, i)
+        for g, x in zip(cells, v):
+            full[g] = x
+        embedded.append(full)
+    solver = Solver(IntMatrix.from_columns(embedded, cochain_cols.nrows), p)
     cols = []
     for j, col in enumerate(cochain_cols.columns()):
-        coords = deg.express(col)
+        coords = solver.solve([v % p for v in col])
         if coords is None:
             raise ValueError(
                 f"column {j} is not a mod-p cocycle in degree {i}")
-        cols.append(coords)
-    return IntMatrix.from_columns(cols, deg.dim)
+        cols.append(coords[:len(reps)])
+    return IntMatrix.from_columns(cols, len(reps))

@@ -22,16 +22,15 @@ from derhamz.bockstein import (
     verify_page_identification,
 )
 from derhamz.cohomology import (
-    class_matrix,
     integral_cohomology,
     modp_cohomology,
     smith_homology,
 )
 from derhamz.derham import dim_formula, koszul_blocks
-from derhamz.intlinalg import IntMatrix, lattice_solve, place_blocks
+from derhamz.intlinalg import IntMatrix, lattice_solve
 from derhamz.modp import rank, valuation
 
-from dense_oracle import complex_z, d_matrix
+from dense_oracle import complex_z, d_matrix, modp_class_matrix, place
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -41,8 +40,8 @@ def _placed(c, i, mats):
     global cells, their columns in block order."""
     placed = [(blk.cells[i], M) for blk, M in zip(c.blocks, mats)
               if i < len(blk.cells)]
-    return place_blocks(placed, dim_formula(c.r, c.n, i),
-                        sum(M.ncols for _, M in placed))
+    return place(placed, dim_formula(c.r, c.n, i),
+                 sum(M.ncols for _, M in placed))
 
 
 def _dense_lift(c, i):
@@ -52,9 +51,18 @@ def _dense_lift(c, i):
                           for blk in c.blocks])
 
 
+def _e_reps(s, i):
+    """Mod-p block cochains representing the generators of E^i of a block
+    couple: each level's stage representatives, composed along parent."""
+    reps = s.stages[i].rep_matrix()
+    if s.parent is None:
+        return reps
+    return (_e_reps(s.parent, i) @ reps).mod(s.p)
+
+
 def _dense_reps(c, i):
     """The summands' degree-i E representatives at their global cells."""
-    return _placed(c, i, [s.e_reps[i] if i <= s.imax else None
+    return _placed(c, i, [_e_reps(s, i) if i <= s.imax else None
                           for s in c.summands])
 
 
@@ -63,7 +71,7 @@ def _block_diagonal(mats):
     for M in mats:
         placed.append((range(nrows, nrows + M.nrows), M))
         nrows += M.nrows
-    return place_blocks(placed, nrows, sum(M.ncols for M in mats))
+    return place(placed, nrows, sum(M.ncols for M in mats))
 
 
 class TestInitialCouple:
@@ -105,8 +113,7 @@ class TestInitialCouple:
                 parts = [s for s in c.summands if i <= s.imax]
                 assert FgAbGroup.zero().direct_sum(
                     *[s.D[i] for s in parts]) == HZ.group(i), (r, n, p, i)
-                dense_j, _ = class_matrix(MP.degree(i).express, lifts[i],
-                                          c.dims[i])
+                dense_j = modp_class_matrix(MP, i, lifts[i])
                 assert _block_diagonal([s.j_maps[i].matrix for s in parts]) \
                     == dense_j, (r, n, p, i)
                 reps = _placed(c, i, [bd[i].rep_matrix() if i < len(bd)
@@ -150,7 +157,7 @@ class TestExactness:
         broken = ExactCouple(
             c.weights, c.p, c.level, c.D, c.E, c.i_maps,
             [Homomorphism.zero(c.D[i], c.E[i]) for i in range(c.imax + 1)],
-            c.k_maps, c.e_reps, c.stages)
+            c.k_maps, c.stages)
         with pytest.raises(ExactnessError):
             derive(broken)
 

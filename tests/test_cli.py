@@ -210,6 +210,7 @@ class TestVerifyCommand:
     "verify --all -r 1 -n 17 --unsafe-bounds",
     "cohomology -r 2 -n -3 --unsafe-bounds",
     "cohomology -r -1 -n 3 --unsafe-bounds",
+    "pages -r 3 -n 8 -p 2 -k 2000",
 ])
 def test_domain_errors_exit_2(capsys, argv):
     code = main(argv.split())
@@ -219,6 +220,21 @@ def test_domain_errors_exit_2(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "cohomology -r 1100 -n 1 --unsafe-bounds",
+    "basis -r 1100 -n 1 -i 1 --unsafe-bounds",
+    "pages -r 1100 -n 1 -p 2 --unsafe-bounds",
+])
+def test_more_variables_than_the_recursion_limit(argv):
+    # the basis is enumerated without one recursion level per variable; a
+    # child process, so that the large bases are not cached for the session
+    run = subprocess.run([sys.executable, "-m", "derhamz", *argv.split()],
+                         capture_output=True, timeout=60,
+                         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert run.returncode == 0, run.stderr.decode()[-500:]
+    assert json.loads(run.stdout)["parameters"]["r"] == 1100
 
 
 @st.composite

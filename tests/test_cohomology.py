@@ -19,10 +19,13 @@ from derhamz.cohomology import (
 from derhamz.derham import dim_formula, koszul_blocks
 from derhamz.intlinalg import IntMatrix, hnf, kernel_basis, lattice_solve
 
+from derhamz.modp import rank
+
 from dense_oracle import (
     cartier_rep_matrix,
     complex_z,
     modp_class_matrix,
+    place,
     substitution_map,
 )
 
@@ -164,10 +167,11 @@ class TestModpCohomology:
         for (r, n, p) in [(2, 4, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2)]:
             cpx = complex_z(r, n)
             mp = modp_cohomology(r, n, p)
+            assert len(mp.dims) == cpx.top + 1
             for i in range(cpx.top + 1):
                 z = dim_formula(r, n, i) - gf_rank(cpx.d(i), p)
                 b = gf_rank(cpx.d(i - 1), p)
-                assert mp.dim(i) == z - b
+                assert mp.dims[i] == z - b
 
     def test_cartier_dimension_match(self):
         for r in (1, 2, 3):
@@ -175,51 +179,65 @@ class TestModpCohomology:
                 for n in range(1, 13 // p + 1):
                     mp = modp_cohomology(r, p * n, p)
                     for i in range(min(p * n, r) + 1):
-                        assert mp.dim(i) == dim_formula(r, n, i), (r, n, p, i)
+                        assert mp.dims[i] == dim_formula(r, n, i), \
+                            (r, n, p, i)
 
     def test_rank_bookkeeping(self):
         # alternating sums: cochain dims vs cocycle + coboundary dims
         for (r, n, p) in [(2, 4, 2), (3, 6, 2), (2, 6, 3)]:
             mp = modp_cohomology(r, n, p)
-            lhs = sum((-1) ** d.i * d.dim_cochain for d in mp.degrees)
-            rhs = sum((-1) ** d.i * (len(_embedded(mp, d.i, "cocycles"))
-                                     + len(_embedded(mp, d.i, "coboundaries")))
-                      for d in mp.degrees)
+            degrees = range(len(mp.dims))
+            lhs = sum((-1) ** i * dim_formula(r, n, i) for i in degrees)
+            rhs = sum((-1) ** i * (len(_embedded(mp, i, "cocycles"))
+                                   + len(_embedded(mp, i, "coboundaries")))
+                      for i in degrees)
             assert lhs == rhs
 
     def test_block_routing(self):
-        # the direct sum over blocks: reps express as unit vectors,
-        # coboundaries as zero, a non-cocycle inside the first or the last
-        # block that has one is rejected, and the cocycle and coboundary
-        # counts are the sympy ranks
+        # the direct sum over blocks: the cocycle and coboundary counts are
+        # the sympy ranks, and on each block the reps express as unit
+        # vectors, coboundaries as zero, and the first and the last cell
+        # whose d is nonzero mod p (checked on the dense d) are rejected
         for r in range(4):
             for n in range(9):
                 for p in (2, 3):
                     mp = modp_cohomology(r, n, p)
                     cpx = complex_z(r, n)
-                    blocks = koszul_blocks(r, n)
-                    for i in range(mp.top + 1):
-                        deg = mp.degree(i)
+                    for i in range(len(mp.dims)):
                         where = (r, n, p, i)
                         assert len(_embedded(mp, i, "cocycles")) == \
                             dim_formula(r, n, i) - gf_rank(cpx.d(i), p), where
                         assert len(_embedded(mp, i, "coboundaries")) == \
                             gf_rank(cpx.d(i - 1), p), where
-                        reps = _embedded(mp, i, "reps")
-                        assert len(reps) == deg.dim, where
-                        for j, rep in enumerate(reps):
-                            unit = tuple(int(t == j) for t in range(deg.dim))
-                            assert mp.express(i, rep) == unit, where
-                        zero = (0,) * deg.dim
-                        for b in _embedded(mp, i, "coboundaries"):
-                            assert mp.express(i, b) == zero, where
-                        bad = [g for blk in blocks if i < len(blk.cells)
-                               for g in _non_cocycle_cells(blk, i, p)[:1]]
-                        for g in bad[:1] + bad[-1:]:
-                            z = tuple(int(t == g) for t in
-                                      range(dim_formula(r, n, i)))
-                            assert any(v % p for v in cpx.d(i).apply(z))
-                            assert mp.express(i, z) is None, (where, g)
+                        assert len(_embedded(mp, i, "reps")) == mp.dims[i]
+                        for blk, bd in zip(mp.blocks, mp.block_degrees):
+                            if i < len(bd):
+                                _check_block_routing(blk, bd[i], cpx, i, p)
+
+    def test_modp_class_matrix_oracle(self):
+        # the dense oracle solves over the embedded reps and coboundaries:
+        # reps map to unit vectors, coboundaries to zero, a non-cocycle
+        # raises
+        for (r, n, p) in [(2, 4, 2), (3, 6, 2), (2, 6, 3), (3, 6, 3)]:
+            mp = modp_cohomology(r, n, p)
+            cpx = complex_z(r, n)
+            for i in range(len(mp.dims)):
+                dim = dim_formula(r, n, i)
+                reps = _embedded(mp, i, "reps")
+                bounds = _embedded(mp, i, "coboundaries")
+                M = modp_class_matrix(
+                    mp, i, IntMatrix.from_columns(reps + bounds, dim))
+                assert M == IntMatrix.from_columns(
+                    [[int(t == j) for t in range(len(reps))]
+                     for j in range(len(reps))]
+                    + [[0] * len(reps)] * len(bounds), len(reps))
+                bad = [g for g in range(dim) if any(
+                    v % p for v in cpx.d(i).col(g))]
+                if bad:
+                    z = [int(t == bad[0]) for t in range(dim)]
+                    with pytest.raises(ValueError):
+                        modp_class_matrix(mp, i,
+                                          IntMatrix.from_columns([z], dim))
 
     def test_prime_guard(self):
         with pytest.raises(ValueError):
@@ -242,11 +260,23 @@ def _embedded(mp, i, attr):
     return out
 
 
-def _non_cocycle_cells(blk, i, p):
-    """Global indices of the block's degree-i cells whose d is nonzero mod p."""
+def _check_block_routing(blk, deg, cpx, i, p):
+    """On one block: reps express as unit vectors, coboundaries as zero,
+    and the first and the last non-cocycle cell are rejected."""
+    where = (blk.beta, i, p)
+    for j, rep in enumerate(deg.reps):
+        unit = tuple(int(t == j) for t in range(deg.dim))
+        assert deg.express(rep) == unit, where
+    for b in deg.coboundaries:
+        assert deg.express(b) == (0,) * deg.dim, where
     d = blk.d(i)
-    return [g for c, g in enumerate(blk.cells[i])
-            if any(v % p for v in d.col(c))]
+    bad = [c for c in range(d.ncols) if any(v % p for v in d.col(c))]
+    for c in bad[:1] + bad[-1:]:
+        z = [0] * cpx.d(i).ncols
+        z[blk.cells[i][c]] = 1
+        assert any(v % p for v in cpx.d(i).apply(z)), where
+        assert deg.express([int(t == c) for t in range(d.ncols)]) is None, \
+            (where, c)
 
 
 class TestCocycleDim:
@@ -269,26 +299,37 @@ class TestCocycleDim:
                             (r, n, i, p)
 
 
+def _placed_cartier(r, n, i, p):
+    """cartier_iso's block matrices placed at their cells: columns at the
+    block's degree-i cells, rows after the previous blocks' classes (the
+    blocks p*beta in basis order, and the other blocks have no classes)."""
+    placed = [(blk.cells[i], M.transpose()) for blk, M
+              in zip(koszul_blocks(r, n), cartier_iso(r, n, i, p))
+              if M is not None]
+    dim = modp_cohomology(r, p * n, p).dims
+    return place(placed, dim_formula(r, n, i),
+                 dim[i] if i < len(dim) else 0).transpose()
+
+
 class TestCartierIso:
     def test_rank_one(self):
-        h0 = cartier_iso(1, 1, 0, 2)
-        h1 = cartier_iso(1, 1, 1, 2)
-        assert h0.matrix.shape == (1, 1)
-        assert h1.matrix.shape == (1, 1)
-        assert h0.is_isomorphism() and h1.is_isomorphism()
+        for i in (0, 1):
+            (M,) = cartier_iso(1, 1, i, 2)
+            assert M.shape == (1, 1) and rank(M, 2) == 1
 
     def test_rank_two_independent_classes(self):
-        h = cartier_iso(2, 1, 1, 2)
-        assert h.matrix.shape == (2, 2)
-        assert h.is_isomorphism()
+        M = _placed_cartier(2, 1, 1, 2)
+        assert M.shape == (2, 2) and rank(M, 2) == 2
 
     def test_zero_piece(self):
-        h = cartier_iso(2, 4, 3, 2)
-        assert h.matrix.shape == (0, 0)
+        assert all(M is None for M in cartier_iso(2, 4, 3, 2))
+        # no block has cells in a negative degree
+        assert all(M is None for M in cartier_iso(2, 2, -1, 3))
+        assert _placed_cartier(2, 4, 3, 2).shape == (0, 0)
 
     def test_bijective_on_sweep(self):
-        # raises when not bijective; the block pairs assemble to the classes
-        # of the dense representative
+        # raises when not bijective; the block matrices, placed at their
+        # cells, are the classes of the dense representative
         for r in (1, 2, 3):
             for p in (2, 3):
                 for n in range(1, 12 // p + 1):
@@ -296,8 +337,10 @@ class TestCartierIso:
                     for i in range(min(n, r) + 2):
                         dense = modp_class_matrix(
                             target, i, cartier_rep_matrix(r, n, i, p))
-                        assert cartier_iso(r, n, i, p).matrix == \
-                            dense.mod(p), (r, n, i, p)
+                        placed = _placed_cartier(r, n, i, p)
+                        assert placed.mod(p) == dense.mod(p), (r, n, i, p)
+                        assert rank(placed, p) == placed.nrows \
+                            == placed.ncols, (r, n, i, p)
 
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
            st.sampled_from([2, 3]), st.data())
@@ -348,8 +391,11 @@ class TestExpress:
                         (r, n, i)
 
     def test_modp_express_rejects_non_cocycle(self):
-        mp = modp_cohomology(2, 2, 2)
         # x^2 has d(x^2) = 2x dx = 0 mod 2, so pick a genuine non-cocycle
-        # in degree 0 at p = 3 instead
+        # in degree 0 at p = 3 instead: x^2, the one cell of block (2, 0)
         mp3 = modp_cohomology(2, 2, 3)
-        assert mp3.express(0, (1, 0, 0)) is None
+        assert mp3.blocks[0].beta == (2, 0)
+        assert mp3.blocks[0].cells[0] == (0,)
+        assert mp3.block_degrees[0][0].express((1,)) is None
+        with pytest.raises(ValueError):
+            modp_class_matrix(mp3, 0, IntMatrix([[1], [0], [0]]))

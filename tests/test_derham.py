@@ -1,5 +1,7 @@
 """Bases and structure matrices of the polynomial de Rham complex."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +9,11 @@ from derhamz.bockstein import closed_form_page, pages
 from derhamz.cohomology import integral_cohomology, modp_cohomology
 from derhamz.derham import (
     BasisElement,
+    _compositions_desc,
     basis,
-    block_multiples,
+    block_pairs,
     dim_formula,
+    distinct_blocks,
     koszul_blocks,
 )
 from derhamz.intlinalg import IntMatrix
@@ -43,6 +47,32 @@ class TestBasis:
 
     def test_polynomial_order(self):
         assert [e.alpha for e in basis(2, 2, 0)] == [(2, 0), (1, 1), (0, 2)]
+
+    def test_compositions_match_the_recursive_definition(self):
+        def recursive(total, parts):
+            if parts == 0:
+                if total == 0:
+                    yield ()
+                return
+            if parts == 1:
+                yield (total,)
+                return
+            for first in range(total, -1, -1):
+                for rest in recursive(total - first, parts - 1):
+                    yield (first,) + rest
+
+        for total in range(9):
+            for parts in range(7):
+                assert list(_compositions_desc(total, parts)) == \
+                    list(recursive(total, parts)), (total, parts)
+
+    def test_compositions_past_the_recursion_limit(self):
+        # one part per variable, far more than Python's recursion limit
+        parts = sys.getrecursionlimit() + 100
+        first, second, *_, last = _compositions_desc(1, parts)
+        assert first == (1,) + (0,) * (parts - 1)
+        assert second == (0, 1) + (0,) * (parts - 2)
+        assert last == (0,) * (parts - 1) + (1,)
 
     def test_colex_subset_order(self):
         Ts = []
@@ -263,11 +293,24 @@ class TestKoszulBlocks:
                 for p in (2, 3):
                     blocks = koszul_blocks(r, n)
                     multiples = koszul_blocks(r, p * n)
-                    images, others = block_multiples(blocks, multiples, p)
-                    assert sorted(images + others) == \
-                        list(range(len(multiples)))
-                    for c in others:
+                    where = {blk.beta: c for c, blk in enumerate(multiples)}
+                    images = [where[tuple(p * b for b in blk.beta)]
+                              for blk in blocks]
+                    rest = [c for c in range(len(multiples))
+                            if c not in images]
+                    assert len(set(images)) == len(images)
+                    for c in rest:
                         assert any(b % p for b in multiples[c].beta)
+                    # block_pairs: the first block of each distinct weights
+                    # with its image, and the first of each distinct weights
+                    # among the rest
+                    pairs, others = block_pairs(blocks, multiples, p)
+                    assert pairs == [(b, images[b])
+                                     for b in distinct_blocks(blocks)]
+                    first = {}
+                    for c in rest:
+                        first.setdefault(multiples[c].weights, c)
+                    assert others == sorted(first.values())
                     for i in range(min(n, r) + 1):
                         source_of = {}
                         for blk, c in zip(blocks, images):
