@@ -8,8 +8,9 @@ checked for well-definedness against the target relations.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd, prod
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .intlinalg import (
     IntMatrix,
@@ -28,7 +29,8 @@ from .modp import check_prime, valuation
 class FgAbGroup:
     """Z^ngens / (column lattice of relations)."""
 
-    __slots__ = ("ngens", "relations", "_snf", "_smith_diag", "_diag")
+    __slots__ = ("ngens", "relations", "_snf", "_smith", "_smith_diag",
+                 "_diag")
 
     def __init__(self, ngens: int, relations: IntMatrix | None = None):
         if ngens < 0:
@@ -40,6 +42,7 @@ class FgAbGroup:
         self.ngens = ngens
         self.relations = relations
         self._snf = None
+        self._smith = None
         self._smith_diag = None
         self._diag = -1  # -1 unknown, None not diagonal, else tuple
 
@@ -106,8 +109,19 @@ class FgAbGroup:
         if self._snf is None:
             H, _ = hnf(self.relations)
             npiv = sum(1 for j in range(H.ncols) if any(H.col(j)))
-            self._snf = snf(_strip_zero_columns(H, npiv))
+            self._snf = snf(IntMatrix.from_columns(
+                [H.col(j) for j in range(npiv)], H.nrows))
         return self._snf
+
+    @property
+    def smith_change(self) -> tuple:
+        """(U, U^-1): U sends generator coordinates to coordinates on the
+        Smith generators, the columns of U^-1, in which the relations are
+        diagonal with entries self.diagonal."""
+        if self._smith is None:
+            _, U, _ = self._snf_data()
+            self._smith = U, unimodular_inverse(U)
+        return self._smith
 
     @property
     def diagonal(self) -> tuple:
@@ -212,10 +226,6 @@ def _invariant_chain(entries) -> tuple:
         if x > 1:
             chain.insert(0, x)
     return tuple(chain)
-
-
-def _strip_zero_columns(H: IntMatrix, npiv: int) -> IntMatrix:
-    return IntMatrix.from_columns([H.col(j) for j in range(npiv)], H.nrows)
 
 
 def is_isomorphic(G1: FgAbGroup, G2: FgAbGroup) -> bool:
@@ -329,14 +339,27 @@ def corestrict(f: Homomorphism, sub: FgAbGroup,
     there."""
     if incl.source != sub or incl.target != f.target:
         raise ValueError("inclusion does not match")
+    matrix, _ = class_matrix(
+        partial(express_through, incl.matrix, f.target.relations), f.matrix,
+        sub.ngens)
+    return None if matrix is None else Homomorphism(f.source, sub, matrix)
+
+
+def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
+                 cochain_cols: IntMatrix, dim: int):
+    """Class coordinates of each cochain column, as columns of a dim-row
+    matrix.
+
+    Returns (matrix, None), or (None, j) for the first column j that
+    express maps to None.
+    """
     cols = []
-    for j in range(f.matrix.ncols):
-        y = express_through(incl.matrix, f.target.relations, f.matrix.col(j))
-        if y is None:
-            return None
-        cols.append(list(y))
-    return Homomorphism(f.source, sub,
-                        IntMatrix.from_columns(cols, sub.ngens))
+    for j, col in enumerate(cochain_cols.columns()):
+        coords = express(col)
+        if coords is None:
+            return None, j
+        cols.append(coords)
+    return IntMatrix.from_columns(cols, dim), None
 
 
 def homology_at(d_in: IntMatrix, d_out: IntMatrix):
@@ -351,14 +374,10 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
     if not (d_out @ d_in).is_zero():
         raise ValueError("d_out @ d_in is nonzero: not a complex")
     K = kernel_basis(d_out)
-    cols = []
-    for j in range(d_in.ncols):
-        y = lattice_solve(K, d_in.col(j))
-        if y is None:
-            raise RuntimeError("boundary is not a cocycle; kernel basis bug")
-        cols.append(list(y))
-    G = FgAbGroup(K.ncols, IntMatrix.from_columns(cols, K.ncols))
-    return G, K
+    relations, _ = class_matrix(partial(lattice_solve, K), d_in, K.ncols)
+    if relations is None:
+        raise RuntimeError("boundary is not a cocycle; kernel basis bug")
+    return FgAbGroup(K.ncols, relations), K
 
 
 def induced_map(f_cochain: IntMatrix, src, tgt,
@@ -375,15 +394,12 @@ def induced_map(f_cochain: IntMatrix, src, tgt,
     images = f_cochain @ src_lift
     if tgt_d_out is not None and not (tgt_d_out @ images).is_zero():
         raise ValueError("image of a generator is not a cocycle")
-    cols = []
-    for j in range(images.ncols):
-        y = lattice_solve(tgt_lift, images.col(j))
-        if y is None:
-            raise RuntimeError(
-                "cocycle image could not be expressed in target generators")
-        cols.append(list(y))
-    return Homomorphism(src_group, tgt_group,
-                        IntMatrix.from_columns(cols, tgt_group.ngens))
+    matrix, _ = class_matrix(partial(lattice_solve, tgt_lift), images,
+                             tgt_group.ngens)
+    if matrix is None:
+        raise RuntimeError(
+            "cocycle image could not be expressed in target generators")
+    return Homomorphism(src_group, tgt_group, matrix)
 
 
 def subgroup_pk(G: FgAbGroup, p: int, k: int):
@@ -418,8 +434,7 @@ def primary_part(G: FgAbGroup, p: int) -> FgAbGroup:
 def primary_inclusion(G: FgAbGroup, p: int):
     """The p-primary component together with its inclusion into G."""
     check_prime(p)
-    S, U, _ = G._snf_data()
-    Uinv = unimodular_inverse(U)
+    Uinv = G.smith_change[1]
     diag = G.diagonal
     cols = []
     factors = []

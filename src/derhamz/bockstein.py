@@ -25,26 +25,16 @@ from . import modp
 from .abgroups import (
     FgAbGroup,
     Homomorphism,
+    class_matrix,
     corestrict,
     express_through,
     is_exact_at,
     preimage_basis,
     subgroup_presentation,
 )
-from .cohomology import (
-    block_homology,
-    block_modp_homology,
-    class_matrix,
-    modp_homology,
-)
-from .derham import (
-    block_pairs,
-    dim_formula,
-    distinct_blocks,
-    koszul_blocks,
-    koszul_d,
-)
-from .intlinalg import IntMatrix, lattice_solve, unimodular_inverse
+from .cohomology import block_homology, block_modp_homology, modp_homology
+from .derham import block_pairs, distinct_blocks, koszul_blocks, koszul_d
+from .intlinalg import IntMatrix, lattice_solve
 from .modp import check_prime, valuation
 
 
@@ -421,19 +411,17 @@ def _closed_form_degree(weights: tuple, p: int, k: int, i: int):
             if any(v % scale for v in dv):
                 raise RuntimeError("denominator column is not divisible")
             den_cols.append(tuple(v // scale for v in dv))
-    rel_cols = []
-    for col in den_cols:
-        y = lattice_solve(N, col)
-        if y is None:
-            raise RuntimeError("denominator does not lie in the numerator")
-        rel_cols.append(list(y))
-    G = FgAbGroup(N.ncols, IntMatrix.from_columns(rel_cols, N.ncols))
+    relations, _ = class_matrix(partial(lattice_solve, N),
+                                IntMatrix.from_columns(den_cols, N.nrows),
+                                N.ncols)
+    if relations is None:
+        raise RuntimeError("denominator does not lie in the numerator")
+    G = FgAbGroup(N.ncols, relations)
     diag = G.diagonal
     if any(d not in (1, p) for d in diag):
         raise RuntimeError(
             f"closed-form page not elementary abelian at degree {i}: {diag}")
-    _, U, _ = G._snf_data()
-    Uinv = unimodular_inverse(U)
+    U, Uinv = G.smith_change
     kept = tuple(idx for idx, d in enumerate(diag) if d == p)
     return N, U, Uinv, kept
 
@@ -589,76 +577,8 @@ def _page_isomorphism_failure(couple: ExactCouple, sources: Sequence[IntMatrix],
 # -- page identification (Cartier composite) ------------------------------------
 
 
-@dataclass(frozen=True)
-class PageIdentification:
-    r: int
-    n: int
-    p: int
-    k: int
-    ok: bool
-    dims_source: tuple
-    dims_page: tuple
-    checks: tuple
-    witness: Optional[dict]
-
-
-def verify_page_identification(r: int, n: int, p: int,
-                               k: int) -> PageIdentification:
-    """Identify page k with the mod-p de Rham complex of total degree n/p^k.
-
-    The explicit map composes k Cartier cochain representatives.  In block
-    coordinates it is the identity from block gamma of degree m = n/p^k to
-    block p^k*gamma of degree n (derham.block_pairs), so it is checked
-    one distinct block pair at a time: its columns are mod-p cocycles, and
-    it is an isomorphism of complexes, bijective per degree and conjugating
-    the block d into d_k.  Every other block of degree n has a weight not
-    divisible by p^k, and its page k must be zero.  At k = nu_p(n) the next
-    page must vanish.
-    """
-    check_prime(p)
-    nu = valuation(n, p)
-    if not 1 <= k <= nu:
-        raise ValueError(f"need 1 <= k <= nu_p(n) = {nu}")
-    m = n // p ** k
-    couple = couples(r, n, p, k)[k - 1]
-    imax = couple.imax
-    checks = []
-    witness = None
-    ok = True
-
-    dims_source = tuple(dim_formula(r, m, i) for i in range(imax + 1))
-    dims_page = couple.dims
-    if dims_source != dims_page:
-        ok = False
-        witness = {"check": "dimensions", "source": list(dims_source),
-                   "page": list(dims_page)}
-    checks.append(("dimensions agree", dims_source == dims_page))
-
-    degreewise = ok
-    if ok:
-        witness = _block_identification_failure(couple, koszul_blocks(r, m),
-                                                p ** k)
-        ok = witness is None
-        degreewise = ok or witness["check"] == "conjugates d"
-    checks.append(("cartier composite is an isomorphism per degree",
-                   degreewise))
-    if degreewise:
-        checks.append(("conjugates the differential", ok))
-
-    if ok and k == nu:
-        nxt = couples(r, n, p, k + 1)[k]
-        vanish = all(d == 0 for d in nxt.dims)
-        checks.append(("page beyond nu vanishes", vanish))
-        if not vanish:
-            ok = False
-            witness = {"check": "vanishing", "dims": list(nxt.dims)}
-
-    return PageIdentification(r, n, p, k, ok, dims_source, dims_page,
-                              tuple(checks), witness)
-
-
-def _block_identification_failure(couple: CoupleSum, sources: Sequence,
-                                  q: int) -> Optional[dict]:
+def block_identification_failure(couple: CoupleSum, sources: Sequence,
+                                 q: int) -> Optional[dict]:
     """The witness of the first failure of the page identification on the
     blocks, or None.
 

@@ -18,11 +18,11 @@ from pathlib import Path
 
 from . import __version__
 from .abgroups import FgAbGroup
-from .bockstein import pages, verify_page_identification
+from .bockstein import pages
 from .cohomology import integral_cohomology
 from .derham import basis
 from .modp import MAX_PRIME, check_prime, is_prime, valuation
-from .theorems import STATEMENTS, sweep
+from .theorems import STATEMENTS, sweep, verify_page_identification
 
 SCHEMA_VERSION = "1"
 DEFAULT_RMAX = 4

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import modp
-from .abgroups import FgAbGroup, homology_at
+from .abgroups import FgAbGroup, class_matrix, homology_at
 from .derham import block_pairs, koszul_blocks, koszul_d
-from .intlinalg import IntMatrix, snf, unimodular_inverse
+from .intlinalg import IntMatrix, hstack
 from .modp import check_prime
 
 
@@ -86,46 +86,49 @@ def smith_homology(d_in: IntMatrix, d_out: IntMatrix):
 
     Returns (entries, gens): generator t has order entries[t] (0 for a free
     one, 1 for a trivial one), and the columns of gens are cochain
-    representatives, a basis of ker(d_out).  homology_at checks d∘d = 0.
+    representatives, a basis of ker(d_out).  Both come from the group's
+    own Smith form (FgAbGroup.diagonal and smith_change); homology_at
+    checks d∘d = 0.
     """
     G, K = homology_at(d_in, d_out)
-    if not K.ncols:
-        return (), K
-    S, U, _ = snf(G.relations)
-    entries = tuple(S[t, t] for t in range(min(S.shape)))
-    entries += (0,) * (K.ncols - min(S.shape))
-    return entries, K @ unimodular_inverse(U)
+    return G.diagonal, K @ G.smith_change[1]
 
 
 class ModpDegree:
-    """Cocycles, coboundaries and chosen class representatives in one degree."""
+    """Cocycles, coboundaries and chosen class representatives in one degree.
+
+    All but the cocycles are read off one row reduction (modp.Solver) of
+    [d_in | cocycles] mod p: its pivot columns are a basis of the
+    coboundaries among the columns of d_in, then the representatives, the
+    cocycles that greedily extend it.
+    """
 
     __slots__ = ("i", "dim_cochain", "cocycles", "coboundaries", "reps",
-                 "dim", "_solver", "_p")
+                 "dim", "_solver", "_rep_columns")
 
-    def __init__(self, i, dim_cochain, cocycles, coboundaries, reps, p):
+    def __init__(self, i: int, d_in: IntMatrix, cocycles: tuple, p: int):
         self.i = i
-        self.dim_cochain = dim_cochain
+        self.dim_cochain = d_in.nrows
         self.cocycles = cocycles
-        self.coboundaries = coboundaries
-        self.reps = reps
-        self.dim = len(reps)
-        self._p = p
-        self._solver = None
+        self._solver = modp.Solver(
+            hstack(d_in, IntMatrix.from_columns(cocycles, d_in.nrows)), p)
+        pivots = [c for c, _ in self._solver.rows if c is not None]
+        k = d_in.ncols
+        self.coboundaries = tuple(tuple(v % p for v in d_in.col(c))
+                                  for c in pivots if c < k)
+        self._rep_columns = tuple(c for c in pivots if c >= k)
+        self.reps = tuple(cocycles[c - k] for c in self._rep_columns)
+        self.dim = len(self.reps)
 
     def rep_matrix(self) -> IntMatrix:
         return IntMatrix.from_columns(list(self.reps), self.dim_cochain)
 
     def express(self, z: Sequence[int]) -> Optional[tuple]:
         """Class coordinates of a mod-p cocycle, or None if z is no cocycle."""
-        if self._solver is None:
-            cols = list(self.reps) + list(self.coboundaries)
-            self._solver = modp.Solver(
-                IntMatrix.from_columns(cols, self.dim_cochain), self._p)
-        sol = self._solver.solve([v % self._p for v in z])
+        sol = self._solver.solve([v % self._solver.p for v in z])
         if sol is None:
             return None
-        return sol[: self.dim]
+        return tuple(sol[c] for c in self._rep_columns)
 
 
 def modp_homology(i: int, d_in: IntMatrix, d_out: IntMatrix,
@@ -138,12 +141,7 @@ def modp_homology(i: int, d_in: IntMatrix, d_out: IntMatrix,
     """
     if not (d_out @ d_in).mod(p).is_zero():
         raise ValueError("d_out @ d_in is nonzero mod p: not a complex")
-    cocycles = modp.nullspace(d_out, p)
-    coboundaries, _ = modp.image_basis(d_in.mod(p), p)
-    added = modp.complete_basis(coboundaries, cocycles, p)
-    reps = tuple(cocycles[k] for k in added)
-    return ModpDegree(i, d_out.ncols, tuple(cocycles), tuple(coboundaries),
-                      reps, p)
+    return ModpDegree(i, d_in, tuple(modp.nullspace(d_out, p)), p)
 
 
 @dataclass(frozen=True)
@@ -187,23 +185,6 @@ def cocycle_dim(r: int, n: int, i: int, p: int) -> int:
     return sum(len(degs[i].cocycles)
                for degs in modp_cohomology(r, n, p).block_degrees
                if 0 <= i < len(degs))
-
-
-def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
-                 cochain_cols: IntMatrix, dim: int):
-    """Class coordinates of each cochain column, as columns of a dim-row
-    matrix.
-
-    Returns (matrix, None), or (None, j) for the first column j that
-    express maps to None.
-    """
-    cols = []
-    for j, col in enumerate(cochain_cols.columns()):
-        coords = express(col)
-        if coords is None:
-            return None, j
-        cols.append(coords)
-    return IntMatrix.from_columns(cols, dim), None
 
 
 def cartier_iso(r: int, n: int, i: int, p: int) -> list:

@@ -155,51 +155,3 @@ class Solver:
                 x[piv] = v
         return tuple(x)
 
-
-def image_basis(M: IntMatrix, p: int):
-    """Pivot columns of M mod p: a deterministic basis of its column space."""
-    _, pivots = rref(_to_rows(M, p), M.ncols, p)
-    return [tuple(a % p for a in M.col(j)) for j in pivots], list(pivots)
-
-
-class _Echelon:
-    """Incremental echelon of vectors mod p, for greedy basis completion."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows = []  # (pivot index, normalized vector)
-
-    def reduce(self, vec):
-        p = self.p
-        v = [a % p for a in vec]
-        for piv, w in self.rows:
-            f = v[piv]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, w)]
-        return v
-
-    def add(self, vec) -> bool:
-        v = self.reduce(vec)
-        for piv, a in enumerate(v):
-            if a:
-                inv = pow(a, -1, self.p)
-                w = [(inv * x) % self.p for x in v]
-                self.rows.append((piv, w))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-
-def complete_basis(base: Sequence[Sequence[int]],
-                   candidates: Sequence[Sequence[int]], p: int) -> list:
-    """Indices of candidates that greedily extend span(base) to
-    span(base + candidates)."""
-    ech = _Echelon(p)
-    for v in base:
-        if not ech.add(v):
-            raise ValueError("base vectors are dependent")
-    added = []
-    for idx, v in enumerate(candidates):
-        if ech.add(v):
-            added.append(idx)
-    return added

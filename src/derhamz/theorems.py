@@ -16,6 +16,7 @@ from . import bockstein
 from .abgroups import (
     FgAbGroup,
     Homomorphism,
+    class_matrix,
     corestrict,
     graded_piece_dim,
     induced_map,
@@ -27,12 +28,11 @@ from .abgroups import (
 from .cohomology import (
     block_homology,
     cartier_iso,
-    class_matrix,
     cocycle_dim,
     integral_cohomology,
     modp_cohomology,
 )
-from .derham import block_pairs, distinct_blocks, koszul_blocks
+from .derham import block_pairs, dim_formula, distinct_blocks, koszul_blocks
 from .intlinalg import IntMatrix
 from .modp import check_prime, primes_dividing, primes_up_to, valuation
 
@@ -159,8 +159,7 @@ def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
     return checks.report("cartier", (("r", r), ("n", n), ("p", p)))
 
 
-def _block_frobenius(src, tgt, i: int, scale: int,
-                     literal: bool = False) -> Homomorphism:
+def _block_frobenius(src, tgt, i: int, scale: int, literal: bool = False):
     """The map H^i(src) -> H^i(tgt) of a block pair (beta, p*beta) induced
     by scale times the identity on cells (derham.block_pairs).
 
@@ -170,12 +169,36 @@ def _block_frobenius(src, tgt, i: int, scale: int,
     F without its p^i factor) sends cocycles to cocycles but is only well
     defined on cohomology after one multiplication by p.  In degree 1 the
     two coincide.
+
+    Returns (map, None), or (None, witness) when induced_map fails (an
+    image is no cocycle, or has no class); the witness carries the degree,
+    the weight of src and the error.
     """
     h_src = block_homology(src.weights)[i]
     h_tgt = block_homology(tgt.weights)[i]
-    return induced_map(scale * IntMatrix.identity(len(src.cells[i])),
-                       (h_src.group, h_src.gens), (h_tgt.group, h_tgt.gens),
-                       tgt_d_out=tgt.d(i) if literal else None)
+    try:
+        return induced_map(scale * IntMatrix.identity(len(src.cells[i])),
+                           (h_src.group, h_src.gens),
+                           (h_tgt.group, h_tgt.gens),
+                           tgt_d_out=tgt.d(i) if literal else None), None
+    except (ValueError, RuntimeError) as exc:
+        return None, _at(i, src, error=str(exc))
+
+
+def _frobenius_into(src, tgt, i: int, scale: int, derived,
+                    literal: bool = False):
+    """_block_frobenius corestricted to the D^i of the derived couple, the
+    image of p in the parent's D^i: (map, None), or (None, witness) when
+    the map fails or does not land there."""
+    f, witness = _block_frobenius(src, tgt, i, scale, literal)
+    if f is None:
+        return None, witness
+    parent = derived.parent
+    cor = corestrict(f, derived.D[i], Homomorphism(
+        derived.D[i], parent.D[i], parent.i_maps[i].matrix))
+    if cor is None:
+        return None, _at(i, src, matrix=f.matrix.to_lists())
+    return cor, None
 
 
 def _at(i: int, blk, **detail) -> dict:
@@ -210,27 +233,26 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
 
     phi_d, phi_e = [], []    # per degree: {pair index: map}, or None
     for i in range(top + 1):
-        row = []             # (pair, block, F_*, its corestriction, g, ...)
+        # per pair: (pair, block, F_* into pH, its failure witness, and the
+        # same two for the vertical map g)
+        row = []
         for b, (blk, C, tgt, S) in enumerate(pairs):
             if i <= C.imax:
-                incl = _derived_inclusion(S, i)
-                f = _block_frobenius(blk, tgt, i, p ** i, literal=True)
-                g = _block_frobenius(blk, tgt, i, p)
-                row.append((b, blk, f, corestrict(f, S.D[i], incl),
-                            g, corestrict(g, S.D[i], incl)))
+                row.append((b, blk, *_frobenius_into(blk, tgt, i, p ** i, S,
+                                                     literal=True),
+                            *_frobenius_into(blk, tgt, i, p, S)))
         divisible = checks.add_all(
             f"F_* image divisible by p, degree {i}",
-            (_at(i, blk, matrix=f.matrix.to_lists())
-             for _, blk, f, cor_f, _, _ in row if cor_f is None))
+            (miss for _, _, _, miss, _, _ in row if miss))
         lands = checks.add_all(
             f"vertical map lands in pH, degree {i}",
-            (_at(i, blk, matrix=g.matrix.to_lists())
-             for _, blk, _, _, g, cor in row if cor is None))
+            (miss for *_, miss in row if miss))
         if i == 1 and divisible and lands:
             checks.add_all("vertical map equals F_* in degree 1",
-                           (_at(i, blk) for _, blk, _, cor_f, _, cor in row
+                           (_at(i, blk) for _, blk, cor_f, _, cor, _ in row
                             if cor_f != cor))
-        phi_d.append({b: cor for b, *_, cor in row} if lands else None)
+        phi_d.append({b: cor for b, _, _, _, cor, _ in row} if lands
+                     else None)
 
     for i in range(top + 1):
         maps, lost = {}, []
@@ -278,14 +300,6 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
     return checks.report("couple_morphism", (("r", r), ("n", n), ("p", p)))
 
 
-def _derived_inclusion(derived_couple, i: int) -> Homomorphism:
-    """Inclusion of the derived D-group (= im of multiplication by p) into
-    the original H-group, rebuilt from the parent couple."""
-    parent = derived_couple.parent
-    return Homomorphism(derived_couple.D[i], parent.D[i],
-                        parent.i_maps[i].matrix)
-
-
 def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
     """The Frobenius vertical map restricts to an isomorphism from the
     p-primary part of H^i in degree n onto the p-primary part of p * H^i
@@ -310,24 +324,32 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
     others = [multiples[c] for c in others]
     for i in range(min(n, r) + 1):
         row = []             # (block, target, vertical map, ..., restriction)
+        broken = []          # witnesses of vertical maps that fail
         for b, c in pairs:
             blk, tgt = blocks[b], multiples[c]
-            if i < len(blk.cells):
-                f = _block_frobenius(blk, tgt, i, p)
-                PA, inclA = primary_inclusion(f.source, p)
-                pB, incl_pB = subgroup_pk(f.target, p, 1)
-                PpB, incl2 = primary_inclusion(pB, p)
-                g = f @ inclA
-                row.append((blk, tgt, f, g, PA, PpB,
-                            corestrict(g, PpB, incl_pB @ incl2)))
+            if i >= len(blk.cells):
+                continue
+            f, witness = _block_frobenius(blk, tgt, i, p)
+            if f is None:
+                broken.append(witness)
+                continue
+            PA, inclA = primary_inclusion(f.source, p)
+            pB, incl_pB = subgroup_pk(f.target, p, 1)
+            PpB, incl2 = primary_inclusion(pB, p)
+            g = f @ inclA
+            row.append((blk, tgt, f, g, PA, PpB,
+                        corestrict(g, PpB, incl_pB @ incl2)))
         if i == 1:
+            literal = [(blk, f, *_block_frobenius(blk, tgt, i, p,
+                                                   literal=True))
+                       for blk, tgt, f, *_ in row]
             checks.add_all("vertical map equals F_* in degree 1", (
-                _at(i, blk) for blk, tgt, f, *_ in row
-                if f != _block_frobenius(blk, tgt, i, p, literal=True)))
+                witness or _at(i, blk)
+                for blk, f, lit, witness in literal if lit != f))
         if not checks.add_all(
-                f"image lands in p-primary of pH, degree {i}",
-                (_at(i, blk, matrix=g.matrix.to_lists())
-                 for blk, _, _, g, _, _, h in row if h is None)):
+                f"image lands in p-primary of pH, degree {i}", broken + [
+                    _at(i, blk, matrix=g.matrix.to_lists())
+                    for blk, _, _, g, _, _, h in row if h is None]):
             continue
         unhit = [(blk, primary_part(subgroup_pk(
                       block_homology(blk.weights)[i].group, p, 1)[0], p))
@@ -343,11 +365,40 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
 
 def verify_page_identification(r: int, n: int, p: int,
                                k: int) -> VerificationReport:
-    """Wrap the explicit page identification as a report."""
-    result = bockstein.verify_page_identification(r, n, p, k)
+    """Identify page k with the mod-p de Rham complex of total degree n/p^k.
+
+    The explicit map composes k Cartier cochain representatives.  In block
+    coordinates it is the identity from block gamma of degree m = n/p^k to
+    block p^k*gamma of degree n (derham.block_pairs), so it is checked
+    one distinct block pair at a time
+    (bockstein.block_identification_failure): its columns are mod-p
+    cocycles, and it is an isomorphism of complexes, bijective per degree
+    and conjugating the block d into d_k.  Every other block of degree n
+    has a weight not divisible by p^k, and its page k must be zero.  At
+    k = nu_p(n) the next page must vanish.
+    """
+    check_prime(p)
+    nu = valuation(n, p)
+    if not 1 <= k <= nu:
+        raise ValueError(f"need 1 <= k <= nu_p(n) = {nu}")
+    m = n // p ** k
+    couple = bockstein.couples(r, n, p, k)[k - 1]
     checks = _Checks()
-    for name, passed in result.checks:
-        checks.add(name, passed, result.witness)
+    source = tuple(dim_formula(r, m, i) for i in range(couple.imax + 1))
+    agree = checks.add("dimensions agree", source == couple.dims,
+                       {"check": "dimensions", "source": list(source),
+                        "page": list(couple.dims)})
+    witness = bockstein.block_identification_failure(
+        couple, koszul_blocks(r, m), p ** k) if agree else None
+    degreewise = agree and (witness is None
+                            or witness["check"] == "conjugates d")
+    checks.add("cartier composite is an isomorphism per degree", degreewise,
+               witness)
+    if (degreewise and checks.add("conjugates the differential",
+                                  witness is None, witness) and k == nu):
+        nxt = bockstein.couples(r, n, p, k + 1)[k].dims
+        checks.add("page beyond nu vanishes", not any(nxt),
+                   {"check": "vanishing", "dims": list(nxt)})
     return checks.report(
         "page_identification",
         (("r", r), ("n", n), ("p", p), ("k", k)))

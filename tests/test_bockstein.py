@@ -19,7 +19,6 @@ from derhamz.bockstein import (
     derive,
     initial_couple,
     pages,
-    verify_page_identification,
 )
 from derhamz.cohomology import (
     integral_cohomology,
@@ -29,6 +28,7 @@ from derhamz.cohomology import (
 from derhamz.derham import dim_formula, koszul_blocks
 from derhamz.intlinalg import IntMatrix, lattice_solve
 from derhamz.modp import rank, valuation
+from derhamz.theorems import verify_page_identification
 
 from dense_oracle import complex_z, d_matrix, modp_class_matrix, place
 
@@ -203,7 +203,10 @@ class TestDerive:
                 m = n // p ** page.k
                 assert page.dims == tuple(dim_formula(r, m, i)
                                           for i in range(min(n, r) + 1))
-                assert verify_page_identification(r, n, p, page.k).ok, \
+                rep = verify_page_identification(r, n, p, page.k)
+                last = ("page beyond nu vanishes" if page.k == nu
+                        else "conjugates the differential")
+                assert rep.ok and rep.checks[-1] == (last, True), \
                     (r, n, p, page.k)
             assert pg[nu].is_zero
 
@@ -288,16 +291,23 @@ class TestClosedForm:
                     == page_dims, rep
 
 
+def _identified_dims(r, n, p, k):
+    """The dims of page k, checked to be those of the mod-p forms of degree
+    n/p^k (dim_formula) and to pass the page identification report."""
+    rep = verify_page_identification(r, n, p, k)
+    assert rep.ok and rep.checks[0] == ("dimensions agree", True)
+    dims = couples(r, n, p, k)[k - 1].dims
+    assert dims == tuple(dim_formula(r, n // p ** k, i)
+                         for i in range(len(dims)))
+    return dims
+
+
 class TestPageIdentification:
     def test_golden_rank_two(self):
-        res = verify_page_identification(2, 4, 2, 1)
-        assert res.ok
-        assert res.dims_source == (3, 4, 1)
+        assert _identified_dims(2, 4, 2, 1) == (3, 4, 1)
 
     def test_one_variable_depth_two(self):
-        res = verify_page_identification(1, 4, 2, 2)
-        assert res.ok
-        assert res.dims_source == (1, 1)
+        assert _identified_dims(1, 4, 2, 2) == (1, 1)
         # d_2 is conjugate to d on Omega_1 mod 2, which has rank 1
         couple = couples(1, 4, 2, 2)[1]
         assert sum(rank(s.d_matrix(0), 2) for s in couple.summands) == 1

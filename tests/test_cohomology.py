@@ -9,17 +9,19 @@ from sympy import GF, Matrix
 from sympy.polys.matrices import DomainMatrix
 
 from derhamz.abgroups import FgAbGroup
+from derhamz.bockstein import _block_couple, derive
 from derhamz.cohomology import (
     cartier_iso,
     cocycle_dim,
     integral_cohomology,
     modp_cohomology,
+    modp_homology,
     smith_homology,
 )
-from derhamz.derham import dim_formula, koszul_blocks
+from derhamz.derham import dim_formula, koszul_blocks, koszul_d
 from derhamz.intlinalg import IntMatrix, hnf, kernel_basis, lattice_solve
 
-from derhamz.modp import rank
+from derhamz.modp import rank, valuation
 
 from dense_oracle import (
     cartier_rep_matrix,
@@ -147,6 +149,59 @@ class TestIntegralCohomology:
                     G = H.group(i)
                     assert G.free_rank == 0
                     assert all(n % d == 0 for d in G.invariant_factors)
+
+
+class TestModpHomology:
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+           st.sampled_from([2, 3, 5]))
+    def test_choices_on_blocks_and_pages(self, weights, p):
+        # on a Koszul block and on every page of its derived couples up to
+        # the first zero page: the greedy coboundaries and representatives,
+        # and express on them and on a non-cocycle
+        weights = tuple(weights)
+        for i in range(len(weights) + 1):
+            _check_modp_choices(i, koszul_d(weights, i - 1),
+                                koszul_d(weights, i), p)
+        couple = _block_couple(weights, p)
+        for level in range(min(valuation(w, p) for w in weights) + 1):
+            if level:
+                couple = derive(couple)
+            for i in range(couple.imax + 1):
+                _check_modp_choices(i, couple.d_matrix(i - 1),
+                                    couple.d_matrix(i), p)
+
+
+def _greedy(base, candidates, nrows, p):
+    """Indices of the candidates that raise the mod-p rank of base plus the
+    candidates picked before them."""
+    kept, picked = list(base), []
+    for k, v in enumerate(candidates):
+        if (rank(IntMatrix.from_columns(kept + [v], nrows), p)
+                > rank(IntMatrix.from_columns(kept, nrows), p)):
+            kept.append(v)
+            picked.append(k)
+    return picked
+
+
+def _check_modp_choices(i, d_in, d_out, p):
+    """modp_homology keeps the pivot columns of d_in mod p as coboundaries
+    and the cocycles that greedily extend them as representatives; express
+    sends representative j to e_j, a coboundary to 0 and a cell whose d is
+    nonzero mod p to None."""
+    deg = modp_homology(i, d_in, d_out, p)
+    n = d_in.nrows
+    cols = [tuple(v % p for v in d_in.col(j)) for j in range(d_in.ncols)]
+    bounds = [cols[j] for j in _greedy([], cols, n, p)]
+    assert list(deg.coboundaries) == bounds
+    assert list(deg.reps) == [deg.cocycles[k]
+                              for k in _greedy(bounds, deg.cocycles, n, p)]
+    for j, z in enumerate(deg.reps):
+        assert deg.express(z) == tuple(int(t == j) for t in range(deg.dim))
+    for b in deg.coboundaries:
+        assert deg.express(b) == (0,) * deg.dim
+    for c in range(n):
+        if any(v % p for v in d_out.col(c)):
+            assert deg.express([int(t == c) for t in range(n)]) is None
 
 
 class TestModpCohomology:

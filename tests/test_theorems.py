@@ -1,14 +1,18 @@
 """Verification harness: every statement on worked examples, plus the
 documented failure set of the filtration statement."""
 
+import json
+
 import pytest
 
+from derhamz import theorems
 from derhamz.abgroups import (
     Homomorphism,
     graded_piece_dim,
     homology_at,
     induced_map,
 )
+from derhamz.cli import main
 from derhamz.cohomology import cocycle_dim, integral_cohomology
 from derhamz.derham import dim_formula
 from derhamz.modp import MAX_PRIME, primes_dividing, valuation
@@ -25,6 +29,17 @@ from derhamz.theorems import (
 )
 
 from dense_oracle import complex_z, frobenius_matrix
+
+
+def cocycle_form_defect(r, m, i, p):
+    """dim Z^i mod p in degree m minus the graded piece it stands for in the
+    cocycle form of the filtration statement: sum_{j>i} (-1)^(j-i-1) dim H^j
+    mod p of degree m, which Cartier makes the alternating sum of the form
+    dimensions of degree m/p when p | m, and zero otherwise."""
+    if m % p:
+        return 0
+    return sum((-1) ** (j - i - 1) * dim_formula(r, m // p, j)
+               for j in range(i + 1, r + 1))
 
 
 class TestAnnihilation:
@@ -104,14 +119,20 @@ class TestFiltration:
 
     def test_known_failure_set(self):
         # the cocycle form of the filtration statement is falsified exactly
-        # where the slice n/p has higher mod-p cohomology; the graded piece
-        # is ker(del), a proper subspace of the cocycles there
-        failing = set()
+        # where the slice n/p^k has higher mod-p cohomology, that is where
+        # the defect formula is nonzero; the graded piece is ker(del), a
+        # proper subspace of the cocycles there
+        failing, predicted = set(), set()
         for r in (1, 2, 3):
             for n in range(1, 13):
                 if not verify_filtration(r, n).ok:
                     failing.add((r, n))
-        assert failing == {(2, 8), (3, 8), (2, 12), (3, 12)}
+                if any(cocycle_form_defect(r, n // p ** k, i, p)
+                       for p in primes_dividing(n)
+                       for k in range(1, valuation(n, p) + 1)
+                       for i in range(1, min(n, r) + 1)):
+                    predicted.add((r, n))
+        assert failing == predicted == {(2, 8), (3, 8), (2, 12), (3, 12)}
 
     def test_cocycle_form_defect_is_higher_slice_cohomology(self):
         # criterion 8b explained exactly: with m = n/p^k, dim Z^i(m) mod p
@@ -130,11 +151,8 @@ class TestFiltration:
                         for i in range(1, min(n, r) + 1):
                             defect = (cocycle_dim(r, m, i, p)
                                       - graded_piece_dim(H.group(i), p, k))
-                            predicted = sum(
-                                (-1) ** (j - i - 1) * dim_formula(r, m // p, j)
-                                for j in range(i + 1, r + 1)) \
-                                if m % p == 0 else 0
-                            assert defect == predicted, (r, n, p, k, i)
+                            assert defect == cocycle_form_defect(
+                                r, m, i, p), (r, n, p, k, i)
                             cases += 1
                             defects += defect != 0
         assert (cases, defects) == (324, 24)
@@ -168,6 +186,58 @@ class TestPageIdentificationReport:
         assert rep.ok
         assert rep.statement == "page_identification"
         assert rep.params == (("r", 2), ("n", 4), ("p", 2), ("k", 1))
+        assert [name for name, _ in rep.checks] == [
+            "dimensions agree",
+            "cartier composite is an isomorphism per degree",
+            "conjugates the differential"]
+
+    def test_block_failures(self, monkeypatch):
+        # a failure to conjugate d fails only the last check; any other
+        # block failure fails the per-degree check and skips the last one
+        for check, names in (
+                ("conjugates d", [("dimensions agree", True), (
+                    "cartier composite is an isomorphism per degree", True),
+                    ("conjugates the differential", False)]),
+                ("bijective", [("dimensions agree", True), (
+                    "cartier composite is an isomorphism per degree",
+                    False)])):
+            witness = {"check": check, "degree": 0, "beta": [4, 0]}
+            monkeypatch.setattr(theorems.bockstein,
+                                "block_identification_failure",
+                                lambda *args: witness)
+            rep = verify_page_identification(2, 4, 2, 1)
+            assert list(rep.checks) == names and rep.witness == witness
+
+
+class TestBrokenBlockPairing:
+    @pytest.mark.parametrize("error", [
+        ValueError("image of a generator is not a cocycle"),
+        RuntimeError("cocycle image could not be expressed in target "
+                     "generators")])
+    def test_failures_are_data(self, monkeypatch, capsys, error):
+        # a block pair whose induced map cannot be built fails the check
+        # of its degree that already exists, with the error as witness
+        def broken(*args, **kwargs):
+            raise error
+
+        passing = {name for statement in ("couple_morphism", "frobenius_iso")
+                   for name, _ in getattr(theorems, f"verify_{statement}")(
+                       1, 2, 2).checks}
+        monkeypatch.setattr(theorems, "induced_map", broken)
+        for statement, check in (
+                ("couple_morphism", "F_* image divisible by p, degree 0"),
+                ("frobenius_iso",
+                 "image lands in p-primary of pH, degree 0")):
+            rep = getattr(theorems, f"verify_{statement}")(1, 2, 2)
+            assert not rep.ok and (check, False) in rep.checks
+            assert {name for name, _ in rep.checks} <= passing
+            assert rep.witness == {"degree": 0, "beta": [2],
+                                   "error": str(error)}
+            code = main(["verify", "--statement", statement,
+                         "-r", "1", "-n", "2"])
+            out, err = capsys.readouterr()
+            assert code == 1 and "Traceback" not in err
+            assert json.loads(out)["results"]["failed"] >= 1
 
 
 class TestExampleDeg4:
