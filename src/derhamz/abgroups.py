@@ -1,15 +1,17 @@
-"""Finitely generated abelian groups presented by integer relation matrices.
+"""Finitely generated abelian groups as sums of cyclic groups.
 
-A group is Z^ngens modulo the column lattice of its relation matrix.
-Presentations are never simplified destructively; invariant factors are
-cached on first computation.  Maps are matrices on generators, always
-checked for well-definedness against the target relations.
+A group is Z/e_1 + ... + Z/e_k: one generator per entry, of order e_t (0
+for a free generator, 1 for a trivial one).  Every group built as a lattice
+quotient goes through quotient(), whose Smith form also moves the
+generators.  Maps are matrices on generators, always checked for
+well-definedness against the target.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from math import gcd, prod
+from functools import lru_cache, partial
+from math import gcd
+from operator import index as _int
 from typing import Callable, Optional, Sequence
 
 from .intlinalg import (
@@ -27,175 +29,72 @@ from .modp import check_prime, valuation
 
 
 class FgAbGroup:
-    """Z^ngens / (column lattice of relations)."""
+    """Z/entries[0] + Z/entries[1] + ..., on generators e_0, e_1, ..."""
 
-    __slots__ = ("ngens", "relations", "_snf", "_smith", "_smith_diag",
-                 "_diag")
+    __slots__ = ("entries",)
 
-    def __init__(self, ngens: int, relations: IntMatrix | None = None):
-        if ngens < 0:
-            raise ValueError("negative generator count")
-        if relations is None:
-            relations = IntMatrix.zeros(ngens, 0)
-        if relations.nrows != ngens:
-            raise ValueError("relation matrix has wrong number of rows")
-        self.ngens = ngens
-        self.relations = relations
-        self._snf = None
-        self._smith = None
-        self._smith_diag = None
-        self._diag = -1  # -1 unknown, None not diagonal, else tuple
-
-    # -- constructors ---------------------------------------------------------
+    def __init__(self, entries: Sequence[int] = ()):
+        entries = tuple(_int(d) for d in entries)
+        if any(d < 0 for d in entries):
+            raise ValueError("negative generator order")
+        self.entries = entries
 
     @classmethod
     def zero(cls) -> "FgAbGroup":
-        return cls(0)
+        return cls()
 
-    @classmethod
-    def free(cls, n: int) -> "FgAbGroup":
-        return cls(n)
+    @property
+    def ngens(self) -> int:
+        return len(self.entries)
 
-    @classmethod
-    def cyclic(cls, d: int) -> "FgAbGroup":
-        return cls.from_factors([d])
-
-    @classmethod
-    def from_factors(cls, factors: Sequence[int]) -> "FgAbGroup":
-        """One generator per factor; factor 0 means a free summand."""
-        factors = [int(d) for d in factors]
-        cols = [[(d if i == j else 0) for i in range(len(factors))]
-                for j, d in enumerate(factors) if d != 0]
-        return cls(len(factors), IntMatrix.from_columns(cols, len(factors)))
-
-    @classmethod
-    def elementary(cls, p: int, dim: int) -> "FgAbGroup":
-        return cls.from_diagonal([p] * dim)
-
-    @classmethod
-    def from_diagonal(cls, entries: Sequence[int]) -> "FgAbGroup":
-        """Square diagonal presentation: one generator e_k per entry, with
-        the relation d_k e_k (0 leaves a free summand, 1 a trivial one)."""
-        entries = tuple(int(d) for d in entries)
-        k = len(entries)
-        rows = []
-        for t, d in enumerate(entries):
-            row = [0] * k
-            row[t] = d
-            rows.append(tuple(row))
-        G = cls(k, IntMatrix._raw(tuple(rows), k))
-        G._diag = entries
-        return G
+    @property
+    def relations(self) -> IntMatrix:
+        """diag(entries), for the lattice computations that need it."""
+        return _diagonal_matrix(self.entries)
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
-        groups = (self,) + others
-        n = sum(g.ngens for g in groups)
-        cols = []
-        offset = 0
-        for g in groups:
-            for j in range(g.relations.ncols):
-                col = [0] * n
-                for i, v in enumerate(g.relations.col(j)):
-                    col[offset + i] = v
-                cols.append(col)
-            offset += g.ngens
-        return FgAbGroup(n, IntMatrix.from_columns(cols, n))
+        return FgAbGroup(sum((g.entries for g in others), self.entries))
 
     # -- invariants ------------------------------------------------------------
 
-    def _snf_data(self):
-        # the Hermite form spans the same lattice with fewer columns, which
-        # keeps the Smith reduction small; U still acts on generator coordinates
-        if self._snf is None:
-            H, _ = hnf(self.relations)
-            npiv = sum(1 for j in range(H.ncols) if any(H.col(j)))
-            self._snf = snf(IntMatrix.from_columns(
-                [H.col(j) for j in range(npiv)], H.nrows))
-        return self._snf
-
-    @property
-    def smith_change(self) -> tuple:
-        """(U, U^-1): U sends generator coordinates to coordinates on the
-        Smith generators, the columns of U^-1, in which the relations are
-        diagonal with entries self.diagonal."""
-        if self._smith is None:
-            _, U, _ = self._snf_data()
-            self._smith = U, unimodular_inverse(U)
-        return self._smith
-
     @property
     def diagonal(self) -> tuple:
-        """The Smith diagonal: 1s, then the invariant factors, zeros last."""
-        if self._smith_diag is not None:
-            return self._smith_diag
-        rel_diag = self._diagonal_relations()
-        if rel_diag is not None:
-            # the Smith diagonal is unique, so recombining the entries into
-            # their invariant chain gives it without a Smith reduction
-            entries = [abs(d) for d in rel_diag]
-            chain = _invariant_chain(d for d in entries if d > 1)
-            nonzero = len(entries) - entries.count(0)
-            d = ((1,) * (nonzero - len(chain)) + chain
-                 + (0,) * (self.ngens - nonzero))
-        else:
-            S, _, _ = self._snf_data()
-            d = tuple(S[i, i] for i in range(min(S.nrows, S.ncols)))
-            d += (0,) * (self.ngens - len(d))
-        self._smith_diag = d
-        return d
+        """The Smith diagonal: 1s, then the invariant factors, zeros last.
+
+        It is unique, so recombining the entries into their invariant chain
+        gives it without a Smith reduction."""
+        chain = _invariant_chain(d for d in self.entries if d > 1)
+        free = self.free_rank
+        return (1,) * (self.ngens - free - len(chain)) + chain + (0,) * free
 
     @property
     def free_rank(self) -> int:
-        return self.diagonal.count(0)
+        return self.entries.count(0)
 
     @property
     def invariant_factors(self) -> tuple:
         """The divisibility chain d1 | d2 | ..., each > 1, ascending."""
-        return tuple(sorted(d for d in self.diagonal if d > 1))
-
-    def order(self) -> Optional[int]:
-        if self.free_rank:
-            return None
-        return prod(self.invariant_factors) if self.invariant_factors else 1
+        return tuple(d for d in self.diagonal if d > 1)
 
     @property
     def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    # -- elements ---------------------------------------------------------------
-
-    def _diagonal_relations(self):
-        # square diagonal relation matrices admit an entrywise zero test
-        if self._diag == -1:
-            rel = self.relations
-            if rel.ncols == self.ngens and all(
-                    not v
-                    for i, row in enumerate(rel._rows)
-                    for j, v in enumerate(row) if i != j):
-                self._diag = tuple(rel[i, i] for i in range(self.ngens))
-            else:
-                self._diag = None
-        return self._diag
+        return all(d == 1 for d in self.entries)
 
     def element_is_zero(self, coords: Sequence[int]) -> bool:
-        diag = self._diagonal_relations()
-        if diag is not None:
-            return all((v % d == 0 if d else v == 0)
-                       for v, d in zip(coords, diag))
-        return lattice_solve(self.relations, coords) is not None
-
-    def elements_equal(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        return self.element_is_zero([x - y for x, y in zip(a, b)])
+        if len(coords) != len(self.entries):
+            raise ValueError("element of wrong length")
+        return all((v % d == 0 if d else v == 0)
+                   for v, d in zip(coords, self.entries))
 
     # -- misc ----------------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FgAbGroup):
             return NotImplemented
-        return self.ngens == other.ngens and self.relations == other.relations
+        return self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash((self.ngens, self.relations))
+        return hash(self.entries)
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
@@ -203,6 +102,15 @@ class FgAbGroup:
 
     def __repr__(self) -> str:
         return f"FgAbGroup({self.describe()})"
+
+
+@lru_cache(maxsize=None)
+def _diagonal_matrix(entries: tuple) -> IntMatrix:
+    # one object per entries, so its hash and the lattice caches keyed on
+    # it are computed once
+    k = len(entries)
+    return IntMatrix._raw(tuple((0,) * t + (d,) + (0,) * (k - 1 - t)
+                                for t, d in enumerate(entries)), k)
 
 
 def _invariant_chain(entries) -> tuple:
@@ -235,10 +143,10 @@ def is_isomorphic(G1: FgAbGroup, G2: FgAbGroup) -> bool:
 
 
 class Homomorphism:
-    """Map between presented groups, as a matrix on generators.
+    """Map between groups, as a matrix on generators.
 
-    Construction verifies well-definedness: every column of
-    matrix @ source.relations must lie in the target relation lattice.
+    Construction verifies well-definedness: column t times the order of
+    source generator t must be zero in the target.
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -248,24 +156,16 @@ class Homomorphism:
             raise ValueError(
                 f"matrix shape {matrix.shape}, expected "
                 f"{(target.ngens, source.ngens)}")
-        moved = matrix @ source.relations
-        for j in range(moved.ncols):
-            if not target.element_is_zero(moved.col(j)):
+        for d, col in zip(source.entries, matrix.columns()):
+            if d != 0 and not target.element_is_zero([d * v for v in col]):
                 raise ValueError("matrix does not respect the source relations")
         self.source = source
         self.target = target
         self.matrix = matrix
 
     @classmethod
-    def identity(cls, G: FgAbGroup) -> "Homomorphism":
-        return cls(G, G, IntMatrix.identity(G.ngens))
-
-    @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "Homomorphism":
         return cls(source, target, IntMatrix.zeros(target.ngens, source.ngens))
-
-    def apply(self, coords: Sequence[int]) -> tuple:
-        return self.matrix.apply(coords)
 
     def __matmul__(self, other: "Homomorphism") -> "Homomorphism":
         if not isinstance(other, Homomorphism):
@@ -295,15 +195,11 @@ class Homomorphism:
         return all(self.source.element_is_zero(K.col(j)) for j in range(K.ncols))
 
     def is_surjective(self) -> bool:
-        coker = FgAbGroup(self.target.ngens,
-                          hstack(self.matrix, self.target.relations))
+        coker, _, _ = quotient(hstack(self.matrix, self.target.relations))
         return coker.is_trivial
 
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
-
-    def image_subgroup(self):
-        return subgroup_presentation(self.target, self.matrix)
 
     def __repr__(self) -> str:
         return (f"Homomorphism({self.source.describe()} -> "
@@ -319,18 +215,23 @@ def express_through(gens: IntMatrix, relations: IntMatrix,
     return sol[: gens.ncols]
 
 
-def subgroup_presentation(G: FgAbGroup, gens: IntMatrix):
-    """Present the subgroup of G generated by the given columns.
+def quotient(relations: IntMatrix):
+    """Z^k modulo the column lattice of a k-row relation matrix.
 
-    Returns (S, incl) where S has one generator per column and incl is the
-    inclusion into G.  Relations are every integer combination of the
-    columns that dies in G.
+    Returns (G, U, Uinv): U sends coordinates on the standard basis to
+    coordinates on G's generators, the columns of the unimodular Uinv, on
+    which the relations are diagonal with entries G.entries (1s, then the
+    invariant factors, zeros last).  This is the one Smith reduction of the
+    package.
     """
-    if gens.nrows != G.ngens:
-        raise ValueError("generator columns of wrong length")
-    relations = preimage_basis(gens, G.relations)
-    sub = FgAbGroup(gens.ncols, relations)
-    return sub, Homomorphism(sub, G, gens)
+    # the Hermite form spans the same lattice with fewer columns, which
+    # keeps the Smith reduction small; U still acts on generator coordinates
+    H, _ = hnf(relations)
+    pivots = [col for col in H.columns() if any(col)]
+    S, U, _ = snf(IntMatrix.from_columns(pivots, H.nrows))
+    entries = [S[t, t] for t in range(len(pivots))]
+    G = FgAbGroup(entries + [0] * (relations.nrows - len(entries)))
+    return G, U, unimodular_inverse(U)
 
 
 def corestrict(f: Homomorphism, sub: FgAbGroup,
@@ -363,11 +264,13 @@ def class_matrix(express: Callable[[Sequence[int]], Optional[tuple]],
 
 
 def homology_at(d_in: IntMatrix, d_out: IntMatrix):
-    """Homology ker(d_out)/im(d_in) of free abelian groups.
+    """Homology ker(d_out)/im(d_in) of free abelian groups, on
+    Smith-adapted generators.
 
-    Returns (G, lift): G presents the subquotient on the kernel basis, and
-    the columns of lift are cochain representatives of its generators.  Any
-    cocycle z is written in those generators by lattice_solve(lift, z).
+    Returns (G, lift): generator t of G has order G.entries[t], and the
+    columns of lift, a basis of ker(d_out), are cochain representatives of
+    the generators.  Any cocycle z is written in those generators by
+    lattice_solve(lift, z).
     """
     if d_out.ncols != d_in.nrows:
         raise ValueError("differentials are not composable")
@@ -377,7 +280,8 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix):
     relations, _ = class_matrix(partial(lattice_solve, K), d_in, K.ncols)
     if relations is None:
         raise RuntimeError("boundary is not a cocycle; kernel basis bug")
-    return FgAbGroup(K.ncols, relations), K
+    G, _, Uinv = quotient(relations)
+    return G, K @ Uinv
 
 
 def induced_map(f_cochain: IntMatrix, src, tgt,
@@ -403,12 +307,14 @@ def induced_map(f_cochain: IntMatrix, src, tgt,
 
 
 def subgroup_pk(G: FgAbGroup, p: int, k: int):
-    """The subgroup p^k G with its inclusion into G."""
+    """The subgroup p^k G with its inclusion p^k * I into G: generator t
+    is p^k e_t, of order d / gcd(d, p^k) for the order d of e_t."""
     check_prime(p)
     if k < 0:
         raise ValueError("k must be >= 0")
-    gens = (p ** k) * IntMatrix.identity(G.ngens)
-    return subgroup_presentation(G, gens)
+    q = p ** k
+    sub = FgAbGroup(d // gcd(d, q) for d in G.entries)
+    return sub, Homomorphism(sub, G, q * IntMatrix.identity(G.ngens))
 
 
 def graded_piece_dim(G: FgAbGroup, p: int, k: int) -> int:
@@ -417,38 +323,31 @@ def graded_piece_dim(G: FgAbGroup, p: int, k: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     q = p ** k
-    return G.free_rank + sum(1 for d in G.invariant_factors if d % q == 0)
+    # Z/d contributes when p^k divides d, a free generator (d = 0) always
+    return sum(1 for d in G.entries if d % q == 0)
 
 
 def primary_part(G: FgAbGroup, p: int) -> FgAbGroup:
     """The p-primary component, as a direct sum of p-power cyclic groups."""
     check_prime(p)
-    factors = []
-    for d in G.invariant_factors:
-        v = valuation(d, p)
-        if v:
-            factors.append(p ** v)
-    return FgAbGroup.from_factors(factors)
+    return FgAbGroup(sorted(p ** valuation(d, p) for d in G.entries
+                            if d > 1 and d % p == 0))
 
 
 def primary_inclusion(G: FgAbGroup, p: int):
-    """The p-primary component together with its inclusion into G."""
+    """The p-primary component together with its inclusion into G: one
+    generator (d / p^v) e_t of order p^v for each generator e_t of G whose
+    order d > 0 has p-valuation v > 0."""
     check_prime(p)
-    Uinv = G.smith_change[1]
-    diag = G.diagonal
     cols = []
     factors = []
-    for idx, d in enumerate(diag):
-        if d == 0:
-            continue
+    for t, d in enumerate(G.entries):
         v = valuation(d, p) if d > 1 else 0
         if v:
-            scale = d // p ** v
-            cols.append([scale * x for x in Uinv.col(idx)])
+            cols.append([d // p ** v if s == t else 0 for s in range(G.ngens)])
             factors.append(p ** v)
-    P = FgAbGroup.from_factors(factors)
-    incl = Homomorphism(P, G, IntMatrix.from_columns(cols, G.ngens))
-    return P, incl
+    P = FgAbGroup(factors)
+    return P, Homomorphism(P, G, IntMatrix.from_columns(cols, G.ngens))
 
 
 def is_exact_at(f: Homomorphism, g: Homomorphism):

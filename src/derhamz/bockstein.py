@@ -26,11 +26,11 @@ from .abgroups import (
     FgAbGroup,
     Homomorphism,
     class_matrix,
-    corestrict,
     express_through,
     is_exact_at,
     preimage_basis,
-    subgroup_presentation,
+    quotient,
+    subgroup_pk,
 )
 from .cohomology import block_homology, block_modp_homology, modp_homology
 from .derham import block_pairs, distinct_blocks, koszul_blocks, koszul_d
@@ -173,7 +173,7 @@ def _block_couple(weights: tuple, p: int) -> ExactCouple:
     mp = block_modp_homology(weights, p)
     top = len(weights)
     D = [h.group for h in H]
-    E = [FgAbGroup.elementary(p, st.dim) for st in mp]
+    E = [FgAbGroup((p,) * st.dim) for st in mp]
     i_maps = [Homomorphism(G, G, p * IntMatrix.identity(G.ngens)) for G in D]
 
     j_maps, k_maps = [], []
@@ -183,7 +183,6 @@ def _block_couple(weights: tuple, p: int) -> ExactCouple:
             raise RuntimeError("integral cocycle failed to reduce mod p")
         j_maps.append(Homomorphism(D[i], E[i], matrix))
         target = D[i + 1] if i < top else FgAbGroup.zero()
-        target_orders = H[i + 1].entries if i < top else ()
         cols = []
         for rep in mp[i].reps:
             dv = koszul_d(weights, i).apply(rep)
@@ -195,7 +194,7 @@ def _block_couple(weights: tuple, p: int) -> ExactCouple:
                 raise RuntimeError("(d z~)/p is not an integral cocycle")
             # reduced modulo the orders of the generators
             cols.append([v % d if d else v
-                         for v, d in zip(coords, target_orders)])
+                         for v, d in zip(coords, target.entries)])
         k_maps.append(Homomorphism(
             E[i], target, IntMatrix.from_columns(cols, target.ngens)))
     return ExactCouple(weights, p, 1, D, E, i_maps, j_maps, k_maps, mp)
@@ -204,56 +203,48 @@ def _block_couple(weights: tuple, p: int) -> ExactCouple:
 def derive(c: ExactCouple) -> ExactCouple:
     """The derived couple: D' = im(i), E' = ker(jk)/im(jk).
 
-    The input couple must be exact (checked).  j' needs preimages under i;
-    whenever the preimage is ambiguous modulo a nontrivial kernel, the
-    value is recomputed with a second solution and both must agree.
+    The input couple must be exact and its i multiplication by p (both
+    checked), so D' is pD (subgroup_pk), on the generators p e_t, and i' is
+    p again.  j' sends p e_t to the class of j(e_t), e_t being one
+    i-preimage; whenever the preimage is ambiguous modulo a nontrivial
+    kernel, the value is recomputed with a second preimage and both must
+    agree.
     """
     c.check_exactness()
     p = c.p
     imax = c.imax
 
-    subs = []
-    incls = []
-    for i in range(imax + 1):
-        sub, incl = subgroup_presentation(c.D[i], c.i_maps[i].matrix)
+    subs, incls = [], []
+    for i, D in enumerate(c.D):
+        sub, incl = subgroup_pk(D, p, 1)
+        # incl.matrix is p * I
+        if c.i_maps[i] != Homomorphism(D, D, incl.matrix):
+            raise ExactnessError(f"i is not multiplication by p in degree {i}")
         subs.append(sub)
         incls.append(incl)
-
-    new_i = []
-    for i in range(imax + 1):
-        comp = c.i_maps[i] @ incls[i]
-        cor = corestrict(comp, subs[i], incls[i])
-        if cor is None:
-            raise ExactnessError("restriction of i does not land in im(i)")
-        new_i.append(cor)
+    new_i = [Homomorphism(S, S, incl.matrix) for S, incl in zip(subs, incls)]
 
     # E' = ker d / im d with d = j∘k, handled entirely mod p
     stages = [modp_homology(i, c.d_matrix(i - 1), c.d_matrix(i), p)
               for i in range(imax + 1)]
-    new_E = [FgAbGroup.elementary(p, st.dim) for st in stages]
+    new_E = [FgAbGroup((p,) * st.dim) for st in stages]
 
     new_j = []
-    for i in range(imax + 1):
-        i_mat = c.i_maps[i].matrix
-        kernel_i = preimage_basis(i_mat, c.D[i].relations)
-        spare = None
-        for j in range(kernel_i.ncols):
-            col = kernel_i.col(j)
-            if not c.D[i].element_is_zero(col):
-                spare = col
-                break
+    for i, D in enumerate(c.D):
+        kernel_i = preimage_basis(incls[i].matrix, D.relations)
+        spare = next((col for col in kernel_i.columns()
+                      if not D.element_is_zero(col)), None)
+        j_mat = c.j_maps[i].matrix
+        j_spare = None if spare is None else j_mat.apply(spare)
         cols = []
-        for g in range(subs[i].ngens):
-            a = incls[i].matrix.col(g)
-            x = express_through(i_mat, c.D[i].relations, a)
-            if x is None:
-                raise ExactnessError("generator of im(i) has no i-preimage")
-            coords = stages[i].express(c.j_maps[i].matrix.apply(x))
+        # column t is j(e_t), and e_t + spare is a second i-preimage of p e_t
+        for j_e in j_mat.columns():
+            coords = stages[i].express(j_e)
             if coords is None:
                 raise ExactnessError("j' value does not survive to E'")
-            if spare is not None:
-                x2 = tuple(u + v for u, v in zip(x, spare))
-                coords2 = stages[i].express(c.j_maps[i].matrix.apply(x2))
+            if j_spare is not None:
+                coords2 = stages[i].express(
+                    [u + v for u, v in zip(j_e, j_spare)])
                 if coords2 is None or any(
                         (u - v) % p for u, v in zip(coords, coords2)):
                     raise ExactnessError(
@@ -263,14 +254,11 @@ def derive(c: ExactCouple) -> ExactCouple:
             subs[i], new_E[i], IntMatrix.from_columns(cols, new_E[i].ngens)))
 
     new_k = []
+    top = subgroup_pk(FgAbGroup.zero(), p, 1)   # k lands in 0 at the top
     for i in range(imax + 1):
-        target = subs[i + 1] if i + 1 <= imax else FgAbGroup.zero()
-        target_incl = incls[i + 1].matrix if i + 1 <= imax \
-            else IntMatrix.zeros(0, 0)
-        target_rel = c.D[i + 1].relations if i + 1 <= imax \
-            else IntMatrix.zeros(0, 0)
+        target, incl = (subs[i + 1], incls[i + 1]) if i < imax else top
         matrix, _ = class_matrix(
-            partial(express_through, target_incl, target_rel),
+            partial(express_through, incl.matrix, incl.target.relations),
             c.k_maps[i].matrix @ stages[i].rep_matrix(), target.ngens)
         if matrix is None:
             raise ExactnessError("k of a surviving class misses im(i)")
@@ -416,12 +404,11 @@ def _closed_form_degree(weights: tuple, p: int, k: int, i: int):
                                 N.ncols)
     if relations is None:
         raise RuntimeError("denominator does not lie in the numerator")
-    G = FgAbGroup(N.ncols, relations)
-    diag = G.diagonal
+    G, U, Uinv = quotient(relations)
+    diag = G.entries
     if any(d not in (1, p) for d in diag):
         raise RuntimeError(
             f"closed-form page not elementary abelian at degree {i}: {diag}")
-    U, Uinv = G.smith_change
     kept = tuple(idx for idx, d in enumerate(diag) if d == p)
     return N, U, Uinv, kept
 

@@ -48,50 +48,32 @@ def integral_cohomology(r: int, n: int) -> CohomologyResult:
 
     The complex is the direct sum of its multidegree blocks
     (derham.koszul_blocks), so H^i is the sum of the blocks' H^i
-    (block_homology).  H^i is presented by the square diagonal matrix of
-    the Smith entries, blocks in basis order; block_homology gives each
-    block's generators.
+    (block_homology).  H^i is the group of the blocks' Smith entries,
+    blocks in basis order; block_homology gives each block's generators.
     """
     blocks = koszul_blocks(r, n)
     degrees = []
     for i in range(min(n, r) + 1):
-        diag = [e for blk in blocks if i < len(blk.cells)
-                for e in block_homology(blk.weights)[i].entries]
-        degrees.append(HDegree(i, FgAbGroup.from_diagonal(diag)))
+        entries = [e for blk in blocks if i < len(blk.cells)
+                   for e in block_homology(blk.weights)[i].group.entries]
+        degrees.append(HDegree(i, FgAbGroup(entries)))
     return CohomologyResult(r, n, tuple(degrees))
 
 
 class BlockHomology(NamedTuple):
-    """H^i over Z of one block: smith_homology's entries and gens."""
-    entries: tuple
+    """H^i over Z of one block, as homology_at gives it: generator t of
+    group has order group.entries[t] and cochain representative gens[:, t]."""
+    group: FgAbGroup
     gens: IntMatrix
-
-    @property
-    def group(self) -> FgAbGroup:
-        """Presented by the square diagonal of the entries."""
-        return FgAbGroup.from_diagonal(self.entries)
 
 
 @lru_cache(maxsize=None)
 def block_homology(weights: tuple) -> tuple:
     """H^0 .. H^s over Z of the Koszul block of the s ordered nonzero
-    weights, as BlockHomology from smith_homology on the block d."""
-    return tuple(BlockHomology(*smith_homology(koszul_d(weights, i - 1),
-                                              koszul_d(weights, i)))
+    weights, as BlockHomology from homology_at on the block d."""
+    return tuple(BlockHomology(*homology_at(koszul_d(weights, i - 1),
+                                           koszul_d(weights, i)))
                  for i in range(len(weights) + 1))
-
-
-def smith_homology(d_in: IntMatrix, d_out: IntMatrix):
-    """ker(d_out) / im(d_in) over Z on Smith-adapted generators.
-
-    Returns (entries, gens): generator t has order entries[t] (0 for a free
-    one, 1 for a trivial one), and the columns of gens are cochain
-    representatives, a basis of ker(d_out).  Both come from the group's
-    own Smith form (FgAbGroup.diagonal and smith_change); homology_at
-    checks d∘d = 0.
-    """
-    G, K = homology_at(d_in, d_out)
-    return G.diagonal, K @ G.smith_change[1]
 
 
 class ModpDegree:

@@ -149,10 +149,6 @@ class IntMatrix:
         return IntMatrix._raw(tuple(tuple(c * a for a in row) for row in self._rows),
                               self.ncols)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._raw(tuple(self.col(j) for j in range(self.ncols)),
-                              self.nrows)
-
     def mod(self, p: int) -> "IntMatrix":
         if p <= 0:
             raise ValueError("modulus must be positive")
@@ -199,16 +195,6 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
 def augmented(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Cached two-block [a | b]; solver state attaches to the result."""
     return hstack(a, b)
-
-
-def vstack(*mats: IntMatrix) -> IntMatrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    ncols = mats[0].ncols
-    if any(m.ncols != ncols for m in mats):
-        raise ValueError("vstack: column counts differ")
-    rows = [row for m in mats for row in m._rows]
-    return IntMatrix(rows, ncols=ncols)
 
 
 # -- Hermite normal form (column style) ------------------------------------------
@@ -333,13 +319,6 @@ def preimage_basis(f: IntMatrix, rel: IntMatrix) -> IntMatrix:
         raise ValueError("row counts differ")
     K = kernel_basis(augmented(f, rel))
     return K.top_rows(f.ncols)
-
-
-def is_unimodular(M: IntMatrix) -> bool:
-    if M.nrows != M.ncols:
-        return False
-    H, _ = hnf(M)
-    return H == IntMatrix.identity(M.nrows)
 
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
@@ -475,29 +454,3 @@ def snf(M: IntMatrix):
     """
     return _snf_cached(M)
 
-
-def det(M: IntMatrix) -> int:
-    """Exact determinant (fraction-free Bareiss elimination)."""
-    if M.nrows != M.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.nrows
-    if n == 0:
-        return 1
-    a = [list(row) for row in M._rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

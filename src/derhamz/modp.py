@@ -125,8 +125,8 @@ class Solver:
 
     def __init__(self, A: IntMatrix, p: int):
         self.p = p
+        self.nrows = m = A.nrows
         self.ncols = A.ncols
-        m = A.nrows
         aug = [row + [1 if i == j else 0 for j in range(m)]
                for i, row in enumerate(_to_rows(A, p))]
         R, pivots = rref(aug, A.ncols + m, p)
@@ -140,6 +140,8 @@ class Solver:
                 self.rows.append((None, row[A.ncols:]))
 
     def solve(self, b: Sequence[int]) -> Optional[tuple]:
+        if len(b) != self.nrows:
+            raise ValueError("right-hand side of wrong length")
         p = self.p
         x = [0] * self.ncols
         for piv, trans in self.rows:

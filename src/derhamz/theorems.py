@@ -178,8 +178,7 @@ def _block_frobenius(src, tgt, i: int, scale: int, literal: bool = False):
     h_tgt = block_homology(tgt.weights)[i]
     try:
         return induced_map(scale * IntMatrix.identity(len(src.cells[i])),
-                           (h_src.group, h_src.gens),
-                           (h_tgt.group, h_tgt.gens),
+                           h_src, h_tgt,
                            tgt_d_out=tgt.d(i) if literal else None), None
     except (ValueError, RuntimeError) as exc:
         return None, _at(i, src, error=str(exc))
@@ -193,9 +192,8 @@ def _frobenius_into(src, tgt, i: int, scale: int, derived,
     f, witness = _block_frobenius(src, tgt, i, scale, literal)
     if f is None:
         return None, witness
-    parent = derived.parent
-    cor = corestrict(f, derived.D[i], Homomorphism(
-        derived.D[i], parent.D[i], parent.i_maps[i].matrix))
+    # derive builds that D^i as subgroup_pk of the parent's
+    cor = corestrict(f, *subgroup_pk(derived.parent.D[i], derived.p, 1))
     if cor is None:
         return None, _at(i, src, matrix=f.matrix.to_lists())
     return cor, None
@@ -444,10 +442,9 @@ def verify_filtration(r: int, n: int) -> VerificationReport:
                 factors.extend([p ** k] * count)
             if not rebuild_ok:
                 break
-            rebuilt_per_prime.append(FgAbGroup.from_factors(factors))
+            rebuilt_per_prime.append(FgAbGroup(factors))
         if rebuild_ok:
-            rebuilt = FgAbGroup.zero().direct_sum(*rebuilt_per_prime) \
-                if rebuilt_per_prime else FgAbGroup.zero()
+            rebuilt = FgAbGroup.zero().direct_sum(*rebuilt_per_prime)
             rebuild_ok = is_isomorphic(rebuilt, G)
             rebuilt_desc = rebuilt.describe()
         else:
@@ -467,8 +464,8 @@ def verify_example_deg4(r: int) -> VerificationReport:
     checks = _Checks()
     H = integral_cohomology(r, 4)
     half = r * (r - 1) // 2
-    expected1 = FgAbGroup.from_factors([4] * r + [2] * half)
-    expected2 = FgAbGroup.from_factors([2] * half)
+    expected1 = FgAbGroup([4] * r + [2] * half)
+    expected2 = FgAbGroup([2] * half)
     checks.add("H^1 matches", is_isomorphic(H.group(1), expected1),
                {"computed": H.group(1).describe(),
                 "expected": expected1.describe()})

@@ -173,6 +173,10 @@ def place(placed, nrows: int, ncols: int) -> IntMatrix:
     return IntMatrix(out, ncols)
 
 
+def transpose(M: IntMatrix) -> IntMatrix:
+    return IntMatrix(M.columns(), M.nrows)
+
+
 def modp_class_matrix(target, i: int, cochain_cols: IntMatrix) -> IntMatrix:
     """Classes of mod-p cocycle columns, as a matrix over H^i of target (a
     modp_cohomology result): solved densely over the blocks' class

@@ -1,5 +1,7 @@
 """Groups, homomorphisms, homology; oracle is sympy rank + Smith bookkeeping."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Matrix
@@ -15,12 +17,18 @@ from derhamz.abgroups import (
     is_isomorphic,
     primary_inclusion,
     primary_part,
+    quotient,
     subgroup_pk,
-    subgroup_presentation,
 )
-from derhamz.intlinalg import IntMatrix, hstack, kernel_basis, lattice_solve
+from derhamz.intlinalg import (
+    IntMatrix,
+    hstack,
+    kernel_basis,
+    lattice_solve,
+    preimage_basis,
+)
 
-from dense_oracle import complex_z, frobenius_matrix
+from dense_oracle import complex_z, frobenius_matrix, transpose
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=30)
@@ -28,26 +36,45 @@ settings.load_profile("suite")
 
 
 def Z(*factors):
-    return FgAbGroup.from_factors(factors)
+    return FgAbGroup(factors)
+
+
+def order(G):
+    """|G|, for a finite group."""
+    assert G.free_rank == 0
+    return prod(G.entries)
 
 
 class TestFgAbGroup:
     def test_invariants(self):
-        G = FgAbGroup(2, IntMatrix([[2, 0], [0, 4]]))
+        G = FgAbGroup([2, 4])
         assert G.invariant_factors == (2, 4)
         assert G.free_rank == 0
-        assert G.order() == 8
+        assert order(G) == 8
 
     def test_free_and_zero(self):
-        assert FgAbGroup.free(3).free_rank == 3
-        assert FgAbGroup.free(3).order() is None
+        assert FgAbGroup([0, 0, 0]).free_rank == 3
+        assert not FgAbGroup([0, 0, 0]).is_trivial
         assert FgAbGroup.zero().is_trivial
+        assert FgAbGroup([1, 1]).is_trivial
 
     def test_element_tests(self):
-        G = FgAbGroup.cyclic(4)
+        G = Z(4)
         assert G.element_is_zero([4])
         assert not G.element_is_zero([2])
-        assert G.elements_equal([1], [5])
+        assert G.element_is_zero([1 - 5])
+
+    def test_wrong_length_elements_rejected(self):
+        # the entrywise test reads one coordinate per generator, no more and
+        # no fewer, as IntMatrix.apply does
+        for G, coords in ((Z(2, 3), [2]), (Z(2, 3), [2, 3, 1]),
+                          (Z(2, 0), [2]), (Z(), [0])):
+            with pytest.raises(ValueError):
+                G.element_is_zero(coords)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            FgAbGroup([2, -3])
 
     def test_is_isomorphic_spec_examples(self):
         assert not is_isomorphic(Z(2, 2), Z(4))
@@ -55,7 +82,8 @@ class TestFgAbGroup:
         assert is_isomorphic(FgAbGroup.zero(), FgAbGroup.zero())
 
     def test_direct_sum(self):
-        G = Z(4).direct_sum(Z(2), FgAbGroup.free(1))
+        G = Z(4).direct_sum(Z(2), Z(0))
+        assert G.entries == (4, 2, 0)
         assert G.free_rank == 1
         assert G.invariant_factors == (2, 4)
 
@@ -77,7 +105,7 @@ class TestHomomorphism:
         double = Homomorphism(Z(4), Z(4), IntMatrix([[2]]))
         assert not double.is_injective()
         assert not double.is_surjective()
-        assert Homomorphism.identity(Z(4)).is_isomorphism()
+        assert Homomorphism(Z(4), Z(4), IntMatrix([[1]])).is_isomorphism()
 
 
 class TestHomologyAt:
@@ -114,12 +142,12 @@ def random_two_step_complex(draw):
         st.lists(st.integers(-4, 4), min_size=a, max_size=a),
         min_size=b, max_size=b)), ncols=a)
     # rows of d_out must kill the image of d_in: build from the left kernel
-    left = kernel_basis(d_in.transpose())
+    left = kernel_basis(transpose(d_in))
     coeff = IntMatrix(draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=left.ncols,
                  max_size=left.ncols),
         min_size=c, max_size=c)), ncols=left.ncols)
-    d_out = coeff @ left.transpose()
+    d_out = coeff @ transpose(left)
     return d_in, d_out
 
 
@@ -150,7 +178,8 @@ class TestInducedMap:
         H1 = homology_at(cpx.d(0), cpx.d(1))
         f = induced_map(IntMatrix.identity(cpx.d(1).ncols), H1, H1,
                         tgt_d_out=cpx.d(1))
-        assert f == Homomorphism.identity(H1[0])
+        assert f == Homomorphism(H1[0], H1[0],
+                                 IntMatrix.identity(H1[0].ngens))
 
     def test_multiplication_by_p(self):
         cpx = complex_z(2, 4)
@@ -174,7 +203,7 @@ class TestInducedMap:
         assert f.matrix == IntMatrix([[2]])
 
     def test_non_cocycle_rejected(self):
-        G = FgAbGroup.free(1)
+        G = Z(0)
         lift = IntMatrix.identity(1)
         with pytest.raises(ValueError):
             induced_map(IntMatrix([[1]]), (G, lift), (G, lift),
@@ -188,10 +217,10 @@ DIAGONAL_ENTRIES = st.lists(
     max_size=6)
 
 
-class TestDiagonalFastPath:
+class TestSmithEntries:
     @given(DIAGONAL_ENTRIES, st.data())
-    def test_matches_the_smith_path(self, entries, data):
-        G = FgAbGroup.from_diagonal(entries)
+    def test_quotient_of_a_moved_diagonal(self, entries, data):
+        G = FgAbGroup(abs(d) for d in entries)
         k = len(entries)
         # W: a random product of unimodular column operations
         W = [[int(a == b) for b in range(k)] for a in range(k)]
@@ -202,20 +231,23 @@ class TestDiagonalFastPath:
                 if a != b:
                     for row in W:
                         row[a] += c * row[b]
-        moved = G.relations @ IntMatrix(W, ncols=k)
-        # the extra zero column keeps the lattice and makes the presentation
-        # non-square, so its diagonal comes from the Smith reduction
-        H = FgAbGroup(k, hstack(moved, IntMatrix.zeros(k, 1)))
-        assert G.diagonal == H.diagonal
+        signed = IntMatrix([[d if s == t else 0 for s in range(k)]
+                            for t, d in enumerate(entries)], ncols=k)
+        moved = signed @ IntMatrix(W, ncols=k)
+        # the extra zero column keeps the lattice and makes the relation
+        # matrix non-square; quotient's Smith form recovers the diagonal
+        H, U, Uinv = quotient(hstack(moved, IntMatrix.zeros(k, 1)))
+        assert H.entries == H.diagonal == G.diagonal
+        assert U @ Uinv == IntMatrix.identity(k)
         for p in (2, 3, 5, 7):
+            assert primary_part(H, p) == primary_part(G, p)
             P, incl = primary_inclusion(G, p)
             assert is_isomorphic(P, primary_part(G, p))
             assert incl.is_injective()
 
-    def test_square_diagonal_groups_skip_the_smith_reduction(self):
-        G = FgAbGroup.from_diagonal([4, 0, 6, 1, 2 ** 40, 3])
+    def test_entrywise_invariants_and_zero_test(self):
+        G = FgAbGroup([4, 0, 6, 1, 2 ** 40, 3])
         assert G.diagonal == (1, 1, 2, 12, 2 ** 40 * 3, 0)
-        assert G._snf is None
         assert G.element_is_zero([8, 0, 6, 5, 0, 3])
         assert not G.element_is_zero([0, 1, 0, 0, 0, 0])
 
@@ -240,12 +272,12 @@ class TestSubgroups:
         G = Z(4, 4, 2)
         assert graded_piece_dim(G, 2, 1) == 3
         assert graded_piece_dim(G, 2, 2) == 2
-        assert graded_piece_dim(FgAbGroup.free(1), 5, 1) == 1
+        assert graded_piece_dim(Z(0), 5, 1) == 1
 
     @given(st.lists(st.sampled_from([2, 3, 4, 8, 9, 5]), max_size=5),
            st.sampled_from([2, 3, 5]))
     def test_graded_dims_nonincreasing(self, factors, p):
-        G = FgAbGroup.from_factors(sorted(factors))
+        G = FgAbGroup(sorted(factors))
         dims = [graded_piece_dim(G, p, k) for k in range(1, 6)]
         assert all(a >= b for a, b in zip(dims, dims[1:]))
 
@@ -260,13 +292,18 @@ class TestSubgroups:
         assert is_isomorphic(P, primary_part(G, 3))
         assert incl.is_injective()
         # image really is the whole 3-primary part: same order subgroup
-        img, _ = incl.image_subgroup()
-        assert img.order() == P.order()
+        img, _, _ = quotient(preimage_basis(incl.matrix, G.relations))
+        assert order(img) == order(P) == 27
 
     def test_subgroup_presentation(self):
+        # the subgroup of G generated by columns is the quotient of one
+        # generator per column by the combinations that die in G
         G = Z(4)
-        S, incl = subgroup_presentation(G, IntMatrix([[2]]))
+        S, _, _ = quotient(preimage_basis(IntMatrix([[2]]), G.relations))
         assert S.invariant_factors == (2,)
+        S, incl = subgroup_pk(Z(4, 0, 9, 1), 2, 1)
+        assert S.entries == (2, 0, 9, 1)
+        assert incl.matrix == 2 * IntMatrix.identity(4)
 
 
 class TestExactness:

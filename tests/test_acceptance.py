@@ -162,9 +162,9 @@ def test_c8_filtration():
         H = integral_cohomology(r, 4)
         half = r * (r - 1) // 2
         goldens = goldens and is_isomorphic(
-            H.group(1), FgAbGroup.from_factors([4] * r + [2] * half))
+            H.group(1), FgAbGroup([4] * r + [2] * half))
         goldens = goldens and is_isomorphic(
-            H.group(2), FgAbGroup.from_factors([2] * half))
+            H.group(2), FgAbGroup([2] * half))
     report("8a", "filtration golden instances at degree 4", goldens)
     report("8b", "filtration: graded dims = cocycle dims everywhere",
            not mismatches)

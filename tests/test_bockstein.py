@@ -8,10 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from derhamz.abgroups import FgAbGroup, Homomorphism, graded_piece_dim
+from derhamz.abgroups import (
+    FgAbGroup,
+    Homomorphism,
+    graded_piece_dim,
+    homology_at,
+)
 from derhamz.bockstein import (
     ExactCouple,
     ExactnessError,
+    _block_couple,
     _oracle_d,
     closed_form_page,
     compare_with_closed_form,
@@ -20,11 +26,7 @@ from derhamz.bockstein import (
     initial_couple,
     pages,
 )
-from derhamz.cohomology import (
-    integral_cohomology,
-    modp_cohomology,
-    smith_homology,
-)
+from derhamz.cohomology import integral_cohomology, modp_cohomology
 from derhamz.derham import dim_formula, koszul_blocks
 from derhamz.intlinalg import IntMatrix, lattice_solve
 from derhamz.modp import rank, valuation
@@ -47,7 +49,7 @@ def _placed(c, i, mats):
 def _dense_lift(c, i):
     """The blocks' integral generators of degree i at their global cells,
     blocks in basis order."""
-    return _placed(c, i, [smith_homology(blk.d(i - 1), blk.d(i))[1]
+    return _placed(c, i, [homology_at(blk.d(i - 1), blk.d(i))[1]
                           for blk in c.blocks])
 
 
@@ -126,8 +128,9 @@ class TestInitialCouple:
                     if i == c.imax:
                         continue
                     coords = lattice_solve(lifts[i + 1], [v // p for v in dv])
-                    assert HZ.group(i + 1).elements_equal(
-                        coords, k.col(col)), (r, n, p, i)
+                    assert HZ.group(i + 1).element_is_zero(
+                        [a - b for a, b in zip(coords, k.col(col))]), \
+                        (r, n, p, i)
 
     def test_differential_is_zero_outside_degree_range(self):
         for s in initial_couple(2, 4, 2).summands:
@@ -160,6 +163,20 @@ class TestExactness:
             c.k_maps, c.stages)
         with pytest.raises(ExactnessError):
             derive(broken)
+
+    def test_derive_rejects_i_other_than_p(self):
+        # i = -2 on D^1 = Z/8 keeps the couple exact (same image and kernel
+        # as 2), but derive reads im(i) as 2D, so it must refuse it
+        c = _block_couple((8,), 2)
+        assert c.D[1].entries == (8,)
+        minus_two = ExactCouple(
+            c.weights, c.p, c.level, c.D, c.E,
+            [Homomorphism(G, G, -2 * IntMatrix.identity(G.ngens))
+             for G in c.D],
+            c.j_maps, c.k_maps, c.stages)
+        assert minus_two.exactness_failures() == []
+        with pytest.raises(ExactnessError):
+            derive(minus_two)
 
 
 class TestDerive:

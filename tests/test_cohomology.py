@@ -1,14 +1,19 @@
 """Integral and mod-p cohomology, Cartier bijectivity, naturality."""
 
+import json
+import resource
+import subprocess
+import sys
 from itertools import product
 from math import comb, gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import GF, Matrix
 from sympy.polys.matrices import DomainMatrix
 
-from derhamz.abgroups import FgAbGroup
+from derhamz.abgroups import FgAbGroup, homology_at
 from derhamz.bockstein import _block_couple, derive
 from derhamz.cohomology import (
     cartier_iso,
@@ -16,7 +21,6 @@ from derhamz.cohomology import (
     integral_cohomology,
     modp_cohomology,
     modp_homology,
-    smith_homology,
 )
 from derhamz.derham import dim_formula, koszul_blocks, koszul_d
 from derhamz.intlinalg import IntMatrix, hnf, kernel_basis, lattice_solve
@@ -29,7 +33,10 @@ from dense_oracle import (
     modp_class_matrix,
     place,
     substitution_map,
+    transpose,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=15)
@@ -140,6 +147,26 @@ class TestIntegralCohomology:
                 assert G.free_rank == 0, (r, n, i)
                 assert G.invariant_factors == closed_form_torsion(r, n, i), \
                     (r, n, i)
+
+    def test_five_variables_fit_in_256_mib(self):
+        # a group is its Smith entries, so no H^i holds a relation matrix:
+        # (5,12), with up to 5005 generators in one degree, runs in a child
+        # capped at 256 MiB of address space
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+        run = subprocess.run(
+            [sys.executable, "-m", "derhamz", "cohomology", "-r", "5",
+             "-n", "12", "--unsafe-bounds"],
+            capture_output=True, timeout=60, preexec_fn=cap_address_space,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert run.returncode == 0, run.stderr.decode()[-500:]
+        results = json.loads(run.stdout)["results"]
+        assert [row["i"] for row in results] == list(range(6))
+        for row in results:
+            assert row["free_rank"] == 0
+            assert tuple(row["invariant_factors"]) == closed_form_torsion(
+                5, 12, row["i"]), row["i"]
 
     def test_annihilated_by_n(self):
         for r in (1, 2):
@@ -358,12 +385,12 @@ def _placed_cartier(r, n, i, p):
     """cartier_iso's block matrices placed at their cells: columns at the
     block's degree-i cells, rows after the previous blocks' classes (the
     blocks p*beta in basis order, and the other blocks have no classes)."""
-    placed = [(blk.cells[i], M.transpose()) for blk, M
+    placed = [(blk.cells[i], transpose(M)) for blk, M
               in zip(koszul_blocks(r, n), cartier_iso(r, n, i, p))
               if M is not None]
     dim = modp_cohomology(r, p * n, p).dims
-    return place(placed, dim_formula(r, n, i),
-                 dim[i] if i < len(dim) else 0).transpose()
+    return transpose(place(placed, dim_formula(r, n, i),
+                           dim[i] if i < len(dim) else 0))
 
 
 class TestCartierIso:
@@ -420,7 +447,7 @@ class TestExpress:
         # per block: the Smith-adapted generators are a basis of the integer
         # cocycles, the Smith entries times the generators span the
         # coboundaries, and every generator expresses as its unit vector;
-        # H^i is the square diagonal sum of the blocks' entries
+        # H^i is the group of the blocks' entries, blocks in basis order
         for r in range(4):
             for n in range(11):
                 H = integral_cohomology(r, n)
@@ -430,7 +457,8 @@ class TestExpress:
                         if i >= len(blk.cells):
                             continue
                         d_in, d_out = blk.d(i - 1), blk.d(i)
-                        diag, gens = smith_homology(d_in, d_out)
+                        G, gens = homology_at(d_in, d_out)
+                        diag = G.entries
                         entries += diag
                         assert (hnf(gens)[0]
                                 == hnf(kernel_basis(d_out))[0]), (r, n, i)
@@ -442,7 +470,7 @@ class TestExpress:
                             unit = tuple(int(t == j)
                                          for t in range(gens.ncols))
                             assert lattice_solve(gens, gens.col(j)) == unit
-                    assert H.group(i) == FgAbGroup.from_diagonal(entries), \
+                    assert H.group(i) == FgAbGroup(entries), \
                         (r, n, i)
 
     def test_modp_express_rejects_non_cocycle(self):
@@ -454,3 +482,14 @@ class TestExpress:
         assert mp3.block_degrees[0][0].express((1,)) is None
         with pytest.raises(ValueError):
             modp_class_matrix(mp3, 0, IntMatrix([[1], [0], [0]]))
+
+    def test_modp_express_rejects_wrong_length(self):
+        # one coordinate per block cell: extra entries are not dropped and
+        # missing ones do not read as 0
+        mp = modp_cohomology(2, 4, 2)
+        (deg,) = [bd[1] for blk, bd in zip(mp.blocks, mp.block_degrees)
+                  if blk.beta == (2, 2)]
+        assert deg.dim_cochain == 2
+        for z in ((0, 0, 5, 5, 5), (5,)):
+            with pytest.raises(ValueError):
+                deg.express(z)

@@ -19,7 +19,7 @@ from collections import Counter
 from derhamz import bockstein, cohomology, theorems
 from derhamz.derham import koszul_blocks
 
-calls = {"smith_homology": Counter(), "derive": Counter(),
+calls = {"homology_at": Counter(), "derive": Counter(),
          "modp_homology": Counter()}
 
 def counting(name, key):
@@ -29,9 +29,10 @@ def counting(name, key):
         return fn(*args)
     setattr(module[name], name, wrapper)
 
-module = {"smith_homology": cohomology, "derive": bockstein,
+module = {"homology_at": cohomology, "derive": bockstein,
           "modp_homology": cohomology}
-counting("smith_homology", lambda d_in, d_out: (d_in, d_out))
+# the cohomology binding: homology_at on block differentials
+counting("homology_at", lambda d_in, d_out: (d_in, d_out))
 counting("derive", lambda c: (c.weights, c.p, c.level))
 # the cohomology binding: modp_homology on block differentials (derive
 # calls it through its own binding, on page differentials)
@@ -41,7 +42,7 @@ weights = {blk.weights for r in range(1, 4) for n in range(1, 9)
            for blk in koszul_blocks(r, n)}
 print(json.dumps({
     "most_repeated": {name: max(c.values()) for name, c in calls.items()},
-    "smith_calls": sum(calls["smith_homology"].values()),
+    "homology_calls": sum(calls["homology_at"].values()),
     "block_degrees": sum(len(w) + 1 for w in weights),
 }))
 """
@@ -67,12 +68,12 @@ def _child(code: str) -> str:
 
 
 def test_each_block_result_is_computed_once():
-    # smith_homology once per distinct weights and degree, derive once per
+    # homology_at once per distinct weights and degree, derive once per
     # (weights, p, level), block mod-p homology once per (weights, p)
     counts = json.loads(_child(COUNT_CALLS))
-    assert counts["most_repeated"] == {"smith_homology": 1, "derive": 1,
+    assert counts["most_repeated"] == {"homology_at": 1, "derive": 1,
                                        "modp_homology": 1}, counts
-    assert counts["smith_calls"] == counts["block_degrees"], counts
+    assert counts["homology_calls"] == counts["block_degrees"], counts
 
 
 def test_results_do_not_depend_on_call_order():
