@@ -33,7 +33,7 @@ from .abgroups import (
     subgroup_pk,
 )
 from .cohomology import block_homology, block_modp_homology, modp_homology
-from .derham import block_pairs, distinct_blocks, koszul_blocks, koszul_d
+from .derham import block_pairs, koszul_blocks, koszul_d
 from .intlinalg import IntMatrix, lattice_solve
 from .modp import check_prime, valuation
 
@@ -146,10 +146,6 @@ class CoupleSum:
         self.dims = tuple(sum(s.e_dim(i) for s in self.summands)
                           for i in range(self.imax + 1))
 
-    def exactness_failures(self) -> list:
-        return [f for b in distinct_blocks(self.blocks)
-                for f in self.summands[b].exactness_failures()]
-
 
 def initial_couple(r: int, n: int, p: int) -> CoupleSum:
     """The couple of the mod-p coefficient sequence in total degree n.
@@ -225,7 +221,7 @@ def derive(c: ExactCouple) -> ExactCouple:
     new_i = [Homomorphism(S, S, incl.matrix) for S, incl in zip(subs, incls)]
 
     # E' = ker d / im d with d = j∘k, handled entirely mod p
-    stages = [modp_homology(i, c.d_matrix(i - 1), c.d_matrix(i), p)
+    stages = [modp_homology(c.d_matrix(i - 1), c.d_matrix(i), p)
               for i in range(imax + 1)]
     new_E = [FgAbGroup((p,) * st.dim) for st in stages]
 
@@ -340,7 +336,7 @@ def pages(r: int, n: int, p: int, kmax: int | None = None) -> list:
 
 
 def _weights(blk) -> tuple:
-    return tuple(blk.beta[j - 1] for j in blk.support)
+    return tuple(w for w in blk.beta if w)
 
 
 @lru_cache(maxsize=None)
@@ -384,7 +380,6 @@ def _z_basis(weights: tuple, p: int, j: int, i: int) -> IntMatrix:
     return preimage_basis(d, (p ** j) * IntMatrix.identity(d.nrows))
 
 
-@lru_cache(maxsize=None)
 def _closed_form_degree(weights: tuple, p: int, k: int, i: int):
     """Minimal presentation data of Z_k / (p Z_{k-1} + p^(1-k) d Z_{k-1})
     in degree i of the block."""
@@ -581,12 +576,13 @@ def block_identification_failure(couple: CoupleSum, sources: Sequence,
     conjugation = None
     for b, c in pairs:
         blk, summand = couple.blocks[c], couple.summands[c]
-        for i in range(len(blk.cells)):
+        for i in range(len(blk.weights) + 1):
             if not blk.d(i).mod(couple.p).is_zero():
                 return {"check": "cocycle", "degree": i,
                         "beta": list(blk.beta)}
         failure = _page_isomorphism_failure(
-            summand, [IntMatrix.identity(len(cells)) for cells in blk.cells],
+            summand, [IntMatrix.identity(blk.d(i).ncols)
+                      for i in range(len(blk.weights) + 1)],
             sources[b].d)
         if failure is None:
             continue
@@ -594,7 +590,7 @@ def block_identification_failure(couple: CoupleSum, sources: Sequence,
         witness = {"degree": i, "beta": list(blk.beta)}
         if check == "survives":
             return {"check": "class survives", **witness,
-                    "cell": blk.cells[i][detail]}
+                    "cell": blk.basis_index(i, detail)}
         if check == "bijective":
             return {"check": "bijective", **witness,
                     "matrix": detail.to_lists()}

@@ -54,7 +54,7 @@ def integral_cohomology(r: int, n: int) -> CohomologyResult:
     blocks = koszul_blocks(r, n)
     degrees = []
     for i in range(min(n, r) + 1):
-        entries = [e for blk in blocks if i < len(blk.cells)
+        entries = [e for blk in blocks if i <= len(blk.weights)
                    for e in block_homology(blk.weights)[i].group.entries]
         degrees.append(HDegree(i, FgAbGroup(entries)))
     return CohomologyResult(r, n, tuple(degrees))
@@ -85,11 +85,10 @@ class ModpDegree:
     cocycles that greedily extend it.
     """
 
-    __slots__ = ("i", "dim_cochain", "cocycles", "coboundaries", "reps",
+    __slots__ = ("dim_cochain", "cocycles", "coboundaries", "reps",
                  "dim", "_solver", "_rep_columns")
 
-    def __init__(self, i: int, d_in: IntMatrix, cocycles: tuple, p: int):
-        self.i = i
+    def __init__(self, d_in: IntMatrix, cocycles: tuple, p: int):
         self.dim_cochain = d_in.nrows
         self.cocycles = cocycles
         self._solver = modp.Solver(
@@ -113,8 +112,7 @@ class ModpDegree:
         return tuple(sol[c] for c in self._rep_columns)
 
 
-def modp_homology(i: int, d_in: IntMatrix, d_out: IntMatrix,
-                  p: int) -> ModpDegree:
+def modp_homology(d_in: IntMatrix, d_out: IntMatrix, p: int) -> ModpDegree:
     """ker(d_out) / im(d_in) over the p-element field, in one degree.
 
     The class representatives are the cocycles that greedily extend a basis
@@ -123,7 +121,7 @@ def modp_homology(i: int, d_in: IntMatrix, d_out: IntMatrix,
     """
     if not (d_out @ d_in).mod(p).is_zero():
         raise ValueError("d_out @ d_in is nonzero mod p: not a complex")
-    return ModpDegree(i, d_in, tuple(modp.nullspace(d_out, p)), p)
+    return ModpDegree(d_in, tuple(modp.nullspace(d_out, p)), p)
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
 def block_modp_homology(weights: tuple, p: int) -> tuple:
     """H^0 .. H^s over the p-element field of the Koszul block of the s
     ordered nonzero weights, each a ModpDegree from modp_homology."""
-    return tuple(modp_homology(i, koszul_d(weights, i - 1),
+    return tuple(modp_homology(koszul_d(weights, i - 1),
                                koszul_d(weights, i), p)
                  for i in range(len(weights) + 1))
 
@@ -188,7 +186,7 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
     target = modp_cohomology(r, p * n, p)
     blocks = koszul_blocks(r, n)
     matrices = [_cartier_block(blk.weights, i, p)
-                if 0 <= i < len(blk.cells) else None for blk in blocks]
+                if 0 <= i <= len(blk.weights) else None for blk in blocks]
     _, others = block_pairs(blocks, target.blocks, p)
     for c in others:
         degs = target.block_degrees[c]

@@ -65,14 +65,10 @@ class GradedPiece:
     def dim(self) -> int:
         return len(self.elements)
 
-    def index(self, elem: BasisElement) -> int:
-        return _index_map(self.r, self.n, self.i)[elem]
-
     def __iter__(self):
         return iter(self.elements)
 
 
-@lru_cache(maxsize=None)
 def basis(r: int, n: int, i: int) -> GradedPiece:
     """The documented ordered basis of the (r, n, i) graded piece.
 
@@ -87,11 +83,6 @@ def basis(r: int, n: int, i: int) -> GradedPiece:
                   for T in _subsets_colex(r, i)
                   for alpha in _compositions_desc(n - i, r))
     return GradedPiece(r, n, i, elems)
-
-
-@lru_cache(maxsize=None)
-def _index_map(r: int, n: int, i: int) -> dict:
-    return {e: k for k, e in enumerate(basis(r, n, i).elements)}
 
 
 def dim_formula(r: int, n: int, i: int) -> int:
@@ -118,21 +109,27 @@ class KoszulBlock(NamedTuple):
     weights are the same complex; every per-block result is cached by them.
     """
     beta: tuple             # the weight, length r
-    support: tuple          # the j with beta_j > 0, increasing
-    cells: tuple            # cells[i]: global indices in basis(r, n, i)
-    weights: tuple          # beta_j for j in support: the sharing key
+    weights: tuple          # the nonzero beta_j, j increasing: the sharing key
 
     def d(self, i: int) -> IntMatrix:
-        """The block d^i; the zero map outside 0 <= i <= len(support)."""
+        """The block d^i; the zero map outside 0 <= i <= len(weights)."""
         return koszul_d(self.weights, i)
 
     def kappa(self, i: int) -> IntMatrix:
         """The block kappa from degree i to i-1; the zero map outside
-        0 <= i <= len(support)."""
+        0 <= i <= len(weights)."""
         s = len(self.weights)
         if 0 <= i <= s:
             return _koszul_contractions(s)[i]
         return IntMatrix.zeros(_ncells(s, i - 1), _ncells(s, i))
+
+    def basis_index(self, i: int, c: int) -> int:
+        """The index in basis(r, n, i) of the block's degree-i cell c."""
+        support = [j for j, w in enumerate(self.beta, 1) if w]
+        T = tuple(support[t - 1] for t in _subsets_colex(len(support), i)[c])
+        alpha = tuple(w - (j in T) for j, w in enumerate(self.beta, 1))
+        piece = basis(len(self.beta), sum(self.beta), i)
+        return piece.elements.index(BasisElement(alpha, T))
 
 
 def koszul_d(weights: tuple, i: int) -> IntMatrix:
@@ -163,23 +160,8 @@ def koszul_blocks(r: int, n: int) -> tuple:
     """
     if r < 0 or n < 0:
         raise ValueError("r and n must be nonnegative")
-    blocks = []
-    for beta in _compositions_desc(n, r):
-        support = tuple(j for j in range(1, r + 1) if beta[j - 1])
-        cells = []
-        for i in range(len(support) + 1):
-            idx = _index_map(r, n, i)
-            row = []
-            for T in _subsets_colex(len(support), i):
-                glob = tuple(support[t - 1] for t in T)
-                alpha = list(beta)
-                for t in glob:
-                    alpha[t - 1] -= 1
-                row.append(idx[BasisElement(tuple(alpha), glob)])
-            cells.append(tuple(row))
-        blocks.append(KoszulBlock(beta, support, tuple(cells),
-                                  tuple(beta[j - 1] for j in support)))
-    return tuple(blocks)
+    return tuple(KoszulBlock(beta, tuple(w for w in beta if w))
+                 for beta in _compositions_desc(n, r))
 
 
 def block_pairs(blocks: Sequence[KoszulBlock],

@@ -111,7 +111,7 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
     for i in range(top + 1):
         eulers = [(blk, blk.kappa(i + 1) @ blk.d(i)
                    + blk.d(i - 1) @ blk.kappa(i))
-                  for blk in blocks if i < len(blk.cells)]
+                  for blk in blocks if i <= len(blk.weights)]
         checks.add_all(f"euler identity degree {i}", (
             _at(i, blk, matrix=euler.to_lists()) for blk, euler in eulers
             if euler != n * IntMatrix.identity(euler.nrows)))
@@ -130,7 +130,7 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
                    {"degree": i, "factors": list(G.invariant_factors)})
         # H^i is the direct sum of the blocks' H^i, generators included
         groups = [block_homology(blk.weights)[i].group for blk in blocks
-                  if i < len(blk.cells)]
+                  if i <= len(blk.weights)]
         killed = all(
             B.element_is_zero([n if t == j else 0 for t in range(B.ngens)])
             for B in groups for j in range(B.ngens))
@@ -177,7 +177,7 @@ def _block_frobenius(src, tgt, i: int, scale: int, literal: bool = False):
     h_src = block_homology(src.weights)[i]
     h_tgt = block_homology(tgt.weights)[i]
     try:
-        return induced_map(scale * IntMatrix.identity(len(src.cells[i])),
+        return induced_map(scale * IntMatrix.identity(src.d(i).ncols),
                            h_src, h_tgt,
                            tgt_d_out=tgt.d(i) if literal else None), None
     except (ValueError, RuntimeError) as exc:
@@ -325,7 +325,7 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
         broken = []          # witnesses of vertical maps that fail
         for b, c in pairs:
             blk, tgt = blocks[b], multiples[c]
-            if i >= len(blk.cells):
+            if i > len(blk.weights):
                 continue
             f, witness = _block_frobenius(blk, tgt, i, p)
             if f is None:
@@ -351,7 +351,7 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
             continue
         unhit = [(blk, primary_part(subgroup_pk(
                       block_homology(blk.weights)[i].group, p, 1)[0], p))
-                 for blk in others if i < len(blk.cells)]
+                 for blk in others if i <= len(blk.weights)]
         checks.add_all(f"restricted map bijective, degree {i}", [
             _at(i, blk, source=PA.describe(), target=PpB.describe(),
                 matrix=h.matrix.to_lists())

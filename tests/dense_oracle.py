@@ -8,10 +8,33 @@ independent dense one at small sizes.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from derhamz.derham import BasisElement, basis, dim_formula
 from derhamz.intlinalg import IntMatrix
 from derhamz.modp import Solver
+
+
+@lru_cache(maxsize=None)
+def index_map(r: int, n: int, i: int) -> dict:
+    """The position of each element of basis(r, n, i)."""
+    return {e: k for k, e in enumerate(basis(r, n, i).elements)}
+
+
+def block_cells(blk, i: int) -> tuple:
+    """The indices in basis(r, n, i) of the degree-i cells of a Koszul
+    block: x^(beta - 1_T) dx_T for the i-subsets T of the support of beta,
+    T in colex order; () outside the block's degrees."""
+    if i < 0:
+        return ()
+    beta = blk.beta
+    support = [j for j, w in enumerate(beta, 1) if w]
+    index = index_map(len(beta), sum(beta), i)
+    cells = []
+    for T in sorted(combinations(support, i), key=lambda T: T[::-1]):
+        alpha = tuple(w - (j in T) for j, w in enumerate(beta, 1))
+        cells.append(index[BasisElement(alpha, T)])
+    return tuple(cells)
 
 
 @lru_cache(maxsize=None)
@@ -23,6 +46,7 @@ def d_matrix(r: int, n: int, i: int) -> IntMatrix:
     """
     src = basis(r, n, i)
     tgt = basis(r, n, i + 1)
+    index = index_map(r, n, i + 1)
     cols = []
     for alpha, T in src:
         col = [0] * tgt.dim
@@ -34,7 +58,7 @@ def d_matrix(r: int, n: int, i: int) -> IntMatrix:
             new_T = tuple(sorted(T + (j,)))
             # dx_j moves past the dx_t with t < j
             sign = -1 if sum(1 for t in T if t < j) % 2 else 1
-            col[tgt.index(BasisElement(tuple(new_alpha), new_T))] += \
+            col[index[BasisElement(tuple(new_alpha), new_T)]] += \
                 sign * alpha[j - 1]
         cols.append(col)
     return IntMatrix.from_columns(cols, tgt.dim)
@@ -77,6 +101,7 @@ def koszul_matrix(r: int, n: int, i: int) -> IntMatrix:
     """
     src = basis(r, n, i)
     tgt = basis(r, n, i - 1)
+    index = index_map(r, n, i - 1)
     cols = []
     for alpha, T in src:
         col = [0] * tgt.dim
@@ -84,7 +109,7 @@ def koszul_matrix(r: int, n: int, i: int) -> IntMatrix:
             new_alpha = list(alpha)
             new_alpha[t - 1] += 1
             new_T = T[:pos] + T[pos + 1:]
-            col[tgt.index(BasisElement(tuple(new_alpha), new_T))] += \
+            col[index[BasisElement(tuple(new_alpha), new_T)]] += \
                 -1 if pos % 2 else 1
         cols.append(col)
     return IntMatrix.from_columns(cols, tgt.dim)
@@ -109,11 +134,12 @@ def cartier_rep_matrix(r: int, n: int, i: int, p: int) -> IntMatrix:
     """
     src = basis(r, n, i)
     tgt = basis(r, p * n, i)
+    index = index_map(r, p * n, i)
     rows = [[0] * src.dim for _ in range(tgt.dim)]
     for c, (alpha, T) in enumerate(src):
         new_alpha = tuple(p * a + (p - 1 if (j + 1) in T else 0)
                           for j, a in enumerate(alpha))
-        rows[tgt.index(BasisElement(new_alpha, T))][c] = 1
+        rows[index[BasisElement(new_alpha, T)]][c] = 1
     return IntMatrix(rows, src.dim)
 
 
@@ -126,6 +152,7 @@ def substitution_map(f: IntMatrix, n: int, i: int) -> IntMatrix:
     s, r = f.nrows, f.ncols
     src = basis(r, n, i)
     tgt = basis(s, n, i)
+    index = index_map(s, n, i)
     cols = []
     zero_alpha = (0,) * s
     for alpha, T in src:
@@ -154,7 +181,7 @@ def substitution_map(f: IntMatrix, n: int, i: int) -> IntMatrix:
         col = [0] * tgt.dim
         for (a, W), c in terms.items():
             if c:
-                col[tgt.index(BasisElement(a, W))] += c
+                col[index[BasisElement(a, W)]] += c
         cols.append(col)
     return IntMatrix.from_columns(cols, tgt.dim)
 
@@ -183,7 +210,7 @@ def modp_class_matrix(target, i: int, cochain_cols: IntMatrix) -> IntMatrix:
     representatives and coboundaries, embedded at their cells, blocks in
     basis order."""
     p = target.p
-    degs = [(blk.cells[i], bd[i]) for blk, bd
+    degs = [(block_cells(blk, i), bd[i]) for blk, bd
             in zip(target.blocks, target.block_degrees) if 0 <= i < len(bd)]
     reps = [(cells, v) for cells, deg in degs for v in deg.reps]
     bounds = [(cells, v) for cells, deg in degs for v in deg.coboundaries]

@@ -1,10 +1,18 @@
 """A dead-code guard: every public name of the package has a caller.
 
 Each public top-level function or class of src/derhamz, and each public
-method of a top-level class, must be named somewhere in src/ outside its own
-definition, or be exported in derhamz.__all__, or be the console-script
-entry point cli.entrypoint.  Imports do not count as naming: a name that is
-only imported is still unused.
+method of a top-level class, must be named somewhere in src/ or in the
+benchmark's scripts (perfbench/*.py) outside its own definition, or be
+exported in derhamz.__all__, or be the console-script entry point
+cli.entrypoint.  Imports do not count as naming: a name that is only
+imported is still unused.
+
+A method counts only through an attribute read (x.name), never through a
+bare variable of the same name.  A method name is ambiguous when another
+top-level class of src/ defines it or a builtin type has it (tuple.index);
+an ambiguous method counts only as Class.name, as self.name inside its
+class, or through a caller declared in DECLARED_CALLERS, which must exist
+and read the name.
 """
 
 import ast
@@ -12,48 +20,100 @@ from pathlib import Path
 
 import derhamz
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "derhamz"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "derhamz"
+READERS = ROOT / "perfbench"
 ENTRY_POINTS = {"cli.entrypoint"}
+BUILTIN_TYPES = (object, int, str, bytes, tuple, list, dict, set, frozenset)
+
+# ambiguous methods called on instances: the function that calls each
+DECLARED_CALLERS = {
+    "bockstein.SpectralPage.is_zero": "cli.cmd_pages",
+    "intlinalg.IntMatrix.is_zero": "abgroups.homology_at",
+}
 
 
 def _definitions(tree):
-    """(qualified name, bare name, node) of the public top-level functions
-    and classes and of the public methods of the top-level classes."""
+    """(qualified name, bare name, node, class node or None) of the public
+    top-level functions and classes and of the public methods of the
+    top-level classes."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("_")):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield f"{node.name}.{item.name}", item.name, item, node
 
 
 def _references(tree):
-    """(name, line) of every name and attribute read in the module."""
+    """(name, line, receiver) of every name and attribute read in the
+    module; the receiver of x.name is "x" for a bare name x, else None,
+    and a bare name has the receiver False."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            value = node.value
+            yield (node.attr, node.lineno,
+                   value.id if isinstance(value, ast.Name) else None)
 
 
-def unused_public_names(package: Path = PACKAGE) -> list:
+def _reads(tree, function: str, name: str) -> bool:
+    """Whether the top-level function reads the attribute name."""
+    return any(isinstance(node, ast.FunctionDef) and node.name == function
+               and any(isinstance(sub, ast.Attribute) and sub.attr == name
+                       for sub in ast.walk(node))
+               for node in tree.body)
+
+
+def unused_public_names(package: Path = PACKAGE,
+                        readers: Path = READERS) -> list:
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py"))}
     refs = {stem: list(_references(tree)) for stem, tree in trees.items()}
+    refs.update({f"{readers.name}/{path.stem}":
+                 list(_references(ast.parse(path.read_text())))
+                 for path in sorted(readers.glob("*.py"))})
+    defs = {stem: list(_definitions(tree)) for stem, tree in trees.items()}
+    method_owners = {}
+    for found in defs.values():
+        for _, name, _, cls in found:
+            if cls is not None:
+                method_owners.setdefault(name, set()).add(cls.name)
+
+    def counts(stem, name, own, cls, other, ref, line, receiver):
+        if ref != name or (other == stem and line in own):
+            return False
+        if cls is None:
+            return True
+        if receiver is False:
+            return False
+        if (len(method_owners[name]) == 1
+                and not any(hasattr(t, name) for t in BUILTIN_TYPES)):
+            return True
+        return receiver == cls.name or (
+            receiver == "self" and other == stem
+            and cls.lineno <= line <= cls.end_lineno)
+
     unused = []
-    for stem, tree in trees.items():
-        for qualname, name, node in _definitions(tree):
-            if (name in derhamz.__all__
+    for stem, found in defs.items():
+        for qualname, name, node, cls in found:
+            if ((cls is None and name in derhamz.__all__)
                     or f"{stem}.{qualname}" in ENTRY_POINTS):
                 continue
+            caller = DECLARED_CALLERS.get(f"{stem}.{qualname}")
+            if caller is not None:
+                module, function = caller.split(".")
+                if module in trees and _reads(trees[module], function, name):
+                    continue
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(ref == name and (other != stem or line not in own)
-                       for other, found in refs.items()
-                       for ref, line in found):
+            if not any(counts(stem, name, own, cls, other, *ref)
+                       for other, found_refs in refs.items()
+                       for ref in found_refs):
                 unused.append(f"{stem}.{qualname}")
     return unused
 
@@ -63,9 +123,20 @@ def test_every_public_name_has_a_caller():
 
 
 def test_the_guard_sees_a_dead_function(tmp_path):
-    # a copy of the package with one helper nothing calls
+    # a copy of the package with one helper nothing calls, and a dead
+    # method whose name a live method of another class shares
     for path in PACKAGE.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     with open(tmp_path / "modp.py", "a") as f:
         f.write("\n\ndef dead_helper():\n    return dead_helper\n")
-    assert unused_public_names(tmp_path) == ["modp.dead_helper"]
+    abgroups = tmp_path / "abgroups.py"
+    lines = abgroups.read_text().splitlines(keepends=True)
+    homomorphism = next(node for node in ast.parse("".join(lines)).body
+                        if isinstance(node, ast.ClassDef)
+                        and node.name == "Homomorphism")
+    lines.insert(homomorphism.end_lineno,
+                 "\n    @classmethod\n    def identity(cls, G):\n"
+                 "        return cls(G, G, IntMatrix.identity(G.ngens))\n")
+    abgroups.write_text("".join(lines))
+    assert unused_public_names(tmp_path) == ["abgroups.Homomorphism.identity",
+                                             "modp.dead_helper"]

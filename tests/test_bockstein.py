@@ -32,7 +32,13 @@ from derhamz.intlinalg import IntMatrix, lattice_solve
 from derhamz.modp import rank, valuation
 from derhamz.theorems import verify_page_identification
 
-from dense_oracle import complex_z, d_matrix, modp_class_matrix, place
+from dense_oracle import (
+    block_cells,
+    complex_z,
+    d_matrix,
+    modp_class_matrix,
+    place,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -40,8 +46,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def _placed(c, i, mats):
     """The blocks' degree-i matrices mats[b], their rows at the block's
     global cells, their columns in block order."""
-    placed = [(blk.cells[i], M) for blk, M in zip(c.blocks, mats)
-              if i < len(blk.cells)]
+    placed = [(block_cells(blk, i), M) for blk, M in zip(c.blocks, mats)
+              if i <= len(blk.weights)]
     return place(placed, dim_formula(c.r, c.n, i),
                  sum(M.ncols for _, M in placed))
 
@@ -145,7 +151,9 @@ class TestExactness:
                 for n in range(1, 9):
                     kmax = valuation(n, p) + 1
                     for c in couples(r, n, p, kmax):
-                        assert c.exactness_failures() == [], (r, n, p, c.level)
+                        for s in set(c.summands):
+                            assert s.exactness_failures() == [], \
+                                (r, n, p, c.level, s.weights)
 
     def test_couples_exact_three_variables(self):
         # the certificate on every summand, the last level included
@@ -153,7 +161,9 @@ class TestExactness:
                           (4, 6, 2), (4, 6, 3)]:
             kmax = valuation(n, p) + 1
             for c in couples(r, n, p, kmax):
-                assert c.exactness_failures() == [], (r, n, p, c.level)
+                for s in set(c.summands):
+                    assert s.exactness_failures() == [], \
+                        (r, n, p, c.level, s.weights)
 
     def test_derive_rejects_broken_couple(self):
         (c,) = initial_couple(1, 2, 2).summands
@@ -272,15 +282,15 @@ class TestClosedForm:
                     d = d_matrix(r, n, i)
                     rows = [[0] * d.ncols for _ in range(d.nrows)]
                     for blk in blocks:
-                        if i >= len(blk.cells):
+                        if i > len(blk.weights):
                             continue
                         block_d = _oracle_d(
-                            tuple(blk.beta[j - 1] for j in blk.support))[i]
-                        tgt = blk.cells[i + 1] if i + 1 < len(blk.cells) \
-                            else ()
-                        assert block_d.shape == (len(tgt), len(blk.cells[i]))
+                            tuple(b for b in blk.beta if b))[i]
+                        src = block_cells(blk, i)
+                        tgt = block_cells(blk, i + 1)
+                        assert block_d.shape == (len(tgt), len(src))
                         for a, g in enumerate(tgt):
-                            for b, h in enumerate(blk.cells[i]):
+                            for b, h in enumerate(src):
                                 rows[g][h] += block_d[a, b]
                     assert IntMatrix(rows, d.ncols) == d, (r, n, i)
 

@@ -4,7 +4,6 @@ import json
 import resource
 import subprocess
 import sys
-from itertools import product
 from math import comb, gcd, prod
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from derhamz.intlinalg import IntMatrix, hnf, kernel_basis, lattice_solve
 from derhamz.modp import rank, valuation
 
 from dense_oracle import (
+    block_cells,
     cartier_rep_matrix,
     complex_z,
     modp_class_matrix,
@@ -56,12 +56,23 @@ def lattice(M):
     return [H.col(j) for j in range(H.ncols) if any(H.col(j))]
 
 
+def _compositions(n, r):
+    """Every beta in N^r with |beta| = n."""
+    if r == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, r - 1):
+            yield (first,) + rest
+
+
 def closed_form_torsion(r, n, i):
     """Invariant factors of the closed form, recombined prime by prime."""
     exponents = {}           # prime -> exponents of its cyclic summands
-    for beta in product(range(n + 1), repeat=r):
+    for beta in _compositions(n, r):
         s = sum(1 for b in beta if b)
-        if sum(beta) != n or s == 0 or i == 0:
+        if s == 0 or i == 0:
             continue
         g, copies = gcd(*beta), comb(s - 1, i - 1)
         q = 2
@@ -148,25 +159,27 @@ class TestIntegralCohomology:
                 assert G.invariant_factors == closed_form_torsion(r, n, i), \
                     (r, n, i)
 
-    def test_five_variables_fit_in_256_mib(self):
-        # a group is its Smith entries, so no H^i holds a relation matrix:
-        # (5,12), with up to 5005 generators in one degree, runs in a child
-        # capped at 256 MiB of address space
+    @pytest.mark.parametrize("r, n, mib", [(5, 12, 256), (8, 8, 80)])
+    def test_many_variables_fit_in_little_memory(self, r, n, mib):
+        # a group is its Smith entries and a Koszul block is its weights, so
+        # no H^i holds a relation matrix and no table spans the basis: (5,12),
+        # with up to 5005 generators in one degree, and (8,8), with 6435
+        # blocks, run in a child capped at the given address space
         def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+            resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
 
         run = subprocess.run(
-            [sys.executable, "-m", "derhamz", "cohomology", "-r", "5",
-             "-n", "12", "--unsafe-bounds"],
+            [sys.executable, "-m", "derhamz", "cohomology", "-r", str(r),
+             "-n", str(n), "--unsafe-bounds"],
             capture_output=True, timeout=60, preexec_fn=cap_address_space,
             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
         assert run.returncode == 0, run.stderr.decode()[-500:]
         results = json.loads(run.stdout)["results"]
-        assert [row["i"] for row in results] == list(range(6))
+        assert [row["i"] for row in results] == list(range(min(n, r) + 1))
         for row in results:
             assert row["free_rank"] == 0
             assert tuple(row["invariant_factors"]) == closed_form_torsion(
-                5, 12, row["i"]), row["i"]
+                r, n, row["i"]), row["i"]
 
     def test_annihilated_by_n(self):
         for r in (1, 2):
@@ -187,14 +200,14 @@ class TestModpHomology:
         # and express on them and on a non-cocycle
         weights = tuple(weights)
         for i in range(len(weights) + 1):
-            _check_modp_choices(i, koszul_d(weights, i - 1),
+            _check_modp_choices(koszul_d(weights, i - 1),
                                 koszul_d(weights, i), p)
         couple = _block_couple(weights, p)
         for level in range(min(valuation(w, p) for w in weights) + 1):
             if level:
                 couple = derive(couple)
             for i in range(couple.imax + 1):
-                _check_modp_choices(i, couple.d_matrix(i - 1),
+                _check_modp_choices(couple.d_matrix(i - 1),
                                     couple.d_matrix(i), p)
 
 
@@ -210,12 +223,12 @@ def _greedy(base, candidates, nrows, p):
     return picked
 
 
-def _check_modp_choices(i, d_in, d_out, p):
+def _check_modp_choices(d_in, d_out, p):
     """modp_homology keeps the pivot columns of d_in mod p as coboundaries
     and the cocycles that greedily extend them as representatives; express
     sends representative j to e_j, a coboundary to 0 and a cell whose d is
     nonzero mod p to None."""
-    deg = modp_homology(i, d_in, d_out, p)
+    deg = modp_homology(d_in, d_out, p)
     n = d_in.nrows
     cols = [tuple(v % p for v in d_in.col(j)) for j in range(d_in.ncols)]
     bounds = [cols[j] for j in _greedy([], cols, n, p)]
@@ -336,7 +349,7 @@ def _embedded(mp, i, attr):
         if i < len(bd):
             for v in getattr(bd[i], attr):
                 full = [0] * dim_formula(mp.r, mp.n, i)
-                for g, x in zip(blk.cells[i], v):
+                for g, x in zip(block_cells(blk, i), v):
                     full[g] = x
                 out.append(tuple(full))
     return out
@@ -355,7 +368,7 @@ def _check_block_routing(blk, deg, cpx, i, p):
     bad = [c for c in range(d.ncols) if any(v % p for v in d.col(c))]
     for c in bad[:1] + bad[-1:]:
         z = [0] * cpx.d(i).ncols
-        z[blk.cells[i][c]] = 1
+        z[block_cells(blk, i)[c]] = 1
         assert any(v % p for v in cpx.d(i).apply(z)), where
         assert deg.express([int(t == c) for t in range(d.ncols)]) is None, \
             (where, c)
@@ -385,7 +398,7 @@ def _placed_cartier(r, n, i, p):
     """cartier_iso's block matrices placed at their cells: columns at the
     block's degree-i cells, rows after the previous blocks' classes (the
     blocks p*beta in basis order, and the other blocks have no classes)."""
-    placed = [(blk.cells[i], transpose(M)) for blk, M
+    placed = [(block_cells(blk, i), transpose(M)) for blk, M
               in zip(koszul_blocks(r, n), cartier_iso(r, n, i, p))
               if M is not None]
     dim = modp_cohomology(r, p * n, p).dims
@@ -454,7 +467,7 @@ class TestExpress:
                 for i in range(H.top + 1):
                     entries = []
                     for blk in koszul_blocks(r, n):
-                        if i >= len(blk.cells):
+                        if i > len(blk.weights):
                             continue
                         d_in, d_out = blk.d(i - 1), blk.d(i)
                         G, gens = homology_at(d_in, d_out)
@@ -478,7 +491,7 @@ class TestExpress:
         # in degree 0 at p = 3 instead: x^2, the one cell of block (2, 0)
         mp3 = modp_cohomology(2, 2, 3)
         assert mp3.blocks[0].beta == (2, 0)
-        assert mp3.blocks[0].cells[0] == (0,)
+        assert block_cells(mp3.blocks[0], 0) == (0,)
         assert mp3.block_degrees[0][0].express((1,)) is None
         with pytest.raises(ValueError):
             modp_class_matrix(mp3, 0, IntMatrix([[1], [0], [0]]))

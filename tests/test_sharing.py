@@ -36,7 +36,7 @@ counting("homology_at", lambda d_in, d_out: (d_in, d_out))
 counting("derive", lambda c: (c.weights, c.p, c.level))
 # the cohomology binding: modp_homology on block differentials (derive
 # calls it through its own binding, on page differentials)
-counting("modp_homology", lambda i, d_in, d_out, p: (i, d_in, d_out, p))
+counting("modp_homology", lambda d_in, d_out, p: (d_in, d_out, p))
 theorems.sweep(3, 8)
 weights = {blk.weights for r in range(1, 4) for n in range(1, 9)
            for blk in koszul_blocks(r, n)}

@@ -12,6 +12,7 @@ from derhamz.abgroups import (
     homology_at,
     induced_map,
 )
+from derhamz.bockstein import couples
 from derhamz.cli import main
 from derhamz.cohomology import cocycle_dim, integral_cohomology
 from derhamz.derham import dim_formula
@@ -28,7 +29,7 @@ from derhamz.theorems import (
     verify_page_identification,
 )
 
-from dense_oracle import complex_z, frobenius_matrix
+from dense_oracle import block_cells, complex_z, frobenius_matrix
 
 
 def cocycle_form_defect(r, m, i, p):
@@ -207,6 +208,24 @@ class TestPageIdentificationReport:
                                 lambda *args: witness)
             rep = verify_page_identification(2, 4, 2, 1)
             assert list(rep.checks) == names and rep.witness == witness
+
+    def test_class_that_does_not_survive_names_its_cell(self, monkeypatch):
+        # one class of block (2, 2, 0) that its summand cannot express: the
+        # witness is that block cell's index in the basis of degree 4
+        couple = couples(3, 4, 2, 1)[0]
+        c = [blk.beta for blk in couple.blocks].index((2, 2, 0))
+        blk, summand = couple.blocks[c], couple.summands[c]
+        express = summand.express_cochain
+        unit = tuple(int(t == 1) for t in range(blk.d(1).ncols))
+        monkeypatch.setattr(
+            summand, "express_cochain",
+            lambda i, z: None if (i, tuple(z)) == (1, unit) else express(i, z))
+        rep = verify_page_identification(3, 4, 2, 1)
+        assert ("cartier composite is an isomorphism per degree",
+                False) in rep.checks
+        assert rep.witness == {"check": "class survives", "degree": 1,
+                               "beta": [2, 2, 0],
+                               "cell": block_cells(blk, 1)[1]}
 
 
 class TestBrokenBlockPairing:
