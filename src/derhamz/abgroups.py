@@ -317,6 +317,14 @@ def subgroup_pk(G: FgAbGroup, p: int, k: int):
     return sub, Homomorphism(sub, G, q * IntMatrix.identity(G.ngens))
 
 
+def p_torsion(G: FgAbGroup, p: int) -> tuple:
+    """Generators of the p-torsion G[p], the kernel of multiplication by p:
+    (d/p) e_t for each generator e_t whose order d > 0 is divisible by p,
+    as pairs (t, d/p)."""
+    return tuple((t, d // p) for t, d in enumerate(G.entries)
+                 if d and d % p == 0)
+
+
 def graded_piece_dim(G: FgAbGroup, p: int, k: int) -> int:
     """dim over F_p of p^(k-1) G / p^k G."""
     check_prime(p)

@@ -28,6 +28,7 @@ from .abgroups import (
     class_matrix,
     express_through,
     is_exact_at,
+    p_torsion,
     preimage_basis,
     quotient,
     subgroup_pk,
@@ -202,9 +203,8 @@ def derive(c: ExactCouple) -> ExactCouple:
     The input couple must be exact and its i multiplication by p (both
     checked), so D' is pD (subgroup_pk), on the generators p e_t, and i' is
     p again.  j' sends p e_t to the class of j(e_t), e_t being one
-    i-preimage; whenever the preimage is ambiguous modulo a nontrivial
-    kernel, the value is recomputed with a second preimage and both must
-    agree.
+    i-preimage; it does not depend on that choice because j of every
+    generator of ker i must vanish in E' (checked).
     """
     c.check_exactness()
     p = c.p
@@ -227,24 +227,18 @@ def derive(c: ExactCouple) -> ExactCouple:
 
     new_j = []
     for i, D in enumerate(c.D):
-        kernel_i = preimage_basis(incls[i].matrix, D.relations)
-        spare = next((col for col in kernel_i.columns()
-                      if not D.element_is_zero(col)), None)
-        j_mat = c.j_maps[i].matrix
-        j_spare = None if spare is None else j_mat.apply(spare)
+        # column t is j(e_t); the i-preimages of p e_t are e_t + ker i
+        j_cols = c.j_maps[i].matrix.columns()
+        for t, m in p_torsion(D, p):
+            coords = stages[i].express([m * v for v in j_cols[t]])
+            if coords is None or any(v % p for v in coords):
+                raise ExactnessError(
+                    "j' is not independent of the preimage choice")
         cols = []
-        # column t is j(e_t), and e_t + spare is a second i-preimage of p e_t
-        for j_e in j_mat.columns():
+        for j_e in j_cols:
             coords = stages[i].express(j_e)
             if coords is None:
                 raise ExactnessError("j' value does not survive to E'")
-            if j_spare is not None:
-                coords2 = stages[i].express(
-                    [u + v for u, v in zip(j_e, j_spare)])
-                if coords2 is None or any(
-                        (u - v) % p for u, v in zip(coords, coords2)):
-                    raise ExactnessError(
-                        "j' is not independent of the preimage choice")
             cols.append([v % p for v in coords])
         new_j.append(Homomorphism(
             subs[i], new_E[i], IntMatrix.from_columns(cols, new_E[i].ngens)))

@@ -1,7 +1,8 @@
 """Command-line front end: cohomology tables, spectral pages, verification.
 
 Exit codes are a stable contract for CI: 0 success / all checks pass,
-1 verification failure, 2 usage or bounds error, or out of memory.
+1 verification failure, 2 usage or bounds error, an unusable --cache
+directory, or out of memory.
 Identical invocations produce byte-identical stdout; timing goes to stderr
 so the payload stays deterministic.
 """
@@ -109,7 +110,6 @@ def _emit(args, doc: dict, csv_rows, latex_lines=None) -> None:
         payload = "\n".join(latex_lines) + "\n"
     if args.cache:
         path = Path(args.cache) / _cache_name(doc, args.format)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # a killed run leaves at most a temp file, never a truncated document
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
@@ -132,11 +132,10 @@ def _cache_name(doc: dict, fmt: str) -> str:
 
 def _cache_lookup(args, command: str, parameters: dict):
     """Write the cached payload to stdout and return it, or return None."""
-    cache_dir = getattr(args, "cache", None)
-    if not cache_dir:
+    if not args.cache:
         return None
     doc = {"command": command, "parameters": parameters}
-    path = Path(cache_dir) / _cache_name(doc, getattr(args, "format", "json"))
+    path = Path(args.cache) / _cache_name(doc, args.format)
     if not path.exists():
         return None
     payload = path.read_text()
@@ -307,8 +306,10 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         _check_bounds(args)
+        if args.cache:
+            Path(args.cache).mkdir(parents=True, exist_ok=True)
         code = args.func(args)
-    except BoundsError as exc:
+    except (BoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

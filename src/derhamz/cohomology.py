@@ -77,27 +77,25 @@ def block_homology(weights: tuple) -> tuple:
 
 
 class ModpDegree:
-    """Cocycles, coboundaries and chosen class representatives in one degree.
+    """Cocycles and chosen class representatives in one degree.
 
-    All but the cocycles are read off one row reduction (modp.Solver) of
+    The representatives are read off one row reduction (modp.Solver) of
     [d_in | cocycles] mod p: its pivot columns are a basis of the
     coboundaries among the columns of d_in, then the representatives, the
     cocycles that greedily extend it.
     """
 
-    __slots__ = ("dim_cochain", "cocycles", "coboundaries", "reps",
-                 "dim", "_solver", "_rep_columns")
+    __slots__ = ("dim_cochain", "cocycles", "reps", "dim", "_solver",
+                 "_rep_columns")
 
     def __init__(self, d_in: IntMatrix, cocycles: tuple, p: int):
         self.dim_cochain = d_in.nrows
         self.cocycles = cocycles
         self._solver = modp.Solver(
             hstack(d_in, IntMatrix.from_columns(cocycles, d_in.nrows)), p)
-        pivots = [c for c, _ in self._solver.rows if c is not None]
         k = d_in.ncols
-        self.coboundaries = tuple(tuple(v % p for v in d_in.col(c))
-                                  for c in pivots if c < k)
-        self._rep_columns = tuple(c for c in pivots if c >= k)
+        self._rep_columns = tuple(c for c, _ in self._solver.rows
+                                  if c is not None and c >= k)
         self.reps = tuple(cocycles[c - k] for c in self._rep_columns)
         self.dim = len(self.reps)
 

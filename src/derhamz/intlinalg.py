@@ -140,10 +140,6 @@ class IntMatrix:
                                     for r1, r2 in zip(self._rows, other._rows)),
                               self.ncols)
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._raw(tuple(tuple(-a for a in row) for row in self._rows),
-                              self.ncols)
-
     def __rmul__(self, c: int) -> "IntMatrix":
         c = _int(c)
         return IntMatrix._raw(tuple(tuple(c * a for a in row) for row in self._rows),
@@ -334,123 +330,49 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
 # -- Smith normal form -------------------------------------------------------------
 
 
-def _swap_rows(A, i, j):
-    A[i], A[j] = A[j], A[i]
-
-
-def _swap_cols(A, i, j):
-    for row in A:
-        row[i], row[j] = row[j], row[i]
+def _transpose(M: IntMatrix) -> IntMatrix:
+    return IntMatrix._raw(tuple(M.columns()), M.nrows)
 
 
 @lru_cache(maxsize=None)
 def _snf_cached(M: IntMatrix):
-    m, n = M.nrows, M.ncols
-    A = [list(row) for row in M._rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    for t in range(min(m, n)):
-        # minimal-absolute-value pivot in the trailing submatrix
-        best = None
-        pi = pj = -1
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                a = Ai[j]
-                if a:
-                    v = a if a > 0 else -a
-                    if best is None or v < best:
-                        best, pi, pj = v, i, j
-                        if v == 1:
-                            break
-            if best == 1:
-                break
-        if best is None:
-            break
-        if pi != t:
-            _swap_rows(A, t, pi)
-            _swap_rows(U, t, pi)
-        if pj != t:
-            _swap_cols(A, t, pj)
-            _swap_cols(V, t, pj)
-
-        while True:
-            if any(A[i][t] for i in range(t + 1, m)):
-                i0 = min((i for i in range(t, m) if A[i][t]),
-                         key=lambda i: (abs(A[i][t]), i))
-                if i0 != t:
-                    _swap_rows(A, t, i0)
-                    _swap_rows(U, t, i0)
-                piv = A[t][t]
-                At, Ut = A[t], U[t]
-                for i in range(t + 1, m):
-                    a = A[i][t]
-                    if a:
-                        q = a // piv
-                        if q:
-                            Ai, Ui = A[i], U[i]
-                            for jj in range(n):
-                                if At[jj]:
-                                    Ai[jj] -= q * At[jj]
-                            for jj in range(m):
-                                if Ut[jj]:
-                                    Ui[jj] -= q * Ut[jj]
-                continue
-            if any(A[t][j] for j in range(t + 1, n)):
-                j0 = min((j for j in range(t, n) if A[t][j]),
-                         key=lambda j: (abs(A[t][j]), j))
-                if j0 != t:
-                    _swap_cols(A, t, j0)
-                    _swap_cols(V, t, j0)
-                piv = A[t][t]
-                for j in range(t + 1, n):
-                    a = A[t][j]
-                    if a:
-                        q = a // piv
-                        if q:
-                            for row in A:
-                                if row[t]:
-                                    row[j] -= q * row[t]
-                            for row in V:
-                                if row[t]:
-                                    row[j] -= q * row[t]
-                continue
-            piv = A[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                Ai = A[i]
-                for j in range(t + 1, n):
-                    if Ai[j] % piv:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            # fold the offending row into the pivot row; the next pass
-            # shrinks the pivot to a divisor of everything remaining
-            Abad, Ubad = A[bad], U[bad]
-            At, Ut = A[t], U[t]
-            for jj in range(n):
-                At[jj] += Abad[jj]
-            for jj in range(m):
-                Ut[jj] += Ubad[jj]
-
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-
-    return IntMatrix(A, ncols=n), IntMatrix(U, ncols=m), IntMatrix(V, ncols=n)
+    # Alternate column Hermite forms (A @ W) with row Hermite forms (the
+    # Hermite form of the transpose) until A is diagonal, then fold a row
+    # whose entry the pivot does not divide into the pivot row and start
+    # again.  A pass either leaves A diagonal or shrinks a positive pivot to
+    # the gcd of its row or column, and an unchanged pivot has its row and
+    # column cleared for good, so the loop ends.
+    A, U, V = M, IntMatrix.identity(M.nrows), IntMatrix.identity(M.ncols)
+    on_rows = False
+    while True:
+        if on_rows:
+            H, W = hnf(_transpose(A))
+            A, U = _transpose(H), _transpose(W) @ U
+        else:
+            A, W = hnf(A)
+            V = V @ W
+        on_rows = not on_rows
+        if any(a for i, row in enumerate(A._rows)
+               for j, a in enumerate(row) if i != j):
+            continue
+        diag = [A[t, t] for t in range(min(A.shape))]
+        fold = next(((t, s) for t, d in enumerate(diag) if d
+                     for s in range(t + 1, len(diag)) if diag[s] % d), None)
+        if fold is None:
+            return A, U, V
+        t, s = fold
+        A, U = (IntMatrix._raw(tuple(
+            tuple(a + b for a, b in zip(row, X.row(s))) if k == t else row
+            for k, row in enumerate(X._rows)), X.ncols) for X in (A, U))
+        on_rows = False
 
 
 def snf(M: IntMatrix):
     """Smith normal form.
 
     Returns (S, U, V) with U @ M @ V = S, U and V unimodular, S diagonal
-    with nonnegative entries d1 | d2 | ... (zeros last).  Pivoting always
-    picks the minimal-absolute-value nonzero entry, which keeps the
-    intermediate entries small; correctness, not speed, is the contract.
+    with nonnegative entries d1 | d2 | ... (zeros last).  It is built from
+    Hermite forms of M and of its transpose (Kannan and Bachem), so hnf is
+    the one integer elimination of the package.
     """
     return _snf_cached(M)
-

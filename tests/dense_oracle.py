@@ -12,7 +12,7 @@ from itertools import combinations
 
 from derhamz.derham import BasisElement, basis, dim_formula
 from derhamz.intlinalg import IntMatrix
-from derhamz.modp import Solver
+from derhamz.modp import Solver, rank
 
 
 @lru_cache(maxsize=None)
@@ -204,16 +204,36 @@ def transpose(M: IntMatrix) -> IntMatrix:
     return IntMatrix(M.columns(), M.nrows)
 
 
+def greedy(base, candidates, nrows, p):
+    """Indices of the candidates that raise the mod-p rank of base plus the
+    candidates picked before them."""
+    kept, picked = list(base), []
+    for k, v in enumerate(candidates):
+        if (rank(IntMatrix.from_columns(kept + [v], nrows), p)
+                > rank(IntMatrix.from_columns(kept, nrows), p)):
+            kept.append(v)
+            picked.append(k)
+    return picked
+
+
+def coboundaries(d_in: IntMatrix, p: int) -> list:
+    """The pivot columns of d_in mod p: a basis of the mod-p coboundaries,
+    the columns that raise the rank of the ones before them."""
+    cols = [tuple(v % p for v in col) for col in d_in.columns()]
+    return [cols[j] for j in greedy([], cols, d_in.nrows, p)]
+
+
 def modp_class_matrix(target, i: int, cochain_cols: IntMatrix) -> IntMatrix:
     """Classes of mod-p cocycle columns, as a matrix over H^i of target (a
     modp_cohomology result): solved densely over the blocks' class
     representatives and coboundaries, embedded at their cells, blocks in
     basis order."""
     p = target.p
-    degs = [(block_cells(blk, i), bd[i]) for blk, bd
+    degs = [(block_cells(blk, i), blk, bd[i]) for blk, bd
             in zip(target.blocks, target.block_degrees) if 0 <= i < len(bd)]
-    reps = [(cells, v) for cells, deg in degs for v in deg.reps]
-    bounds = [(cells, v) for cells, deg in degs for v in deg.coboundaries]
+    reps = [(cells, v) for cells, _, deg in degs for v in deg.reps]
+    bounds = [(cells, v) for cells, blk, _ in degs
+              for v in coboundaries(blk.d(i - 1), p)]
     embedded = []
     for cells, v in reps + bounds:
         full = [0] * dim_formula(target.r, target.n, i)

@@ -15,6 +15,7 @@ from derhamz.abgroups import (
     induced_map,
     is_exact_at,
     is_isomorphic,
+    p_torsion,
     primary_inclusion,
     primary_part,
     quotient,
@@ -22,6 +23,7 @@ from derhamz.abgroups import (
 )
 from derhamz.intlinalg import (
     IntMatrix,
+    hnf,
     hstack,
     kernel_basis,
     lattice_solve,
@@ -304,6 +306,25 @@ class TestSubgroups:
         S, incl = subgroup_pk(Z(4, 0, 9, 1), 2, 1)
         assert S.entries == (2, 0, 9, 1)
         assert incl.matrix == 2 * IntMatrix.identity(4)
+
+    @given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 25, 27]),
+                    max_size=5),
+           st.sampled_from([2, 3, 5]))
+    def test_p_torsion_spans_the_kernel_of_p(self, entries, p):
+        # the generators (d/p) e_t read off the entries span the same
+        # lattice, modulo the relations, as the kernel of p * I
+        G = FgAbGroup(entries)
+        k = G.ngens
+        gens = IntMatrix.from_columns(
+            [[m if s == t else 0 for s in range(k)]
+             for t, m in p_torsion(G, p)], k)
+        kernel = preimage_basis(p * IntMatrix.identity(k), G.relations)
+
+        def lattice(M):
+            H, _ = hnf(hstack(M, G.relations))
+            return [col for col in H.columns() if any(col)]
+
+        assert lattice(gens) == lattice(kernel)
 
 
 class TestExactness:

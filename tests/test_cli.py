@@ -329,6 +329,26 @@ class TestContracts:
         _, second = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("sub", [(), ("x",)])
+    def test_unusable_cache_directory_exits_2(self, capsys, tmp_path,
+                                              monkeypatch, sub):
+        # DIR is a regular file, or a path below one: one error line and
+        # exit 2 before any work, not a traceback after it
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def no_work(*args):
+            raise AssertionError("the computation ran")
+
+        monkeypatch.setattr(cli, "integral_cohomology", no_work)
+        code = main(["cohomology", "-r", "2", "-n", "4",
+                     "--cache", str(blocker.joinpath(*sub))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_cache_key_includes_version(self, capsys, tmp_path, monkeypatch):
         args = ("cohomology", "-r", "1", "-n", "4", "--cache", str(tmp_path))
         run_cli(capsys, *args)

@@ -29,7 +29,9 @@ from derhamz.modp import rank, valuation
 from dense_oracle import (
     block_cells,
     cartier_rep_matrix,
+    coboundaries,
     complex_z,
+    greedy,
     modp_class_matrix,
     place,
     substitution_map,
@@ -211,33 +213,19 @@ class TestModpHomology:
                                     couple.d_matrix(i), p)
 
 
-def _greedy(base, candidates, nrows, p):
-    """Indices of the candidates that raise the mod-p rank of base plus the
-    candidates picked before them."""
-    kept, picked = list(base), []
-    for k, v in enumerate(candidates):
-        if (rank(IntMatrix.from_columns(kept + [v], nrows), p)
-                > rank(IntMatrix.from_columns(kept, nrows), p)):
-            kept.append(v)
-            picked.append(k)
-    return picked
-
-
 def _check_modp_choices(d_in, d_out, p):
-    """modp_homology keeps the pivot columns of d_in mod p as coboundaries
-    and the cocycles that greedily extend them as representatives; express
-    sends representative j to e_j, a coboundary to 0 and a cell whose d is
-    nonzero mod p to None."""
+    """modp_homology keeps as representatives the cocycles that greedily
+    extend the pivot columns of d_in mod p; express sends representative j
+    to e_j, a pivot column of d_in to 0 and a cell whose d is nonzero mod p
+    to None."""
     deg = modp_homology(d_in, d_out, p)
     n = d_in.nrows
-    cols = [tuple(v % p for v in d_in.col(j)) for j in range(d_in.ncols)]
-    bounds = [cols[j] for j in _greedy([], cols, n, p)]
-    assert list(deg.coboundaries) == bounds
+    bounds = coboundaries(d_in, p)
     assert list(deg.reps) == [deg.cocycles[k]
-                              for k in _greedy(bounds, deg.cocycles, n, p)]
+                              for k in greedy(bounds, deg.cocycles, n, p)]
     for j, z in enumerate(deg.reps):
         assert deg.express(z) == tuple(int(t == j) for t in range(deg.dim))
-    for b in deg.coboundaries:
+    for b in bounds:
         assert deg.express(b) == (0,) * deg.dim
     for c in range(n):
         if any(v % p for v in d_out.col(c)):
@@ -343,11 +331,14 @@ class TestModpCohomology:
 
 def _embedded(mp, i, attr):
     """The blocks' degree-i vectors of the given kind (reps, cocycles or
-    coboundaries) at their global cells, blocks in basis order."""
+    coboundaries, the pivot columns of the block d mod p) at their global
+    cells, blocks in basis order."""
     out = []
     for blk, bd in zip(mp.blocks, mp.block_degrees):
         if i < len(bd):
-            for v in getattr(bd[i], attr):
+            vecs = (coboundaries(blk.d(i - 1), mp.p) if attr == "coboundaries"
+                    else getattr(bd[i], attr))
+            for v in vecs:
                 full = [0] * dim_formula(mp.r, mp.n, i)
                 for g, x in zip(block_cells(blk, i), v):
                     full[g] = x
@@ -362,7 +353,7 @@ def _check_block_routing(blk, deg, cpx, i, p):
     for j, rep in enumerate(deg.reps):
         unit = tuple(int(t == j) for t in range(deg.dim))
         assert deg.express(rep) == unit, where
-    for b in deg.coboundaries:
+    for b in coboundaries(blk.d(i - 1), p):
         assert deg.express(b) == (0,) * deg.dim, where
     d = blk.d(i)
     bad = [c for c in range(d.ncols) if any(v % p for v in d.col(c))]

@@ -31,6 +31,16 @@ small_matrices = st.integers(0, 4).flatmap(
                 lambda rows: IntMatrix(rows, ncols=n))))
 
 
+# the Smith form runs on Hermite forms of a matrix and its transpose; larger
+# matrices with larger entries exercise many alternations and folds
+medium_matrices = st.integers(0, 10).flatmap(
+    lambda m: st.integers(0, 10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-10 ** 3, 10 ** 3), min_size=n, max_size=n),
+            min_size=m, max_size=m).map(
+                lambda rows: IntMatrix(rows, ncols=n))))
+
+
 def det(M):
     return Matrix(M.to_lists()).det() if M.nrows else 1
 
@@ -96,23 +106,49 @@ class TestSnf:
             S, U, V = snf(IntMatrix([[n]]))
             assert S == IntMatrix([[abs(n)]])
 
+    def test_folds(self):
+        # diagonal already, but 4 does not divide 6: the chain needs folds
+        M = IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 10]])
+        S, U, V = snf(M)
+        assert S == IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 60]])
+        _check_smith(M)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (0, 3), (3, 0),
+                                       (0, 0)])
+    def test_zero_and_empty(self, shape):
+        M = IntMatrix.zeros(*shape)
+        S, U, V = snf(M)
+        assert S == M
+        assert U.shape == (shape[0],) * 2 and V.shape == (shape[1],) * 2
+        _check_smith(M)
+
     @given(small_matrices)
     def test_decomposition(self, M):
-        S, U, V = snf(M)
-        assert U @ M @ V == S
-        assert abs(det(U)) == 1 and abs(det(V)) == 1
-        diag = [S[i, i] for i in range(min(S.shape))]
-        for i in range(S.nrows):
-            for j in range(S.ncols):
-                if i != j:
-                    assert S[i, j] == 0
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            if a == 0:
-                assert b == 0
-            else:
-                assert b % a == 0
-        assert sorted(d for d in diag if d > 1) == sympy_invariant_factors(M)
+        _check_smith(M)
+
+    @given(medium_matrices)
+    def test_decomposition_medium(self, M):
+        _check_smith(M)
+
+
+def _check_smith(M):
+    """U @ M @ V == S with U and V unimodular, S diagonal with nonnegative
+    entries d1 | d2 | ... (zeros last), and the invariant factors sympy's."""
+    S, U, V = snf(M)
+    assert U @ M @ V == S
+    assert abs(det(U)) == 1 and abs(det(V)) == 1
+    diag = [S[i, i] for i in range(min(S.shape))]
+    for i in range(S.nrows):
+        for j in range(S.ncols):
+            if i != j:
+                assert S[i, j] == 0
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        if a == 0:
+            assert b == 0
+        else:
+            assert b % a == 0
+    assert sorted(d for d in diag if d > 1) == sympy_invariant_factors(M)
 
 
 class TestLatticeSolve:
