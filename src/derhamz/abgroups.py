@@ -50,7 +50,7 @@ class FgAbGroup:
     @property
     def relations(self) -> IntMatrix:
         """diag(entries), for the lattice computations that need it."""
-        return _diagonal_matrix(self.entries)
+        return diagonal_matrix(self.entries)
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup(sum((g.entries for g in others), self.entries))
@@ -105,9 +105,9 @@ class FgAbGroup:
 
 
 @lru_cache(maxsize=None)
-def _diagonal_matrix(entries: tuple) -> IntMatrix:
-    # one object per entries, so its hash and the lattice caches keyed on
-    # it are computed once
+def diagonal_matrix(entries: tuple) -> IntMatrix:
+    """diag(entries), one object per entries, so its hash and the lattice
+    caches keyed on it are computed once."""
     k = len(entries)
     return IntMatrix._raw(tuple((0,) * t + (d,) + (0,) * (k - 1 - t)
                                 for t, d in enumerate(entries)), k)
@@ -314,7 +314,7 @@ def subgroup_pk(G: FgAbGroup, p: int, k: int):
         raise ValueError("k must be >= 0")
     q = p ** k
     sub = FgAbGroup(d // gcd(d, q) for d in G.entries)
-    return sub, Homomorphism(sub, G, q * IntMatrix.identity(G.ngens))
+    return sub, Homomorphism(sub, G, diagonal_matrix((q,) * G.ngens))
 
 
 def p_torsion(G: FgAbGroup, p: int) -> tuple:
@@ -371,9 +371,8 @@ def is_exact_at(f: Homomorphism, g: Homomorphism):
         if not g.target.element_is_zero(comp.col(j)):
             return False, tuple(f.matrix.col(j))
     K = g.kernel_lattice()
-    image = hstack(f.matrix, f.target.relations)
     for j in range(K.ncols):
         col = K.col(j)
-        if lattice_solve(image, col) is None:
+        if express_through(f.matrix, f.target.relations, col) is None:
             return False, tuple(col)
     return True, None

@@ -6,8 +6,9 @@ Deriving it repeatedly yields the spectral-sequence pages; a closed-form
 lattice computation of the same pages serves as an independent oracle.
 The couple, every derived couple and the oracle are direct sums over the
 multidegree blocks of the complex, and are computed block by block
-(CoupleSum).  The tower of couples of a block is cached by the block's
-ordered nonzero weights and the prime, and shared by every total degree.
+(CoupleSum).  Each level of the tower of a block is cached by the block's
+ordered nonzero weights, the prime and the level, and shared by every
+total degree.
 
 Each page is an elementary abelian p-group per degree, stored as a mod-p
 subquotient of the previous page (ExactCouple.stages), so the class of a
@@ -26,6 +27,7 @@ from .abgroups import (
     FgAbGroup,
     Homomorphism,
     class_matrix,
+    diagonal_matrix,
     express_through,
     is_exact_at,
     p_torsion,
@@ -46,27 +48,37 @@ class ExactnessError(RuntimeError):
 class ExactCouple:
     """One stage of the Bockstein tower of one Koszul block at a prime p.
 
-    weights are the block's ordered nonzero weights.  D and E hold the
-    per-degree groups, i/j/k the three maps (k raises the degree by one and
-    lands in the zero group at the top).  stages[i] is E^i as a mod-p
-    subquotient: of the block cochains at level 1, of the parent's E^i (by
-    the parent's differential) at later levels; parent points to the couple
-    this one was derived from.
+    weights are the block's ordered nonzero weights.  A couple is fixed by
+    its groups D^i, its pages stages[i] and the matrices of j and k (k
+    raises the degree by one and lands in the zero group at the top).  The
+    constructor derives the rest once: E^i = (Z/p)^dim, i = p on each D^i,
+    the three maps (each checked well defined here) and the page
+    differentials (j k) mod p, certified to square to zero.  stages[i] is
+    E^i as a mod-p subquotient: of the block cochains at level 1, of the
+    parent's E^i (by the parent's differential) at later levels; parent
+    points to the couple this one was derived from.
     """
 
-    def __init__(self, weights, p, level, D, E, i_maps, j_maps, k_maps,
-                 stages, parent=None):
+    def __init__(self, weights, p, level, D, stages, j_matrices, k_matrices,
+                 parent=None):
         self.weights = weights
         self.p = p
         self.level = level
-        self.imax = len(E) - 1
         self.D = tuple(D)
-        self.E = tuple(E)
-        self.i_maps = tuple(i_maps)
-        self.j_maps = tuple(j_maps)
-        self.k_maps = tuple(k_maps)
         self.stages = tuple(stages)
         self.parent = parent
+        self.imax = len(self.D) - 1
+        self.E = tuple(FgAbGroup((p,) * st.dim) for st in self.stages)
+        self.i_maps = tuple(Homomorphism(G, G, diagonal_matrix((p,) * G.ngens))
+                            for G in self.D)
+        self.j_maps = tuple(map(Homomorphism, self.D, self.E, j_matrices))
+        self.k_maps = tuple(map(Homomorphism, self.E,
+                                self.D[1:] + (FgAbGroup.zero(),), k_matrices))
+        self._d = tuple((j.matrix @ k.matrix).mod(p)
+                        for j, k in zip(self.j_maps[1:], self.k_maps))
+        if any(not (d1 @ d0).mod(p).is_zero()
+               for d0, d1 in zip(self._d, self._d[1:])):
+            raise RuntimeError("page differential does not square to zero")
 
     def e_dim(self, i: int) -> int:
         if 0 <= i <= self.imax:
@@ -82,17 +94,21 @@ class ExactCouple:
         the zero map outside 0 <= i < imax."""
         if not 0 <= i < self.imax:
             return IntMatrix.zeros(self.e_dim(i + 1), self.e_dim(i))
-        return (self.j_maps[i + 1].matrix @ self.k_maps[i].matrix).mod(self.p)
+        return self._d[i]
 
     def express_cochain(self, i: int, z: Sequence[int]) -> Optional[tuple]:
-        """Coordinates on E^i of the class of a mod-p cochain, walking the
-        tower of subquotients; None when the class does not survive to this
-        page (or z is no cocycle)."""
-        if self.parent is not None:
-            z = self.parent.express_cochain(i, z)
+        """Coordinates on E^i of the class of a mod-p cochain, through the
+        tower of subquotients from level 1 up; None when the class does not
+        survive to this page (or z is no cocycle)."""
+        tower, c = [], self
+        while c is not None:
+            tower.append(c.stages[i])
+            c = c.parent
+        for stage in reversed(tower):
+            z = stage.express(z)
             if z is None:
                 return None
-        return self.stages[i].express(z)
+        return z
 
     def exactness_failures(self) -> list:
         """All broken exactness nodes, each with a witness element."""
@@ -169,17 +185,13 @@ def _block_couple(weights: tuple, p: int) -> ExactCouple:
     H = block_homology(weights)
     mp = block_modp_homology(weights, p)
     top = len(weights)
-    D = [h.group for h in H]
-    E = [FgAbGroup((p,) * st.dim) for st in mp]
-    i_maps = [Homomorphism(G, G, p * IntMatrix.identity(G.ngens)) for G in D]
-
-    j_maps, k_maps = [], []
+    j_matrices, k_matrices = [], []
     for i in range(top + 1):
-        matrix, _ = class_matrix(mp[i].express, H[i].gens, E[i].ngens)
+        matrix, _ = class_matrix(mp[i].express, H[i].gens, mp[i].dim)
         if matrix is None:
             raise RuntimeError("integral cocycle failed to reduce mod p")
-        j_maps.append(Homomorphism(D[i], E[i], matrix))
-        target = D[i + 1] if i < top else FgAbGroup.zero()
+        j_matrices.append(matrix)
+        orders = H[i + 1].group.entries if i < top else ()
         cols = []
         for rep in mp[i].reps:
             dv = koszul_d(weights, i).apply(rep)
@@ -190,103 +202,84 @@ def _block_couple(weights: tuple, p: int) -> ExactCouple:
             if coords is None:
                 raise RuntimeError("(d z~)/p is not an integral cocycle")
             # reduced modulo the orders of the generators
-            cols.append([v % d if d else v
-                         for v, d in zip(coords, target.entries)])
-        k_maps.append(Homomorphism(
-            E[i], target, IntMatrix.from_columns(cols, target.ngens)))
-    return ExactCouple(weights, p, 1, D, E, i_maps, j_maps, k_maps, mp)
+            cols.append([v % d if d else v for v, d in zip(coords, orders)])
+        k_matrices.append(IntMatrix.from_columns(cols, len(orders)))
+    return ExactCouple(weights, p, 1, [h.group for h in H], mp, j_matrices,
+                       k_matrices)
 
 
 def derive(c: ExactCouple) -> ExactCouple:
     """The derived couple: D' = im(i), E' = ker(jk)/im(jk).
 
-    The input couple must be exact and its i multiplication by p (both
-    checked), so D' is pD (subgroup_pk), on the generators p e_t, and i' is
-    p again.  j' sends p e_t to the class of j(e_t), e_t being one
-    i-preimage; it does not depend on that choice because j of every
-    generator of ker i must vanish in E' (checked).
+    The input couple must be exact (checked).  Its i is multiplication by
+    p, so D' is pD (subgroup_pk), on the generators p e_t.  j' sends p e_t
+    to the class of j(e_t), e_t being one i-preimage; it does not depend on
+    that choice because j of every generator of ker i must vanish in E'
+    (checked).  k' is k on the surviving classes, written on pD.
     """
     c.check_exactness()
     p = c.p
-    imax = c.imax
-
-    subs, incls = [], []
-    for i, D in enumerate(c.D):
-        sub, incl = subgroup_pk(D, p, 1)
-        # incl.matrix is p * I
-        if c.i_maps[i] != Homomorphism(D, D, incl.matrix):
-            raise ExactnessError(f"i is not multiplication by p in degree {i}")
-        subs.append(sub)
-        incls.append(incl)
-    new_i = [Homomorphism(S, S, incl.matrix) for S, incl in zip(subs, incls)]
-
     # E' = ker d / im d with d = j∘k, handled entirely mod p
     stages = [modp_homology(c.d_matrix(i - 1), c.d_matrix(i), p)
-              for i in range(imax + 1)]
-    new_E = [FgAbGroup((p,) * st.dim) for st in stages]
+              for i in range(c.imax + 1)]
 
-    new_j = []
-    for i, D in enumerate(c.D):
+    j_matrices = []
+    for D, j, stage in zip(c.D, c.j_maps, stages):
         # column t is j(e_t); the i-preimages of p e_t are e_t + ker i
-        j_cols = c.j_maps[i].matrix.columns()
+        j_cols = j.matrix.columns()
         for t, m in p_torsion(D, p):
-            coords = stages[i].express([m * v for v in j_cols[t]])
+            coords = stage.express([m * v for v in j_cols[t]])
             if coords is None or any(v % p for v in coords):
                 raise ExactnessError(
                     "j' is not independent of the preimage choice")
         cols = []
         for j_e in j_cols:
-            coords = stages[i].express(j_e)
+            coords = stage.express(j_e)
             if coords is None:
                 raise ExactnessError("j' value does not survive to E'")
             cols.append([v % p for v in coords])
-        new_j.append(Homomorphism(
-            subs[i], new_E[i], IntMatrix.from_columns(cols, new_E[i].ngens)))
+        j_matrices.append(IntMatrix.from_columns(cols, stage.dim))
 
-    new_k = []
-    top = subgroup_pk(FgAbGroup.zero(), p, 1)   # k lands in 0 at the top
-    for i in range(imax + 1):
-        target, incl = (subs[i + 1], incls[i + 1]) if i < imax else top
+    k_matrices = []
+    for k, stage in zip(c.k_maps, stages):
+        # k' lands in im(i) = pG for the target G of k (0 at the top)
+        G = k.target
         matrix, _ = class_matrix(
-            partial(express_through, incl.matrix, incl.target.relations),
-            c.k_maps[i].matrix @ stages[i].rep_matrix(), target.ngens)
+            partial(express_through, diagonal_matrix((p,) * G.ngens),
+                    G.relations),
+            k.matrix @ stage.rep_matrix(), G.ngens)
         if matrix is None:
             raise ExactnessError("k of a surviving class misses im(i)")
-        new_k.append(Homomorphism(new_E[i], target, matrix))
+        k_matrices.append(matrix)
 
-    return ExactCouple(c.weights, p, c.level + 1, subs, new_E, new_i, new_j,
-                       new_k, stages, parent=c)
+    return ExactCouple(c.weights, p, c.level + 1,
+                       [subgroup_pk(D, p, 1)[0] for D in c.D], stages,
+                       j_matrices, k_matrices, parent=c)
 
 
 def couples(r: int, n: int, p: int, upto: int) -> list:
     """The first `upto` couples (levels 1..upto) for (r, n, p), each the
-    direct sum of the same level of the blocks' towers (_block_tower).
-
-    A level is certified once, when it joins its tower: d∘d = 0 for its
-    page differential here, exactness when the next level is derived.
-    """
+    direct sum of the same level of the blocks' towers (_block_level)."""
     check_prime(p)
     if n < 1:
         raise ValueError("total degree must be >= 1")
+    if upto < 1:
+        raise ValueError("upto must be >= 1")
     blocks = koszul_blocks(r, n)
-    towers = [_block_tower(blk.weights, p) for blk in blocks]
-    for blk, tower in zip(blocks, towers):
-        while len(tower) < upto:
-            c = derive(tower[-1]) if tower else _block_couple(blk.weights, p)
-            if any(not (c.d_matrix(i + 1) @ c.d_matrix(i)).mod(p).is_zero()
-                   for i in range(c.imax)):
-                raise RuntimeError("page differential does not square to zero")
-            tower.append(c)
+    # level by level, so each level finds the one below it cached
     return [CoupleSum(r, n, p, level, blocks,
-                      [tower[level - 1] for tower in towers])
+                      [_block_level(blk.weights, p, level) for blk in blocks])
             for level in range(1, upto + 1)]
 
 
 @lru_cache(maxsize=None)
-def _block_tower(weights: tuple, p: int) -> list:
-    """The couples of the block of the weights at p computed so far, level
-    1 first; couples extends it in place."""
-    return []
+def _block_level(weights: tuple, p: int, level: int) -> ExactCouple:
+    """Level `level` of the Bockstein tower of the block of the weights at
+    p.  Each level is certified once: d∘d = 0 when it is built, exactness
+    when the next level is derived from it."""
+    if level == 1:
+        return _block_couple(weights, p)
+    return derive(_block_level(weights, p, level - 1))
 
 
 @dataclass(frozen=True)

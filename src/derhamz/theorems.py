@@ -184,16 +184,15 @@ def _block_frobenius(src, tgt, i: int, scale: int, literal: bool = False):
         return None, _at(i, src, error=str(exc))
 
 
-def _frobenius_into(src, tgt, i: int, scale: int, derived,
+def _frobenius_into(src, tgt, i: int, scale: int, p: int,
                     literal: bool = False):
-    """_block_frobenius corestricted to the D^i of the derived couple, the
-    image of p in the parent's D^i: (map, None), or (None, witness) when
-    the map fails or does not land there."""
+    """_block_frobenius corestricted to pH^i of the target block, the D^i
+    of its derived couple: (map, None), or (None, witness) when the map
+    fails or does not land there."""
     f, witness = _block_frobenius(src, tgt, i, scale, literal)
     if f is None:
         return None, witness
-    # derive builds that D^i as subgroup_pk of the parent's
-    cor = corestrict(f, *subgroup_pk(derived.parent.D[i], derived.p, 1))
+    cor = corestrict(f, *subgroup_pk(f.target, p, 1))
     if cor is None:
         return None, _at(i, src, matrix=f.matrix.to_lists())
     return cor, None
@@ -234,11 +233,11 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
         # per pair: (pair, block, F_* into pH, its failure witness, and the
         # same two for the vertical map g)
         row = []
-        for b, (blk, C, tgt, S) in enumerate(pairs):
+        for b, (blk, C, tgt, _) in enumerate(pairs):
             if i <= C.imax:
-                row.append((b, blk, *_frobenius_into(blk, tgt, i, p ** i, S,
+                row.append((b, blk, *_frobenius_into(blk, tgt, i, p ** i, p,
                                                      literal=True),
-                            *_frobenius_into(blk, tgt, i, p, S)))
+                            *_frobenius_into(blk, tgt, i, p, p)))
         divisible = checks.add_all(
             f"F_* image divisible by p, degree {i}",
             (miss for _, _, _, miss, _, _ in row if miss))

@@ -13,9 +13,14 @@ top-level class of src/ defines it or a builtin type has it (tuple.index);
 an ambiguous method counts only as Class.name, as self.name inside its
 class, or through a caller declared in DECLARED_CALLERS, which must exist
 and read the name.
+
+The benchmark's tracer also wraps private functions and methods of src/ by
+name; the last test checks that each of them still exists.
 """
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import derhamz
@@ -140,3 +145,20 @@ def test_the_guard_sees_a_dead_function(tmp_path):
     abgroups.write_text("".join(lines))
     assert unused_public_names(tmp_path) == ["abgroups.Homomorphism.identity",
                                              "modp.dead_helper"]
+
+
+def test_the_benchmark_trace_targets_exist():
+    # perfbench/tracer.py wraps these by name; a rename in src/ would
+    # otherwise break `perfbench/run.py --trace 1` without a failing test
+    spec = importlib.util.spec_from_file_location("tracer",
+                                                  READERS / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, attr in tracer.EXTRA_TARGETS:
+        module = importlib.import_module(f"derhamz.{layer}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert inspect.isfunction(
+                vars(getattr(module, cls_name)).get(meth)), (layer, attr)
+        else:
+            assert hasattr(module, attr), (layer, attr)

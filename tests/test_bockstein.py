@@ -166,27 +166,29 @@ class TestExactness:
                         (r, n, p, c.level, s.weights)
 
     def test_derive_rejects_broken_couple(self):
+        # j = 0 leaves every map well defined and d = 0, but breaks
+        # ker k = im j wherever E is nonzero
         (c,) = initial_couple(1, 2, 2).summands
         broken = ExactCouple(
-            c.weights, c.p, c.level, c.D, c.E, c.i_maps,
-            [Homomorphism.zero(c.D[i], c.E[i]) for i in range(c.imax + 1)],
-            c.k_maps, c.stages)
+            c.weights, c.p, c.level, c.D, c.stages,
+            [IntMatrix.zeros(c.e_dim(i), G.ngens) for i, G in enumerate(c.D)],
+            [k.matrix for k in c.k_maps])
         with pytest.raises(ExactnessError):
             derive(broken)
 
-    def test_derive_rejects_i_other_than_p(self):
-        # i = -2 on D^1 = Z/8 keeps the couple exact (same image and kernel
-        # as 2), but derive reads im(i) as 2D, so it must refuse it
-        c = _block_couple((8,), 2)
-        assert c.D[1].entries == (8,)
-        minus_two = ExactCouple(
-            c.weights, c.p, c.level, c.D, c.E,
-            [Homomorphism(G, G, -2 * IntMatrix.identity(G.ngens))
-             for G in c.D],
-            c.j_maps, c.k_maps, c.stages)
-        assert minus_two.exactness_failures() == []
-        with pytest.raises(ExactnessError):
-            derive(minus_two)
+    def test_constructor_certifies_d_squared_zero(self):
+        # D = 0, Z/2, Z/2 and pages of dims (1, 2, 1); every map below is
+        # well defined, but d^1 d^0 = [[1]]
+        c = _block_couple((2, 2), 2)
+        assert [G.entries for G in c.D] == [(), (2,), (2,)]
+        assert c.dims == (1, 2, 1)
+        j = [IntMatrix.zeros(1, 0), IntMatrix([[1], [0]]), IntMatrix([[1]])]
+        k = [IntMatrix([[1]]), IntMatrix([[1, 0]]), IntMatrix.zeros(0, 1)]
+        with pytest.raises(RuntimeError,
+                           match="page differential does not square to zero"):
+            ExactCouple((2, 2), 2, 1, c.D, c.stages, j, k)
+        k[1] = IntMatrix.zeros(1, 2)
+        ExactCouple((2, 2), 2, 1, c.D, c.stages, j, k)
 
 
 class TestDerive:
@@ -356,6 +358,23 @@ class TestPagesApi:
     def test_requires_positive_degree(self):
         with pytest.raises(ValueError):
             pages(1, 0, 2)
+
+    def test_requires_a_page(self):
+        # an empty page range would make the oracle comparison vacuous
+        for upto in (0, -3):
+            with pytest.raises(ValueError):
+                couples(2, 4, 2, upto)
+            with pytest.raises(ValueError):
+                compare_with_closed_form(2, 4, 2, upto)
+
+    def test_express_cochain_on_a_deep_tower(self):
+        # past nu the pages of (1, 4, 2) stay those of level 3; the class
+        # of a cochain is found without recursing through 1100 levels
+        deep = couples(1, 4, 2, 1100)[-1].summands[0]
+        third = couples(1, 4, 2, 3)[-1].summands[0]
+        for i, answer in ((0, None), (1, ())):
+            assert deep.express_cochain(i, (1,)) == answer
+            assert third.express_cochain(i, (1,)) == answer
 
     def test_default_kmax(self):
         assert len(pages(2, 8, 2)) == valuation(8, 2) + 1
