@@ -6,9 +6,17 @@ Deriving it repeatedly yields the spectral-sequence pages; a closed-form
 lattice computation of the same pages serves as an independent oracle.
 The couple, every derived couple and the oracle are direct sums over the
 multidegree blocks of the complex, and are computed block by block
-(CoupleSum).  Each level of the tower of a block is cached by the block's
-ordered nonzero weights, the prime and the level, and shared by every
-total degree.
+(CoupleSum).
+
+Each level of a block's tower is computed once per key (gcd and number of
+the block's weights), on the canonical block of the key (_block_level),
+and shared by every block of that key and every total degree.  A block's
+summand is that level seen through the block's certified transport
+(_summand): its groups, maps and page differentials are the canonical
+ones, and only its level-1 pages, the one place where cochains enter, are
+moved (cohomology.TransportedDegree).  The closed-form oracle keeps the
+ordered weights as its key on purpose: it never sees a transport, so a
+wrong transport shows up as a disagreement with it.
 
 Each page is an elementary abelian p-group per degree, stored as a mod-p
 subquotient of the previous page (ExactCouple.stages), so the class of a
@@ -17,9 +25,11 @@ cochain on any page, and every comparison, is exact matrix algebra.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
+from math import gcd
 from typing import Optional, Sequence
 
 from . import modp
@@ -33,10 +43,21 @@ from .abgroups import (
     p_torsion,
     preimage_basis,
     quotient,
-    subgroup_pk,
 )
-from .cohomology import block_homology, block_modp_homology, modp_homology
-from .derham import block_pairs, koszul_blocks, koszul_d
+from .cohomology import (
+    BlockHomology,
+    block_homology,
+    block_modp_homology,
+    modp_homology,
+    ordered_modp_homology,
+)
+from .derham import (
+    block_key,
+    block_pairs,
+    canonical_weights,
+    koszul_blocks,
+    koszul_d,
+)
 from .intlinalg import IntMatrix, lattice_solve
 from .modp import check_prime, valuation
 
@@ -48,7 +69,8 @@ class ExactnessError(RuntimeError):
 class ExactCouple:
     """One stage of the Bockstein tower of one Koszul block at a prime p.
 
-    weights are the block's ordered nonzero weights.  A couple is fixed by
+    weights label the block: the canonical weights of its key for a tower
+    level, the ordered weights for a block's summand.  A couple is fixed by
     its groups D^i, its pages stages[i] and the matrices of j and k (k
     raises the degree by one and lands in the zero group at the top).  The
     constructor derives the rest once: E^i = (Z/p)^dim, i = p on each D^i,
@@ -68,7 +90,8 @@ class ExactCouple:
         self.stages = tuple(stages)
         self.parent = parent
         self.imax = len(self.D) - 1
-        self.E = tuple(FgAbGroup((p,) * st.dim) for st in self.stages)
+        self.dims = tuple(st.dim for st in self.stages)
+        self.E = tuple(FgAbGroup((p,) * dim) for dim in self.dims)
         self.i_maps = tuple(Homomorphism(G, G, diagonal_matrix((p,) * G.ngens))
                             for G in self.D)
         self.j_maps = tuple(map(Homomorphism, self.D, self.E, j_matrices))
@@ -81,13 +104,7 @@ class ExactCouple:
             raise RuntimeError("page differential does not square to zero")
 
     def e_dim(self, i: int) -> int:
-        if 0 <= i <= self.imax:
-            return self.E[i].ngens
-        return 0
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(g.ngens for g in self.E)
+        return self.dims[i] if 0 <= i <= self.imax else 0
 
     def d_matrix(self, i: int) -> IntMatrix:
         """The page differential j∘k: E^i -> E^(i+1), entries reduced mod p;
@@ -145,11 +162,11 @@ class CoupleSum:
     d, the Bockstein maps and every derived couple respect the
     multidegree, so the couple is the direct sum over the Koszul blocks
     (derham.koszul_blocks) of their own couples: summands[b] is the couple
-    of blocks[b] in the block's cochain coordinates (blocks with the same
-    weights share one object).  Its groups, maps and page differentials are
-    those of the summands and are never assembled.  A
+    of blocks[b] in the block's cochain coordinates (_summand; blocks with
+    the same weights share one object).  Its groups, maps and page
+    differentials are those of the summands and are never assembled.  A
     direct sum is exact (and its maps well defined) exactly when every
-    summand is, so those certificates run on the summands.
+    summand is, so those certificates run on the summands, once per key.
     """
 
     def __init__(self, r, n, p, level, blocks, summands):
@@ -160,8 +177,11 @@ class CoupleSum:
         self.imax = min(n, r)
         self.blocks = tuple(blocks)
         self.summands = tuple(summands)
-        self.dims = tuple(sum(s.e_dim(i) for s in self.summands)
-                          for i in range(self.imax + 1))
+        dims = [0] * (self.imax + 1)
+        for summand in self.summands:
+            for i, dim in enumerate(summand.dims):
+                dims[i] += dim
+        self.dims = tuple(dims)
 
 
 def initial_couple(r: int, n: int, p: int) -> CoupleSum:
@@ -171,19 +191,20 @@ def initial_couple(r: int, n: int, p: int) -> CoupleSum:
     cohomology with j the reduction mod p of integral cocycles and k the
     connecting map sending a class [z] to [(d z~)/p] for any integral
     cochain z~ reducing to z.  It is the first level of couples(r, n, p,
-    ...); each summand's D^i is block_homology's H^i of its block, on the
-    block's Smith-adapted generators.
+    ...); each summand's D^i is block_homology's H^i of its block's key,
+    on the Smith-adapted generators of the canonical block of the key.
     """
     return couples(r, n, p, 1)[0]
 
 
-def _block_couple(weights: tuple, p: int) -> ExactCouple:
+def _block_couple(weights: tuple, p: int, H: Sequence[BlockHomology],
+                  mp: Sequence) -> ExactCouple:
     """The level-1 couple of the Koszul block of the weights, in its
-    cochain coordinates: D^i is block_homology's H^i with its generators
-    (as in integral_cohomology), E^i is block_modp_homology's H^i.
+    cochain coordinates, from its H^i over Z (H[i], with generators, as in
+    integral_cohomology) and over the p-element field (mp[i]): D^i is
+    H[i].group, E^i is mp[i], j reduces the generators and k sends [z] to
+    [(d z~)/p].
     """
-    H = block_homology(weights)
-    mp = block_modp_homology(weights, p)
     top = len(weights)
     j_matrices, k_matrices = [], []
     for i in range(top + 1):
@@ -212,10 +233,11 @@ def derive(c: ExactCouple) -> ExactCouple:
     """The derived couple: D' = im(i), E' = ker(jk)/im(jk).
 
     The input couple must be exact (checked).  Its i is multiplication by
-    p, so D' is pD (subgroup_pk), on the generators p e_t.  j' sends p e_t
-    to the class of j(e_t), e_t being one i-preimage; it does not depend on
-    that choice because j of every generator of ker i must vanish in E'
-    (checked).  k' is k on the surviving classes, written on pD.
+    p, so D' is pD, on the generators p e_t, of orders d / gcd(d, p) read
+    off the entries.  j' sends p e_t to the class of j(e_t), e_t being one
+    i-preimage; it does not depend on that choice because j of every
+    generator of ker i must vanish in E' (checked).  k' is k on the
+    surviving classes, written on pD.
     """
     c.check_exactness()
     p = c.p
@@ -253,13 +275,14 @@ def derive(c: ExactCouple) -> ExactCouple:
         k_matrices.append(matrix)
 
     return ExactCouple(c.weights, p, c.level + 1,
-                       [subgroup_pk(D, p, 1)[0] for D in c.D], stages,
+                       [FgAbGroup(d // gcd(d, p) for d in D.entries)
+                        for D in c.D], stages,
                        j_matrices, k_matrices, parent=c)
 
 
 def couples(r: int, n: int, p: int, upto: int) -> list:
     """The first `upto` couples (levels 1..upto) for (r, n, p), each the
-    direct sum of the same level of the blocks' towers (_block_level)."""
+    direct sum of the same level of the blocks' towers (_summand)."""
     check_prime(p)
     if n < 1:
         raise ValueError("total degree must be >= 1")
@@ -268,18 +291,35 @@ def couples(r: int, n: int, p: int, upto: int) -> list:
     blocks = koszul_blocks(r, n)
     # level by level, so each level finds the one below it cached
     return [CoupleSum(r, n, p, level, blocks,
-                      [_block_level(blk.weights, p, level) for blk in blocks])
+                      [_summand(blk.weights, p, level) for blk in blocks])
             for level in range(1, upto + 1)]
 
 
 @lru_cache(maxsize=None)
-def _block_level(weights: tuple, p: int, level: int) -> ExactCouple:
-    """Level `level` of the Bockstein tower of the block of the weights at
-    p.  Each level is certified once: d∘d = 0 when it is built, exactness
-    when the next level is derived from it."""
+def _block_level(key: tuple, p: int, level: int) -> ExactCouple:
+    """Level `level` of the Bockstein tower of the canonical block of the
+    key at p.  Each level is certified once: d∘d = 0 when it is built,
+    exactness when the next level is derived from it."""
     if level == 1:
-        return _block_couple(weights, p)
-    return derive(_block_level(weights, p, level - 1))
+        return _block_couple(canonical_weights(key), p, block_homology(key),
+                             block_modp_homology(key, p))
+    return derive(_block_level(key, p, level - 1))
+
+
+@lru_cache(maxsize=None)
+def _summand(weights: tuple, p: int, level: int) -> ExactCouple:
+    """Level `level` of the tower of the block of the ordered weights: the
+    level of its key (_block_level), with the same groups, maps and page
+    differentials.  Only the level-1 pages hold cochains; they are moved to
+    the block's cochains through its transport (ordered_modp_homology), and
+    each later level points to the block's level below it."""
+    summand = copy.copy(_block_level(block_key(weights), p, level))
+    summand.weights = weights
+    if level == 1:
+        summand.stages = ordered_modp_homology(weights, p)
+    else:
+        summand.parent = _summand(weights, p, level - 1)
+    return summand
 
 
 @dataclass(frozen=True)
@@ -481,8 +521,9 @@ def _block_oracle_failure(couple: CoupleSum, k: int) -> Optional[dict]:
     """The first failure of the comparison on the blocks, or None.
 
     Each distinct ordered weight vector is checked once, against the
-    summand of its first block: the oracle keeps its own key, and the
-    engine shares a summand only between blocks of the same weights.
+    summand of its first block.  The oracle keeps the ordered weights as
+    its key, while the engine computes once per (gcd, length) key and
+    transports, so every transport the pages use is checked here.
     Failures to conjugate the differentials come last, after every failure
     of dimensions, survival or bijectivity on some block.
     """

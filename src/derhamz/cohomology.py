@@ -1,10 +1,16 @@
 """Integral and mod-p cohomology of the de Rham complex, block by block.
 
 Both are direct sums over the multidegree blocks of the complex
-(derham.koszul_blocks).  Per-block results are cached by the block's ordered
-nonzero weights (KoszulBlock.weights), shared by every (r, n): block_homology
-by the weights, block_modp_homology and _cartier_block by the weights and
-p.  The assembled results are cached per (r, n) and (r, n, p).
+(derham.koszul_blocks).  Blocks of one key (gcd and number of the nonzero
+weights) are isomorphic complexes: the certified exterior-power transport
+derham.transport carries the block of any ordered weights onto the
+canonical block of its key, whose weights are (g, 0, ..., 0).  So each
+per-block result is computed once per key, on the canonical block:
+block_homology by the key, block_modp_homology and _cartier_block by the
+key and p.  Class coordinates (group entries, mod-p classes) are the
+canonical ones; only cochains move through the transport
+(TransportedDegree).  The assembled results are cached per (r, n) and
+(r, n, p).
 """
 
 from __future__ import annotations
@@ -15,7 +21,14 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import modp
 from .abgroups import FgAbGroup, class_matrix, homology_at
-from .derham import block_pairs, koszul_blocks, koszul_d
+from .derham import (
+    block_key,
+    block_pairs,
+    canonical_weights,
+    koszul_blocks,
+    koszul_d,
+    transport,
+)
 from .intlinalg import IntMatrix, hstack
 from .modp import check_prime
 
@@ -47,15 +60,16 @@ def integral_cohomology(r: int, n: int) -> CohomologyResult:
     """H^i over Z for every degree of the total-degree-n complex.
 
     The complex is the direct sum of its multidegree blocks
-    (derham.koszul_blocks), so H^i is the sum of the blocks' H^i
-    (block_homology).  H^i is the group of the blocks' Smith entries,
-    blocks in basis order; block_homology gives each block's generators.
+    (derham.koszul_blocks), so H^i is the sum of the blocks' H^i.  A
+    block's H^i is the group of its key (block_homology), so H^i is the
+    group of those Smith entries, blocks in basis order; no transport is
+    needed.
     """
-    blocks = koszul_blocks(r, n)
+    keys = [blk.key for blk in koszul_blocks(r, n)]
     degrees = []
     for i in range(min(n, r) + 1):
-        entries = [e for blk in blocks if i <= len(blk.weights)
-                   for e in block_homology(blk.weights)[i].group.entries]
+        entries = [e for key in keys if i <= key[1]
+                   for e in block_homology(key)[i].group.entries]
         degrees.append(HDegree(i, FgAbGroup(entries)))
     return CohomologyResult(r, n, tuple(degrees))
 
@@ -68,12 +82,15 @@ class BlockHomology(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def block_homology(weights: tuple) -> tuple:
-    """H^0 .. H^s over Z of the Koszul block of the s ordered nonzero
-    weights, as BlockHomology from homology_at on the block d."""
+def block_homology(key: tuple) -> tuple:
+    """H^0 .. H^s over Z of the canonical block of the key (g, s), as
+    BlockHomology from homology_at on the block d.  The block of ordered
+    weights w of the key has the same groups, generated by
+    transport(w).backward[i] @ gens."""
+    weights = canonical_weights(key)
     return tuple(BlockHomology(*homology_at(koszul_d(weights, i - 1),
                                            koszul_d(weights, i)))
-                 for i in range(len(weights) + 1))
+                 for i in range(key[1] + 1))
 
 
 class ModpDegree:
@@ -85,10 +102,11 @@ class ModpDegree:
     cocycles that greedily extend it.
     """
 
-    __slots__ = ("dim_cochain", "cocycles", "reps", "dim", "_solver",
+    __slots__ = ("p", "dim_cochain", "cocycles", "reps", "dim", "_solver",
                  "_rep_columns")
 
     def __init__(self, d_in: IntMatrix, cocycles: tuple, p: int):
+        self.p = p
         self.dim_cochain = d_in.nrows
         self.cocycles = cocycles
         self._solver = modp.Solver(
@@ -104,10 +122,61 @@ class ModpDegree:
 
     def express(self, z: Sequence[int]) -> Optional[tuple]:
         """Class coordinates of a mod-p cocycle, or None if z is no cocycle."""
-        sol = self._solver.solve([v % self._solver.p for v in z])
+        sol = self._solver.solve([v % self.p for v in z])
         if sol is None:
             return None
         return tuple(sol[c] for c in self._rep_columns)
+
+
+class TransportedDegree:
+    """The ModpDegree of a canonical block on the block of ordered weights
+    of the same key, degree i: the same classes, with cochains moved
+    through the block's transport.
+
+    express applies forward[i] = Lambda^i(A) to a cochain, then the
+    canonical express; the cocycles and representatives are backward[i] =
+    Lambda^i(A^-1) applied to the canonical ones, reduced mod p.  The
+    transport is looked up on first use, so a view nobody reads costs
+    nothing.
+    """
+
+    __slots__ = ("canonical", "weights", "i", "p", "dim_cochain", "dim",
+                 "_transport")
+
+    def __init__(self, canonical: ModpDegree, weights: tuple, i: int):
+        self.canonical = canonical
+        self.weights = weights
+        self.i = i
+        self.p = canonical.p
+        self.dim_cochain = canonical.dim_cochain
+        self.dim = canonical.dim
+        self._transport = None
+
+    def _moved(self):
+        if self._transport is None:
+            self._transport = transport(self.weights)
+        return self._transport
+
+    def _back(self, vectors) -> tuple:
+        backward = self._moved().backward[self.i]
+        return tuple(tuple(v % self.p for v in backward.apply(z))
+                     for z in vectors)
+
+    @property
+    def cocycles(self) -> tuple:
+        return self._back(self.canonical.cocycles)
+
+    @property
+    def reps(self) -> tuple:
+        return self._back(self.canonical.reps)
+
+    def rep_matrix(self) -> IntMatrix:
+        return (self._moved().backward[self.i]
+                @ self.canonical.rep_matrix()).mod(self.p)
+
+    def express(self, z: Sequence[int]) -> Optional[tuple]:
+        """Class coordinates of a mod-p cocycle, or None if z is no cocycle."""
+        return self.canonical.express(self._moved().forward[self.i].apply(z))
 
 
 def modp_homology(d_in: IntMatrix, d_out: IntMatrix, p: int) -> ModpDegree:
@@ -127,7 +196,8 @@ class ModpCohomologyResult:
     """Mod-p cohomology, the direct sum of its Koszul blocks' cohomology.
 
     block_degrees[b][i] is H^i of the block blocks[b] over the p-element
-    field, and dims[i] = dim Z^i - dim B^i is the dimension of the sum."""
+    field, in the block's cochains (TransportedDegree), and dims[i] =
+    dim Z^i - dim B^i is the dimension of the sum."""
     r: int
     n: int
     p: int
@@ -139,30 +209,39 @@ class ModpCohomologyResult:
 @lru_cache(maxsize=None)
 def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
     """Cohomology of the complex tensored with Z/p: each block's H^i is
-    block_modp_homology of its weights."""
+    block_modp_homology of its key, seen in the block's cochains."""
     check_prime(p)
     blocks = koszul_blocks(r, n)
-    degs = tuple(block_modp_homology(blk.weights, p) for blk in blocks)
+    degs = tuple(ordered_modp_homology(blk.weights, p) for blk in blocks)
     dims = tuple(sum(bd[i].dim for bd in degs if i < len(bd))
                  for i in range(min(n, r) + 1))
     return ModpCohomologyResult(r, n, p, blocks, degs, dims)
 
 
 @lru_cache(maxsize=None)
-def block_modp_homology(weights: tuple, p: int) -> tuple:
-    """H^0 .. H^s over the p-element field of the Koszul block of the s
-    ordered nonzero weights, each a ModpDegree from modp_homology."""
+def block_modp_homology(key: tuple, p: int) -> tuple:
+    """H^0 .. H^s over the p-element field of the canonical block of the
+    key (g, s), each a ModpDegree from modp_homology."""
+    weights = canonical_weights(key)
     return tuple(modp_homology(koszul_d(weights, i - 1),
                                koszul_d(weights, i), p)
-                 for i in range(len(weights) + 1))
+                 for i in range(key[1] + 1))
+
+
+@lru_cache(maxsize=None)
+def ordered_modp_homology(weights: tuple, p: int) -> tuple:
+    """H^0 .. H^s over the p-element field of the block of the ordered
+    weights: block_modp_homology of its key, as TransportedDegree views."""
+    return tuple(TransportedDegree(deg, weights, i) for i, deg in
+                 enumerate(block_modp_homology(block_key(weights), p)))
 
 
 def cocycle_dim(r: int, n: int, i: int, p: int) -> int:
     """Dimension of the mod-p cocycle space in one degree: the sum of the
-    blocks' mod-p cocycle counts."""
-    return sum(len(degs[i].cocycles)
-               for degs in modp_cohomology(r, n, p).block_degrees
-               if 0 <= i < len(degs))
+    blocks' mod-p cocycle counts, read on the canonical blocks."""
+    check_prime(p)
+    return sum(len(block_modp_homology(blk.key, p)[i].cocycles)
+               for blk in koszul_blocks(r, n) if 0 <= i <= len(blk.weights))
 
 
 def cartier_iso(r: int, n: int, i: int, p: int) -> list:
@@ -171,9 +250,12 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
 
     In block coordinates the representative x -> x^p, dx -> x^(p-1) dx is
     the identity from block beta of total degree n to block p*beta of
-    degree p*n (derham.block_pairs); _cartier_block gives the map of a
-    pair.  Also checks, on every other block of degree p*n, whose weight
-    has an entry prime to p, that its mod-p H^i vanishes.
+    degree p*n (derham.block_pairs).  _cartier_block certifies it on the
+    canonical pair of the key: its unit cochains are cocycles whose classes
+    are a basis.  The map of the block is then the classes of its unit
+    cochains in block p*beta's mod-p H^i, read through the transport that
+    beta and p*beta share.  Also checks, on every other block of degree
+    p*n, whose weight has an entry prime to p, that its mod-p H^i vanishes.
 
     Returns per block beta of koszul_blocks(r, n) the class matrix of its
     degree-i cells in block p*beta, None outside the block's degrees.
@@ -183,8 +265,19 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
     check_prime(p)
     target = modp_cohomology(r, p * n, p)
     blocks = koszul_blocks(r, n)
-    matrices = [_cartier_block(blk.weights, i, p)
-                if 0 <= i <= len(blk.weights) else None for blk in blocks]
+    matrices = []
+    for blk in blocks:
+        if not 0 <= i <= len(blk.weights):
+            matrices.append(None)
+            continue
+        _cartier_block(blk.key, i, p)
+        deg = ordered_modp_homology(tuple(p * w for w in blk.weights), p)[i]
+        matrix, _ = class_matrix(deg.express,
+                                 IntMatrix.identity(deg.dim_cochain), deg.dim)
+        if matrix is None:
+            raise RuntimeError(f"a cell of block {blk.beta} has no class in "
+                               f"block p*beta (i={i}, p={p})")
+        matrices.append(matrix)
     _, others = block_pairs(blocks, target.blocks, p)
     for c in others:
         degs = target.block_degrees[c]
@@ -197,18 +290,19 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _cartier_block(weights: tuple, i: int, p: int) -> IntMatrix:
-    """The class matrix of the unit cochains of the block of p*w in its
-    mod-p H^i, checked to be cocycles whose classes are a basis."""
-    multiple = tuple(p * w for w in weights)
+def _cartier_block(key: tuple, i: int, p: int) -> None:
+    """Certify the Cartier map of the canonical pair of the key (g, s): the
+    unit cochains of the canonical block of (p*g, s) are mod-p cocycles
+    whose classes in its H^i are a basis."""
+    g, s = key
+    multiple = canonical_weights((p * g, s))
     where = f"block of weights {multiple}, i={i}, p={p}"
     if not koszul_d(multiple, i).mod(p).is_zero():
         raise RuntimeError(
             f"representative columns are not mod-p cocycles on the {where}")
-    deg = block_modp_homology(multiple, p)[i]
+    deg = block_modp_homology((p * g, s), p)[i]
     cells = deg.dim_cochain
     matrix, _ = class_matrix(deg.express, IntMatrix.identity(cells), deg.dim)
     if deg.dim != cells or matrix is None or modp.rank(matrix, p) != cells:
         raise RuntimeError(f"cartier map not bijective on the {where}: "
                            f"dims {cells} vs {deg.dim}")
-    return matrix

@@ -160,6 +160,13 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(not a for row in self._rows for a in row)
 
+    def is_identity(self) -> bool:
+        """Whether the matrix is square with ones on the diagonal and zeros
+        elsewhere, tested entrywise."""
+        return self.nrows == self.ncols and all(
+            a == (i == j) for i, row in enumerate(self._rows)
+            for j, a in enumerate(row))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -322,7 +329,7 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     if M.nrows != M.ncols:
         raise ValueError("matrix is not square")
     H, U = hnf(M)
-    if H != IntMatrix.identity(M.nrows):
+    if not H.is_identity():
         raise ValueError("matrix is not unimodular")
     return U
 

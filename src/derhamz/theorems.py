@@ -32,7 +32,14 @@ from .cohomology import (
     integral_cohomology,
     modp_cohomology,
 )
-from .derham import block_pairs, dim_formula, distinct_blocks, koszul_blocks
+from .derham import (
+    block_pairs,
+    canonical_weights,
+    dim_formula,
+    distinct_blocks,
+    koszul_blocks,
+    koszul_d,
+)
 from .intlinalg import IntMatrix
 from .modp import check_prime, primes_dividing, primes_up_to, valuation
 
@@ -129,7 +136,7 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
                    all(n % d == 0 for d in G.invariant_factors),
                    {"degree": i, "factors": list(G.invariant_factors)})
         # H^i is the direct sum of the blocks' H^i, generators included
-        groups = [block_homology(blk.weights)[i].group for blk in blocks
+        groups = [block_homology(blk.key)[i].group for blk in blocks
                   if i <= len(blk.weights)]
         killed = all(
             B.element_is_zero([n if t == j else 0 for t in range(B.ngens)])
@@ -170,16 +177,21 @@ def _block_frobenius(src, tgt, i: int, scale: int, literal: bool = False):
     defined on cohomology after one multiplication by p.  In degree 1 the
     two coincide.
 
+    Both blocks are read on the canonical blocks of their keys
+    (block_homology), so the cell map becomes forward[i] of tgt's
+    transport, times scale, times backward[i] of src's: scale times the
+    identity again, as the pair shares its transport.
+
     Returns (map, None), or (None, witness) when induced_map fails (an
     image is no cocycle, or has no class); the witness carries the degree,
     the weight of src and the error.
     """
-    h_src = block_homology(src.weights)[i]
-    h_tgt = block_homology(tgt.weights)[i]
+    h_src = block_homology(src.key)[i]
+    h_tgt = block_homology(tgt.key)[i]
+    cells = scale * (tgt.transport.forward[i] @ src.transport.backward[i])
+    d_out = koszul_d(canonical_weights(tgt.key), i) if literal else None
     try:
-        return induced_map(scale * IntMatrix.identity(src.d(i).ncols),
-                           h_src, h_tgt,
-                           tgt_d_out=tgt.d(i) if literal else None), None
+        return induced_map(cells, h_src, h_tgt, tgt_d_out=d_out), None
     except (ValueError, RuntimeError) as exc:
         return None, _at(i, src, error=str(exc))
 
@@ -349,7 +361,7 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
                     for blk, _, _, g, _, _, h in row if h is None]):
             continue
         unhit = [(blk, primary_part(subgroup_pk(
-                      block_homology(blk.weights)[i].group, p, 1)[0], p))
+                      block_homology(blk.key)[i].group, p, 1)[0], p))
                  for blk in others if i <= len(blk.weights)]
         checks.add_all(f"restricted map bijective, degree {i}", [
             _at(i, blk, source=PA.describe(), target=PpB.describe(),

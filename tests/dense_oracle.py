@@ -10,7 +10,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from derhamz.derham import BasisElement, basis, dim_formula
+from derhamz.abgroups import homology_at
+from derhamz.bockstein import _block_couple
+from derhamz.cohomology import BlockHomology, modp_homology
+from derhamz.derham import BasisElement, basis, dim_formula, koszul_d
 from derhamz.intlinalg import IntMatrix
 from derhamz.modp import Solver, rank
 
@@ -249,3 +252,15 @@ def modp_class_matrix(target, i: int, cochain_cols: IntMatrix) -> IntMatrix:
                 f"column {j} is not a mod-p cocycle in degree {i}")
         cols.append(coords[:len(reps)])
     return IntMatrix.from_columns(cols, len(reps))
+
+
+def direct_couple(weights: tuple, p: int):
+    """The level-1 couple of the Koszul block of the ordered weights, built
+    on the block's own d (homology_at and modp_homology), without the
+    transport to the canonical block of its key that the library uses."""
+    d = [koszul_d(weights, i) for i in range(-1, len(weights) + 1)]
+    return _block_couple(
+        weights, p,
+        [BlockHomology(*homology_at(d_in, d_out))
+         for d_in, d_out in zip(d, d[1:])],
+        [modp_homology(d_in, d_out, p) for d_in, d_out in zip(d, d[1:])])

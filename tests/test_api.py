@@ -34,6 +34,11 @@ BUILTIN_TYPES = (object, int, str, bytes, tuple, list, dict, set, frozenset)
 # ambiguous methods called on instances: the function that calls each
 DECLARED_CALLERS = {
     "bockstein.SpectralPage.is_zero": "cli.cmd_pages",
+    "cohomology.ModpDegree.express": "cohomology._cartier_block",
+    "cohomology.ModpDegree.rep_matrix": "bockstein.derive",
+    "cohomology.TransportedDegree.express": "cohomology.cartier_iso",
+    "cohomology.TransportedDegree.rep_matrix":
+        "theorems.verify_couple_morphism",
     "intlinalg.IntMatrix.is_zero": "abgroups.homology_at",
 }
 

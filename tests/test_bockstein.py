@@ -12,12 +12,10 @@ from derhamz.abgroups import (
     FgAbGroup,
     Homomorphism,
     graded_piece_dim,
-    homology_at,
 )
 from derhamz.bockstein import (
     ExactCouple,
     ExactnessError,
-    _block_couple,
     _oracle_d,
     closed_form_page,
     compare_with_closed_form,
@@ -26,7 +24,11 @@ from derhamz.bockstein import (
     initial_couple,
     pages,
 )
-from derhamz.cohomology import integral_cohomology, modp_cohomology
+from derhamz.cohomology import (
+    block_homology,
+    integral_cohomology,
+    modp_cohomology,
+)
 from derhamz.derham import dim_formula, koszul_blocks
 from derhamz.intlinalg import IntMatrix, lattice_solve
 from derhamz.modp import rank, valuation
@@ -36,6 +38,7 @@ from dense_oracle import (
     block_cells,
     complex_z,
     d_matrix,
+    direct_couple,
     modp_class_matrix,
     place,
 )
@@ -54,8 +57,11 @@ def _placed(c, i, mats):
 
 def _dense_lift(c, i):
     """The blocks' integral generators of degree i at their global cells,
-    blocks in basis order."""
-    return _placed(c, i, [homology_at(blk.d(i - 1), blk.d(i))[1]
+    blocks in basis order: the generators of the canonical block of the
+    key, moved back through the block's transport."""
+    return _placed(c, i, [blk.transport.backward[i]
+                          @ block_homology(blk.key)[i].gens
+                          if i <= len(blk.weights) else None
                           for blk in c.blocks])
 
 
@@ -179,7 +185,7 @@ class TestExactness:
     def test_constructor_certifies_d_squared_zero(self):
         # D = 0, Z/2, Z/2 and pages of dims (1, 2, 1); every map below is
         # well defined, but d^1 d^0 = [[1]]
-        c = _block_couple((2, 2), 2)
+        c = direct_couple((2, 2), 2)
         assert [G.entries for G in c.D] == [(), (2,), (2,)]
         assert c.dims == (1, 2, 1)
         j = [IntMatrix.zeros(1, 0), IntMatrix([[1], [0]]), IntMatrix([[1]])]

@@ -13,7 +13,7 @@ from sympy import GF, Matrix
 from sympy.polys.matrices import DomainMatrix
 
 from derhamz.abgroups import FgAbGroup, homology_at
-from derhamz.bockstein import _block_couple, derive
+from derhamz.bockstein import derive
 from derhamz.cohomology import (
     cartier_iso,
     cocycle_dim,
@@ -31,6 +31,7 @@ from dense_oracle import (
     cartier_rep_matrix,
     coboundaries,
     complex_z,
+    direct_couple,
     greedy,
     modp_class_matrix,
     place,
@@ -204,7 +205,7 @@ class TestModpHomology:
         for i in range(len(weights) + 1):
             _check_modp_choices(koszul_d(weights, i - 1),
                                 koszul_d(weights, i), p)
-        couple = _block_couple(weights, p)
+        couple = direct_couple(weights, p)
         for level in range(min(valuation(w, p) for w in weights) + 1):
             if level:
                 couple = derive(couple)

@@ -1,15 +1,31 @@
-"""Per-block results are shared by the block's ordered nonzero weights.
+"""Per-block results are computed once per key, the (gcd, length) of the
+block's ordered nonzero weights.
 
-Every block computation is cached by the weights (and the prime), across
-all (r, n) and all statements.  These tests run in child interpreters, so
+Every block computation runs on the canonical block of its key, cached by
+the key (and the prime), across all (r, n) and all statements; a block of
+ordered weights reaches it through its transport, certified once per
+primitive weight vector.  The counting tests run in child interpreters, so
 the caches start cold: each block result is computed once, and the results
-do not depend on which (r, n) computed them first.
+do not depend on which (r, n) computed them first.  A hypothesis test
+checks that a transported block is the block built directly on its own d.
 """
 
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from derhamz.abgroups import class_matrix, homology_at
+from derhamz.bockstein import _summand, derive
+from derhamz.cohomology import block_homology
+from derhamz.derham import block_key, koszul_d, transport
+from derhamz.intlinalg import hnf, hstack, lattice_solve
+from derhamz.modp import rank, valuation
+
+from dense_oracle import direct_couple
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -17,7 +33,8 @@ COUNT_CALLS = """
 import json
 from collections import Counter
 from derhamz import bockstein, cohomology, theorems
-from derhamz.derham import koszul_blocks
+from derhamz.derham import (block_key, canonical_weights, koszul_blocks,
+                            koszul_d)
 
 calls = {"homology_at": Counter(), "derive": Counter(),
          "modp_homology": Counter()}
@@ -38,13 +55,43 @@ counting("derive", lambda c: (c.weights, c.p, c.level))
 # calls it through its own binding, on page differentials)
 counting("modp_homology", lambda d_in, d_out, p: (d_in, d_out, p))
 theorems.sweep(3, 8)
-weights = {blk.weights for r in range(1, 4) for n in range(1, 9)
-           for blk in koszul_blocks(r, n)}
+keys = {blk.key for r in range(1, 4) for n in range(1, 9)
+        for blk in koszul_blocks(r, n)}
+canonical_d = {koszul_d(canonical_weights(key), i)
+               for key in keys for i in range(key[1] + 1)}
 print(json.dumps({
     "most_repeated": {name: max(c.values()) for name, c in calls.items()},
     "homology_calls": sum(calls["homology_at"].values()),
-    "block_degrees": sum(len(w) + 1 for w in weights),
+    "key_degrees": sum(s + 1 for _, s in keys),
+    "off_key": [str(d_out) for d_out in
+                [d for _, d in calls["homology_at"]]
+                + [d for _, d, _ in calls["modp_homology"]]
+                if d_out not in canonical_d],
+    "ordered_derives": [str(w) for w, _, _ in calls["derive"]
+                        if w != canonical_weights(block_key(w))],
 }))
+"""
+
+PAGE_COUNTS = """
+import contextlib
+import io
+import json
+from collections import Counter
+from derhamz import bockstein, cli
+from derhamz.derham import koszul_blocks
+
+calls = Counter()
+for name in ("_block_couple", "derive"):
+    def wrapper(*args, _fn=getattr(bockstein, name), _name=name):
+        calls[_name] += 1
+        return _fn(*args)
+    setattr(bockstein, name, wrapper)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["pages", "-r", "3", "-n", "12", "-p", "2"]) == 0
+print(json.dumps({"calls": calls,
+                  "keys": len({blk.key for blk in koszul_blocks(3, 12)}),
+                  "ordered": len({blk.weights
+                                  for blk in koszul_blocks(3, 12)})}))
 """
 
 SWEEP = """
@@ -68,12 +115,22 @@ def _child(code: str) -> str:
 
 
 def test_each_block_result_is_computed_once():
-    # homology_at once per distinct weights and degree, derive once per
-    # (weights, p, level), block mod-p homology once per (weights, p)
+    # homology_at once per key (g, s) and degree, derive once per
+    # (g, s, p, level), block mod-p homology once per (g, s, p), each on
+    # the canonical block of the key
     counts = json.loads(_child(COUNT_CALLS))
     assert counts["most_repeated"] == {"homology_at": 1, "derive": 1,
                                        "modp_homology": 1}, counts
-    assert counts["homology_calls"] == counts["block_degrees"], counts
+    assert counts["homology_calls"] == counts["key_degrees"], counts
+    assert counts["off_key"] == [] and counts["ordered_derives"] == [], counts
+
+
+def test_pages_builds_each_tower_level_once_per_key():
+    # pages -r 3 -n 12 -p 2 derives up to page nu + 1 = 3: one level-1
+    # couple and two derivations per key, not per ordered weights
+    counts = json.loads(_child(PAGE_COUNTS))
+    assert counts["keys"] == 10 and counts["ordered"] == 67, counts
+    assert counts["calls"] == {"_block_couple": 10, "derive": 20}, counts
 
 
 def test_results_do_not_depend_on_call_order():
@@ -83,3 +140,39 @@ def test_results_do_not_depend_on_call_order():
     warm = _child(SWEEP.format(warm=True))
     assert cold == warm
     assert json.loads(cold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.sampled_from([2, 3, 5]))
+def test_a_transported_block_is_the_direct_block(weights, p):
+    # the groups of the key's canonical block, moved to the block of the
+    # ordered weights, against homology_at on the block's own d: the same
+    # entries, and generators that span the same lattice modulo the
+    # coboundaries, each killed by its order; then the tower of the direct
+    # block (exact at every level) against the block's summands: the same
+    # page dims, and the direct level-1 pages map isomorphically onto the
+    # summand's classes
+    weights = tuple(weights)
+    t = transport(weights)
+    H = block_homology(block_key(weights))
+    for i in range(len(weights) + 1):
+        d_in, d_out = koszul_d(weights, i - 1), koszul_d(weights, i)
+        G, gens = homology_at(d_in, d_out)
+        moved = t.backward[i] @ H[i].gens
+        assert H[i].group.entries == G.entries
+        assert (d_out @ moved).is_zero()
+        assert hnf(hstack(moved, d_in))[0] == hnf(hstack(gens, d_in))[0]
+        for col, order in zip(moved.columns(), G.entries):
+            assert lattice_solve(d_in, [order * v for v in col]) is not None
+    direct = direct_couple(weights, p)
+    for i in range(direct.imax + 1):
+        phi, _ = class_matrix(partial(_summand(weights, p, 1).express_cochain,
+                                      i),
+                              direct.stages[i].rep_matrix(), direct.e_dim(i))
+        assert phi is not None and rank(phi, p) == direct.e_dim(i)
+    for level in range(1, min(valuation(w, p) for w in weights) + 3):
+        if level > 1:
+            direct = derive(direct)
+        direct.check_exactness()
+        assert _summand(weights, p, level).dims == direct.dims, level
