@@ -16,7 +16,9 @@ summand is that level seen through the block's certified transport
 ones, and only its level-1 pages, the one place where cochains enter, are
 moved (cohomology.TransportedDegree).  The closed-form oracle keeps the
 ordered weights as its key on purpose: it never sees a transport, so a
-wrong transport shows up as a disagreement with it.
+wrong transport shows up as a disagreement with it.  The page
+identification of a block pair runs once per pair of keys, on the tower
+level of the target key (_identification).
 
 Each page is an elementary abelian p-group per degree, stored as a mod-p
 subquotient of the previous page (ExactCouple.stages), so the class of a
@@ -593,27 +595,36 @@ def block_identification_failure(couple: CoupleSum, sources: Sequence,
     blocks, or None.
 
     sources are the blocks of degree n/q; each distinct one is paired with
-    its block q*gamma of couple.  The witness carries the block weight
-    and, for a class that does not survive, the basis index of its cell in
-    degree n.  Failures to conjugate the differentials come last, after
-    every failure of a cocycle check or of bijectivity in some degree (a
-    class that does not survive, a class matrix of low rank, a nonzero
-    page on a block that is no q-multiple).
+    its block q*gamma of couple.  Both blocks of a pair share their
+    transport (checked per pair), so the identification is checked once
+    per key pair, on the canonical tower level (_identification); only a
+    failing pair is checked again on its own summand, for a witness in its
+    own cells.  The witness carries the block weight and, for a class that
+    does not survive, the basis index of its cell in degree n.  Failures to
+    conjugate the differentials come last, after every failure of a
+    cocycle check or of bijectivity in some degree (a class that does not
+    survive, a class matrix of low rank, a nonzero page on a block that is
+    no q-multiple).
     """
     pairs, others = block_pairs(sources, couple.blocks, q)
     conjugation = None
     for b, c in pairs:
-        blk, summand = couple.blocks[c], couple.summands[c]
-        for i in range(len(blk.weights) + 1):
-            if not blk.d(i).mod(couple.p).is_zero():
-                return {"check": "cocycle", "degree": i,
-                        "beta": list(blk.beta)}
-        failure = _page_isomorphism_failure(
-            summand, [IntMatrix.identity(blk.d(i).ncols)
-                      for i in range(len(blk.weights) + 1)],
-            sources[b].d)
-        if failure is None:
+        src, blk = sources[b], couple.blocks[c]
+        if src.transport != blk.transport:
+            return {"check": "shares transport", "beta": list(blk.beta)}
+        verdict = _identification(src.key, blk.key, couple.p, couple.level)
+        if verdict is None or verdict[0] == "conjugates" and conjugation:
             continue
+        if verdict[0] == "cocycle":
+            return {"check": "cocycle", "degree": verdict[1],
+                    "beta": list(blk.beta)}
+        failure = _page_isomorphism_failure(
+            couple.summands[c], [IntMatrix.identity(blk.d(i).ncols)
+                                 for i in range(len(blk.weights) + 1)],
+            src.d)
+        if failure is None or failure[:2] != verdict:
+            raise RuntimeError(f"block {list(blk.beta)} and its key pair "
+                               f"disagree on the page identification")
         check, i, detail = failure
         witness = {"degree": i, "beta": list(blk.beta)}
         if check == "survives":
@@ -623,11 +634,39 @@ def block_identification_failure(couple: CoupleSum, sources: Sequence,
             return {"check": "bijective", **witness,
                     "matrix": detail.to_lists()}
         lhs, rhs = detail
-        conjugation = conjugation or {"check": "conjugates d", **witness,
-                                      "lhs": lhs.to_lists(),
-                                      "rhs": rhs.to_lists()}
+        conjugation = {"check": "conjugates d", **witness,
+                       "lhs": lhs.to_lists(), "rhs": rhs.to_lists()}
     for c in others:
         if any(couple.summands[c].dims):
             return {"check": "bijective", "beta": list(couple.blocks[c].beta),
                     "page": list(couple.summands[c].dims)}
     return conjugation
+
+
+@lru_cache(maxsize=None)
+def _identification(source_key: tuple, key: tuple, p: int,
+                    level: int) -> Optional[tuple]:
+    """The first failure of the page identification on the canonical pair
+    of the keys, as (check, degree), or None: the unit cochains of the
+    canonical block of key, which the Cartier composite sends the cells of
+    the canonical block of source_key to, are mod-p cocycles ("cocycle"),
+    and sending them to their classes on page `level` of its tower is an
+    isomorphism of complexes ("survives", "bijective", "conjugates").
+
+    A block gamma of source_key and its multiple q*gamma of key share
+    their transport Lambda(A), which conjugates both block differentials
+    into the canonical ones and the unit cochains of q*gamma into
+    invertible combinations of the canonical unit cochains.  So the pair
+    fails exactly when the canonical pair does, in the same check and
+    degree.
+    """
+    weights = canonical_weights(key)
+    for i in range(key[1] + 1):
+        if not koszul_d(weights, i).mod(p).is_zero():
+            return "cocycle", i
+    failure = _page_isomorphism_failure(
+        _block_level(key, p, level),
+        [IntMatrix.identity(koszul_d(weights, i).ncols)
+         for i in range(key[1] + 1)],
+        partial(koszul_d, canonical_weights(source_key)))
+    return None if failure is None else failure[:2]

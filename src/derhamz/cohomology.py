@@ -170,10 +170,6 @@ class TransportedDegree:
     def reps(self) -> tuple:
         return self._back(self.canonical.reps)
 
-    def rep_matrix(self) -> IntMatrix:
-        return (self._moved().backward[self.i]
-                @ self.canonical.rep_matrix()).mod(self.p)
-
     def express(self, z: Sequence[int]) -> Optional[tuple]:
         """Class coordinates of a mod-p cocycle, or None if z is no cocycle."""
         return self.canonical.express(self._moved().forward[self.i].apply(z))
@@ -252,10 +248,12 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
     the identity from block beta of total degree n to block p*beta of
     degree p*n (derham.block_pairs).  _cartier_block certifies it on the
     canonical pair of the key: its unit cochains are cocycles whose classes
-    are a basis.  The map of the block is then the classes of its unit
+    are a basis.  The map of a block is then the classes of its unit
     cochains in block p*beta's mod-p H^i, read through the transport that
-    beta and p*beta share.  Also checks, on every other block of degree
-    p*n, whose weight has an entry prime to p, that its mod-p H^i vanishes.
+    beta and p*beta share, once per ordered weights (blocks of equal
+    weights are the same complex).  Also checks, on every other block of
+    degree p*n, whose weight has an entry prime to p, that its mod-p H^i
+    vanishes, on the canonical block of its key.
 
     Returns per block beta of koszul_blocks(r, n) the class matrix of its
     degree-i cells in block p*beta, None outside the block's degrees.
@@ -263,12 +261,10 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
     implementation rather than the statement.
     """
     check_prime(p)
-    target = modp_cohomology(r, p * n, p)
     blocks = koszul_blocks(r, n)
-    matrices = []
+    matrices = {}            # per ordered weights
     for blk in blocks:
-        if not 0 <= i <= len(blk.weights):
-            matrices.append(None)
+        if not 0 <= i <= len(blk.weights) or blk.weights in matrices:
             continue
         _cartier_block(blk.key, i, p)
         deg = ordered_modp_homology(tuple(p * w for w in blk.weights), p)[i]
@@ -277,16 +273,17 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
         if matrix is None:
             raise RuntimeError(f"a cell of block {blk.beta} has no class in "
                                f"block p*beta (i={i}, p={p})")
-        matrices.append(matrix)
-    _, others = block_pairs(blocks, target.blocks, p)
+        matrices[blk.weights] = matrix
+    multiples = koszul_blocks(r, p * n)
+    _, others = block_pairs(blocks, multiples, p)
     for c in others:
-        degs = target.block_degrees[c]
-        if 0 <= i < len(degs) and degs[i].dim:
+        key = multiples[c].key
+        if 0 <= i <= key[1] and block_modp_homology(key, p)[i].dim:
             raise RuntimeError(
-                f"mod-p H^{i} of block {target.blocks[c].beta} at "
+                f"mod-p H^{i} of block {multiples[c].beta} at "
                 f"(r={r}, n={n}, i={i}, p={p}) is nonzero, though p does not "
                 f"divide its weight")
-    return matrices
+    return [matrices.get(blk.weights) for blk in blocks]
 
 
 @lru_cache(maxsize=None)

@@ -160,11 +160,11 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(not a for row in self._rows for a in row)
 
-    def is_identity(self) -> bool:
-        """Whether the matrix is square with ones on the diagonal and zeros
-        elsewhere, tested entrywise."""
+    def is_identity(self, scale: int = 1) -> bool:
+        """Whether the matrix is scale times the identity: square, with
+        scale on the diagonal and zeros elsewhere, tested entrywise."""
         return self.nrows == self.ncols and all(
-            a == (i == j) for i, row in enumerate(self._rows)
+            a == (scale if i == j else 0) for i, row in enumerate(self._rows)
             for j, a in enumerate(row))
 
     def __eq__(self, other) -> bool:

@@ -4,12 +4,17 @@ Each verifier turns one statement into exact matrix and group equalities
 and returns a replayable report; a failing report always carries a witness
 (parameters plus the offending vector or matrix) sufficient to reproduce
 the failure in isolation.
+
+A statement about a block pair (beta, p*beta) is computed once per pair of
+keys, on the canonical blocks (_frobenius, _cartier_classes, ...): the two
+blocks share their transport, which each ordered pair checks before it
+reads the key pair's result and names its own beta in a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 from . import bockstein
@@ -121,7 +126,7 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
                   for blk in blocks if i <= len(blk.weights)]
         checks.add_all(f"euler identity degree {i}", (
             _at(i, blk, matrix=euler.to_lists()) for blk, euler in eulers
-            if euler != n * IntMatrix.identity(euler.nrows)))
+            if not euler.is_identity(n)))
     H = integral_cohomology(r, n)
     if n == 0:
         checks.add("degree 0 gives Z",
@@ -166,48 +171,121 @@ def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
     return checks.report("cartier", (("r", r), ("n", n), ("p", p)))
 
 
-def _block_frobenius(src, tgt, i: int, scale: int, literal: bool = False):
-    """The map H^i(src) -> H^i(tgt) of a block pair (beta, p*beta) induced
-    by scale times the identity on cells (derham.block_pairs).
+def _key_pairs(r: int, n: int, p: int):
+    """The distinct block pairs (beta, p*beta) of total degrees n and p*n,
+    and the distinct blocks of degree p*n that are no such multiple
+    (derham.block_pairs).
 
-    The literal Frobenius F_* is p^i times the identity, and its images are
-    checked to be cocycles.  The vertical map p * (divided Frobenius) is p
-    times the identity: the divided Frobenius (the Cartier representative,
-    F without its p^i factor) sends cocycles to cocycles but is only well
-    defined on cohomology after one multiplication by p.  In degree 1 the
-    two coincide.
-
-    Both blocks are read on the canonical blocks of their keys
-    (block_homology), so the cell map becomes forward[i] of tgt's
-    transport, times scale, times backward[i] of src's: scale times the
-    identity again, as the pair shares its transport.
-
-    Returns (map, None), or (None, witness) when induced_map fails (an
-    image is no cocycle, or has no class); the witness carries the degree,
-    the weight of src and the error.
+    Each pair comes as (beta, p*beta, shared), shared being its one check
+    of its own: the two blocks share their transport (the same primitive
+    weight vector).  Read on the canonical blocks of the two keys, the
+    cell map of the pair is then forward[i] (of p*beta) times the identity
+    times backward[i] (of beta), the identity that derham.transport
+    certified once.  So every result of the pair is the result of its key
+    pair, computed once per key pair on the canonical blocks.
     """
-    h_src = block_homology(src.key)[i]
-    h_tgt = block_homology(tgt.key)[i]
-    cells = scale * (tgt.transport.forward[i] @ src.transport.backward[i])
-    d_out = koszul_d(canonical_weights(tgt.key), i) if literal else None
+    blocks, multiples = koszul_blocks(r, n), koszul_blocks(r, p * n)
+    pairs, others = block_pairs(blocks, multiples, p)
+    return ([(blocks[b], multiples[c],
+              blocks[b].transport == multiples[c].transport)
+             for b, c in pairs],
+            [multiples[c] for c in others])
+
+
+def _on_pair(i: int, blk, shared: bool, result: tuple):
+    """A key-pair result (value, failure detail) read on the pair of block
+    blk in degree i: (value, None), or (None, witness at blk), with a
+    matrix of the cached detail written out anew for each witness.  A pair
+    that does not share its transport fails with that as its error."""
+    value, failure = result if shared else (None, {
+        "error": "the block and its multiple do not share their transport"})
+    if failure is None:
+        return value, None
+    return None, _at(i, blk, **{
+        name: detail.to_lists() if isinstance(detail, IntMatrix) else detail
+        for name, detail in failure.items()})
+
+
+@lru_cache(maxsize=None)
+def _frobenius(src_key: tuple, tgt_key: tuple, p: int, i: int,
+               literal: bool) -> tuple:
+    """The map H^i(src) -> H^i(tgt) of the canonical blocks of a key pair
+    ((g, s), (p*g, s)) induced by scale times the identity on cells
+    (derham.block_pairs).
+
+    The literal Frobenius F_* has scale p^i, and its images are checked to
+    be cocycles.  The vertical map p * (divided Frobenius) has scale p: the
+    divided Frobenius (the Cartier representative, F without its p^i
+    factor) sends cocycles to cocycles but is only well defined on
+    cohomology after one multiplication by p.  In degree 1 the two
+    coincide.
+
+    Returns (map, None), or (None, {"error": ...}) when induced_map fails
+    (an image is no cocycle, or has no class).
+    """
+    h_src = block_homology(src_key)[i]
+    h_tgt = block_homology(tgt_key)[i]
+    cells = (p ** i if literal else p) * IntMatrix.identity(h_src.gens.nrows)
+    d_out = koszul_d(canonical_weights(tgt_key), i) if literal else None
     try:
         return induced_map(cells, h_src, h_tgt, tgt_d_out=d_out), None
     except (ValueError, RuntimeError) as exc:
-        return None, _at(i, src, error=str(exc))
+        return None, {"error": str(exc)}
 
 
-def _frobenius_into(src, tgt, i: int, scale: int, p: int,
-                    literal: bool = False):
-    """_block_frobenius corestricted to pH^i of the target block, the D^i
-    of its derived couple: (map, None), or (None, witness) when the map
+@lru_cache(maxsize=None)
+def _frobenius_into(src_key: tuple, tgt_key: tuple, p: int, i: int,
+                    literal: bool) -> tuple:
+    """_frobenius corestricted to pH^i of the target block, the D^i of its
+    derived couple: (map, None), or (None, failure detail) when the map
     fails or does not land there."""
-    f, witness = _block_frobenius(src, tgt, i, scale, literal)
+    f, failure = _frobenius(src_key, tgt_key, p, i, literal)
     if f is None:
-        return None, witness
+        return None, failure
     cor = corestrict(f, *subgroup_pk(f.target, p, 1))
     if cor is None:
-        return None, _at(i, src, matrix=f.matrix.to_lists())
+        return None, {"matrix": f.matrix}
     return cor, None
+
+
+@lru_cache(maxsize=None)
+def _cartier_classes(src_key: tuple, tgt_key: tuple, p: int,
+                     i: int) -> tuple:
+    """The E-side map E_1^i -> E_2^i of the couple morphism on the
+    canonical blocks of a key pair: the Cartier representative is the
+    identity on block cells, so it sends the level-1 representatives of
+    src to their classes on the level-2 page of tgt.  Returns (map, None),
+    or (None, {"generator": j}) for the first representative j whose class
+    does not survive to E_2."""
+    C = bockstein._block_level(src_key, p, 1)
+    S = bockstein._block_level(tgt_key, p, 2)
+    matrix, failed = class_matrix(partial(S.express_cochain, i),
+                                  C.stages[i].rep_matrix(), S.e_dim(i))
+    if matrix is None:
+        return None, {"generator": failed}
+    return Homomorphism(C.E[i], S.E[i], matrix), None
+
+
+@lru_cache(maxsize=None)
+def _squares(src_key: tuple, tgt_key: tuple, p: int, i: int) -> tuple:
+    """The squares with i, j and k of the couple morphism that do not
+    commute in degree i on the canonical blocks of a key pair, and whether
+    its E-side map is bijective there.  Needs the vertical maps of degrees
+    i and i + 1 and the E-side map of degree i to exist."""
+    C = bockstein._block_level(src_key, p, 1)
+    S = bockstein._block_level(tgt_key, p, 2)
+    d = _frobenius_into(src_key, tgt_key, p, i, False)[0]
+    e = _cartier_classes(src_key, tgt_key, p, i)[0]
+    # a block and its p-multiple have the same top degree, where k lands in
+    # the zero group on both sides
+    d_next = (_frobenius_into(src_key, tgt_key, p, i + 1, False)[0]
+              if i < C.imax else
+              Homomorphism.zero(FgAbGroup.zero(), FgAbGroup.zero()))
+    broken = tuple(square for square, holds in (
+        ("i", d @ C.i_maps[i] == S.i_maps[i] @ d),
+        ("j", e @ C.j_maps[i] == S.j_maps[i] @ d),
+        ("k", d_next @ C.k_maps[i] == S.k_maps[i] @ e)) if not holds)
+    return broken, e.is_isomorphism()
 
 
 def _at(i: int, blk, **detail) -> dict:
@@ -227,86 +305,100 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
 
     Both couples are direct sums of block couples and the morphism sends
     block beta to block p*beta, so every check runs on each distinct block
-    pair, aggregated per degree; bijectivity also needs the derived couple
-    of every other block of degree p*n to have a zero E."""
+    pair, aggregated per degree: the pair checks that its blocks share
+    their transport, and reads every map, square and bijectivity test of
+    its key pair, computed once per key pair on the canonical tower levels
+    (_frobenius_into, _cartier_classes, _squares).  Bijectivity also needs
+    the derived couple of every other block of degree p*n to have a zero
+    E."""
     check_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")
     checks = _Checks()
-    couple_n = bockstein.couples(r, n, p, 1)[0]
-    couple2_pn = bockstein.couples(r, p * n, p, 2)[1]
-    top = couple_n.imax
-    pairs, others = block_pairs(couple_n.blocks, couple2_pn.blocks, p)
-    pairs = [(couple_n.blocks[b], couple_n.summands[b],
-              couple2_pn.blocks[c], couple2_pn.summands[c]) for b, c in pairs]
+    top = min(n, r)
+    pairs, others = _key_pairs(r, n, p)
 
-    phi_d, phi_e = [], []    # per degree: {pair index: map}, or None
+    complete = True          # every pair has its vertical and E-side maps
     for i in range(top + 1):
-        # per pair: (pair, block, F_* into pH, its failure witness, and the
-        # same two for the vertical map g)
-        row = []
-        for b, (blk, C, tgt, _) in enumerate(pairs):
-            if i <= C.imax:
-                row.append((b, blk, *_frobenius_into(blk, tgt, i, p ** i, p,
-                                                     literal=True),
-                            *_frobenius_into(blk, tgt, i, p, p)))
+        # per pair: (block, F_* into pH, its failure witness, and the same
+        # two for the vertical map g)
+        row = [(blk, *_on_pair(i, blk, shared, _frobenius_into(
+                    blk.key, tgt.key, p, i, True)),
+                *_on_pair(i, blk, shared, _frobenius_into(
+                    blk.key, tgt.key, p, i, False)))
+               for blk, tgt, shared in pairs if i <= len(blk.weights)]
         divisible = checks.add_all(
             f"F_* image divisible by p, degree {i}",
-            (miss for _, _, _, miss, _, _ in row if miss))
+            (miss for _, _, miss, _, _ in row if miss))
         lands = checks.add_all(
             f"vertical map lands in pH, degree {i}",
             (miss for *_, miss in row if miss))
         if i == 1 and divisible and lands:
             checks.add_all("vertical map equals F_* in degree 1",
-                           (_at(i, blk) for _, blk, cor_f, _, cor, _ in row
+                           (_at(i, blk) for blk, cor_f, _, cor, _ in row
                             if cor_f != cor))
-        phi_d.append({b: cor for b, _, _, _, cor, _ in row} if lands
-                     else None)
+        complete &= lands
 
     for i in range(top + 1):
-        maps, lost = {}, []
-        for b, (blk, C, tgt, S) in enumerate(pairs):
-            if i > C.imax:
-                continue
-            # the Cartier representative is the identity on block cells
-            matrix, failed = class_matrix(partial(S.express_cochain, i),
-                                          C.stages[i].rep_matrix(),
-                                          S.e_dim(i))
-            if matrix is None:
-                lost.append(_at(i, blk, generator=failed))
-            else:
-                maps[b] = Homomorphism(C.E[i], S.E[i], matrix)
-        survive = checks.add_all(
+        lost = []
+        for blk, tgt, shared in pairs:
+            if i <= len(blk.weights):
+                _, miss = _on_pair(i, blk, shared, _cartier_classes(
+                    blk.key, tgt.key, p, i))
+                if miss:
+                    lost.append(miss)
+        complete &= checks.add_all(
             f"cartier image survives to E_2, degree {i}", lost)
-        phi_e.append(maps if survive else None)
 
-    if None in phi_d or None in phi_e:
+    if not complete:
         return checks.report("couple_morphism",
                              (("r", r), ("n", n), ("p", p)))
-    # a block and its p-multiple have the same top degree, where k lands in
-    # the zero group on both sides
-    zero = Homomorphism.zero(FgAbGroup.zero(), FgAbGroup.zero())
     for i in range(top + 1):
         broken = {"i": [], "j": [], "k": []}
-        for b, d in phi_d[i].items():
-            blk, C, _, S = pairs[b]
-            e = phi_e[i][b]
-            d_next = phi_d[i + 1][b] if i < C.imax else zero
-            for square, holds in (
-                    ("i", d @ C.i_maps[i] == S.i_maps[i] @ d),
-                    ("j", e @ C.j_maps[i] == S.j_maps[i] @ d),
-                    ("k", d_next @ C.k_maps[i] == S.k_maps[i] @ e)):
-                if not holds:
-                    broken[square].append(_at(i, blk, square=square))
+        bijective = []
+        for blk, tgt, _ in pairs:
+            if i > len(blk.weights):
+                continue
+            failed, iso = _squares(blk.key, tgt.key, p, i)
+            for square in failed:
+                broken[square].append(_at(i, blk, square=square))
+            if not iso:
+                e = _cartier_classes(blk.key, tgt.key, p, i)[0]
+                bijective.append(_at(i, blk, matrix=e.matrix.to_lists()))
         for square, failures in broken.items():
             checks.add_all(f"square with {square} commutes, degree {i}",
                            failures)
-        checks.add_all(f"E_1 -> E_2 bijective, degree {i}", [
-            _at(i, pairs[b][0], matrix=e.matrix.to_lists())
-            for b, e in phi_e[i].items() if not e.is_isomorphism()] + [
-            _at(i, couple2_pn.blocks[c], dims=couple2_pn.summands[c].e_dim(i))
-            for c in others if couple2_pn.summands[c].e_dim(i)])
+        checks.add_all(f"E_1 -> E_2 bijective, degree {i}", bijective + [
+            _at(i, blk, dims=bockstein._block_level(blk.key, p, 2).e_dim(i))
+            for blk in others
+            if bockstein._block_level(blk.key, p, 2).e_dim(i)])
     return checks.report("couple_morphism", (("r", r), ("n", n), ("p", p)))
+
+
+@lru_cache(maxsize=None)
+def _restriction(src_key: tuple, tgt_key: tuple, p: int, i: int) -> tuple:
+    """The vertical map of a key pair restricted to the p-primary part PA
+    of H^i of the source and corestricted to the p-primary part PpB of
+    pH^i of the target, on the canonical blocks: (PA, PpB, g, h,
+    bijective), g the restriction, h its corestriction (None when g does
+    not land in PpB) and bijective whether h is an isomorphism; None when
+    the vertical map fails."""
+    f = _frobenius(src_key, tgt_key, p, i, False)[0]
+    if f is None:
+        return None
+    PA, inclA = primary_inclusion(f.source, p)
+    pB, incl_pB = subgroup_pk(f.target, p, 1)
+    PpB, incl2 = primary_inclusion(pB, p)
+    g = f @ inclA
+    h = corestrict(g, PpB, incl_pB @ incl2)
+    return PA, PpB, g, h, h is not None and h.is_isomorphism()
+
+
+@lru_cache(maxsize=None)
+def _unhit(key: tuple, p: int, i: int) -> FgAbGroup:
+    """The p-primary part of p * H^i of the canonical block of the key."""
+    return primary_part(subgroup_pk(block_homology(key)[i].group, p, 1)[0],
+                        p)
 
 
 def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
@@ -321,54 +413,49 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
     degree 1.)
 
     The p-primary part of a direct sum is the sum of the p-primary parts,
-    so the map is checked on each distinct block pair (beta, p*beta), and
-    every other block of degree p*n must have a zero p-primary part of
-    p * H^i."""
+    so the map is checked on each distinct block pair (beta, p*beta): the
+    pair checks that its blocks share their transport and reads the
+    restriction of its key pair, computed once per key pair on the
+    canonical blocks (_restriction).  Every other block of degree p*n
+    must have a zero p-primary part of p * H^i (_unhit, once per key)."""
     check_prime(p)
     if n < 1:
         raise ValueError("need n >= 1")
     checks = _Checks()
-    blocks, multiples = koszul_blocks(r, n), koszul_blocks(r, p * n)
-    pairs, others = block_pairs(blocks, multiples, p)
-    others = [multiples[c] for c in others]
+    pairs, others = _key_pairs(r, n, p)
     for i in range(min(n, r) + 1):
-        row = []             # (block, target, vertical map, ..., restriction)
+        row = []             # (block, multiple, vertical map, restriction)
         broken = []          # witnesses of vertical maps that fail
-        for b, c in pairs:
-            blk, tgt = blocks[b], multiples[c]
+        for blk, tgt, shared in pairs:
             if i > len(blk.weights):
                 continue
-            f, witness = _block_frobenius(blk, tgt, i, p)
+            f, witness = _on_pair(i, blk, shared, _frobenius(
+                blk.key, tgt.key, p, i, False))
             if f is None:
                 broken.append(witness)
                 continue
-            PA, inclA = primary_inclusion(f.source, p)
-            pB, incl_pB = subgroup_pk(f.target, p, 1)
-            PpB, incl2 = primary_inclusion(pB, p)
-            g = f @ inclA
-            row.append((blk, tgt, f, g, PA, PpB,
-                        corestrict(g, PpB, incl_pB @ incl2)))
+            row.append((blk, tgt, f,
+                        _restriction(blk.key, tgt.key, p, i)))
         if i == 1:
-            literal = [(blk, f, *_block_frobenius(blk, tgt, i, p,
-                                                   literal=True))
-                       for blk, tgt, f, *_ in row]
+            literal = [(blk, f, *_on_pair(i, blk, True, _frobenius(
+                           blk.key, tgt.key, p, i, True)))
+                       for blk, tgt, f, _ in row]
             checks.add_all("vertical map equals F_* in degree 1", (
                 witness or _at(i, blk)
                 for blk, f, lit, witness in literal if lit != f))
         if not checks.add_all(
                 f"image lands in p-primary of pH, degree {i}", broken + [
                     _at(i, blk, matrix=g.matrix.to_lists())
-                    for blk, _, _, g, _, _, h in row if h is None]):
+                    for blk, _, _, (_, _, g, h, _) in row if h is None]):
             continue
-        unhit = [(blk, primary_part(subgroup_pk(
-                      block_homology(blk.key)[i].group, p, 1)[0], p))
-                 for blk in others if i <= len(blk.weights)]
         checks.add_all(f"restricted map bijective, degree {i}", [
             _at(i, blk, source=PA.describe(), target=PpB.describe(),
                 matrix=h.matrix.to_lists())
-            for blk, _, _, _, PA, PpB, h in row if not h.is_isomorphism()] + [
-            _at(i, blk, target=P.describe())
-            for blk, P in unhit if not P.is_trivial])
+            for blk, _, _, (PA, PpB, _, h, bijective) in row
+            if not bijective] + [
+            _at(i, blk, target=_unhit(blk.key, p, i).describe())
+            for blk in others if i <= len(blk.weights)
+            and not _unhit(blk.key, p, i).is_trivial])
     return checks.report("frobenius_iso", (("r", r), ("n", n), ("p", p)))
 
 
@@ -378,9 +465,10 @@ def verify_page_identification(r: int, n: int, p: int,
 
     The explicit map composes k Cartier cochain representatives.  In block
     coordinates it is the identity from block gamma of degree m = n/p^k to
-    block p^k*gamma of degree n (derham.block_pairs), so it is checked
-    one distinct block pair at a time
-    (bockstein.block_identification_failure): its columns are mod-p
+    block p^k*gamma of degree n (derham.block_pairs), so it is checked on
+    each distinct block pair (bockstein.block_identification_failure),
+    which shares its transport and reads the check of its key pair, run
+    once per key pair on the canonical tower level: its columns are mod-p
     cocycles, and it is an isomorphism of complexes, bijective per degree
     and conjugating the block d into d_k.  Every other block of degree n
     has a weight not divisible by p^k, and its page k must be zero.  At

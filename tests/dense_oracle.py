@@ -3,17 +3,28 @@
 The library works block by block (derham.koszul_blocks); these builders
 construct the same maps on whole graded pieces, straight from their
 formulas on monomials, so that tests can compare the block model with an
-independent dense one at small sizes.
+independent dense one at small sizes.  The ordered_* functions keep the
+statement checks of a block pair (beta, q*beta) in the pair's own ordered
+coordinates, through both blocks' transports, as a small-size oracle for
+the key-pair results the library computes once per key pair.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
-from derhamz.abgroups import homology_at
-from derhamz.bockstein import _block_couple
-from derhamz.cohomology import BlockHomology, modp_homology
-from derhamz.derham import BasisElement, basis, dim_formula, koszul_d
+from derhamz.abgroups import class_matrix, homology_at, induced_map
+from derhamz.bockstein import _block_couple, _page_isomorphism_failure, _summand
+from derhamz.cohomology import BlockHomology, block_homology, modp_homology
+from derhamz.derham import (
+    BasisElement,
+    basis,
+    block_key,
+    canonical_weights,
+    dim_formula,
+    koszul_d,
+    transport,
+)
 from derhamz.intlinalg import IntMatrix
 from derhamz.modp import Solver, rank
 
@@ -264,3 +275,45 @@ def direct_couple(weights: tuple, p: int):
         [BlockHomology(*homology_at(d_in, d_out))
          for d_in, d_out in zip(d, d[1:])],
         [modp_homology(d_in, d_out, p) for d_in, d_out in zip(d, d[1:])])
+
+
+def ordered_frobenius(weights: tuple, p: int, i: int, literal: bool):
+    """The Frobenius map H^i(w) -> H^i(p*w) of a block pair, on the
+    canonical groups of the two keys: induced by scale times forward[i] of
+    p*w's transport times backward[i] of w's on cells, scale p^i for the
+    literal F_* and p for the vertical map."""
+    multiple = tuple(p * w for w in weights)
+    cells = (p ** i if literal else p) * (transport(multiple).forward[i]
+                                          @ transport(weights).backward[i])
+    d_out = (koszul_d(canonical_weights(block_key(multiple)), i) if literal
+             else None)
+    return induced_map(cells, block_homology(block_key(weights))[i],
+                       block_homology(block_key(multiple))[i],
+                       tgt_d_out=d_out)
+
+
+def ordered_cartier_classes(weights: tuple, p: int, i: int):
+    """The E-side class matrix of the couple morphism on a block pair: the
+    level-1 representatives of w, in w's cochains, expressed on the
+    level-2 page of p*w's summand; None when one does not survive."""
+    stage = _summand(weights, p, 1).stages[i]
+    target = _summand(tuple(p * w for w in weights), p, 2)
+    matrix, _ = class_matrix(
+        partial(target.express_cochain, i),
+        IntMatrix.from_columns(list(stage.reps), stage.dim_cochain),
+        target.e_dim(i))
+    return matrix
+
+
+def ordered_identification(weights: tuple, p: int, k: int):
+    """The page identification of the block pair (w, p^k w) on the
+    summand of p^k w: its first failure as (check, degree), or None."""
+    multiple = tuple(p ** k * w for w in weights)
+    d = [koszul_d(multiple, i) for i in range(len(weights) + 1)]
+    for i, d_i in enumerate(d):
+        if not d_i.mod(p).is_zero():
+            return "cocycle", i
+    failure = _page_isomorphism_failure(
+        _summand(multiple, p, k), [IntMatrix.identity(d_i.ncols) for d_i in d],
+        partial(koszul_d, weights))
+    return None if failure is None else failure[:2]

@@ -37,8 +37,6 @@ DECLARED_CALLERS = {
     "cohomology.ModpDegree.express": "cohomology._cartier_block",
     "cohomology.ModpDegree.rep_matrix": "bockstein.derive",
     "cohomology.TransportedDegree.express": "cohomology.cartier_iso",
-    "cohomology.TransportedDegree.rep_matrix":
-        "theorems.verify_couple_morphism",
     "intlinalg.IntMatrix.is_zero": "abgroups.homology_at",
 }
 

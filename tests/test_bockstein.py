@@ -65,10 +65,15 @@ def _dense_lift(c, i):
                           for blk in c.blocks])
 
 
+def _rep_matrix(stage):
+    """The mod-p class representatives of a page stage, as columns."""
+    return IntMatrix.from_columns(list(stage.reps), stage.dim_cochain)
+
+
 def _e_reps(s, i):
     """Mod-p block cochains representing the generators of E^i of a block
     couple: each level's stage representatives, composed along parent."""
-    reps = s.stages[i].rep_matrix()
+    reps = _rep_matrix(s.stages[i])
     if s.parent is None:
         return reps
     return (_e_reps(s.parent, i) @ reps).mod(s.p)
@@ -130,7 +135,7 @@ class TestInitialCouple:
                 dense_j = modp_class_matrix(MP, i, lifts[i])
                 assert _block_diagonal([s.j_maps[i].matrix for s in parts]) \
                     == dense_j, (r, n, p, i)
-                reps = _placed(c, i, [bd[i].rep_matrix() if i < len(bd)
+                reps = _placed(c, i, [_rep_matrix(bd[i]) if i < len(bd)
                                       else None for bd in MP.block_degrees])
                 assert reps == _dense_reps(c, i), (r, n, p, i)
                 k = _block_diagonal([s.k_maps[i].matrix for s in parts])

@@ -8,6 +8,12 @@ primitive weight vector.  The counting tests run in child interpreters, so
 the caches start cold: each block result is computed once, and the results
 do not depend on which (r, n) computed them first.  A hypothesis test
 checks that a transported block is the block built directly on its own d.
+
+The statement checks on a block pair (beta, q*beta) are computed once per
+key pair, on the canonical blocks, since both blocks share their
+transport: a child counts the computations, and a hypothesis test checks
+that the key-pair results are the pair's results in its own ordered
+coordinates (dense_oracle.ordered_*).
 """
 
 import json
@@ -18,6 +24,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from derhamz import bockstein, theorems
 from derhamz.abgroups import class_matrix, homology_at
 from derhamz.bockstein import _summand, derive
 from derhamz.cohomology import block_homology
@@ -25,7 +32,12 @@ from derhamz.derham import block_key, koszul_d, transport
 from derhamz.intlinalg import hnf, hstack, lattice_solve
 from derhamz.modp import rank, valuation
 
-from dense_oracle import direct_couple
+from dense_oracle import (
+    direct_couple,
+    ordered_cartier_classes,
+    ordered_frobenius,
+    ordered_identification,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -94,6 +106,71 @@ print(json.dumps({"calls": calls,
                                   for blk in koszul_blocks(3, 12)})}))
 """
 
+PAIR_COUNTS = """
+import json
+from collections import Counter
+from derhamz import bockstein, theorems
+from derhamz.derham import block_key, canonical_weights, koszul_blocks
+from derhamz.modp import primes_dividing, primes_up_to, valuation
+
+calls = {"frobenius": Counter(), "cartier": Counter(),
+         "identification": Counter()}
+
+def counting(module, name, label, key):
+    fn = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        calls[label][key(*args, **kwargs)] += 1
+        return fn(*args, **kwargs)
+    setattr(module, name, wrapper)
+
+# the theorems bindings: induced_map builds the Frobenius block maps and
+# class_matrix the E-side class matrices; _page_isomorphism_failure runs
+# the page identification on a tower level.  The arguments of induced_map
+# do not tell key tuples apart (every H^0 is zero), so it counts by the
+# identity of its source and target groups
+counting(theorems, "induced_map", "frobenius",
+         lambda cells, src, tgt, tgt_d_out=None: (id(src), id(tgt), cells,
+                                                  tgt_d_out))
+counting(theorems, "class_matrix", "cartier",
+         lambda express, cols, dim: (express.func.__self__.weights,
+                                     express.func.__self__.p,
+                                     express.func.__self__.level,
+                                     express.args, cols))
+counting(bockstein, "_page_isomorphism_failure", "identification",
+         lambda couple, sources, source_d: (couple.weights, couple.p,
+                                            couple.level, source_d.args))
+theorems.sweep(3, 8)
+
+# the key tuples of the sweep's block pairs
+frobenius, cartier, identification = set(), set(), set()
+for r in range(1, 4):
+    for n in range(1, 9):
+        for p in primes_up_to(8 // n):
+            for blk in koszul_blocks(r, n):
+                tgt = block_key(tuple(p * w for w in blk.weights))
+                for i in range(len(blk.weights) + 1):
+                    cartier.add((blk.key, tgt, p, i))
+                    frobenius |= {(blk.key, tgt, p, i, literal)
+                                  for literal in (True, False)}
+        for p in primes_dividing(n):
+            for k in range(1, valuation(n, p) + 1):
+                identification |= {
+                    (blk.key, block_key(tuple(p ** k * w
+                                              for w in blk.weights)), p, k)
+                    for blk in koszul_blocks(r, n // p ** k)}
+canonical = lambda w: w == canonical_weights(block_key(w))
+print(json.dumps({
+    "most_repeated": {name: max(c.values()) for name, c in calls.items()},
+    "computed": {name: sum(c.values()) for name, c in calls.items()},
+    "key_tuples": {"frobenius": len(frobenius), "cartier": len(cartier),
+                   "identification": len(identification)},
+    "ordered": [str(key) for key in calls["cartier"]
+                if not canonical(key[0])]
+               + [str(key) for key in calls["identification"]
+                  if not canonical(key[0]) or not canonical(key[3][0])],
+}))
+"""
+
 SWEEP = """
 import json
 from derhamz.bockstein import couples, pages
@@ -131,6 +208,42 @@ def test_pages_builds_each_tower_level_once_per_key():
     counts = json.loads(_child(PAGE_COUNTS))
     assert counts["keys"] == 10 and counts["ordered"] == 67, counts
     assert counts["calls"] == {"_block_couple": 10, "derive": 20}, counts
+
+
+def test_each_block_pair_check_is_computed_once_per_key_pair():
+    # over sweep(3, 8): the Frobenius block maps, the E-side class matrices
+    # of the couple morphism and the page identifications are computed
+    # once per key tuple (source key, target key, p, degree or level), each
+    # on the canonical blocks, not once per ordered block pair
+    counts = json.loads(_child(PAIR_COUNTS))
+    assert counts["most_repeated"] == {"frobenius": 1, "cartier": 1,
+                                       "identification": 1}, counts
+    assert counts["computed"] == counts["key_tuples"], counts
+    assert counts["ordered"] == [], counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.sampled_from([2, 3, 5]), st.integers(1, 2))
+def test_a_block_pair_has_the_results_of_its_key_pair(weights, p, k):
+    # the key-pair results against the ordered pair's own computation
+    # through both transports: equal Frobenius map matrices (literal and
+    # vertical) and E-side class matrices for (w, p*w), and the same page
+    # identification verdict for (w, p^k w)
+    weights = tuple(weights)
+    keys = block_key(weights), block_key(tuple(p * w for w in weights)), p
+    for i in range(len(weights) + 1):
+        for literal in (True, False):
+            f, failure = theorems._frobenius(*keys, i, literal)
+            assert failure is None
+            assert f.matrix == ordered_frobenius(weights, p, i,
+                                                 literal).matrix, (i, literal)
+        e, failure = theorems._cartier_classes(*keys, i)
+        assert failure is None
+        assert e.matrix == ordered_cartier_classes(weights, p, i), i
+    multiple = block_key(tuple(p ** k * w for w in weights))
+    assert (bockstein._identification(keys[0], multiple, p, k)
+            == ordered_identification(weights, p, k))
 
 
 def test_results_do_not_depend_on_call_order():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from derhamz import theorems
+from derhamz import bockstein, theorems
 from derhamz.abgroups import (
     Homomorphism,
     graded_piece_dim,
@@ -14,7 +14,12 @@ from derhamz.abgroups import (
 )
 from derhamz.bockstein import couples
 from derhamz.cli import main
-from derhamz.cohomology import cocycle_dim, integral_cohomology
+from derhamz.cohomology import (
+    ModpDegree,
+    block_modp_homology,
+    cocycle_dim,
+    integral_cohomology,
+)
 from derhamz.derham import dim_formula
 from derhamz.modp import MAX_PRIME, primes_dividing, valuation
 from derhamz.theorems import (
@@ -209,17 +214,23 @@ class TestPageIdentificationReport:
             rep = verify_page_identification(2, 4, 2, 1)
             assert list(rep.checks) == names and rep.witness == witness
 
-    def test_class_that_does_not_survive_names_its_cell(self, monkeypatch):
-        # one class of block (2, 2, 0) that its summand cannot express: the
-        # witness is that block cell's index in the basis of degree 4
+    def test_class_that_does_not_survive_names_its_cell(self, monkeypatch,
+                                                         cold_key_pairs):
+        # one class of the key's canonical level-1 page that it cannot
+        # express: the image of a cell of block (2, 2, 0) under the block's
+        # transport; the key pair fails, and the witness, read on the
+        # block's own summand, is that cell's index in the basis of degree 4
         couple = couples(3, 4, 2, 1)[0]
         c = [blk.beta for blk in couple.blocks].index((2, 2, 0))
-        blk, summand = couple.blocks[c], couple.summands[c]
-        express = summand.express_cochain
+        blk = couple.blocks[c]
+        page = block_modp_homology(blk.key, 2)[1]
         unit = tuple(int(t == 1) for t in range(blk.d(1).ncols))
+        lost = tuple(v % 2 for v in blk.transport.forward[1].apply(unit))
+        express = ModpDegree.express
         monkeypatch.setattr(
-            summand, "express_cochain",
-            lambda i, z: None if (i, tuple(z)) == (1, unit) else express(i, z))
+            ModpDegree, "express",
+            lambda self, z: None if self is page and tuple(
+                v % 2 for v in z) == lost else express(self, z))
         rep = verify_page_identification(3, 4, 2, 1)
         assert ("cartier composite is an isomorphism per degree",
                 False) in rep.checks
@@ -228,14 +239,32 @@ class TestPageIdentificationReport:
                                "cell": block_cells(blk, 1)[1]}
 
 
+@pytest.fixture
+def cold_key_pairs():
+    """Clears the key-pair caches of the statement checks before and after
+    the test, so that a fault injected into a key-pair computation is
+    reached and does not outlive the test; calling it clears them again."""
+    def clear():
+        for cache in (theorems._frobenius, theorems._frobenius_into,
+                      theorems._cartier_classes, theorems._squares,
+                      theorems._restriction, theorems._unhit,
+                      bockstein._identification):
+            cache.cache_clear()
+    clear()
+    yield clear
+    clear()
+
+
 class TestBrokenBlockPairing:
     @pytest.mark.parametrize("error", [
         ValueError("image of a generator is not a cocycle"),
         RuntimeError("cocycle image could not be expressed in target "
                      "generators")])
-    def test_failures_are_data(self, monkeypatch, capsys, error):
-        # a block pair whose induced map cannot be built fails the check
-        # of its degree that already exists, with the error as witness
+    def test_failures_are_data(self, monkeypatch, capsys, cold_key_pairs,
+                               error):
+        # a key pair whose induced map cannot be built fails the check of
+        # its degree that already exists on each of its block pairs, with
+        # the error as witness
         def broken(*args, **kwargs):
             raise error
 
@@ -243,6 +272,7 @@ class TestBrokenBlockPairing:
                    for name, _ in getattr(theorems, f"verify_{statement}")(
                        1, 2, 2).checks}
         monkeypatch.setattr(theorems, "induced_map", broken)
+        cold_key_pairs()
         for statement, check in (
                 ("couple_morphism", "F_* image divisible by p, degree 0"),
                 ("frobenius_iso",
