@@ -10,15 +10,18 @@ multidegree blocks of the complex, and are computed block by block
 
 Each level of a block's tower is computed once per key (gcd and number of
 the block's weights), on the canonical block of the key (_block_level),
-and shared by every block of that key and every total degree.  A block's
-summand is that level seen through the block's certified transport
-(_summand): its groups, maps and page differentials are the canonical
-ones, and only its level-1 pages, the one place where cochains enter, are
-moved (cohomology.TransportedDegree).  The closed-form oracle keeps the
-ordered weights as its key on purpose: it never sees a transport, so a
-wrong transport shows up as a disagreement with it.  The page
-identification of a block pair runs once per pair of keys, on the tower
-level of the target key (_identification).
+and shared by every block of that key and every total degree: the summand
+of a block in a CoupleSum is that level itself.  Its groups, maps, pages
+and page differentials are class data and need no transport; a cochain of
+the block enters only through the block's certified transport, whose
+forward map carries it to the canonical block's cochains.  That happens in
+three places: the closed-form oracle (_block_oracle_failure), the witness
+of a failing page identification (block_identification_failure) and the
+Cartier classes (cohomology.cartier_iso).  The closed-form oracle keeps
+the ordered weights as its key on purpose: it computes its pages without
+a transport, so a wrong transport shows up as a disagreement with it.  The
+page identification of a block pair runs once per pair of keys, on the
+tower level of the target key (_identification).
 
 Each page is an elementary abelian p-group per degree, stored as a mod-p
 subquotient of the previous page (ExactCouple.stages), so the class of a
@@ -27,7 +30,6 @@ cochain on any page, and every comparison, is exact matrix algebra.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
@@ -51,10 +53,8 @@ from .cohomology import (
     block_homology,
     block_modp_homology,
     modp_homology,
-    ordered_modp_homology,
 )
 from .derham import (
-    block_key,
     block_pairs,
     canonical_weights,
     koszul_blocks,
@@ -71,16 +71,16 @@ class ExactnessError(RuntimeError):
 class ExactCouple:
     """One stage of the Bockstein tower of one Koszul block at a prime p.
 
-    weights label the block: the canonical weights of its key for a tower
-    level, the ordered weights for a block's summand.  A couple is fixed by
-    its groups D^i, its pages stages[i] and the matrices of j and k (k
-    raises the degree by one and lands in the zero group at the top).  The
-    constructor derives the rest once: E^i = (Z/p)^dim, i = p on each D^i,
-    the three maps (each checked well defined here) and the page
-    differentials (j k) mod p, certified to square to zero.  stages[i] is
-    E^i as a mod-p subquotient: of the block cochains at level 1, of the
-    parent's E^i (by the parent's differential) at later levels; parent
-    points to the couple this one was derived from.
+    weights label the block; the engine builds every tower level on the
+    canonical block of its key (_block_level), so they are the canonical
+    weights (g, 0, ..., 0).  A couple is fixed by its groups D^i, its pages
+    stages[i] and the matrices of j and k (k raises the degree by one and
+    lands in the zero group at the top).  The constructor derives the rest
+    once: E^i = (Z/p)^dim, i = p on each D^i, the three maps (each checked
+    well defined here) and the page differentials (j k) mod p, certified to
+    square to zero.  stages[i] is E^i as a mod-p subquotient: of the block
+    cochains at level 1, of the parent's E^i (by the parent's differential)
+    at later levels; parent points to the couple this one was derived from.
     """
 
     def __init__(self, weights, p, level, D, stages, j_matrices, k_matrices,
@@ -163,12 +163,13 @@ class CoupleSum:
 
     d, the Bockstein maps and every derived couple respect the
     multidegree, so the couple is the direct sum over the Koszul blocks
-    (derham.koszul_blocks) of their own couples: summands[b] is the couple
-    of blocks[b] in the block's cochain coordinates (_summand; blocks with
-    the same weights share one object).  Its groups, maps and page
-    differentials are those of the summands and are never assembled.  A
-    direct sum is exact (and its maps well defined) exactly when every
-    summand is, so those certificates run on the summands, once per key.
+    (derham.koszul_blocks) of their own couples: summands[b] is the tower
+    level of the key of blocks[b] (_block_level; blocks of one key share
+    one object), and blocks[b].transport carries the block's cochains to
+    that level's.  Its groups, maps and page differentials are those of
+    the summands and are never assembled.  A direct sum is exact (and its
+    maps well defined) exactly when every summand is, so those
+    certificates run on the summands, once per key.
     """
 
     def __init__(self, r, n, p, level, blocks, summands):
@@ -284,7 +285,7 @@ def derive(c: ExactCouple) -> ExactCouple:
 
 def couples(r: int, n: int, p: int, upto: int) -> list:
     """The first `upto` couples (levels 1..upto) for (r, n, p), each the
-    direct sum of the same level of the blocks' towers (_summand)."""
+    direct sum of the same level of the blocks' towers (_block_level)."""
     check_prime(p)
     if n < 1:
         raise ValueError("total degree must be >= 1")
@@ -293,7 +294,7 @@ def couples(r: int, n: int, p: int, upto: int) -> list:
     blocks = koszul_blocks(r, n)
     # level by level, so each level finds the one below it cached
     return [CoupleSum(r, n, p, level, blocks,
-                      [_summand(blk.weights, p, level) for blk in blocks])
+                      [_block_level(blk.key, p, level) for blk in blocks])
             for level in range(1, upto + 1)]
 
 
@@ -306,22 +307,6 @@ def _block_level(key: tuple, p: int, level: int) -> ExactCouple:
         return _block_couple(canonical_weights(key), p, block_homology(key),
                              block_modp_homology(key, p))
     return derive(_block_level(key, p, level - 1))
-
-
-@lru_cache(maxsize=None)
-def _summand(weights: tuple, p: int, level: int) -> ExactCouple:
-    """Level `level` of the tower of the block of the ordered weights: the
-    level of its key (_block_level), with the same groups, maps and page
-    differentials.  Only the level-1 pages hold cochains; they are moved to
-    the block's cochains through its transport (ordered_modp_homology), and
-    each later level points to the block's level below it."""
-    summand = copy.copy(_block_level(block_key(weights), p, level))
-    summand.weights = weights
-    if level == 1:
-        summand.stages = ordered_modp_homology(weights, p)
-    else:
-        summand.parent = _summand(weights, p, level - 1)
-    return summand
 
 
 @dataclass(frozen=True)
@@ -494,8 +479,9 @@ def compare_with_closed_form(r: int, n: int, p: int,
     """Check derived-couple pages against the closed-form oracle.
 
     For each page and each distinct block the canonical map sends a
-    closed-form generator to the class of its cochain representative on
-    the block's summand of the couple; the check demands equal dimensions,
+    closed-form generator to the class of its cochain representative, moved
+    by the block's transport, on the block's summand of the couple (the
+    tower level of its key); the check demands equal dimensions,
     bijectivity, and conjugation of the differentials.  Returns one dict
     per page with an "ok" flag and a witness on failure (with the block
     weight beta when a single block fails).
@@ -523,9 +509,11 @@ def _block_oracle_failure(couple: CoupleSum, k: int) -> Optional[dict]:
     """The first failure of the comparison on the blocks, or None.
 
     Each distinct ordered weight vector is checked once, against the
-    summand of its first block.  The oracle keeps the ordered weights as
-    its key, while the engine computes once per (gcd, length) key and
-    transports, so every transport the pages use is checked here.
+    summand of its first block: the closed-form representatives, in the
+    block's cochains, are moved by forward[i] of the block's transport onto
+    the canonical block of the summand.  The oracle keeps the ordered
+    weights as its key, while the engine computes once per (gcd, length)
+    key, so every transport the pages use is checked here.
     Failures to conjugate the differentials come last, after every failure
     of dimensions, survival or bijectivity on some block.
     """
@@ -540,8 +528,12 @@ def _block_oracle_failure(couple: CoupleSum, k: int) -> Optional[dict]:
         dims, reps, diffs = _closed_form_block(weights, couple.p, k)
         if dims != summand.dims:
             return {"reason": "dimension mismatch", "beta": beta}
-        failure = _page_isomorphism_failure(summand, reps,
-                                            diffs.__getitem__)
+        if not any(dims):
+            # a zero page compares nothing, so it needs no transport
+            continue
+        failure = _page_isomorphism_failure(
+            summand, [move @ rep for move, rep in
+                      zip(blk.transport.forward, reps)], diffs.__getitem__)
         if failure is None:
             continue
         check, i, detail = failure
@@ -598,13 +590,13 @@ def block_identification_failure(couple: CoupleSum, sources: Sequence,
     its block q*gamma of couple.  Both blocks of a pair share their
     transport (checked per pair), so the identification is checked once
     per key pair, on the canonical tower level (_identification); only a
-    failing pair is checked again on its own summand, for a witness in its
-    own cells.  The witness carries the block weight and, for a class that
-    does not survive, the basis index of its cell in degree n.  Failures to
-    conjugate the differentials come last, after every failure of a
-    cocycle check or of bijectivity in some degree (a class that does not
-    survive, a class matrix of low rank, a nonzero page on a block that is
-    no q-multiple).
+    failing pair is checked again, on its unit cochains moved by forward[i]
+    of its transport, for a witness in its own cells.  The witness carries
+    the block weight and, for a class that does not survive, the basis
+    index of its cell in degree n.  Failures to conjugate the differentials
+    come last, after every failure of a cocycle check or of bijectivity in
+    some degree (a class that does not survive, a class matrix of low rank,
+    a nonzero page on a block that is no q-multiple).
     """
     pairs, others = block_pairs(sources, couple.blocks, q)
     conjugation = None
@@ -619,9 +611,7 @@ def block_identification_failure(couple: CoupleSum, sources: Sequence,
             return {"check": "cocycle", "degree": verdict[1],
                     "beta": list(blk.beta)}
         failure = _page_isomorphism_failure(
-            couple.summands[c], [IntMatrix.identity(blk.d(i).ncols)
-                                 for i in range(len(blk.weights) + 1)],
-            src.d)
+            couple.summands[c], blk.transport.forward, src.d)
         if failure is None or failure[:2] != verdict:
             raise RuntimeError(f"block {list(blk.beta)} and its key pair "
                                f"disagree on the page identification")

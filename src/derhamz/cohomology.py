@@ -7,10 +7,11 @@ derham.transport carries the block of any ordered weights onto the
 canonical block of its key, whose weights are (g, 0, ..., 0).  So each
 per-block result is computed once per key, on the canonical block:
 block_homology by the key, block_modp_homology and _cartier_block by the
-key and p.  Class coordinates (group entries, mod-p classes) are the
-canonical ones; only cochains move through the transport
-(TransportedDegree).  The assembled results are cached per (r, n) and
-(r, n, p).
+key and p.  Every result stays in the canonical coordinates: class
+coordinates (group entries, mod-p classes) need no transport, and a
+cochain of a block is moved onto the canonical block by forward[i] of the
+block's transport where it enters (cartier_iso).  The assembled results
+are cached per (r, n) and (r, n, p).
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from typing import NamedTuple, Optional, Sequence
 from . import modp
 from .abgroups import FgAbGroup, class_matrix, homology_at
 from .derham import (
-    block_key,
     block_pairs,
     canonical_weights,
     koszul_blocks,
     koszul_d,
-    transport,
 )
 from .intlinalg import IntMatrix, hstack
 from .modp import check_prime
@@ -128,53 +127,6 @@ class ModpDegree:
         return tuple(sol[c] for c in self._rep_columns)
 
 
-class TransportedDegree:
-    """The ModpDegree of a canonical block on the block of ordered weights
-    of the same key, degree i: the same classes, with cochains moved
-    through the block's transport.
-
-    express applies forward[i] = Lambda^i(A) to a cochain, then the
-    canonical express; the cocycles and representatives are backward[i] =
-    Lambda^i(A^-1) applied to the canonical ones, reduced mod p.  The
-    transport is looked up on first use, so a view nobody reads costs
-    nothing.
-    """
-
-    __slots__ = ("canonical", "weights", "i", "p", "dim_cochain", "dim",
-                 "_transport")
-
-    def __init__(self, canonical: ModpDegree, weights: tuple, i: int):
-        self.canonical = canonical
-        self.weights = weights
-        self.i = i
-        self.p = canonical.p
-        self.dim_cochain = canonical.dim_cochain
-        self.dim = canonical.dim
-        self._transport = None
-
-    def _moved(self):
-        if self._transport is None:
-            self._transport = transport(self.weights)
-        return self._transport
-
-    def _back(self, vectors) -> tuple:
-        backward = self._moved().backward[self.i]
-        return tuple(tuple(v % self.p for v in backward.apply(z))
-                     for z in vectors)
-
-    @property
-    def cocycles(self) -> tuple:
-        return self._back(self.canonical.cocycles)
-
-    @property
-    def reps(self) -> tuple:
-        return self._back(self.canonical.reps)
-
-    def express(self, z: Sequence[int]) -> Optional[tuple]:
-        """Class coordinates of a mod-p cocycle, or None if z is no cocycle."""
-        return self.canonical.express(self._moved().forward[self.i].apply(z))
-
-
 def modp_homology(d_in: IntMatrix, d_out: IntMatrix, p: int) -> ModpDegree:
     """ker(d_out) / im(d_in) over the p-element field, in one degree.
 
@@ -191,27 +143,26 @@ def modp_homology(d_in: IntMatrix, d_out: IntMatrix, p: int) -> ModpDegree:
 class ModpCohomologyResult:
     """Mod-p cohomology, the direct sum of its Koszul blocks' cohomology.
 
-    block_degrees[b][i] is H^i of the block blocks[b] over the p-element
-    field, in the block's cochains (TransportedDegree), and dims[i] =
-    dim Z^i - dim B^i is the dimension of the sum."""
+    H^i of the block blocks[b] over the p-element field is
+    block_modp_homology of its key, and dims[i] = dim Z^i - dim B^i is the
+    dimension of the sum."""
     r: int
     n: int
     p: int
     blocks: tuple
-    block_degrees: tuple
     dims: tuple
 
 
 @lru_cache(maxsize=None)
 def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
     """Cohomology of the complex tensored with Z/p: each block's H^i is
-    block_modp_homology of its key, seen in the block's cochains."""
+    block_modp_homology of its key."""
     check_prime(p)
     blocks = koszul_blocks(r, n)
-    degs = tuple(ordered_modp_homology(blk.weights, p) for blk in blocks)
+    degs = [block_modp_homology(blk.key, p) for blk in blocks]
     dims = tuple(sum(bd[i].dim for bd in degs if i < len(bd))
                  for i in range(min(n, r) + 1))
-    return ModpCohomologyResult(r, n, p, blocks, degs, dims)
+    return ModpCohomologyResult(r, n, p, blocks, dims)
 
 
 @lru_cache(maxsize=None)
@@ -222,14 +173,6 @@ def block_modp_homology(key: tuple, p: int) -> tuple:
     return tuple(modp_homology(koszul_d(weights, i - 1),
                                koszul_d(weights, i), p)
                  for i in range(key[1] + 1))
-
-
-@lru_cache(maxsize=None)
-def ordered_modp_homology(weights: tuple, p: int) -> tuple:
-    """H^0 .. H^s over the p-element field of the block of the ordered
-    weights: block_modp_homology of its key, as TransportedDegree views."""
-    return tuple(TransportedDegree(deg, weights, i) for i, deg in
-                 enumerate(block_modp_homology(block_key(weights), p)))
 
 
 def cocycle_dim(r: int, n: int, i: int, p: int) -> int:
@@ -249,8 +192,9 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
     degree p*n (derham.block_pairs).  _cartier_block certifies it on the
     canonical pair of the key: its unit cochains are cocycles whose classes
     are a basis.  The map of a block is then the classes of its unit
-    cochains in block p*beta's mod-p H^i, read through the transport that
-    beta and p*beta share, once per ordered weights (blocks of equal
+    cochains in block p*beta's mod-p H^i: the columns of forward[i] of the
+    transport that beta and p*beta share, expressed on H^i of the canonical
+    block of p*beta's key, once per ordered weights (blocks of equal
     weights are the same complex).  Also checks, on every other block of
     degree p*n, whose weight has an entry prime to p, that its mod-p H^i
     vanishes, on the canonical block of its key.
@@ -267,9 +211,10 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
         if not 0 <= i <= len(blk.weights) or blk.weights in matrices:
             continue
         _cartier_block(blk.key, i, p)
-        deg = ordered_modp_homology(tuple(p * w for w in blk.weights), p)[i]
-        matrix, _ = class_matrix(deg.express,
-                                 IntMatrix.identity(deg.dim_cochain), deg.dim)
+        g, s = blk.key
+        deg = block_modp_homology((p * g, s), p)[i]
+        matrix, _ = class_matrix(deg.express, blk.transport.forward[i],
+                                 deg.dim)
         if matrix is None:
             raise RuntimeError(f"a cell of block {blk.beta} has no class in "
                                f"block p*beta (i={i}, p={p})")

@@ -38,6 +38,7 @@ from .cohomology import (
     modp_cohomology,
 )
 from .derham import (
+    KoszulBlock,
     block_pairs,
     canonical_weights,
     dim_formula,
@@ -113,7 +114,8 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
     holds in every degree, and every H^i is finite with n H^i = 0.
 
     d and kappa respect the weight, so the Euler identity is checked on
-    each distinct Koszul block, with the block's own d and kappa."""
+    each distinct Koszul block, with the block's own d and kappa, once per
+    ordered weights and degree (_euler_failure)."""
     if r < 0 or n < 0:
         raise ValueError("need r >= 0 and n >= 0")
     checks = _Checks()
@@ -121,12 +123,11 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
     blocks = koszul_blocks(r, n)
     blocks = [blocks[b] for b in distinct_blocks(blocks)]
     for i in range(top + 1):
-        eulers = [(blk, blk.kappa(i + 1) @ blk.d(i)
-                   + blk.d(i - 1) @ blk.kappa(i))
-                  for blk in blocks if i <= len(blk.weights)]
+        failures = [(blk, _euler_failure(blk.weights, i))
+                    for blk in blocks if i <= len(blk.weights)]
         checks.add_all(f"euler identity degree {i}", (
-            _at(i, blk, matrix=euler.to_lists()) for blk, euler in eulers
-            if not euler.is_identity(n)))
+            _at(i, blk, matrix=euler.to_lists()) for blk, euler in failures
+            if euler is not None))
     H = integral_cohomology(r, n)
     if n == 0:
         checks.add("degree 0 gives Z",
@@ -148,6 +149,16 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
             for B in groups for j in range(B.ngens))
         checks.add(f"n kills the generators of H^{i}", killed, {"degree": i})
     return checks.report("annihilation", (("r", r), ("n", n)))
+
+
+@lru_cache(maxsize=None)
+def _euler_failure(weights: tuple, i: int) -> Optional[IntMatrix]:
+    """kappa d + d kappa in degree i on the block of the ordered weights
+    when it is not |w| times the identity, else None; |w| is the total
+    degree of every block of these weights."""
+    blk = KoszulBlock(weights, weights)
+    euler = blk.kappa(i + 1) @ blk.d(i) + blk.d(i - 1) @ blk.kappa(i)
+    return None if euler.is_identity(sum(weights)) else euler
 
 
 def verify_cartier(r: int, n: int, p: int) -> VerificationReport:

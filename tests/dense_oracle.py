@@ -14,8 +14,17 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from derhamz.abgroups import class_matrix, homology_at, induced_map
-from derhamz.bockstein import _block_couple, _page_isomorphism_failure, _summand
-from derhamz.cohomology import BlockHomology, block_homology, modp_homology
+from derhamz.bockstein import (
+    _block_couple,
+    _block_level,
+    _page_isomorphism_failure,
+)
+from derhamz.cohomology import (
+    BlockHomology,
+    block_homology,
+    block_modp_homology,
+    modp_homology,
+)
 from derhamz.derham import (
     BasisElement,
     basis,
@@ -240,13 +249,16 @@ def coboundaries(d_in: IntMatrix, p: int) -> list:
 def modp_class_matrix(target, i: int, cochain_cols: IntMatrix) -> IntMatrix:
     """Classes of mod-p cocycle columns, as a matrix over H^i of target (a
     modp_cohomology result): solved densely over the blocks' class
-    representatives and coboundaries, embedded at their cells, blocks in
-    basis order."""
+    representatives (those of the canonical block of the key, moved back by
+    backward[i] of the block's transport) and coboundaries, embedded at
+    their cells, blocks in basis order."""
     p = target.p
-    degs = [(block_cells(blk, i), blk, bd[i]) for blk, bd
-            in zip(target.blocks, target.block_degrees) if 0 <= i < len(bd)]
-    reps = [(cells, v) for cells, _, deg in degs for v in deg.reps]
-    bounds = [(cells, v) for cells, blk, _ in degs
+    blocks = [blk for blk in target.blocks if 0 <= i <= len(blk.weights)]
+    reps = [(block_cells(blk, i), [v % p for v in blk.transport.backward[i]
+                                   .apply(rep)])
+            for blk in blocks
+            for rep in block_modp_homology(blk.key, p)[i].reps]
+    bounds = [(block_cells(blk, i), v) for blk in blocks
               for v in coboundaries(blk.d(i - 1), p)]
     embedded = []
     for cells, v in reps + bounds:
@@ -294,26 +306,31 @@ def ordered_frobenius(weights: tuple, p: int, i: int, literal: bool):
 
 def ordered_cartier_classes(weights: tuple, p: int, i: int):
     """The E-side class matrix of the couple morphism on a block pair: the
-    level-1 representatives of w, in w's cochains, expressed on the
-    level-2 page of p*w's summand; None when one does not survive."""
-    stage = _summand(weights, p, 1).stages[i]
-    target = _summand(tuple(p * w for w in weights), p, 2)
+    level-1 representatives of w, moved back to w's cochains by backward[i]
+    of w's transport, then by forward[i] of p*w's onto the canonical block
+    of p*w's key, expressed on the level-2 page there; None when one does
+    not survive."""
+    multiple = tuple(p * w for w in weights)
+    stage = block_modp_homology(block_key(weights), p)[i]
+    target = _block_level(block_key(multiple), p, 2)
     matrix, _ = class_matrix(
         partial(target.express_cochain, i),
-        IntMatrix.from_columns(list(stage.reps), stage.dim_cochain),
+        transport(multiple).forward[i] @ transport(weights).backward[i]
+        @ IntMatrix.from_columns(list(stage.reps), stage.dim_cochain),
         target.e_dim(i))
     return matrix
 
 
 def ordered_identification(weights: tuple, p: int, k: int):
-    """The page identification of the block pair (w, p^k w) on the
-    summand of p^k w: its first failure as (check, degree), or None."""
+    """The page identification of the block pair (w, p^k w): the unit
+    cochains of p^k w, moved by forward[i] of its transport, on page k of
+    the tower of its key; its first failure as (check, degree), or None."""
     multiple = tuple(p ** k * w for w in weights)
     d = [koszul_d(multiple, i) for i in range(len(weights) + 1)]
     for i, d_i in enumerate(d):
         if not d_i.mod(p).is_zero():
             return "cocycle", i
     failure = _page_isomorphism_failure(
-        _summand(multiple, p, k), [IntMatrix.identity(d_i.ncols) for d_i in d],
+        _block_level(block_key(multiple), p, k), transport(multiple).forward,
         partial(koszul_d, weights))
     return None if failure is None else failure[:2]

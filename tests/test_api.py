@@ -12,7 +12,8 @@ bare variable of the same name.  A method name is ambiguous when another
 top-level class of src/ defines it or a builtin type has it (tuple.index);
 an ambiguous method counts only as Class.name, as self.name inside its
 class, or through a caller declared in DECLARED_CALLERS, which must exist
-and read the name.
+and read the name.  Every method DECLARED_CALLERS names must exist too, so
+that a stale entry fails instead of passing silently.
 
 The benchmark's tracer also wraps private functions and methods of src/ by
 name; the last test checks that each of them still exists.
@@ -34,9 +35,6 @@ BUILTIN_TYPES = (object, int, str, bytes, tuple, list, dict, set, frozenset)
 # ambiguous methods called on instances: the function that calls each
 DECLARED_CALLERS = {
     "bockstein.SpectralPage.is_zero": "cli.cmd_pages",
-    "cohomology.ModpDegree.express": "cohomology._cartier_block",
-    "cohomology.ModpDegree.rep_matrix": "bockstein.derive",
-    "cohomology.TransportedDegree.express": "cohomology.cartier_iso",
     "intlinalg.IntMatrix.is_zero": "abgroups.homology_at",
 }
 
@@ -126,8 +124,24 @@ def unused_public_names(package: Path = PACKAGE,
     return unused
 
 
+def stale_declared_callers(package: Path = PACKAGE,
+                           declared: dict = DECLARED_CALLERS) -> list:
+    """The declared methods that no longer exist in the package."""
+    defined = {f"{path.stem}.{qualname}"
+               for path in sorted(package.glob("*.py"))
+               for qualname, *_ in _definitions(ast.parse(path.read_text()))}
+    return [method for method in declared if method not in defined]
+
+
 def test_every_public_name_has_a_caller():
     assert unused_public_names() == []
+
+
+def test_every_declared_caller_names_a_live_method():
+    assert stale_declared_callers() == []
+    assert stale_declared_callers(declared={
+        "cohomology.TransportedDegree.express": "cohomology.cartier_iso",
+        **DECLARED_CALLERS}) == ["cohomology.TransportedDegree.express"]
 
 
 def test_the_guard_sees_a_dead_function(tmp_path):

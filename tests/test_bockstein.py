@@ -26,6 +26,7 @@ from derhamz.bockstein import (
 )
 from derhamz.cohomology import (
     block_homology,
+    block_modp_homology,
     integral_cohomology,
     modp_cohomology,
 )
@@ -80,9 +81,12 @@ def _e_reps(s, i):
 
 
 def _dense_reps(c, i):
-    """The summands' degree-i E representatives at their global cells."""
-    return _placed(c, i, [_e_reps(s, i) if i <= s.imax else None
-                          for s in c.summands])
+    """The summands' degree-i E representatives at their global cells: the
+    canonical ones of each block's key, moved back through the block's
+    transport."""
+    return _placed(c, i, [(blk.transport.backward[i] @ _e_reps(s, i)).mod(c.p)
+                          if i <= s.imax else None
+                          for blk, s in zip(c.blocks, c.summands)])
 
 
 def _block_diagonal(mats):
@@ -135,9 +139,11 @@ class TestInitialCouple:
                 dense_j = modp_class_matrix(MP, i, lifts[i])
                 assert _block_diagonal([s.j_maps[i].matrix for s in parts]) \
                     == dense_j, (r, n, p, i)
-                reps = _placed(c, i, [_rep_matrix(bd[i]) if i < len(bd)
-                                      else None for bd in MP.block_degrees])
-                assert reps == _dense_reps(c, i), (r, n, p, i)
+                # E^i of each summand is mod-p H^i of its block's key
+                assert [s.stages[i] for s in parts] == [
+                    block_modp_homology(blk.key, p)[i] for blk in c.blocks
+                    if i <= len(blk.weights)], (r, n, p, i)
+                reps = _dense_reps(c, i)
                 k = _block_diagonal([s.k_maps[i].matrix for s in parts])
                 for col, rep in enumerate(reps.columns()):
                     dv = cpx.d(i).apply(rep)

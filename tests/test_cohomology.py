@@ -15,6 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 from derhamz.abgroups import FgAbGroup, homology_at
 from derhamz.bockstein import derive
 from derhamz.cohomology import (
+    block_modp_homology,
     cartier_iso,
     cocycle_dim,
     integral_cohomology,
@@ -294,9 +295,9 @@ class TestModpCohomology:
                         assert len(_embedded(mp, i, "coboundaries")) == \
                             gf_rank(cpx.d(i - 1), p), where
                         assert len(_embedded(mp, i, "reps")) == mp.dims[i]
-                        for blk, bd in zip(mp.blocks, mp.block_degrees):
-                            if i < len(bd):
-                                _check_block_routing(blk, bd[i], cpx, i, p)
+                        for blk in mp.blocks:
+                            if i <= len(blk.weights):
+                                _check_block_routing(blk, cpx, i, p)
 
     def test_modp_class_matrix_oracle(self):
         # the dense oracle solves over the embedded reps and coboundaries:
@@ -331,14 +332,17 @@ class TestModpCohomology:
 
 
 def _embedded(mp, i, attr):
-    """The blocks' degree-i vectors of the given kind (reps, cocycles or
-    coboundaries, the pivot columns of the block d mod p) at their global
-    cells, blocks in basis order."""
+    """The blocks' degree-i vectors of the given kind (reps or cocycles of
+    the canonical block of the key, moved back through the block's
+    transport, or coboundaries, the pivot columns of the block d mod p) at
+    their global cells, blocks in basis order."""
     out = []
-    for blk, bd in zip(mp.blocks, mp.block_degrees):
-        if i < len(bd):
+    for blk in mp.blocks:
+        if i <= len(blk.weights):
+            back = blk.transport.backward[i]
             vecs = (coboundaries(blk.d(i - 1), mp.p) if attr == "coboundaries"
-                    else getattr(bd[i], attr))
+                    else [[v % mp.p for v in back.apply(z)] for z in getattr(
+                        block_modp_homology(blk.key, mp.p)[i], attr)])
             for v in vecs:
                 full = [0] * dim_formula(mp.r, mp.n, i)
                 for g, x in zip(block_cells(blk, i), v):
@@ -347,23 +351,27 @@ def _embedded(mp, i, attr):
     return out
 
 
-def _check_block_routing(blk, deg, cpx, i, p):
-    """On one block: reps express as unit vectors, coboundaries as zero,
-    and the first and the last non-cocycle cell are rejected."""
+def _check_block_routing(blk, cpx, i, p):
+    """On one block, in its own cochains through its transport (backward[i]
+    to them, forward[i] back onto the canonical block of the key): reps
+    express as unit vectors, coboundaries as zero, and the first and the
+    last non-cocycle cell are rejected."""
     where = (blk.beta, i, p)
+    deg = block_modp_homology(blk.key, p)[i]
+    forward, backward = blk.transport.forward[i], blk.transport.backward[i]
     for j, rep in enumerate(deg.reps):
         unit = tuple(int(t == j) for t in range(deg.dim))
-        assert deg.express(rep) == unit, where
+        moved = [v % p for v in backward.apply(rep)]
+        assert deg.express(forward.apply(moved)) == unit, where
     for b in coboundaries(blk.d(i - 1), p):
-        assert deg.express(b) == (0,) * deg.dim, where
+        assert deg.express(forward.apply(b)) == (0,) * deg.dim, where
     d = blk.d(i)
     bad = [c for c in range(d.ncols) if any(v % p for v in d.col(c))]
     for c in bad[:1] + bad[-1:]:
         z = [0] * cpx.d(i).ncols
         z[block_cells(blk, i)[c]] = 1
         assert any(v % p for v in cpx.d(i).apply(z)), where
-        assert deg.express([int(t == c) for t in range(d.ncols)]) is None, \
-            (where, c)
+        assert deg.express(forward.col(c)) is None, (where, c)
 
 
 class TestCocycleDim:
@@ -482,18 +490,19 @@ class TestExpress:
         # x^2 has d(x^2) = 2x dx = 0 mod 2, so pick a genuine non-cocycle
         # in degree 0 at p = 3 instead: x^2, the one cell of block (2, 0)
         mp3 = modp_cohomology(2, 2, 3)
-        assert mp3.blocks[0].beta == (2, 0)
-        assert block_cells(mp3.blocks[0], 0) == (0,)
-        assert mp3.block_degrees[0][0].express((1,)) is None
+        blk = mp3.blocks[0]
+        assert blk.beta == (2, 0)
+        assert block_cells(blk, 0) == (0,)
+        assert block_modp_homology(blk.key, 3)[0].express(
+            blk.transport.forward[0].apply((1,))) is None
         with pytest.raises(ValueError):
             modp_class_matrix(mp3, 0, IntMatrix([[1], [0], [0]]))
 
     def test_modp_express_rejects_wrong_length(self):
         # one coordinate per block cell: extra entries are not dropped and
-        # missing ones do not read as 0
-        mp = modp_cohomology(2, 4, 2)
-        (deg,) = [bd[1] for blk, bd in zip(mp.blocks, mp.block_degrees)
-                  if blk.beta == (2, 2)]
+        # missing ones do not read as 0 (block (2, 2) of (2, 4), degree 1)
+        (blk,) = [blk for blk in koszul_blocks(2, 4) if blk.beta == (2, 2)]
+        deg = block_modp_homology(blk.key, 2)[1]
         assert deg.dim_cochain == 2
         for z in ((0, 0, 5, 5, 5), (5,)):
             with pytest.raises(ValueError):

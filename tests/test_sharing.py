@@ -8,6 +8,9 @@ primitive weight vector.  The counting tests run in child interpreters, so
 the caches start cold: each block result is computed once, and the results
 do not depend on which (r, n) computed them first.  A hypothesis test
 checks that a transported block is the block built directly on its own d.
+A couple holds the tower level of each key itself, with no per-block
+copy, and the closed-form oracle, which never reads a transport, catches
+a transport whose two directions are swapped.
 
 The statement checks on a block pair (beta, q*beta) are computed once per
 key pair, on the canonical blocks, since both blocks share their
@@ -22,11 +25,17 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from derhamz import bockstein, theorems
+from derhamz import bockstein, derham, theorems
 from derhamz.abgroups import class_matrix, homology_at
-from derhamz.bockstein import _summand, derive
+from derhamz.bockstein import (
+    _block_level,
+    compare_with_closed_form,
+    couples,
+    derive,
+)
 from derhamz.cohomology import block_homology
 from derhamz.derham import block_key, koszul_d, transport
 from derhamz.intlinalg import hnf, hstack, lattice_solve
@@ -246,6 +255,37 @@ def test_a_block_pair_has_the_results_of_its_key_pair(weights, p, k):
             == ordered_identification(weights, p, k))
 
 
+def test_a_couple_holds_one_tower_level_per_key():
+    # the summand of every block is the tower level of its key itself, not
+    # a copy per ordered weights: at (4, 16) 11 keys at each level
+    for level, couple in enumerate(couples(4, 16, 2, 5), 1):
+        keys = {blk.key for blk in couple.blocks}
+        assert len(keys) == 11
+        assert len({id(summand) for summand in couple.summands}) == 11
+        for blk, summand in zip(couple.blocks, couple.summands):
+            assert summand is _block_level(blk.key, 2, level), \
+                (blk.beta, level)
+
+
+def test_the_oracle_catches_a_swapped_transport():
+    # the closed-form oracle computes its pages without a transport, so a
+    # transport that hands out Lambda(A^-1) as Lambda(A) (still inverse to
+    # each other, but no longer a chain map onto the canonical block) makes
+    # it disagree with the engine's pages on page 1
+    exterior = derham._exterior_transport
+
+    def swapped(primitive):
+        t = exterior(primitive)
+        return t._replace(forward=t.backward, backward=t.forward)
+
+    exterior.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(derham, "_exterior_transport", swapped)
+        reports = compare_with_closed_form(2, 6, 3)
+    exterior.cache_clear()
+    assert reports[0]["k"] == 1 and not reports[0]["ok"], reports
+
+
 def test_results_do_not_depend_on_call_order():
     # a sharing key that is too coarse would hand one (r, n) the cached
     # block results of another
@@ -263,12 +303,13 @@ def test_a_transported_block_is_the_direct_block(weights, p):
     # ordered weights, against homology_at on the block's own d: the same
     # entries, and generators that span the same lattice modulo the
     # coboundaries, each killed by its order; then the tower of the direct
-    # block (exact at every level) against the block's summands: the same
-    # page dims, and the direct level-1 pages map isomorphically onto the
-    # summand's classes
+    # block (exact at every level) against the tower of the key: the same
+    # page dims, and the direct level-1 pages, moved by the transport, map
+    # isomorphically onto the key's classes
     weights = tuple(weights)
     t = transport(weights)
-    H = block_homology(block_key(weights))
+    key = block_key(weights)
+    H = block_homology(key)
     for i in range(len(weights) + 1):
         d_in, d_out = koszul_d(weights, i - 1), koszul_d(weights, i)
         G, gens = homology_at(d_in, d_out)
@@ -280,12 +321,13 @@ def test_a_transported_block_is_the_direct_block(weights, p):
             assert lattice_solve(d_in, [order * v for v in col]) is not None
     direct = direct_couple(weights, p)
     for i in range(direct.imax + 1):
-        phi, _ = class_matrix(partial(_summand(weights, p, 1).express_cochain,
+        phi, _ = class_matrix(partial(_block_level(key, p, 1).express_cochain,
                                       i),
-                              direct.stages[i].rep_matrix(), direct.e_dim(i))
+                              t.forward[i] @ direct.stages[i].rep_matrix(),
+                              direct.e_dim(i))
         assert phi is not None and rank(phi, p) == direct.e_dim(i)
     for level in range(1, min(valuation(w, p) for w in weights) + 3):
         if level > 1:
             direct = derive(direct)
         direct.check_exactness()
-        assert _summand(weights, p, level).dims == direct.dims, level
+        assert _block_level(key, p, level).dims == direct.dims, level
