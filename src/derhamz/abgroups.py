@@ -59,13 +59,8 @@ class FgAbGroup:
 
     @property
     def diagonal(self) -> tuple:
-        """The Smith diagonal: 1s, then the invariant factors, zeros last.
-
-        It is unique, so recombining the entries into their invariant chain
-        gives it without a Smith reduction."""
-        chain = _invariant_chain(d for d in self.entries if d > 1)
-        free = self.free_rank
-        return (1,) * (self.ngens - free - len(chain)) + chain + (0,) * free
+        """The Smith diagonal: 1s, then the invariant factors, zeros last."""
+        return _smith_diagonal(self.entries)
 
     @property
     def free_rank(self) -> int:
@@ -111,6 +106,15 @@ def diagonal_matrix(entries: tuple) -> IntMatrix:
     k = len(entries)
     return IntMatrix._raw(tuple((0,) * t + (d,) + (0,) * (k - 1 - t)
                                 for t, d in enumerate(entries)), k)
+
+
+@lru_cache(maxsize=None)
+def _smith_diagonal(entries: tuple) -> tuple:
+    """The Smith diagonal of diag(entries), once per entries: it is unique,
+    so the invariant chain of the entries gives it without a reduction."""
+    chain = _invariant_chain(d for d in entries if d > 1)
+    free = entries.count(0)
+    return (1,) * (len(entries) - free - len(chain)) + chain + (0,) * free
 
 
 def _invariant_chain(entries) -> tuple:

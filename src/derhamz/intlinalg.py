@@ -19,7 +19,7 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "_rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        data = tuple(tuple(_int(e) for e in row) for row in rows)
+        data = tuple(tuple(map(_int, row)) for row in rows)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -50,21 +50,28 @@ class IntMatrix:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
+    def _raw_columns(cls, cols: Sequence[tuple], nrows: int) -> "IntMatrix":
+        # trusted fast path: cols must already be tuples of nrows Python ints
+        return cls._raw(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
+
+    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        row = (0,) * ncols
-        return cls([row] * nrows, ncols=ncols)
+        if nrows < 0 or ncols < 0:
+            raise ValueError("negative shape")
+        return cls._raw(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        if n < 0:
+            raise ValueError("negative shape")
+        return cls._raw(tuple((0,) * i + (1,) + (0,) * (n - 1 - i)
+                              for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("column of wrong length")
-        rows = [[c[i] for c in cols] for i in range(nrows)]
-        return cls(rows, ncols=len(cols))
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("column of wrong length")
+        return cls._raw_columns([tuple(map(_int, c)) for c in cols], nrows)
 
     # -- access ----------------------------------------------------------------
 
@@ -205,9 +212,12 @@ def augmented(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def _hnf_cached(M: IntMatrix):
+    # reductions run over the nonzero (index, entry) pairs of a pivot column
     m, n = M.nrows, M.ncols
-    cols = [list(M.col(j)) for j in range(n)]
-    ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cols = [list(col) for col in M.columns()]
+    ucols = [[0] * n for _ in range(n)]
+    for j in range(n):
+        ucols[j][j] = 1
     pivots = []
     c = 0
     for i in range(m):
@@ -219,19 +229,18 @@ def _hnf_cached(M: IntMatrix):
         while len(live) > 1:
             j0 = min(live, key=lambda j: (abs(cols[j][i]), j))
             a = cols[j0][i]
-            base, ubase = cols[j0], ucols[j0]
+            base = [(t, x) for t, x in enumerate(cols[j0]) if x]
+            ubase = [(t, x) for t, x in enumerate(ucols[j0]) if x]
             for j in live:
                 if j == j0:
                     continue
                 q = cols[j][i] // a
                 if q:
                     cj, uj = cols[j], ucols[j]
-                    for t in range(m):
-                        if base[t]:
-                            cj[t] -= q * base[t]
-                    for t in range(n):
-                        if ubase[t]:
-                            uj[t] -= q * ubase[t]
+                    for t, x in base:
+                        cj[t] -= q * x
+                    for t, x in ubase:
+                        uj[t] -= q * x
             live = [j for j in live if cols[j][i]]
         j0 = live[0]
         if j0 != c:
@@ -241,24 +250,22 @@ def _hnf_cached(M: IntMatrix):
             cols[c] = [-x for x in cols[c]]
             ucols[c] = [-x for x in ucols[c]]
         piv = cols[c][i]
-        base, ubase = cols[c], ucols[c]
+        base = [(t, x) for t, x in enumerate(cols[c]) if x]
+        ubase = [(t, x) for t, x in enumerate(ucols[c]) if x]
         for j in range(c):
             q = cols[j][i] // piv
             if q:
                 cj, uj = cols[j], ucols[j]
-                for t in range(m):
-                    if base[t]:
-                        cj[t] -= q * base[t]
-                for t in range(n):
-                    if ubase[t]:
-                        uj[t] -= q * ubase[t]
+                for t, x in base:
+                    cj[t] -= q * x
+                for t, x in ubase:
+                    uj[t] -= q * x
         pivots.append((i, c))
         c += 1
-    H = IntMatrix.from_columns(cols, m)
-    U = IntMatrix.from_columns(ucols, n)
-    hcols = tuple(tuple(col) for col in cols)
-    ucols_t = tuple(tuple(col) for col in ucols)
-    return H, U, tuple(pivots), hcols, ucols_t
+    hcols = tuple(map(tuple, cols))
+    ucols_t = tuple(map(tuple, ucols))
+    return (IntMatrix._raw_columns(hcols, m), IntMatrix._raw_columns(ucols_t, n),
+            tuple(pivots), hcols, ucols_t)
 
 
 def hnf(M: IntMatrix):
@@ -311,9 +318,8 @@ def lattice_solve(M: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice {x : M @ x = 0}, as columns."""
-    _, U, pivots, _, _ = _hnf_cached(M)
-    npiv = len(pivots)
-    return IntMatrix.from_columns([U.col(j) for j in range(npiv, M.ncols)], M.ncols)
+    _, _, pivots, _, ucols = _hnf_cached(M)
+    return IntMatrix._raw_columns(ucols[len(pivots):], M.ncols)
 
 
 def preimage_basis(f: IntMatrix, rel: IntMatrix) -> IntMatrix:

@@ -6,7 +6,9 @@ formulas on monomials, so that tests can compare the block model with an
 independent dense one at small sizes.  The ordered_* functions keep the
 statement checks of a block pair (beta, q*beta) in the pair's own ordered
 coordinates, through both blocks' transports, as a small-size oracle for
-the key-pair results the library computes once per key pair.
+the key-pair results the library computes once per key pair.  dense_hnf
+is the integer Hermite elimination on dense columns, a small-size oracle
+for intlinalg's eliminations on column supports.
 """
 
 from dataclasses import dataclass
@@ -225,6 +227,86 @@ def place(placed, nrows: int, ncols: int) -> IntMatrix:
 
 def transpose(M: IntMatrix) -> IntMatrix:
     return IntMatrix(M.columns(), M.nrows)
+
+
+def dense_hnf(M: IntMatrix):
+    """The column Hermite form of M by the library's elimination, with the
+    same arithmetic in the same order, but every reduction scanning all m
+    rows of the pivot column and all n entries of its U column; the result
+    is built through the checked IntMatrix constructor.  Returns (H, U,
+    pivots), pivots the (row, column) pairs of H in order."""
+    m, n = M.nrows, M.ncols
+    cols = [list(M.col(j)) for j in range(n)]
+    ucols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    pivots = []
+    c = 0
+    for i in range(m):
+        if c == n:
+            break
+        live = [j for j in range(c, n) if cols[j][i]]
+        if not live:
+            continue
+        while len(live) > 1:
+            j0 = min(live, key=lambda j: (abs(cols[j][i]), j))
+            a = cols[j0][i]
+            base, ubase = cols[j0], ucols[j0]
+            for j in live:
+                if j == j0:
+                    continue
+                q = cols[j][i] // a
+                if q:
+                    cj, uj = cols[j], ucols[j]
+                    for t in range(m):
+                        if base[t]:
+                            cj[t] -= q * base[t]
+                    for t in range(n):
+                        if ubase[t]:
+                            uj[t] -= q * ubase[t]
+            live = [j for j in live if cols[j][i]]
+        j0 = live[0]
+        if j0 != c:
+            cols[c], cols[j0] = cols[j0], cols[c]
+            ucols[c], ucols[j0] = ucols[j0], ucols[c]
+        if cols[c][i] < 0:
+            cols[c] = [-x for x in cols[c]]
+            ucols[c] = [-x for x in ucols[c]]
+        piv = cols[c][i]
+        base, ubase = cols[c], ucols[c]
+        for j in range(c):
+            q = cols[j][i] // piv
+            if q:
+                cj, uj = cols[j], ucols[j]
+                for t in range(m):
+                    if base[t]:
+                        cj[t] -= q * base[t]
+                for t in range(n):
+                    if ubase[t]:
+                        uj[t] -= q * ubase[t]
+        pivots.append((i, c))
+        c += 1
+    H = IntMatrix([[col[t] for col in cols] for t in range(m)], ncols=n)
+    U = IntMatrix([[col[t] for col in ucols] for t in range(n)], ncols=n)
+    return H, U, tuple(pivots)
+
+
+def dense_kernel_basis(M: IntMatrix) -> IntMatrix:
+    """The columns of dense_hnf's U after its pivot columns."""
+    _, U, pivots = dense_hnf(M)
+    return IntMatrix([row[len(pivots):] for row in U.to_lists()],
+                     ncols=M.ncols - len(pivots))
+
+
+def dense_lattice_solve(M: IntMatrix, b) -> tuple | None:
+    """Forward substitution of b along dense_hnf's pivots, then x = U q;
+    None when b is not in the column lattice of M."""
+    H, U, pivots = dense_hnf(M)
+    res, q = list(b), [0] * M.ncols
+    for i, c in pivots:
+        if res[i] % H[i, c]:
+            return None
+        q[c] = res[i] // H[i, c]
+        res = [v - q[c] * H[t, c] for t, v in enumerate(res)]
+    return None if any(res) else U.apply(q)
 
 
 def greedy(base, candidates, nrows, p):

@@ -250,6 +250,8 @@ class TestSmithEntries:
     def test_entrywise_invariants_and_zero_test(self):
         G = FgAbGroup([4, 0, 6, 1, 2 ** 40, 3])
         assert G.diagonal == (1, 1, 2, 12, 2 ** 40 * 3, 0)
+        # the chain is computed once per entries, not on every read
+        assert FgAbGroup(list(G.entries)).diagonal is G.diagonal
         assert G.element_is_zero([8, 0, 6, 5, 0, 3])
         assert not G.element_is_zero([0, 1, 0, 0, 0, 0])
 

@@ -16,7 +16,8 @@ and read the name.  Every method DECLARED_CALLERS names must exist too, so
 that a stale entry fails instead of passing silently.
 
 The benchmark's tracer also wraps private functions and methods of src/ by
-name; the last test checks that each of them still exists.
+name; the last test checks that each of them still exists, and that the
+cached normal forms still return the IntMatrix members the tracer measures.
 """
 
 import ast
@@ -25,6 +26,7 @@ import inspect
 from pathlib import Path
 
 import derhamz
+from derhamz.intlinalg import IntMatrix, _hnf_cached, _snf_cached, hnf, snf
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "derhamz"
@@ -179,3 +181,9 @@ def test_the_benchmark_trace_targets_exist():
                 vars(getattr(module, cls_name)).get(meth)), (layer, attr)
         else:
             assert hasattr(module, attr), (layer, attr)
+    # the tracer's max_entry_bits reads the IntMatrix members of the cached
+    # normal forms' outputs; the forms themselves must stay among them
+    M = IntMatrix([[4, 6], [2, 9]])
+    for cached, form in ((_hnf_cached, hnf), (_snf_cached, snf)):
+        members = [X for X in cached(M) if isinstance(X, IntMatrix)]
+        assert form(M)[0] in members and len(members) >= 2, cached

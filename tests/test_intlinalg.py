@@ -16,7 +16,12 @@ from derhamz.intlinalg import (
     unimodular_inverse,
 )
 
-from dense_oracle import transpose
+from dense_oracle import (
+    dense_hnf,
+    dense_kernel_basis,
+    dense_lattice_solve,
+    transpose,
+)
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=40)
@@ -39,6 +44,28 @@ medium_matrices = st.integers(0, 10).flatmap(
             st.lists(st.integers(-10 ** 3, 10 ** 3), min_size=n, max_size=n),
             min_size=m, max_size=m).map(
                 lambda rows: IntMatrix(rows, ncols=n))))
+
+
+@st.composite
+def structured_matrices(draw):
+    """Small matrices with zero rows and zero columns inserted, and
+    optionally [M | q I] for a prime power q, the shape of the closed-form
+    oracle's lattices."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n,
+                                  max_size=n), max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, n))
+        rows = [row[:j] + [0] + row[j:] for row in rows]
+        n += 1
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([2, 3])) ** draw(st.integers(1, 3))
+        rows = [row + [q * (i == t) for t in range(len(rows))]
+                for i, row in enumerate(rows)]
+        n += len(rows)
+    return IntMatrix(rows, ncols=n)
 
 
 def det(M):
@@ -95,6 +122,22 @@ class TestHnf:
         H, _ = hnf(M)
         H2, _ = hnf(H)
         assert H2 == H
+
+
+class TestDenseReference:
+    @given(structured_matrices(), st.lists(st.integers(-4, 4), max_size=12),
+           st.lists(st.integers(-9, 9), max_size=8))
+    def test_eliminations_match_the_dense_reference(self, M, coeffs, noise):
+        H, U, pivots = dense_hnf(M)
+        assert hnf(M) == (H, U)
+        assert M @ U == H
+        assert abs(det(U)) == 1
+        assert kernel_basis(M) == dense_kernel_basis(M)
+        inside = M.apply((coeffs + [0] * M.ncols)[:M.ncols])
+        anywhere = tuple((noise + [0] * M.nrows)[:M.nrows])
+        for b in (inside, anywhere):
+            assert lattice_solve(M, b) == dense_lattice_solve(M, b)
+        assert lattice_solve(M, inside) is not None
 
 
 class TestSnf:
@@ -231,8 +274,42 @@ class TestMatrixBasics:
             IntMatrix([[1, 2], [3]])
 
     def test_nonint_rejected(self):
-        with pytest.raises(TypeError):
-            IntMatrix([[1.5]])
+        # every builder that takes outside entries checks each one
+        for bad in (1.5, "1"):
+            with pytest.raises(TypeError):
+                IntMatrix([[1, bad]])
+            with pytest.raises(TypeError):
+                IntMatrix.from_columns([(1,), (bad,)], 1)
+
+    def test_wrong_column_length_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([(1, 2), (3,)], 2)
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([(1, 2)], 3)
+
+    def test_from_columns(self):
+        M = IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)], 2)
+        assert M == IntMatrix([[1, 3, 5], [2, 4, 6]])
+        assert IntMatrix.from_columns([], 3).shape == (3, 0)
+        assert IntMatrix.from_columns([(), ()], 0).shape == (0, 2)
+        assert IntMatrix.from_columns([], 3) == IntMatrix([[], [], []])
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_shortcut_builders_match_init(self, k):
+        # zeros and identity build without the entry checks; they must
+        # give the same matrix, hash included, as the checked constructor
+        pairs = [(IntMatrix.identity(k),
+                  IntMatrix([[int(i == j) for j in range(k)]
+                             for i in range(k)], ncols=k)),
+                 (IntMatrix.zeros(0, k), IntMatrix([], ncols=k)),
+                 (IntMatrix.zeros(k, 2), IntMatrix([[0, 0]] * k, ncols=2))]
+        for built, checked in pairs:
+            assert built == checked and built.shape == checked.shape
+            assert hash(built) == hash(checked)
+        with pytest.raises(ValueError):
+            IntMatrix.zeros(2, -1)
+        with pytest.raises(ValueError):
+            IntMatrix.identity(-1)
 
     def test_mod_and_scalar(self):
         M = IntMatrix([[3, -1], [2, 5]])
