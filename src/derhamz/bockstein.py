@@ -30,11 +30,10 @@ cochain on any page, and every comparison, is exact matrix algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import modp
 from .abgroups import (
@@ -309,8 +308,7 @@ def _block_level(key: tuple, p: int, level: int) -> ExactCouple:
     return derive(_block_level(key, p, level - 1))
 
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(NamedTuple):
     """Page k: per-degree dimensions over F_p."""
     r: int
     n: int

@@ -10,12 +10,10 @@ so the payload stays deterministic.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .abgroups import FgAbGroup
@@ -109,7 +107,7 @@ def _emit(args, doc: dict, csv_rows, latex_lines=None) -> None:
     else:
         payload = "\n".join(latex_lines) + "\n"
     if args.cache:
-        path = Path(args.cache) / _cache_name(doc, args.format)
+        path = _cache_path(args, doc)
         # a killed run leaves at most a temp file, never a truncated document
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
@@ -120,22 +118,26 @@ def _emit(args, doc: dict, csv_rows, latex_lines=None) -> None:
     sys.stdout.write(payload)
 
 
-def _cache_name(doc: dict, fmt: str) -> str:
+def _cache_path(args, doc: dict):
+    """doc's file in DIR; only --cache imports hashlib and pathlib."""
+    import hashlib
+    from pathlib import Path
+
     key = json.dumps({"command": doc["command"],
-                      "parameters": doc["parameters"], "format": fmt,
+                      "parameters": doc["parameters"], "format": args.format,
                       "version": __version__},
                      sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    ext = {"json": "json", "csv": "csv", "latex": "tex"}[fmt]
-    return f"v{SCHEMA_VERSION}_{doc['command']}_{digest}.{ext}"
+    ext = {"json": "json", "csv": "csv", "latex": "tex"}[args.format]
+    return Path(args.cache,
+                f"v{SCHEMA_VERSION}_{doc['command']}_{digest}.{ext}")
 
 
 def _cache_lookup(args, command: str, parameters: dict):
     """Write the cached payload to stdout and return it, or return None."""
     if not args.cache:
         return None
-    doc = {"command": command, "parameters": parameters}
-    path = Path(args.cache) / _cache_name(doc, args.format)
+    path = _cache_path(args, {"command": command, "parameters": parameters})
     if not path.exists():
         return None
     payload = path.read_text()
@@ -307,7 +309,7 @@ def main(argv=None) -> int:
     try:
         _check_bounds(args)
         if args.cache:
-            Path(args.cache).mkdir(parents=True, exist_ok=True)
+            os.makedirs(args.cache, exist_ok=True)
         code = args.func(args)
     except (BoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

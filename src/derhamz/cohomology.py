@@ -16,7 +16,6 @@ are cached per (r, n) and (r, n, p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -32,14 +31,12 @@ from .intlinalg import IntMatrix, hstack
 from .modp import check_prime
 
 
-@dataclass(frozen=True)
-class HDegree:
+class HDegree(NamedTuple):
     i: int
     group: FgAbGroup
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     r: int
     n: int
     degrees: tuple
@@ -139,8 +136,7 @@ def modp_homology(d_in: IntMatrix, d_out: IntMatrix, p: int) -> ModpDegree:
     return ModpDegree(d_in, tuple(modp.nullspace(d_out, p)), p)
 
 
-@dataclass(frozen=True)
-class ModpCohomologyResult:
+class ModpCohomologyResult(NamedTuple):
     """Mod-p cohomology, the direct sum of its Koszul blocks' cohomology.
 
     H^i of the block blocks[b] over the p-element field is

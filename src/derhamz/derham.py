@@ -23,7 +23,6 @@ key and never reads a transport, so it checks every transport it meets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
@@ -65,19 +64,33 @@ def _subsets_colex(r: int, i: int) -> tuple:
                         key=lambda T: T[::-1]))
 
 
-@dataclass(frozen=True)
 class GradedPiece:
-    r: int
-    n: int
-    i: int
-    elements: tuple
+    """The basis of the (r, n, i) graded piece, an immutable record that
+    iterates over its elements; a tuple of its four fields would give a
+    len() and an unpacking that disagree with that iteration."""
 
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
+    __slots__ = ("_values",)
+
+    def __init__(self, r: int, n: int, i: int, elements: tuple):
+        self._values = (r, n, i, elements)
+
+    r = property(lambda self: self._values[0])
+    n = property(lambda self: self._values[1])
+    i = property(lambda self: self._values[2])
+    elements = property(lambda self: self._values[3])
+    dim = property(lambda self: len(self.elements))
 
     def __iter__(self):
         return iter(self.elements)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GradedPiece and self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return "GradedPiece(r=%r, n=%r, i=%r, elements=%r)" % self._values
 
 
 def basis(r: int, n: int, i: int) -> GradedPiece:

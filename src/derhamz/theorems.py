@@ -13,9 +13,8 @@ reads the key pair's result and names its own beta in a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bockstein
 from .abgroups import (
@@ -53,32 +52,31 @@ STATEMENTS = ("annihilation", "cartier", "couple_morphism", "frobenius_iso",
               "page_identification", "filtration", "example_deg4")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    statement: str
-    params: tuple            # ordered (name, value) pairs
-    status: str              # "pass" or "fail"
-    checks: tuple            # (name, passed) pairs
-    witness: Optional[dict] = None
+class VerificationReport(NamedTuple("VerificationReport", [
+        ("statement", str), ("params", tuple), ("status", str),
+        ("checks", tuple), ("witness", Optional[dict])])):
+    """params and checks are ordered (name, value) and (name, passed)
+    pairs, status is "pass" or "fail", and a failing report needs a
+    witness."""
 
-    def __post_init__(self):
-        if self.status == "fail" and self.witness is None:
+    __slots__ = ()
+
+    def __new__(cls, statement, params, status, checks, witness=None):
+        if status == "fail" and witness is None:
             raise ValueError("failing report without a witness")
+        return super().__new__(cls, statement, params, status, checks, witness)
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "statement": self.statement,
-            "params": {k: v for k, v in self.params},
-            "status": self.status,
-            "checks": [{"name": name, "passed": passed}
-                       for name, passed in self.checks],
-        }
-        if self.witness is not None:
-            doc["witness"] = self.witness
+        doc = self._asdict()
+        doc["params"] = dict(self.params)
+        doc["checks"] = [{"name": name, "passed": passed}
+                         for name, passed in self.checks]
+        if self.witness is None:
+            del doc["witness"]
         return doc
 
 

@@ -222,6 +222,21 @@ def test_domain_errors_exit_2(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_start_up_imports_only_what_every_command_needs():
+    # a fresh interpreter imports the CLI and builds its parser; -S keeps
+    # the modules that site and .pth files load from hiding an import
+    code = ("import sys; before = set(sys.modules); "
+            "from derhamz import cli; cli.build_parser(); "
+            "print(*sorted(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, timeout=60,
+                         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert run.returncode == 0, run.stderr.decode()[-500:]
+    added = set(run.stdout.decode().split())
+    assert {"derhamz.cli", "argparse"} <= added
+    assert not added & {"dataclasses", "inspect", "hashlib", "pathlib"}
+
+
 @pytest.mark.parametrize("argv", [
     "cohomology -r 1100 -n 1 --unsafe-bounds",
     "basis -r 1100 -n 1 -i 1 --unsafe-bounds",

@@ -146,7 +146,7 @@ class TestFiltration:
         # and Cartier makes that the alternating sum of the form dimensions
         # of degree m/p when p | m, zero otherwise
         cases, defects = 0, 0
-        for r, nmax in ((1, 24), (2, 24), (3, 24), (4, 12)):
+        for r, nmax in ((1, 24), (2, 24), (3, 24), (4, 24)):
             for n in range(1, nmax + 1):
                 H = integral_cohomology(r, n)
                 for p in primes_dividing(n):
@@ -161,7 +161,7 @@ class TestFiltration:
                                 r, m, i, p), (r, n, p, k, i)
                             cases += 1
                             defects += defect != 0
-        assert (cases, defects) == (324, 24)
+        assert (cases, defects) == (416, 37)
 
     def test_failures_carry_witnesses(self):
         rep = verify_filtration(2, 8)
