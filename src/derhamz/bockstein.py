@@ -225,8 +225,9 @@ def _block_couple(weights: tuple, p: int, H: Sequence[BlockHomology],
             if coords is None:
                 raise RuntimeError("(d z~)/p is not an integral cocycle")
             # reduced modulo the orders of the generators
-            cols.append([v % d if d else v for v, d in zip(coords, orders)])
-        k_matrices.append(IntMatrix.from_columns(cols, len(orders)))
+            cols.append(tuple(v % d if d else v
+                              for v, d in zip(coords, orders)))
+        k_matrices.append(IntMatrix._raw_columns(cols, len(orders)))
     return ExactCouple(weights, p, 1, [h.group for h in H], mp, j_matrices,
                        k_matrices)
 
@@ -261,8 +262,8 @@ def derive(c: ExactCouple) -> ExactCouple:
             coords = stage.express(j_e)
             if coords is None:
                 raise ExactnessError("j' value does not survive to E'")
-            cols.append([v % p for v in coords])
-        j_matrices.append(IntMatrix.from_columns(cols, stage.dim))
+            cols.append(tuple(v % p for v in coords))
+        j_matrices.append(IntMatrix._raw_columns(cols, stage.dim))
 
     k_matrices = []
     for k, stage in zip(c.k_maps, stages):
@@ -407,7 +408,7 @@ def _closed_form_degree(weights: tuple, p: int, k: int, i: int):
                 raise RuntimeError("denominator column is not divisible")
             den_cols.append(tuple(v // scale for v in dv))
     relations, _ = class_matrix(partial(lattice_solve, N),
-                                IntMatrix.from_columns(den_cols, N.nrows),
+                                IntMatrix._raw_columns(den_cols, N.nrows),
                                 N.ncols)
     if relations is None:
         raise RuntimeError("denominator does not lie in the numerator")
@@ -432,7 +433,7 @@ def _closed_form_block(weights: tuple, p: int, k: int) -> tuple:
     scale = p ** k
     gens = [[N.apply(Uinv.col(idx)) for idx in kept]
             for (N, _, Uinv, kept) in data]
-    reps = tuple(IntMatrix.from_columns([[v % p for v in x] for x in xs],
+    reps = tuple(IntMatrix._raw_columns([tuple(v % p for v in x) for x in xs],
                                         d[i].ncols)
                  for i, xs in enumerate(gens))
     diffs = []
@@ -447,8 +448,8 @@ def _closed_form_block(weights: tuple, p: int, k: int) -> tuple:
             if y is None:
                 raise RuntimeError("d_k image left the numerator lattice")
             full = U_next.apply(y)
-            cols.append([full[t] % p for t in kept_next])
-        diffs.append(IntMatrix.from_columns(cols, dims[i + 1]))
+            cols.append(tuple(full[t] % p for t in kept_next))
+        diffs.append(IntMatrix._raw_columns(cols, dims[i + 1]))
     diffs.append(IntMatrix.zeros(0, dims[top]))
     return dims, reps, tuple(diffs)
 
@@ -579,24 +580,26 @@ def _page_isomorphism_failure(couple: ExactCouple, sources: Sequence[IntMatrix],
 # -- page identification (Cartier composite) ------------------------------------
 
 
-def block_identification_failure(couple: CoupleSum, sources: Sequence,
-                                 q: int) -> Optional[dict]:
+def block_identification_failure(couple: CoupleSum, q: int) -> Optional[dict]:
     """The witness of the first failure of the page identification on the
     blocks, or None.
 
-    sources are the blocks of degree n/q; each distinct one is paired with
-    its block q*gamma of couple.  Both blocks of a pair share their
-    transport (checked per pair), so the identification is checked once
-    per key pair, on the canonical tower level (_identification); only a
-    failing pair is checked again, on its unit cochains moved by forward[i]
-    of its transport, for a witness in its own cells.  The witness carries
-    the block weight and, for a class that does not survive, the basis
-    index of its cell in degree n.  Failures to conjugate the differentials
-    come last, after every failure of a cocycle check or of bijectivity in
-    some degree (a class that does not survive, a class matrix of low rank,
-    a nonzero page on a block that is no q-multiple).
+    Each distinct block gamma of degree n/q is paired with its block
+    q*gamma of couple (derham.block_pairs).  Both blocks of a pair share
+    their transport (checked per pair), so the identification is checked
+    once per key pair, on the canonical tower level (_identification); only
+    a failing pair is checked again, on its unit cochains moved by
+    forward[i] of its transport, for a witness in its own cells.  The
+    witness carries the block weight and, for a class that does not
+    survive, the basis index of its cell in degree n.  Failures to
+    conjugate the differentials come last, after every failure of a cocycle
+    check or of bijectivity in some degree (a class that does not survive,
+    a class matrix of low rank, a nonzero page on a block that is no
+    q-multiple).
     """
-    pairs, others = block_pairs(sources, couple.blocks, q)
+    m = couple.n // q
+    sources = koszul_blocks(couple.r, m)
+    pairs, others = block_pairs(couple.r, m, q)
     conjugation = None
     for b, c in pairs:
         src, blk = sources[b], couple.blocks[c]

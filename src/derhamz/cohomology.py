@@ -10,8 +10,9 @@ block_homology by the key, block_modp_homology and _cartier_block by the
 key and p.  Every result stays in the canonical coordinates: class
 coordinates (group entries, mod-p classes) need no transport, and a
 cochain of a block is moved onto the canonical block by forward[i] of the
-block's transport where it enters (cartier_iso).  The assembled results
-are cached per (r, n) and (r, n, p).
+block's transport where it enters (cartier_iso, whose class matrices are
+cached per ordered weights).  The assembled results are cached per (r, n)
+and (r, n, p).
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from typing import NamedTuple, Optional, Sequence
 from . import modp
 from .abgroups import FgAbGroup, class_matrix, homology_at
 from .derham import (
+    block_key,
     block_pairs,
     canonical_weights,
     koszul_blocks,
     koszul_d,
+    transport,
 )
 from .intlinalg import IntMatrix, hstack
 from .modp import check_prime
@@ -190,10 +193,11 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
     are a basis.  The map of a block is then the classes of its unit
     cochains in block p*beta's mod-p H^i: the columns of forward[i] of the
     transport that beta and p*beta share, expressed on H^i of the canonical
-    block of p*beta's key, once per ordered weights (blocks of equal
-    weights are the same complex).  Also checks, on every other block of
-    degree p*n, whose weight has an entry prime to p, that its mod-p H^i
-    vanishes, on the canonical block of its key.
+    block of p*beta's key, once per ordered weights, i and p, whatever r
+    (_cartier_classes; blocks of equal weights are the same complex).
+    Also checks, on every other block of degree p*n, whose weight has an
+    entry prime to p, that its mod-p H^i vanishes, on the canonical block
+    of its key.
 
     Returns per block beta of koszul_blocks(r, n) the class matrix of its
     degree-i cells in block p*beta, None outside the block's degrees.
@@ -206,18 +210,13 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
     for blk in blocks:
         if not 0 <= i <= len(blk.weights) or blk.weights in matrices:
             continue
-        _cartier_block(blk.key, i, p)
-        g, s = blk.key
-        deg = block_modp_homology((p * g, s), p)[i]
-        matrix, _ = class_matrix(deg.express, blk.transport.forward[i],
-                                 deg.dim)
+        matrix = _cartier_classes(blk.weights, i, p)
         if matrix is None:
             raise RuntimeError(f"a cell of block {blk.beta} has no class in "
                                f"block p*beta (i={i}, p={p})")
         matrices[blk.weights] = matrix
     multiples = koszul_blocks(r, p * n)
-    _, others = block_pairs(blocks, multiples, p)
-    for c in others:
+    for c in block_pairs(r, n, p)[1]:
         key = multiples[c].key
         if 0 <= i <= key[1] and block_modp_homology(key, p)[i].dim:
             raise RuntimeError(
@@ -225,6 +224,20 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
                 f"(r={r}, n={n}, i={i}, p={p}) is nonzero, though p does not "
                 f"divide its weight")
     return [matrices.get(blk.weights) for blk in blocks]
+
+
+@lru_cache(maxsize=None)
+def _cartier_classes(weights: tuple, i: int, p: int) -> Optional[IntMatrix]:
+    """The class matrix of the degree-i cells of the block of the ordered
+    weights w in mod-p H^i of block p*w: the columns of forward[i] of
+    their shared transport, expressed on H^i of the canonical block of
+    p*w's key, after _cartier_block certified that key pair; None when a
+    cell has no class.  Computed once per (weights, i, p), for every r."""
+    g, s = block_key(weights)
+    _cartier_block((g, s), i, p)
+    deg = block_modp_homology((p * g, s), p)[i]
+    return class_matrix(deg.express, transport(weights).forward[i],
+                        deg.dim)[0]
 
 
 @lru_cache(maxsize=None)

@@ -135,11 +135,7 @@ class KoszulBlock(NamedTuple):
     """
     beta: tuple             # the weight, length r
     weights: tuple          # the nonzero beta_j, j increasing
-
-    @property
-    def key(self) -> tuple:
-        """(gcd, length) of the weights: the sharing key of the block."""
-        return block_key(self.weights)
+    key: tuple              # block_key(weights), the sharing key
 
     @property
     def transport(self) -> "Transport":
@@ -150,12 +146,8 @@ class KoszulBlock(NamedTuple):
         return koszul_d(self.weights, i)
 
     def kappa(self, i: int) -> IntMatrix:
-        """The block kappa from degree i to i-1; the zero map outside
-        0 <= i <= len(weights)."""
-        s = len(self.weights)
-        if 0 <= i <= s:
-            return _koszul_contractions(s)[i]
-        return IntMatrix.zeros(_ncells(s, i - 1), _ncells(s, i))
+        """The block kappa from degree i to i-1."""
+        return koszul_kappa(len(self.weights), i)
 
     def basis_index(self, i: int, c: int) -> int:
         """The index in basis(r, n, i) of the block's degree-i cell c."""
@@ -173,6 +165,14 @@ def koszul_d(weights: tuple, i: int) -> IntMatrix:
     if 0 <= i <= s:
         return _koszul_differentials(weights)[i]
     return IntMatrix.zeros(_ncells(s, i + 1), _ncells(s, i))
+
+
+def koszul_kappa(s: int, i: int) -> IntMatrix:
+    """kappa^i, from degree i to i-1, of the Koszul complex of any s
+    integers; the zero map outside 0 <= i <= s."""
+    if 0 <= i <= s:
+        return _koszul_contractions(s)[i]
+    return IntMatrix.zeros(_ncells(s, i - 1), _ncells(s, i))
 
 
 def block_key(weights: tuple) -> tuple:
@@ -327,12 +327,15 @@ def koszul_blocks(r: int, n: int) -> tuple:
     """
     if r < 0 or n < 0:
         raise ValueError("r and n must be nonnegative")
-    return tuple(KoszulBlock(beta, tuple(w for w in beta if w))
-                 for beta in _compositions_desc(n, r))
+    blocks = []
+    for beta in _compositions_desc(n, r):
+        weights = tuple(w for w in beta if w)
+        blocks.append(KoszulBlock(beta, weights, block_key(weights)))
+    return tuple(blocks)
 
 
-def block_pairs(blocks: Sequence[KoszulBlock],
-                multiples: Sequence[KoszulBlock], q: int):
+@lru_cache(maxsize=None)
+def block_pairs(r: int, n: int, q: int) -> tuple:
     """The distinct block pairs (beta, q*beta) of total degrees n and q*n,
     and the distinct blocks of degree q*n that are no such multiple.
 
@@ -344,17 +347,19 @@ def block_pairs(blocks: Sequence[KoszulBlock],
     the identity from beta to p*beta and Cartier (composed k times, from
     beta to p^k*beta) is the identity.
 
-    blocks and multiples are koszul_blocks(r, n) and koszul_blocks(r, q*n).
-    Returns (pairs, others): pairs holds (b, c) for the first block b of
+    Returns (pairs, others) on blocks = koszul_blocks(r, n) and multiples =
+    koszul_blocks(r, q*n): pairs holds (b, c) for the first block b of
     each distinct weights and the block c of weight q * blocks[b].beta;
     others lists, increasing, the first block of each distinct weights
     among those with a weight not divisible by q, the blocks no pair hits.
+    Computed once per (r, n, q) and shared by every statement on the pairs.
     """
+    blocks, multiples = koszul_blocks(r, n), koszul_blocks(r, q * n)
     where = {blk.beta: c for c, blk in enumerate(multiples)}
-    return ([(b, where[tuple(q * x for x in blocks[b].beta)])
-             for b in distinct_blocks(blocks)],
-            [c for c in distinct_blocks(multiples)
-             if any(w % q for w in multiples[c].weights)])
+    return (tuple((b, where[tuple(q * x for x in blocks[b].beta)])
+                  for b in distinct_blocks(blocks)),
+            tuple(c for c in distinct_blocks(multiples)
+                  if any(w % q for w in multiples[c].weights)))
 
 
 def distinct_blocks(blocks: Sequence[KoszulBlock]) -> list:
@@ -373,11 +378,12 @@ def _koszul_differentials(weights: tuple) -> tuple:
     s = len(weights)
     diffs = []
     for i in range(s + 1):
-        rows = [[0] * _ncells(s, i) for _ in range(_ncells(s, i + 1))]
+        ncols = _ncells(s, i)
+        rows = [[0] * ncols for _ in range(_ncells(s, i + 1))]
         for c, wedge in enumerate(_wedges(s, i)):
             for j, k, sign in wedge:
                 rows[k][c] = sign * weights[j]
-        diffs.append(IntMatrix._raw(tuple(map(tuple, rows)), _ncells(s, i)))
+        diffs.append(IntMatrix._raw(tuple(map(tuple, rows)), ncols))
     return tuple(diffs)
 
 

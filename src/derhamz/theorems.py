@@ -44,6 +44,7 @@ from .derham import (
     distinct_blocks,
     koszul_blocks,
     koszul_d,
+    koszul_kappa,
 )
 from .intlinalg import IntMatrix
 from .modp import check_prime, primes_dividing, primes_up_to, valuation
@@ -112,26 +113,34 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
     holds in every degree, and every H^i is finite with n H^i = 0.
 
     d and kappa respect the weight, so the Euler identity is checked on
-    each distinct Koszul block, with the block's own d and kappa, once per
-    ordered weights and degree (_euler_failure)."""
+    each distinct Koszul block, with the block's own d and kappa, through
+    the Clifford relations (_uncertified_degrees): kappa and the d of each
+    unit weight vector anticommute to the identity, once per (length,
+    degree), and the block's d is the weighted sum of the unit d, so
+    kappa d + d kappa is |w| times the identity.  Only a degree where that
+    certificate fails multiplies out kappa d + d kappa (_euler_witness).
+    H^i is the direct sum of the blocks' H^i, so n kills its generators
+    when it kills those of each distinct key's H^i."""
     if r < 0 or n < 0:
         raise ValueError("need r >= 0 and n >= 0")
     checks = _Checks()
     top = min(n, r)
     blocks = koszul_blocks(r, n)
     blocks = [blocks[b] for b in distinct_blocks(blocks)]
+    uncertified = [(blk, _uncertified_degrees(blk.weights))
+                   for blk in blocks]
     for i in range(top + 1):
-        failures = [(blk, _euler_failure(blk.weights, i))
-                    for blk in blocks if i <= len(blk.weights)]
-        checks.add_all(f"euler identity degree {i}", (
-            _at(i, blk, matrix=euler.to_lists()) for blk, euler in failures
-            if euler is not None))
+        witnesses = (_euler_witness(blk, i, degrees[i])
+                     for blk, degrees in uncertified if i in degrees)
+        checks.add_all(f"euler identity degree {i}",
+                       (witness for witness in witnesses if witness))
     H = integral_cohomology(r, n)
     if n == 0:
         checks.add("degree 0 gives Z",
                    H.group(0).free_rank == 1 and not H.group(0).invariant_factors,
                    {"group": H.group(0).describe()})
         return checks.report("annihilation", (("r", r), ("n", n)))
+    keys = {blk.key for blk in blocks}
     for i in range(top + 1):
         G = H.group(i)
         checks.add(f"H^{i} finite", G.free_rank == 0,
@@ -139,9 +148,8 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
         checks.add(f"n * H^{i} = 0",
                    all(n % d == 0 for d in G.invariant_factors),
                    {"degree": i, "factors": list(G.invariant_factors)})
-        # H^i is the direct sum of the blocks' H^i, generators included
-        groups = [block_homology(blk.key)[i].group for blk in blocks
-                  if i <= len(blk.weights)]
+        groups = [block_homology(key)[i].group for key in keys
+                  if i <= key[1]]
         killed = all(
             B.element_is_zero([n if t == j else 0 for t in range(B.ngens)])
             for B in groups for j in range(B.ngens))
@@ -150,13 +158,59 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _euler_failure(weights: tuple, i: int) -> Optional[IntMatrix]:
-    """kappa d + d kappa in degree i on the block of the ordered weights
-    when it is not |w| times the identity, else None; |w| is the total
-    degree of every block of these weights."""
-    blk = KoszulBlock(weights, weights)
+def _clifford_units(s: int, i: int) -> tuple:
+    """The Clifford relations of the unit weight vectors e_j of length s in
+    degree i, and the unit differentials: (holds, terms), holds whether
+    kappa D_j + D_j kappa is the identity for every D_j = d of e_j, terms
+    the nonzero entries (j, row, column, value) of every D_j^i."""
+    units = [tuple(int(t == j) for t in range(s)) for j in range(s)]
+    holds = all((koszul_kappa(s, i + 1) @ koszul_d(e, i)
+                 + koszul_d(e, i - 1) @ koszul_kappa(s, i)).is_identity()
+                for e in units)
+    terms = tuple((j, k, c, v) for j, e in enumerate(units)
+                  for k, row in enumerate(koszul_d(e, i).to_lists())
+                  for c, v in enumerate(row) if v)
+    return holds, terms
+
+
+def _uncertified_degrees(weights: tuple) -> dict:
+    """The degrees of the block of the ordered weights w where the Clifford
+    certificate of the Euler identity fails, each mapped to whether d_w is
+    the weighted sum of the unit d there.
+
+    d is linear in the weights and kappa does not depend on them, so where
+    d_w^i and d_w^(i-1) are the sums of w_j D_j^i and w_j D_j^(i-1) and
+    the unit relations kappa D_j + D_j kappa = 1 hold in degree i,
+    kappa d_w + d_w kappa = sum_j w_j = |w| in degree i.  Each sum is
+    checked entrywise: a linear combination, not a product."""
+    s = len(weights)
+    uncertified = {}
+    summed_below = True      # d^-1 is the zero map for every weights
+    for i in range(s + 1):
+        holds, terms = _clifford_units(s, i)
+        d = koszul_d(weights, i)
+        rows = [[0] * d.ncols for _ in range(d.nrows)]
+        for j, k, c, v in terms:
+            rows[k][c] += weights[j] * v
+        summed = rows == d.to_lists()
+        if not (holds and summed and summed_below):
+            uncertified[i] = summed and summed_below
+        summed_below = summed
+    return uncertified
+
+
+def _euler_witness(blk: KoszulBlock, i: int, linear: bool) -> Optional[dict]:
+    """The witness of the Euler identity in degree i on a block whose
+    Clifford certificate fails there: kappa d + d kappa multiplied out,
+    when it is not |w| times the identity (|w| is the total degree);
+    else, when the block d is no weighted sum of the unit d (linear is
+    False), that failure; else None."""
     euler = blk.kappa(i + 1) @ blk.d(i) + blk.d(i - 1) @ blk.kappa(i)
-    return None if euler.is_identity(sum(weights)) else euler
+    if not euler.is_identity(sum(blk.weights)):
+        return _at(i, blk, matrix=euler.to_lists())
+    if not linear:
+        return _at(i, blk, check="d is the weighted sum of the unit d")
+    return None
 
 
 def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
@@ -194,7 +248,7 @@ def _key_pairs(r: int, n: int, p: int):
     pair, computed once per key pair on the canonical blocks.
     """
     blocks, multiples = koszul_blocks(r, n), koszul_blocks(r, p * n)
-    pairs, others = block_pairs(blocks, multiples, p)
+    pairs, others = block_pairs(r, n, p)
     return ([(blocks[b], multiples[c],
               blocks[b].transport == multiples[c].transport)
              for b, c in pairs],
@@ -495,7 +549,7 @@ def verify_page_identification(r: int, n: int, p: int,
                        {"check": "dimensions", "source": list(source),
                         "page": list(couple.dims)})
     witness = bockstein.block_identification_failure(
-        couple, koszul_blocks(r, m), p ** k) if agree else None
+        couple, p ** k) if agree else None
     degreewise = agree and (witness is None
                             or witness["check"] == "conjugates d")
     checks.add("cartier composite is an isomorphism per degree", degreewise,

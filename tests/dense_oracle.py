@@ -8,7 +8,9 @@ statement checks of a block pair (beta, q*beta) in the pair's own ordered
 coordinates, through both blocks' transports, as a small-size oracle for
 the key-pair results the library computes once per key pair.  dense_hnf
 is the integer Hermite elimination on dense columns, a small-size oracle
-for intlinalg's eliminations on column supports.
+for intlinalg's eliminations on column supports.  euler_checks multiplies
+out kappa d + d kappa on every distinct block, the reference for the
+Clifford certificate of verify_annihilation.
 """
 
 from dataclasses import dataclass
@@ -33,6 +35,8 @@ from derhamz.derham import (
     block_key,
     canonical_weights,
     dim_formula,
+    distinct_blocks,
+    koszul_blocks,
     koszul_d,
     transport,
 )
@@ -416,3 +420,25 @@ def ordered_identification(weights: tuple, p: int, k: int):
         _block_level(block_key(multiple), p, k), transport(multiple).forward,
         partial(koszul_d, weights))
     return None if failure is None else failure[:2]
+
+
+def euler_checks(r: int, n: int):
+    """The Euler-identity checks of verify_annihilation(r, n), multiplied
+    out: kappa d + d kappa against |w| times the identity on each distinct
+    block, in every degree.  Returns the (name, passed) pairs and the
+    witness of the first failure, or None."""
+    blocks = koszul_blocks(r, n)
+    checks, witness = [], None
+    for i in range(min(n, r) + 1):
+        failures = []
+        for blk in (blocks[b] for b in distinct_blocks(blocks)):
+            if i > len(blk.weights):
+                continue
+            euler = blk.kappa(i + 1) @ blk.d(i) + blk.d(i - 1) @ blk.kappa(i)
+            if not euler.is_identity(sum(blk.weights)):
+                failures.append({"degree": i, "beta": list(blk.beta),
+                                 "matrix": euler.to_lists()})
+        checks.append((f"euler identity degree {i}", not failures))
+        if failures and witness is None:
+            witness = failures[0]
+    return checks, witness

@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from derhamz import bockstein
 from derhamz.abgroups import (
     FgAbGroup,
     Homomorphism,
@@ -407,3 +409,31 @@ class TestPagesApi:
                 for i in range(c.imax + 1):
                     moved = d_matrix(r, n, i) @ _dense_reps(c, i)
                     assert moved.mod(p).is_zero(), (r, n, p, c.level, i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       st.sampled_from([2, 3]), st.integers(1, 3))
+def test_trusted_columns_are_the_checked_columns(weights, p, k):
+    # the closed-form pages and the couple builders hand the columns they
+    # build to the unchecked IntMatrix._raw_columns: on small random
+    # weights every call gets tuples of plain ints of the right length, so
+    # each matrix is the one the checked from_columns builds
+    raw = IntMatrix._raw_columns.__func__
+    built = []
+
+    def recording(cls, cols, nrows):
+        built.append((list(cols), nrows))
+        return raw(cls, cols, nrows)
+
+    weights = tuple(weights)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IntMatrix, "_raw_columns", classmethod(recording))
+        bockstein._closed_form_block.__wrapped__(weights, p, k)
+        derive(direct_couple(weights, p))
+    assert built
+    for cols, nrows in built:
+        assert all(type(c) is tuple and len(c) == nrows
+                   and all(type(v) is int for v in c) for c in cols)
+        assert raw(IntMatrix, cols, nrows) == IntMatrix.from_columns(cols,
+                                                                     nrows)

@@ -398,3 +398,34 @@ class TestContracts:
         code = main(["--version"])
         out = capsys.readouterr().out
         assert code == 0 and out.strip()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans()
+    | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+    | st.text(),         # controls, non-ASCII, astral code points
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example({"witness": {"check": "d∘d", "matrix": [[], [-1, 0]]},
+          "empty": {}, "none": None, "flags": [True, False],
+          "text": "\x00\t\n\"\\\x7fé\U0001f600"})
+def test_the_document_writer_is_json_dumps_with_indent_2(value):
+    # the CLI writes its JSON documents with its own writer, which must give
+    # the bytes of json.dumps(value, indent=2): nested and empty containers,
+    # control and non-ASCII characters, large and negative ints, bools and
+    # None
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {None: 0}}, {1, 2},
+                                   b"bytes"])
+def test_the_document_writer_rejects_what_a_document_never_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)

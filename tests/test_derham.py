@@ -305,13 +305,13 @@ class TestKoszulBlocks:
                     # block_pairs: the first block of each distinct weights
                     # with its image, and the first of each distinct weights
                     # among the rest
-                    pairs, others = block_pairs(blocks, multiples, p)
-                    assert pairs == [(b, images[b])
-                                     for b in distinct_blocks(blocks)]
+                    pairs, others = block_pairs(r, n, p)
+                    assert pairs == tuple((b, images[b])
+                                          for b in distinct_blocks(blocks))
                     first = {}
                     for c in rest:
                         first.setdefault(multiples[c].weights, c)
-                    assert others == sorted(first.values())
+                    assert others == tuple(sorted(first.values()))
                     for i in range(min(n, r) + 1):
                         source_of = {}
                         for blk, c in zip(blocks, images):

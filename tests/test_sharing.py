@@ -180,6 +180,71 @@ print(json.dumps({
 }))
 """
 
+WALK_COUNTS = """
+import json
+from collections import Counter
+from functools import lru_cache
+from derhamz import bockstein, cohomology, derham, theorems
+from derhamz.derham import koszul_blocks
+from derhamz.modp import primes_dividing, primes_up_to, valuation
+
+calls = {"units": Counter(), "cartier": Counter(), "pairs": Counter(),
+         "multiplied_out": Counter()}
+
+def counted(label, fn):
+    def wrapper(*args):
+        calls[label][repr(args)] += 1
+        return fn(*args)
+    return wrapper
+
+# each cached computation behind a fresh cache that counts its misses, bound
+# under every name its callers read it by
+units = lru_cache(maxsize=None)(
+    counted("units", theorems._clifford_units.__wrapped__))
+theorems._clifford_units = units
+cartier = lru_cache(maxsize=None)(
+    counted("cartier", cohomology._cartier_classes.__wrapped__))
+cohomology._cartier_classes = cartier
+pairs = lru_cache(maxsize=None)(
+    counted("pairs", derham.block_pairs.__wrapped__))
+for module in (derham, cohomology, theorems, bockstein):
+    module.block_pairs = pairs
+witness = theorems._euler_witness
+
+def multiplied_out(blk, i, linear):
+    calls["multiplied_out"][repr((blk.weights, i))] += 1
+    return witness(blk, i, linear)
+
+theorems._euler_witness = multiplied_out
+reports = theorems.sweep(3, 8)
+
+# what the sweep needs: (s, i) of its blocks, (weights, i, p) of the Cartier
+# statement, and (r, n, q) of its block pairs
+lengths, cartier_keys, pair_keys = set(), set(), set()
+for r in range(1, 4):
+    for n in range(1, 9):
+        lengths |= {len(blk.weights) for blk in koszul_blocks(r, n)}
+        for p in primes_up_to(8 // n):
+            pair_keys.add((r, n, p))
+            cartier_keys |= {(blk.weights, i, p)
+                             for blk in koszul_blocks(r, n)
+                             for i in range(len(blk.weights) + 1)}
+        for p in primes_dividing(n):
+            pair_keys |= {(r, n // p ** k, p ** k)
+                          for k in range(1, valuation(n, p) + 1)}
+print(json.dumps({
+    "most_repeated": {name: max(c.values(), default=0)
+                      for name, c in calls.items()},
+    "computed": {name: sorted(c) for name, c in calls.items()},
+    "needed": {"units": sorted(repr((s, i)) for s in lengths
+                               for i in range(s + 1)),
+               "cartier": sorted(map(repr, cartier_keys)),
+               "pairs": sorted(map(repr, pair_keys))},
+    "annihilation_passes": all(rep.ok for rep in reports
+                               if rep.statement == "annihilation"),
+}))
+"""
+
 SWEEP = """
 import json
 from derhamz.bockstein import couples, pages
@@ -229,6 +294,20 @@ def test_each_block_pair_check_is_computed_once_per_key_pair():
                                        "identification": 1}, counts
     assert counts["computed"] == counts["key_tuples"], counts
     assert counts["ordered"] == [], counts
+
+
+def test_the_statement_walk_pays_per_key_and_per_sweep():
+    # over sweep(3, 8): the Clifford relations of the unit weights once per
+    # (length, degree), kappa d + d kappa never multiplied out on a passing
+    # sweep, the Cartier class matrix of each ordered weights once per
+    # (weights, degree, p) whatever r, and block_pairs once per (r, n, q)
+    counts = json.loads(_child(WALK_COUNTS))
+    assert counts["annihilation_passes"], counts
+    assert counts["most_repeated"] == {"units": 1, "cartier": 1, "pairs": 1,
+                                       "multiplied_out": 0}, counts
+    computed = counts["computed"]
+    del computed["multiplied_out"]
+    assert computed == counts["needed"], counts
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from derhamz import bockstein, theorems
+from derhamz import bockstein, derham, theorems
 from derhamz.abgroups import (
     Homomorphism,
     graded_piece_dim,
@@ -21,6 +21,7 @@ from derhamz.cohomology import (
     integral_cohomology,
 )
 from derhamz.derham import dim_formula
+from derhamz.intlinalg import IntMatrix
 from derhamz.modp import MAX_PRIME, primes_dividing, valuation
 from derhamz.theorems import (
     VerificationReport,
@@ -34,7 +35,12 @@ from derhamz.theorems import (
     verify_page_identification,
 )
 
-from dense_oracle import block_cells, complex_z, frobenius_matrix
+from dense_oracle import (
+    block_cells,
+    complex_z,
+    euler_checks,
+    frobenius_matrix,
+)
 
 
 def cocycle_form_defect(r, m, i, p):
@@ -61,6 +67,111 @@ class TestAnnihilation:
         assert rep.statement == "annihilation"
         assert rep.params == (("r", 2), ("n", 4))
         assert all(passed for _, passed in rep.checks)
+
+
+@pytest.fixture
+def cold_units():
+    """Clears the unit Clifford relations before and after the test, so that
+    a fault injected into kappa or into a unit d is read and does not
+    outlive the test."""
+    theorems._clifford_units.cache_clear()
+    yield
+    theorems._clifford_units.cache_clear()
+
+
+def _replace(matrices: tuple, i: int, edit) -> tuple:
+    """The matrices with the i-th one replaced by edit applied to its rows."""
+    rows = matrices[i].to_lists()
+    edit(rows)
+    return matrices[:i] + (IntMatrix(rows),) + matrices[i + 1:]
+
+
+def _flip(row, col):
+    def edit(rows):
+        assert rows[row][col]
+        rows[row][col] = -rows[row][col]
+    return edit
+
+
+def _set_row(values):
+    def edit(rows):
+        rows[0] = list(values)
+    return edit
+
+
+class TestEulerCertificate:
+    """The Euler identity is certified through the Clifford relations of the
+    unit weights and the linearity of d in the weights; only a degree
+    where the certificate fails multiplies out kappa d + d kappa, so every
+    report must still be the multiplied-out one (dense_oracle.euler_checks)
+    and every fault of the certificate's own data must fail the report."""
+
+    @pytest.mark.parametrize("s, i, edit", [
+        (2, 1, _flip(0, 1)),           # kappa^1 on two weights: (1, -1)
+        (3, 2, _flip(1, 2)),
+        (4, 3, _flip(0, 0)),
+        # (2, 0) everywhere: the unit relations fail, yet kappa d + d kappa
+        # is still 2 w_1 = |w| in degree 0 on the blocks of weights (a, a)
+        (2, 1, _set_row((2, 0))),
+    ])
+    def test_a_wrong_kappa_gives_the_multiplied_out_reports(
+            self, monkeypatch, cold_units, s, i, edit):
+        contractions = derham._koszul_contractions
+        monkeypatch.setattr(
+            derham, "_koszul_contractions",
+            lambda length: (_replace(contractions(length), i, edit)
+                            if length == s else contractions(length)))
+        failed = 0
+        for r in range(1, 5):
+            for n in range(1, 9):
+                rep = verify_annihilation(r, n)
+                checks, witness = euler_checks(r, n)
+                assert rep.checks[:len(checks)] == tuple(checks), (r, n)
+                if witness is not None:
+                    assert rep.witness == witness, (r, n)
+                    failed += 1
+        assert failed
+        assert not theorems._clifford_units(s, i - 1)[0]
+
+    def test_a_wrong_unit_differential_fails_the_report(self, monkeypatch,
+                                                        cold_units):
+        # one entry of d^1 of the unit weights (0, 1, 0): every block of
+        # three weights still multiplies out to |w|, but its d is no longer
+        # the weighted sum of the unit d in degree 1, read in degrees 1 and 2
+        differentials = derham._koszul_differentials
+
+        def wrong(weights):
+            ds = differentials(weights)
+            if weights != (0, 1, 0):
+                return ds
+            return _replace(ds, 1, lambda rows: rows[0].__setitem__(0, 0))
+
+        monkeypatch.setattr(derham, "_koszul_differentials", wrong)
+        rep = verify_annihilation(3, 5)
+        assert all(passed for _, passed in euler_checks(3, 5)[0])
+        assert [name for name, passed in rep.checks if not passed] == [
+            "euler identity degree 1", "euler identity degree 2"]
+        assert rep.witness == {"degree": 1, "beta": [3, 1, 1],
+                               "check": "d is the weighted sum of the unit d"}
+
+    def test_a_wrong_block_differential_fails_the_report(self, monkeypatch,
+                                                         cold_units):
+        # one entry of d^0 of the block of weights (2, 1): 3 instead of 2
+        differentials = derham._koszul_differentials
+
+        def wrong(weights):
+            ds = differentials(weights)
+            if weights != (2, 1):
+                return ds
+            return _replace(ds, 0, lambda rows: rows[0].__setitem__(0, 3))
+
+        assert verify_annihilation(2, 3).ok
+        monkeypatch.setattr(derham, "_koszul_differentials", wrong)
+        rep = verify_annihilation(2, 3)
+        checks, witness = euler_checks(2, 3)
+        assert not rep.ok and rep.checks[:len(checks)] == tuple(checks)
+        assert rep.witness == witness == {"degree": 0, "beta": [2, 1],
+                                          "matrix": [[4]]}
 
 
 class TestCartier:
