@@ -44,7 +44,6 @@ from .abgroups import (
     express_through,
     is_exact_at,
     p_torsion,
-    preimage_basis,
     quotient,
 )
 from .cohomology import (
@@ -59,7 +58,7 @@ from .derham import (
     koszul_blocks,
     koszul_d,
 )
-from .intlinalg import IntMatrix, lattice_solve
+from .intlinalg import IntMatrix, lattice_solve, snf, unimodular_inverse
 from .modp import check_prime, valuation
 
 
@@ -346,6 +345,14 @@ def pages(r: int, n: int, p: int, kmax: int | None = None) -> list:
 # The oracle therefore works on one Koszul block at a time, keyed by the
 # block's ordered nonzero weights.  It evaluates d on the block's monomials
 # itself, so that it stays independent of derham's block differentials.
+#
+# Every Z_j of a block degree is read off one Smith form U d V = S of its
+# d, computed and certified once per (ordered weights, degree) and shared
+# by every p and every page (_oracle_smith).  With x = V y, dx = U^-1 S y
+# lies in p^j C exactly when p^j divides s_t y_t for every t, so Z_j is
+# V diag(p^j / gcd(p^j, s_t)).  A cochain is solved in Z_j by V^-1 and an
+# exact division by those scales, and p Z_(j-1) is the diagonal
+# gcd(p^j, s_t) / gcd(p^(j-1), s_t) on the basis of Z_j.
 
 
 def _weights(blk) -> tuple:
@@ -384,41 +391,76 @@ def _oracle_d(weights: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _z_basis(weights: tuple, p: int, j: int, i: int) -> IntMatrix:
-    """Basis of Z_j = {x in degree i of the block : dx in p^j * (degree
-    i+1)}."""
+def _oracle_smith(weights: tuple, i: int) -> tuple:
+    """The Smith form of d^i on the block of the ordered weights, certified
+    here, as (s, V, Vinv): U d^i V = S for the U, S, V of snf (checked), S
+    diagonal (checked), U and V unimodular (checked through
+    unimodular_inverse, which also gives Vinv = V^-1), and s[t] = S[t, t]
+    for each column t of d^i, 0 past the diagonal."""
     d = _oracle_d(weights)[i]
-    if j == 0:
-        return IntMatrix.identity(d.ncols)
-    return preimage_basis(d, (p ** j) * IntMatrix.identity(d.nrows))
+    S, U, V = snf(d)
+    where = f"d^{i} on the block of weights {weights}"
+    if U @ d @ V != S:
+        raise RuntimeError(f"Smith form does not reduce {where}")
+    if any(a for t in range(S.nrows)
+           for u, a in enumerate(S.row(t)) if u != t):
+        raise RuntimeError(f"Smith form of {where} is not diagonal")
+    try:
+        unimodular_inverse(U)
+        Vinv = unimodular_inverse(V)
+    except ValueError:
+        raise RuntimeError(f"Smith transforms of {where} are not "
+                           f"unimodular") from None
+    return (tuple(S[t, t] if t < S.nrows else 0 for t in range(S.ncols)),
+            V, Vinv)
+
+
+def _z_scales(s: tuple, q: int) -> tuple:
+    """c with {x : dx in q C} = V diag(c), for the diagonal s of a Smith
+    form U d V of d: c_t = q / gcd(q, s_t)."""
+    return tuple(q // gcd(q, v) for v in s)
+
+
+def _z_coordinates(Vinv: IntMatrix, scales: tuple, v) -> Optional[tuple]:
+    """Coordinates of the cochain v on the basis V diag(scales) of a
+    lattice, or None when v does not lie in it."""
+    y = Vinv.apply(v)
+    if any(a % c for a, c in zip(y, scales)):
+        return None
+    return tuple(a // c for a, c in zip(y, scales))
 
 
 def _closed_form_degree(weights: tuple, p: int, k: int, i: int):
-    """Minimal presentation data of Z_k / (p Z_{k-1} + p^(1-k) d Z_{k-1})
-    in degree i of the block."""
-    N = _z_basis(weights, p, k, i)
-    N_prev = _z_basis(weights, p, k - 1, i)
-    den_cols = [tuple(p * v for v in col) for col in N_prev.columns()]
+    """Z_k / (p Z_{k-1} + p^(1-k) d Z_{k-1}) in degree i of the block: the
+    block cochains of the generators of the page, the solver of Z_k
+    coordinates, the U of quotient and the kept generator indices."""
+    s, V, Vinv = _oracle_smith(weights, i)
+    scales = _z_scales(s, p ** k)
+    solve = partial(_z_coordinates, Vinv, scales)
+    # p Z_{k-1} on the basis of Z_k: diag(gcd(p^k, s_t) / gcd(p^(k-1), s_t))
+    rel_cols = [(0,) * t + (gcd(p ** k, v) // gcd(p ** (k - 1), v),)
+                + (0,) * (len(s) - 1 - t) for t, v in enumerate(s)]
     if i >= 1:
         d = _oracle_d(weights)[i - 1]
+        s_prev, V_prev, _ = _oracle_smith(weights, i - 1)
         scale = p ** (k - 1)
-        for col in _z_basis(weights, p, k - 1, i - 1).columns():
-            dv = d.apply(col)
+        for col, c in zip(V_prev.columns(), _z_scales(s_prev, scale)):
+            dv = d.apply([c * v for v in col])
             if any(v % scale for v in dv):
                 raise RuntimeError("denominator column is not divisible")
-            den_cols.append(tuple(v // scale for v in dv))
-    relations, _ = class_matrix(partial(lattice_solve, N),
-                                IntMatrix._raw_columns(den_cols, N.nrows),
-                                N.ncols)
-    if relations is None:
-        raise RuntimeError("denominator does not lie in the numerator")
-    G, U, Uinv = quotient(relations)
+            coords = solve([v // scale for v in dv])
+            if coords is None:
+                raise RuntimeError("denominator does not lie in the numerator")
+            rel_cols.append(coords)
+    G, U, Uinv = quotient(IntMatrix._raw_columns(rel_cols, len(s)))
     diag = G.entries
     if any(d not in (1, p) for d in diag):
         raise RuntimeError(
             f"closed-form page not elementary abelian at degree {i}: {diag}")
     kept = tuple(idx for idx, d in enumerate(diag) if d == p)
-    return N, U, Uinv, kept
+    gens = [V.apply([c * v for c, v in zip(scales, Uinv.col(idx))])
+            for idx in kept]
+    return gens, solve, U, kept
 
 
 @lru_cache(maxsize=None)
@@ -431,20 +473,18 @@ def _closed_form_block(weights: tuple, p: int, k: int) -> tuple:
     data = [_closed_form_degree(weights, p, k, i) for i in range(top + 1)]
     dims = tuple(len(kept) for (_, _, _, kept) in data)
     scale = p ** k
-    gens = [[N.apply(Uinv.col(idx)) for idx in kept]
-            for (N, _, Uinv, kept) in data]
-    reps = tuple(IntMatrix._raw_columns([tuple(v % p for v in x) for x in xs],
-                                        d[i].ncols)
-                 for i, xs in enumerate(gens))
+    reps = tuple(IntMatrix._raw_columns([tuple(v % p for v in x)
+                                         for x in gens], d[i].ncols)
+                 for i, (gens, _, _, _) in enumerate(data))
     diffs = []
     for i in range(top):
-        N_next, U_next, _, kept_next = data[i + 1]
+        _, solve_next, U_next, kept_next = data[i + 1]
         cols = []
-        for x in gens[i]:
+        for x in data[i][0]:
             dv = d[i].apply(x)
             if any(v % scale for v in dv):
                 raise RuntimeError("d of a Z_k element not divisible by p^k")
-            y = lattice_solve(N_next, tuple(v // scale for v in dv))
+            y = solve_next([v // scale for v in dv])
             if y is None:
                 raise RuntimeError("d_k image left the numerator lattice")
             full = U_next.apply(y)
@@ -458,8 +498,10 @@ def closed_form_page(r: int, n: int, p: int, k: int) -> SpectralPage:
     """Independent page computation from integer lattices.
 
     E_k^i = Z_k^i / (p Z_{k-1}^i + p^(1-k) d Z_{k-1}^(i-1)) with
-    d_k[x] = [dx / p^k]; Z lattices come from Hermite forms of [d | -p^k I]
-    on each Koszul block (_closed_form_block), and the page dims are the
+    d_k[x] = [dx / p^k], on each Koszul block (_closed_form_block); every
+    Z_j of a block degree is V diag(p^j / gcd(p^j, s_t)) for one Smith
+    form U d V = diag(s) of the block d, certified where it is computed
+    (U d V = S, S diagonal, U and V unimodular), and the page dims are the
     sums over the blocks.  Must agree degreewise, compatibly with d_k, with
     pages(...)[k-1].
     """

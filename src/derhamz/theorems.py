@@ -542,7 +542,9 @@ def verify_page_identification(r: int, n: int, p: int,
     if not 1 <= k <= nu:
         raise ValueError(f"need 1 <= k <= nu_p(n) = {nu}")
     m = n // p ** k
-    couple = bockstein.couples(r, n, p, k)[k - 1]
+    # at k = nu one call builds page k and the page beyond it
+    chain = bockstein.couples(r, n, p, k + (k == nu))
+    couple = chain[k - 1]
     checks = _Checks()
     source = tuple(dim_formula(r, m, i) for i in range(couple.imax + 1))
     agree = checks.add("dimensions agree", source == couple.dims,
@@ -556,7 +558,7 @@ def verify_page_identification(r: int, n: int, p: int,
                witness)
     if (degreewise and checks.add("conjugates the differential",
                                   witness is None, witness) and k == nu):
-        nxt = bockstein.couples(r, n, p, k + 1)[k].dims
+        nxt = chain[k].dims
         checks.add("page beyond nu vanishes", not any(nxt),
                    {"check": "vanishing", "dims": list(nxt)})
     return checks.report(

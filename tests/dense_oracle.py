@@ -10,17 +10,21 @@ the key-pair results the library computes once per key pair.  dense_hnf
 is the integer Hermite elimination on dense columns, a small-size oracle
 for intlinalg's eliminations on column supports.  euler_checks multiplies
 out kappa d + d kappa on every distinct block, the reference for the
-Clifford certificate of verify_annihilation.
+Clifford certificate of verify_annihilation.  hnf_z_basis and
+hnf_page_dims are the closed-form oracle's lattices and page dims from
+Hermite forms of [d | p^j I], the reference for the lattices it reads off
+one Smith form per block and degree.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 
-from derhamz.abgroups import class_matrix, homology_at, induced_map
+from derhamz.abgroups import class_matrix, homology_at, induced_map, quotient
 from derhamz.bockstein import (
     _block_couple,
     _block_level,
+    _oracle_d,
     _page_isomorphism_failure,
 )
 from derhamz.cohomology import (
@@ -40,7 +44,7 @@ from derhamz.derham import (
     koszul_d,
     transport,
 )
-from derhamz.intlinalg import IntMatrix
+from derhamz.intlinalg import IntMatrix, lattice_solve, preimage_basis
 from derhamz.modp import Solver, rank
 
 
@@ -442,3 +446,38 @@ def euler_checks(r: int, n: int):
         if failures and witness is None:
             witness = failures[0]
     return checks, witness
+
+
+def hnf_z_basis(weights: tuple, p: int, j: int, i: int) -> IntMatrix:
+    """Z_j = {x : dx in p^j C} in degree i of the block of the ordered
+    weights, on the oracle's own block d: the top rows of the kernel of
+    [d | p^j I], from its Hermite form."""
+    d = _oracle_d(weights)[i]
+    if j == 0:
+        return IntMatrix.identity(d.ncols)
+    return preimage_basis(d, (p ** j) * IntMatrix.identity(d.nrows))
+
+
+def hnf_page_dims(weights: tuple, p: int, k: int) -> tuple:
+    """The dims of Z_k / (p Z_(k-1) + p^(1-k) d Z_(k-1)) in each degree of
+    the block, every lattice from hnf_z_basis and every denominator column
+    solved in Z_k by lattice_solve (a Hermite form of the Z_k basis)."""
+    d = _oracle_d(weights)
+    dims = []
+    for i in range(len(weights) + 1):
+        N = hnf_z_basis(weights, p, k, i)
+        den = [[p * v for v in col]
+               for col in hnf_z_basis(weights, p, k - 1, i).columns()]
+        if i >= 1:
+            for col in hnf_z_basis(weights, p, k - 1, i - 1).columns():
+                dv = d[i - 1].apply(col)
+                assert not any(v % p ** (k - 1) for v in dv)
+                den.append([v // p ** (k - 1) for v in dv])
+        relations, failed = class_matrix(
+            partial(lattice_solve, N), IntMatrix.from_columns(den, N.nrows),
+            N.ncols)
+        assert failed is None
+        G, _, _ = quotient(relations)
+        assert set(G.entries) <= {1, p}, G.entries
+        dims.append(G.entries.count(p))
+    return tuple(dims)

@@ -1,4 +1,10 @@
-"""Exact couples, derived pages, closed-form oracle agreement."""
+"""Exact couples, derived pages, closed-form oracle agreement.
+
+The closed-form oracle reads its lattices Z_j off one certified Smith form
+per block and degree; hypothesis compares them, and the page dims, with
+the Hermite-form reference of tests/dense_oracle.py, and a faulty snf
+must make the oracle raise.
+"""
 
 import json
 import resource
@@ -9,16 +15,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derhamz import bockstein
+from derhamz import bockstein, cohomology, derham
 from derhamz.abgroups import (
     FgAbGroup,
     Homomorphism,
+    diagonal_matrix,
     graded_piece_dim,
 )
 from derhamz.bockstein import (
     ExactCouple,
     ExactnessError,
+    _closed_form_block,
     _oracle_d,
+    _oracle_smith,
+    _z_scales,
     closed_form_page,
     compare_with_closed_form,
     couples,
@@ -33,7 +43,7 @@ from derhamz.cohomology import (
     modp_cohomology,
 )
 from derhamz.derham import dim_formula, koszul_blocks
-from derhamz.intlinalg import IntMatrix, lattice_solve
+from derhamz.intlinalg import IntMatrix, hnf, lattice_solve
 from derhamz.modp import rank, valuation
 from derhamz.theorems import verify_page_identification
 
@@ -42,6 +52,8 @@ from dense_oracle import (
     complex_z,
     d_matrix,
     direct_couple,
+    hnf_page_dims,
+    hnf_z_basis,
     modp_class_matrix,
     place,
 )
@@ -293,6 +305,22 @@ class TestClosedForm:
                     for rep in compare_with_closed_form(r, n, p):
                         assert rep["ok"], (r, n, p, rep)
 
+    def test_pages_read_no_engine_result(self):
+        # the oracle's pages come from its own block d alone: no
+        # transport, no block homology and no tower level of the engine
+        def forbidden(*args):
+            raise AssertionError("the oracle read an engine result")
+
+        _closed_form_block.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in ((derham, "transport"),
+                                 (cohomology, "block_homology"),
+                                 (bockstein, "block_homology"),
+                                 (bockstein, "_block_level")):
+                patch.setattr(module, name, forbidden)
+            dims = [closed_form_page(3, 8, 2, k).dims for k in range(1, 5)]
+        assert dims == [page.dims for page in pages(3, 8, 2)]
+
     def test_block_d_reproduces_d_matrix(self):
         # the oracle's own block d, embedded at the block cells and summed,
         # is the dense global d
@@ -337,6 +365,53 @@ class TestClosedForm:
                 assert rep["ok"], rep
                 assert rep["dims_derived"] == rep["dims_closed_form"] \
                     == page_dims, rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.sampled_from([2, 3, 5]), st.integers(1, 4))
+def test_smith_lattices_are_the_hermite_lattices(weights, p, j):
+    # Z_j = V diag(p^j / gcd(p^j, s_t)) spans the lattice of the Hermite
+    # form of [d | p^j I] (so does Z_(j-1)), and the block's page j has the
+    # dims of the Hermite-form reference page
+    weights = tuple(weights)
+    for i in range(len(weights) + 1):
+        s, V, _ = _oracle_smith(weights, i)
+        for level in (j - 1, j):
+            smith = V @ diagonal_matrix(_z_scales(s, p ** level))
+            assert (hnf(smith)[0]
+                    == hnf(hnf_z_basis(weights, p, level, i))[0]), (i, level)
+    assert _closed_form_block(weights, p, j)[0] == hnf_page_dims(weights, p, j)
+
+
+def _double_last_column(M):
+    return M @ diagonal_matrix((1,) * (M.ncols - 1) + (2,))
+
+
+def _negate_first_row(M):
+    return diagonal_matrix((-1,) + (1,) * (M.nrows - 1)) @ M
+
+
+@pytest.mark.parametrize("fault, message", [
+    # U d V = S still holds, with S doubled in the same column, but V is
+    # no longer unimodular
+    (lambda S, U, V: (_double_last_column(S), U, _double_last_column(V)),
+     "not unimodular"),
+    (lambda S, U, V: (2 * S, U, V), "does not reduce"),
+    (lambda S, U, V: (S, _negate_first_row(U), V), "does not reduce"),
+], ids=["V column doubled", "S doubled", "U row negated"])
+def test_the_oracle_certifies_its_smith_forms(fault, message):
+    real = bockstein.snf
+    _oracle_smith.cache_clear()
+    _closed_form_block.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bockstein, "snf", lambda d: fault(*real(d)))
+            with pytest.raises(RuntimeError, match=message):
+                compare_with_closed_form(2, 6, 3)
+    finally:
+        _oracle_smith.cache_clear()
+        _closed_form_block.cache_clear()
 
 
 def _identified_dims(r, n, p, k):

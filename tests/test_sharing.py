@@ -10,7 +10,8 @@ do not depend on which (r, n) computed them first.  A hypothesis test
 checks that a transported block is the block built directly on its own d.
 A couple holds the tower level of each key itself, with no per-block
 copy, and the closed-form oracle, which never reads a transport, catches
-a transport whose two directions are swapped.
+a transport whose two directions are swapped; it computes one Smith form
+per ordered block and degree, shared by all its pages.
 
 The statement checks on a block pair (beta, q*beta) are computed once per
 key pair, on the canonical blocks, since both blocks share their
@@ -245,6 +246,69 @@ print(json.dumps({
 }))
 """
 
+ORACLE_COUNTS = """
+import json
+from collections import Counter
+from functools import lru_cache
+from derhamz import bockstein, intlinalg
+from derhamz.derham import koszul_blocks
+from derhamz.intlinalg import IntMatrix
+
+smith, snf_calls, hermite_inputs = Counter(), [], []
+
+def counted(*args):
+    smith[repr(args)] += 1
+    return oracle_smith(*args)
+
+def counted_snf(M):
+    snf_calls.append(M.shape)
+    return snf(M)
+
+def recorded(M):
+    hermite_inputs.append(M)
+    return hnf_cached(M)
+
+# a fresh cache that counts its misses, and the snf and Hermite kernel the
+# oracle reaches, each rebound under the name its callers read
+oracle_smith = bockstein._oracle_smith.__wrapped__
+bockstein._oracle_smith = lru_cache(maxsize=None)(counted)
+snf = bockstein.snf
+bockstein.snf = counted_snf
+hnf_cached = intlinalg._hnf_cached
+intlinalg._hnf_cached = recorded
+reports = bockstein.compare_with_closed_form(3, 8, 2)
+
+weights = {blk.weights for blk in koszul_blocks(3, 8)}
+oracle_d = {bockstein._oracle_d(w)[i] for w in weights
+            for i in range(len(w) + 1)}
+
+def scaled_identity(M, m):
+    q = M[0, 0]
+    return q > 1 and all(M[a, b] == (q if a == b else 0)
+                         for a in range(m) for b in range(m))
+
+def d_next_to_scaled_identity(M):
+    m, left = M.nrows, M.ncols - M.nrows
+    if not 0 < m < M.ncols:
+        return False
+    rows = M.to_lists()
+    return (IntMatrix([row[:left] for row in rows], left) in oracle_d
+            and scaled_identity(IntMatrix([row[left:] for row in rows], m),
+                                m))
+
+print(json.dumps({
+    "ok": all(rep["ok"] for rep in reports),
+    "pages": len(reports),
+    "most_repeated": max(smith.values()),
+    "computed": sorted(smith),
+    "needed": sorted(repr((w, i)) for w in weights
+                     for i in range(len(w) + 1)),
+    "snf_calls": len(snf_calls),
+    "hermite_of_d_and_scaled_identity": sum(map(d_next_to_scaled_identity,
+                                                hermite_inputs)),
+}))
+"""
+
 SWEEP = """
 import json
 from derhamz.bockstein import couples, pages
@@ -310,6 +374,18 @@ def test_the_statement_walk_pays_per_key_and_per_sweep():
     assert computed == counts["needed"], counts
 
 
+def test_the_oracle_pays_one_smith_form_per_ordered_block_and_degree():
+    # over compare_with_closed_form(3, 8, 2), pages 1..4: one certified
+    # Smith form per (distinct ordered weights, degree), whatever the page,
+    # and no Hermite form of [d | p^j I]
+    counts = json.loads(_child(ORACLE_COUNTS))
+    assert counts["ok"] and counts["pages"] == 4, counts
+    assert counts["most_repeated"] == 1, counts
+    assert counts["computed"] == counts["needed"], counts
+    assert counts["snf_calls"] == len(counts["needed"]), counts
+    assert counts["hermite_of_d_and_scaled_identity"] == 0, counts
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
        st.sampled_from([2, 3, 5]), st.integers(1, 2))
@@ -350,7 +426,8 @@ def test_the_oracle_catches_a_swapped_transport():
     # the closed-form oracle computes its pages without a transport, so a
     # transport that hands out Lambda(A^-1) as Lambda(A) (still inverse to
     # each other, but no longer a chain map onto the canonical block) makes
-    # it disagree with the engine's pages on page 1
+    # it disagree with the engine's pages on page 1, at (2, 6, 3) and at
+    # (2, 8, 2)
     exterior = derham._exterior_transport
 
     def swapped(primitive):
@@ -360,9 +437,11 @@ def test_the_oracle_catches_a_swapped_transport():
     exterior.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(derham, "_exterior_transport", swapped)
-        reports = compare_with_closed_form(2, 6, 3)
+        reports = [compare_with_closed_form(*rnp)
+                   for rnp in ((2, 6, 3), (2, 8, 2))]
     exterior.cache_clear()
-    assert reports[0]["k"] == 1 and not reports[0]["ok"], reports
+    for pages in reports:
+        assert pages[0]["k"] == 1 and not pages[0]["ok"], pages
 
 
 def test_results_do_not_depend_on_call_order():
