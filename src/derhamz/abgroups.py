@@ -9,6 +9,7 @@ well-definedness against the target.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial
 from math import gcd
 from operator import index as _int
@@ -112,32 +113,67 @@ def diagonal_matrix(entries: tuple) -> IntMatrix:
 def _smith_diagonal(entries: tuple) -> tuple:
     """The Smith diagonal of diag(entries), once per entries: it is unique,
     so the invariant chain of the entries gives it without a reduction."""
-    chain = _invariant_chain(d for d in entries if d > 1)
+    chain = _invariant_chain(Counter(d for d in entries if d > 1))
     free = entries.count(0)
     return (1,) * (len(entries) - free - len(chain)) + chain + (0,) * free
 
 
-def _invariant_chain(entries) -> tuple:
-    """Invariant factors d1 | d2 | ... of the sum of the cyclic groups Z/d.
+def smith_group(counts: dict) -> FgAbGroup:
+    """The sum of counts[d] copies of Z/d, on the generators of its Smith
+    diagonal without the trivial ones: the invariant factors, then one free
+    generator per copy of Z/0."""
+    chain = _invariant_chain({d: c for d, c in counts.items() if d > 1})
+    return FgAbGroup(chain + (0,) * counts.get(0, 0))
 
-    Each entry is merged into the chain from the top: Z/a + Z/b is
-    Z/gcd(a, b) + Z/lcm(a, b), and the gcd carries down to the next link.
+
+def _invariant_chain(counts: dict) -> tuple:
+    """Invariant factors d1 | d2 | ... of the sum of counts[d] copies of
+    Z/d, for entries d > 1.
+
+    The distinct entries are refined by gcds to a coprime base, so no entry
+    is factored.  Each entry is a product of powers of the base elements,
+    and Z/d splits into their cyclic groups; a base element's exponents,
+    sorted, give its part of each link, the largest in the top link.
     """
     chain = []
-    for x in entries:
-        for k in range(len(chain) - 1, -1, -1):
-            c = chain[k]
-            if x % c == 0:
-                # c | x: the carry takes c's place and c moves down
-                chain[k], x = x, c
-            elif c % x:
-                g = gcd(c, x)
-                chain[k], x = c // g * x, g
-                if x == 1:
-                    break
-        if x > 1:
-            chain.insert(0, x)
-    return tuple(chain)
+    for b in _coprime_base(counts):
+        exponents = sorted(((_exponent(d, b), c) for d, c in counts.items()),
+                           reverse=True)
+        powers = [b ** e for e, c in exponents if e for _ in range(c)]
+        chain += [1] * (len(powers) - len(chain))
+        for k, q in enumerate(powers):
+            chain[k] *= q
+    return tuple(reversed(chain))
+
+
+def _coprime_base(values) -> list:
+    """Pairwise coprime integers > 1 of which every value > 1 is a product
+    of powers: a value meeting a base element b in g = gcd > 1 is replaced
+    by g and x/g, and b by b/g, until every value is coprime to the base."""
+    base = []
+    todo = list(values)
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for k, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[k]
+                todo += (g, b // g, x // g)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _exponent(d: int, b: int) -> int:
+    """The exponent of the base element b in d."""
+    e = 0
+    while d % b == 0:
+        d //= b
+        e += 1
+    return e
 
 
 def is_isomorphic(G1: FgAbGroup, G2: FgAbGroup) -> bool:
@@ -229,10 +265,11 @@ def quotient(relations: IntMatrix):
     package.
     """
     # the Hermite form spans the same lattice with fewer columns, which
-    # keeps the Smith reduction small; U still acts on generator coordinates
+    # keeps the Smith reduction small; U still acts on generator coordinates.
+    # Its columns are tuples of ints already, so they need no checking.
     H, _ = hnf(relations)
     pivots = [col for col in H.columns() if any(col)]
-    S, U, _ = snf(IntMatrix.from_columns(pivots, H.nrows))
+    S, U, _ = snf(IntMatrix._raw_columns(pivots, H.nrows))
     entries = [S[t, t] for t in range(len(pivots))]
     G = FgAbGroup(entries + [0] * (relations.nrows - len(entries)))
     return G, U, unimodular_inverse(U)

@@ -283,13 +283,26 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("cohomology", "pages", "basis", "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, when command names one, a parser
+    with only that command's subparser.  Both print the same usage line, so
+    they parse and reject every argv that starts with that command alike."""
     parser = argparse.ArgumentParser(
         prog="derhamz",
         description="Exact de Rham cohomology of integer polynomial rings, "
                     "Bockstein pages, and machine-checked theorems.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command in COMMANDS:
+        # the full parser's default metavar, which lists every command
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{%s}" % ",".join(COMMANDS))
+        names = (command,)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = COMMANDS
 
     def common(p, prime=False, form_degree=False, latex=False):
         p.add_argument("-r", "--rank", type=int, required=True,
@@ -313,31 +326,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", metavar="DIR",
                        help="memoize serialized documents in DIR")
 
-    p_coh = sub.add_parser("cohomology", help="integral cohomology table")
-    common(p_coh, latex=True)
-    p_coh.set_defaults(func=cmd_cohomology)
+    if "cohomology" in names:
+        p_coh = sub.add_parser("cohomology", help="integral cohomology table")
+        common(p_coh, latex=True)
+        p_coh.set_defaults(func=cmd_cohomology)
 
-    p_pages = sub.add_parser("pages", help="Bockstein spectral pages")
-    common(p_pages, prime=True)
-    p_pages.add_argument("-k", "--kmax", type=int, default=None)
-    p_pages.set_defaults(func=cmd_pages)
+    if "pages" in names:
+        p_pages = sub.add_parser("pages", help="Bockstein spectral pages")
+        common(p_pages, prime=True)
+        p_pages.add_argument("-k", "--kmax", type=int, default=None)
+        p_pages.set_defaults(func=cmd_pages)
 
-    p_basis = sub.add_parser("basis", help="monomial basis of one piece")
-    common(p_basis, form_degree=True)
-    p_basis.set_defaults(func=cmd_basis)
+    if "basis" in names:
+        p_basis = sub.add_parser("basis", help="monomial basis of one piece")
+        common(p_basis, form_degree=True)
+        p_basis.set_defaults(func=cmd_basis)
 
-    p_verify = sub.add_parser("verify", help="run theorem verifications")
-    which = p_verify.add_mutually_exclusive_group(required=True)
-    which.add_argument("--all", action="store_true")
-    which.add_argument("--statement", choices=STATEMENTS)
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    if "verify" in names:
+        p_verify = sub.add_parser("verify", help="run theorem verifications")
+        which = p_verify.add_mutually_exclusive_group(required=True)
+        which.add_argument("--all", action="store_true")
+        which.add_argument("--statement", choices=STATEMENTS)
+        common(p_verify)
+        p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,18 +11,21 @@ key and p.  Every result stays in the canonical coordinates: class
 coordinates (group entries, mod-p classes) need no transport, and a
 cochain of a block is moved onto the canonical block by forward[i] of the
 block's transport where it enters (cartier_iso, whose class matrices are
-cached per ordered weights).  The assembled results are cached per (r, n)
-and (r, n, p).
+cached per ordered weights).  Integral cohomology reads only how many
+blocks each key has (derham.block_counts).  The assembled results are
+cached per (r, n) and (r, n, p).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import modp
-from .abgroups import FgAbGroup, class_matrix, homology_at
+from .abgroups import FgAbGroup, class_matrix, homology_at, smith_group
 from .derham import (
+    block_counts,
     block_key,
     block_pairs,
     canonical_weights,
@@ -60,16 +63,21 @@ def integral_cohomology(r: int, n: int) -> CohomologyResult:
 
     The complex is the direct sum of its multidegree blocks
     (derham.koszul_blocks), so H^i is the sum of the blocks' H^i.  A
-    block's H^i is the group of its key (block_homology), so H^i is the
-    group of those Smith entries, blocks in basis order; no transport is
-    needed.
+    block's H^i is the group of its key (block_homology), so H^i only
+    needs the number of blocks of each key (derham.block_counts), and is
+    the group of its Smith diagonal (abgroups.smith_group): the invariant
+    factors, then the free generators.  No block is enumerated and no
+    transport is needed.
     """
-    keys = [blk.key for blk in koszul_blocks(r, n)]
+    counts = block_counts(r, n)
     degrees = []
     for i in range(min(n, r) + 1):
-        entries = [e for key in keys if i <= key[1]
-                   for e in block_homology(key)[i].group.entries]
-        degrees.append(HDegree(i, FgAbGroup(entries)))
+        entries = Counter()
+        for key, count in counts.items():
+            if i <= key[1]:
+                for e in block_homology(key)[i].group.entries:
+                    entries[e] += count
+        degrees.append(HDegree(i, smith_group(entries)))
     return CohomologyResult(r, n, tuple(degrees))
 
 

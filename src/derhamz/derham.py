@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import NamedTuple, Sequence
 
 from .intlinalg import IntMatrix
@@ -332,6 +332,52 @@ def koszul_blocks(r: int, n: int) -> tuple:
         weights = tuple(w for w in beta if w)
         blocks.append(KoszulBlock(beta, weights, block_key(weights)))
     return tuple(blocks)
+
+
+def block_counts(r: int, n: int) -> dict:
+    """The number of blocks of each key (g, s) in koszul_blocks(r, n),
+    without enumerating them.
+
+    A block of key (g, s) picks its support, C(r, s) ways, and positive
+    weights summing to n with gcd g: g times a composition of m = n/g into
+    s parts of gcd 1.  By Moebius inversion over the gcd there are
+    sum over d | m of mu(d) C(m/d - 1, s - 1) of those.  Keys in increasing
+    order; n = 0 gives the one empty block, key (0, 0).
+    """
+    if r < 0 or n < 0:
+        raise ValueError("r and n must be nonnegative")
+    if n == 0:
+        return {(0, 0): 1}
+    counts = {}
+    divisors = [(d, _moebius(d)) for d in _divisors(n)]
+    for g, _ in divisors:
+        m = n // g
+        inner = [(d, mu) for d, mu in divisors if mu and m % d == 0]
+        for s in range(1, min(r, m) + 1):
+            count = comb(r, s) * sum(mu * comb(m // d - 1, s - 1)
+                                     for d, mu in inner)
+            if count:
+                counts[g, s] = count
+    return counts
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of n > 0, increasing."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _moebius(d: int) -> int:
+    """The Moebius function of d > 0, by trial division."""
+    mu, q = 1, 2
+    while q * q <= d:
+        if d % q == 0:
+            d //= q
+            if d % q == 0:
+                return 0
+            mu = -mu
+        q += 1
+    return -mu if d > 1 else mu
 
 
 @lru_cache(maxsize=None)

@@ -13,12 +13,15 @@ out kappa d + d kappa on every distinct block, the reference for the
 Clifford certificate of verify_annihilation.  hnf_z_basis and
 hnf_page_dims are the closed-form oracle's lattices and page dims from
 Hermite forms of [d | p^j I], the reference for the lattices it reads off
-one Smith form per block and degree.
+one Smith form per block and degree.  pairwise_invariant_chain merges
+cyclic groups one by one by gcd and lcm, the reference for the invariant
+factors abgroups reads off exponent lists over a coprime base.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
+from math import gcd
 
 from derhamz.abgroups import class_matrix, homology_at, induced_map, quotient
 from derhamz.bockstein import (
@@ -481,3 +484,27 @@ def hnf_page_dims(weights: tuple, p: int, k: int) -> tuple:
         assert set(G.entries) <= {1, p}, G.entries
         dims.append(G.entries.count(p))
     return tuple(dims)
+
+
+def pairwise_invariant_chain(entries) -> tuple:
+    """Invariant factors d1 | d2 | ... of the sum of the cyclic groups Z/d,
+    d > 1.
+
+    Each entry is merged into the chain from the top: Z/a + Z/b is
+    Z/gcd(a, b) + Z/lcm(a, b), and the gcd carries down to the next link.
+    """
+    chain = []
+    for x in entries:
+        for k in range(len(chain) - 1, -1, -1):
+            c = chain[k]
+            if x % c == 0:
+                # c | x: the carry takes c's place and c moves down
+                chain[k], x = x, c
+            elif c % x:
+                g = gcd(c, x)
+                chain[k], x = c // g * x, g
+                if x == 1:
+                    break
+        if x > 1:
+            chain.insert(0, x)
+    return tuple(chain)

@@ -1,15 +1,18 @@
 """Groups, homomorphisms, homology; oracle is sympy rank + Smith bookkeeping."""
 
+from collections import Counter
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from derhamz.abgroups import (
     FgAbGroup,
     Homomorphism,
+    _coprime_base,
+    _invariant_chain,
     graded_piece_dim,
     homology_at,
     induced_map,
@@ -19,6 +22,7 @@ from derhamz.abgroups import (
     primary_inclusion,
     primary_part,
     quotient,
+    smith_group,
     subgroup_pk,
 )
 from derhamz.intlinalg import (
@@ -30,7 +34,12 @@ from derhamz.intlinalg import (
     preimage_basis,
 )
 
-from dense_oracle import complex_z, frobenius_matrix, transpose
+from dense_oracle import (
+    complex_z,
+    frobenius_matrix,
+    pairwise_invariant_chain,
+    transpose,
+)
 
 settings.register_profile("suite", deadline=None, derandomize=True,
                           max_examples=30)
@@ -254,6 +263,42 @@ class TestSmithEntries:
         assert FgAbGroup(list(G.entries)).diagonal is G.diagonal
         assert G.element_is_zero([8, 0, 6, 5, 0, 3])
         assert not G.element_is_zero([0, 1, 0, 0, 0, 0])
+
+
+BIG_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1, 10 ** 9 + 7, 10 ** 9 + 9)
+CHAIN_ENTRIES = st.one_of(
+    st.integers(0, 200),
+    st.sampled_from([0, 1, 2 ** 40, 2 ** 40 * 3, 2 ** 64, 3 ** 30 * 5]),
+    st.tuples(st.sampled_from(BIG_PRIMES), st.sampled_from(BIG_PRIMES),
+              st.integers(1, 3)).map(lambda t: t[0] * t[1] * t[2]))
+
+
+class TestInvariantChain:
+    @given(st.lists(st.tuples(CHAIN_ENTRIES, st.integers(1, 4)), max_size=8))
+    @example([(2 ** 40 * 3, 2), (2, 3), (3, 1), (0, 2), (1, 5)])
+    @example([((10 ** 9 + 7) * (10 ** 9 + 9), 2), (10 ** 9 + 7, 1)])
+    def test_exponent_lists_give_the_pairwise_merge(self, copies):
+        # the chain read off a coprime base of the distinct entries is the
+        # one the gcd/lcm merge builds entry by entry, whatever the order
+        entries = [d for d, c in copies for _ in range(c)]
+        counts = Counter(entries)
+        chain = pairwise_invariant_chain(d for d in entries if d > 1)
+        assert _invariant_chain({d: c for d, c in counts.items()
+                                 if d > 1}) == chain
+        assert pairwise_invariant_chain(
+            d for d in reversed(entries) if d > 1) == chain
+        G = smith_group(counts)
+        assert G.entries == chain + (0,) * counts[0]
+        assert is_isomorphic(G, FgAbGroup(entries))
+        assert FgAbGroup(entries).diagonal == (
+            (1,) * (len(entries) - len(chain) - counts[0]) + chain
+            + (0,) * counts[0])
+
+    def test_coprime_base(self):
+        # refined only as far as the values meet: 35 stays whole
+        base = _coprime_base([2 ** 40 * 3, 12, 18, 35])
+        assert sorted(base) == [2, 3, 35]
+        assert _coprime_base([6, 6, 1]) == [6]
 
 
 class TestSubgroups:

@@ -21,6 +21,9 @@ from derhamz.abgroups import (
     Homomorphism,
     diagonal_matrix,
     graded_piece_dim,
+    homology_at,
+    is_isomorphic,
+    quotient,
 )
 from derhamz.bockstein import (
     ExactCouple,
@@ -42,8 +45,8 @@ from derhamz.cohomology import (
     integral_cohomology,
     modp_cohomology,
 )
-from derhamz.derham import dim_formula, koszul_blocks
-from derhamz.intlinalg import IntMatrix, hnf, lattice_solve
+from derhamz.derham import dim_formula, koszul_blocks, koszul_d
+from derhamz.intlinalg import IntMatrix, hnf, hstack, lattice_solve
 from derhamz.modp import rank, valuation
 from derhamz.theorems import verify_page_identification
 
@@ -134,10 +137,11 @@ class TestInitialCouple:
             initial_couple(1, 0, 2)
 
     def test_matches_the_dense_construction(self):
-        # the summands' D are integral_cohomology's groups, in order; with
-        # the blocks' generators placed at their cells, j is the reduction
-        # of those lifts and k sends [z] to [(d z~)/p], both computed here
-        # on the global complex
+        # the sum of the summands' D is isomorphic to integral_cohomology's
+        # group, which keeps only its invariants; with the blocks'
+        # generators placed at their cells, j is the reduction of those
+        # lifts and k sends [z] to [(d z~)/p], both computed here on the
+        # global complex
         for (r, n, p) in [(1, 4, 2), (2, 4, 2), (2, 6, 3), (3, 6, 2),
                           (3, 4, 2), (3, 9, 3)]:
             c = couples(r, n, p, 1)[0]
@@ -146,10 +150,12 @@ class TestInitialCouple:
             cpx = complex_z(r, n)
             assert c.imax == HZ.top
             lifts = [_dense_lift(c, i) for i in range(c.imax + 2)]
+            D = [FgAbGroup.zero().direct_sum(
+                     *[s.D[i] for s in c.summands if i <= s.imax])
+                 for i in range(c.imax + 1)]
             for i in range(c.imax + 1):
                 parts = [s for s in c.summands if i <= s.imax]
-                assert FgAbGroup.zero().direct_sum(
-                    *[s.D[i] for s in parts]) == HZ.group(i), (r, n, p, i)
+                assert is_isomorphic(D[i], HZ.group(i)), (r, n, p, i)
                 dense_j = modp_class_matrix(MP, i, lifts[i])
                 assert _block_diagonal([s.j_maps[i].matrix for s in parts]) \
                     == dense_j, (r, n, p, i)
@@ -165,7 +171,7 @@ class TestInitialCouple:
                     if i == c.imax:
                         continue
                     coords = lattice_solve(lifts[i + 1], [v // p for v in dv])
-                    assert HZ.group(i + 1).element_is_zero(
+                    assert D[i + 1].element_is_zero(
                         [a - b for a, b in zip(coords, k.col(col))]), \
                         (r, n, p, i)
 
@@ -490,10 +496,11 @@ class TestPagesApi:
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=3),
        st.sampled_from([2, 3]), st.integers(1, 3))
 def test_trusted_columns_are_the_checked_columns(weights, p, k):
-    # the closed-form pages and the couple builders hand the columns they
-    # build to the unchecked IntMatrix._raw_columns: on small random
-    # weights every call gets tuples of plain ints of the right length, so
-    # each matrix is the one the checked from_columns builds
+    # the closed-form pages, the couple builders and quotient (on its
+    # Hermite pivot columns) hand the columns they build to the unchecked
+    # IntMatrix._raw_columns: on small random weights every call gets
+    # tuples of plain ints of the right length, so each matrix is the one
+    # the checked from_columns builds
     raw = IntMatrix._raw_columns.__func__
     built = []
 
@@ -506,6 +513,10 @@ def test_trusted_columns_are_the_checked_columns(weights, p, k):
         patch.setattr(IntMatrix, "_raw_columns", classmethod(recording))
         bockstein._closed_form_block.__wrapped__(weights, p, k)
         derive(direct_couple(weights, p))
+        for i in range(len(weights) + 1):
+            homology_at(koszul_d(weights, i - 1), koszul_d(weights, i))
+            quotient(hstack(koszul_d(weights, i), diagonal_matrix(
+                (p ** k,) * koszul_d(weights, i).nrows)))
     assert built
     for cols, nrows in built:
         assert all(type(c) is tuple and len(c) == nrows

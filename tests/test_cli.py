@@ -316,6 +316,61 @@ def test_any_argv_exits_0_1_or_2(argv):
             assert len(page["dims"]) == min(n, r) + 1, argv
 
 
+def _parse(parser, argv):
+    """What parsing argv prints and returns: (exit code or None, stdout,
+    stderr, the parsed options or None)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+@pytest.mark.parametrize("argv", [
+    "--version", "--help", "", "nope", "-r 1 cohomology",
+    "cohomology --help", "pages -h", "basis --help", "verify --help",
+    "cohomology", "cohomology -r x -n 2", "cohomology -r 1 -n 2 extra",
+    "cohomology --version", "cohomology pages -r 1 -n 2",
+    "cohomology -r 1 -n 2 --json --csv", "basis -r 1 -n 2 -i 1 --latex",
+    "pages -r 1 -n 2 -p 2 -k", "verify -r 1 -n 2",
+    "verify --all --statement cartier -r 1 -n 2",
+    "verify --statement nope -r 1 -n 2", "cohomology -r 1 -n 2",
+])
+def test_one_command_parser_is_the_full_parser(argv):
+    # main builds only the subparser its first argument names; that
+    # parser prints, exits and parses as the full parser does
+    argv = argv.split()
+    one = cli.build_parser(argv[0] if argv else None)
+    assert _parse(one, argv) == _parse(cli.build_parser(), argv)
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch):
+    build_parser = cli.build_parser
+    built = []
+
+    def recording(command=None):
+        parser = build_parser(command)
+        (commands,) = [action.choices for action in parser._actions
+                       if action.dest == "command"]
+        built.append(list(commands))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["basis", "-r", "1", "-n", "2", "-i", "1"]) == 0
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    assert built == [["basis"], list(cli.COMMANDS)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_one_command_parser_parses_any_argv_alike(argv):
+    assert (_parse(cli.build_parser(argv[0]), argv)
+            == _parse(cli.build_parser(), argv))
+
+
 class TestContracts:
     def test_json_roundtrip(self, capsys):
         _, out = run_cli(capsys, "cohomology", "-r", "2", "-n", "6")

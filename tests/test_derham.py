@@ -1,9 +1,11 @@
 """Bases and structure matrices of the polynomial de Rham complex."""
 
 import sys
+from collections import Counter
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from derhamz.bockstein import closed_form_page, pages
 from derhamz.cohomology import integral_cohomology, modp_cohomology
@@ -11,6 +13,7 @@ from derhamz.derham import (
     BasisElement,
     _compositions_desc,
     basis,
+    block_counts,
     block_pairs,
     dim_formula,
     distinct_blocks,
@@ -336,9 +339,39 @@ class TestKoszulBlocks:
                                 else:
                                     assert nonzero == 0, (r, n, p, i, g)
 
+    def test_block_counts_count_the_blocks(self):
+        for r in range(7):
+            for n in range(15):
+                assert block_counts(r, n) == Counter(
+                    blk.key for blk in koszul_blocks(r, n)), (r, n)
+
+    @given(st.integers(0, 12), st.integers(0, 60))
+    @example(0, 0)
+    @example(0, 9)
+    @example(9, 0)
+    @example(2, 2 ** 5 * 3 ** 4 * 5)
+    def test_block_counts_beyond_the_grid(self, r, n):
+        counts = block_counts(r, n)
+        # every composition of n into r parts is one block, and the
+        # blocks of support size s are C(r, s) times the compositions of
+        # n into s positive parts
+        for s in range(r + 1):
+            blocks = sum(c for (g, t), c in counts.items() if t == s)
+            if n == 0 or s == 0:
+                assert blocks == (n == s == 0), (r, n, s)
+            else:
+                assert blocks == comb(r, s) * comb(n - 1, s - 1), (r, n, s)
+        assert all(c > 0 and (g and n % g == 0 or g == n == 0)
+                   for (g, s), c in counts.items())
+        if comb(n + r, r) <= 20000:
+            # uncached, so the larger block lists are not kept
+            assert counts == Counter(
+                blk.key for blk in koszul_blocks.__wrapped__(r, n))
+
     def test_negative_arguments_raise_value_error(self):
         # as basis does, instead of recursing without end
-        for call, args in ((integral_cohomology, (-1, 3)),
+        for call, args in ((block_counts, (-1, 3)), (block_counts, (2, -1)),
+                           (integral_cohomology, (-1, 3)),
                            (modp_cohomology, (-1, 3, 2)),
                            (pages, (-1, 3, 3)),
                            (closed_form_page, (-2, 4, 2, 1))):
