@@ -44,7 +44,6 @@ from .abgroups import (
     express_through,
     is_exact_at,
     p_torsion,
-    quotient,
 )
 from .cohomology import (
     BlockHomology,
@@ -346,13 +345,17 @@ def pages(r: int, n: int, p: int, kmax: int | None = None) -> list:
 # block's ordered nonzero weights.  It evaluates d on the block's monomials
 # itself, so that it stays independent of derham's block differentials.
 #
-# Every Z_j of a block degree is read off one Smith form U d V = S of its
-# d, computed and certified once per (ordered weights, degree) and shared
-# by every p and every page (_oracle_smith).  With x = V y, dx = U^-1 S y
-# lies in p^j C exactly when p^j divides s_t y_t for every t, so Z_j is
-# V diag(p^j / gcd(p^j, s_t)).  A cochain is solved in Z_j by V^-1 and an
-# exact division by those scales, and p Z_(j-1) is the diagonal
-# gcd(p^j, s_t) / gcd(p^(j-1), s_t) on the basis of Z_j.
+# Over Z the block splits into elementary complexes Z --s--> Z and free
+# classes: each degree has a basis P_i = [a | b | h] with d a_t = s_t b_t
+# and d b = d h = 0 (_adapted_basis, certified once per ordered weights and
+# shared by every p and every page).  On a piece Z a_t --s--> Z b_t with
+# v = v_p(s_t), Z_j holds p^max(0, j-v) a_t and all of Z b_t.  At a_t the
+# page is p^max(0, k-v) Z / p^(1 + max(0, k-1-v)) Z: Z/p when v >= k, else
+# 0.  At b_t it is Z over p Z plus p^(1-k) d of p^max(0, k-1-v) a_t, that
+# is Z / p^(max(v, k-1) + 1 - k) Z: Z/p when v >= k, else 0.  Each h gives
+# Z/p.  So E_k keeps a_t and b_t exactly when p^k divides s_t, and every
+# h, and d_k[a_t] = [d a_t / p^k] = (s_t / p^k) b_t, nonzero mod p only
+# when v = k.
 
 
 def _weights(blk) -> tuple:
@@ -391,119 +394,115 @@ def _oracle_d(weights: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _oracle_smith(weights: tuple, i: int) -> tuple:
-    """The Smith form of d^i on the block of the ordered weights, certified
-    here, as (s, V, Vinv): U d^i V = S for the U, S, V of snf (checked), S
-    diagonal (checked), U and V unimodular (checked through
-    unimodular_inverse, which also gives Vinv = V^-1), and s[t] = S[t, t]
-    for each column t of d^i, 0 past the diagonal."""
-    d = _oracle_d(weights)[i]
-    S, U, V = snf(d)
-    where = f"d^{i} on the block of weights {weights}"
-    if U @ d @ V != S:
-        raise RuntimeError(f"Smith form does not reduce {where}")
-    if any(a for t in range(S.nrows)
-           for u, a in enumerate(S.row(t)) if u != t):
-        raise RuntimeError(f"Smith form of {where} is not diagonal")
-    try:
-        unimodular_inverse(U)
-        Vinv = unimodular_inverse(V)
-    except ValueError:
-        raise RuntimeError(f"Smith transforms of {where} are not "
-                           f"unimodular") from None
-    return (tuple(S[t, t] if t < S.nrows else 0 for t in range(S.ncols)),
-            V, Vinv)
+def _adapted_basis(weights: tuple) -> tuple:
+    """A basis of each degree of the block of the ordered weights in which
+    d is a sum of elementary complexes, as (P_i, s_i) for i = 0..s: the
+    columns of P_i are a_t (t < len(s_i)), then b_t (t < len(s_(i-1))),
+    then h, with d a_t = s_i[t] b_t of degree i+1 and d b = d h = 0.
 
-
-def _z_scales(s: tuple, q: int) -> tuple:
-    """c with {x : dx in q C} = V diag(c), for the diagonal s of a Smith
-    form U d V of d: c_t = q / gcd(q, s_t)."""
-    return tuple(q // gcd(q, v) for v in s)
-
-
-def _z_coordinates(Vinv: IntMatrix, scales: tuple, v) -> Optional[tuple]:
-    """Coordinates of the cochain v on the basis V diag(scales) of a
-    lattice, or None when v does not lie in it."""
-    y = Vinv.apply(v)
-    if any(a % c for a, c in zip(y, scales)):
-        return None
-    return tuple(a // c for a, c in zip(y, scales))
-
-
-def _closed_form_degree(weights: tuple, p: int, k: int, i: int):
-    """Z_k / (p Z_{k-1} + p^(1-k) d Z_{k-1}) in degree i of the block: the
-    block cochains of the generators of the page, the solver of Z_k
-    coordinates, the U of quotient and the kept generator indices."""
-    s, V, Vinv = _oracle_smith(weights, i)
-    scales = _z_scales(s, p ** k)
-    solve = partial(_z_coordinates, Vinv, scales)
-    # p Z_{k-1} on the basis of Z_k: diag(gcd(p^k, s_t) / gcd(p^(k-1), s_t))
-    rel_cols = [(0,) * t + (gcd(p ** k, v) // gcd(p ** (k - 1), v),)
-                + (0,) * (len(s) - 1 - t) for t, v in enumerate(s)]
-    if i >= 1:
-        d = _oracle_d(weights)[i - 1]
-        s_prev, V_prev, _ = _oracle_smith(weights, i - 1)
-        scale = p ** (k - 1)
-        for col, c in zip(V_prev.columns(), _z_scales(s_prev, scale)):
-            dv = d.apply([c * v for v in col])
-            if any(v % scale for v in dv):
-                raise RuntimeError("denominator column is not divisible")
-            coords = solve([v // scale for v in dv])
-            if coords is None:
-                raise RuntimeError("denominator does not lie in the numerator")
-            rel_cols.append(coords)
-    G, U, Uinv = quotient(IntMatrix._raw_columns(rel_cols, len(s)))
-    diag = G.entries
-    if any(d not in (1, p) for d in diag):
-        raise RuntimeError(
-            f"closed-form page not elementary abelian at degree {i}: {diag}")
-    kept = tuple(idx for idx, d in enumerate(diag) if d == p)
-    gens = [V.apply([c * v for c, v in zip(scales, Uinv.col(idx))])
-            for idx in kept]
-    return gens, solve, U, kept
+    Built from the top degree down: in degree i >= 1, U M V = S is a Smith
+    form of d^(i-1) written as M on the basis of ker d^i, the last columns
+    of the V of the degree above (all of C^s at the top).  The first
+    len(s_(i-1)) columns of V are the a of degree i-1 and the rest span
+    ker d^(i-1); the kernel basis times U^-1 gives b and h.  Certified
+    here: U M V = S, S diagonal, U and V unimodular (through
+    unimodular_inverse, which also gives the inverses), and, with
+    P^-1 = diag(I, U) V^-1, P_(i+1)^-1 d^i P_i the elementary matrix and
+    P_i^-1 P_i = I for i >= 1 (P_0 = V).  A failed certificate raises
+    RuntimeError.
+    """
+    d = _oracle_d(weights)
+    top = len(weights)
+    # the V and V^-1 of the degree above and the number of its a columns
+    V = Vinv = IntMatrix.identity(d[top].ncols)
+    rank = 0
+    P, Pinv, scales = [None] * (top + 1), [None] * (top + 1), [()] * (top + 1)
+    for i in range(top, 0, -1):
+        where = f"d^{i - 1} on the block of weights {weights}"
+        cols = V.columns()
+        kernel = IntMatrix._raw_columns(cols[rank:], V.nrows)
+        coords = IntMatrix._raw(Vinv._rows[rank:], Vinv.ncols)
+        M = coords @ d[i - 1]
+        S, U, W = snf(M)
+        if U @ M @ W != S:
+            raise RuntimeError(f"Smith form does not reduce {where}")
+        if any(a for t in range(S.nrows)
+               for u, a in enumerate(S.row(t)) if u != t):
+            raise RuntimeError(f"Smith form of {where} is not diagonal")
+        try:
+            Uinv = unimodular_inverse(U)
+            Winv = unimodular_inverse(W)
+        except ValueError:
+            raise RuntimeError(f"Smith transforms of {where} are not "
+                               f"unimodular") from None
+        P[i] = IntMatrix._raw_columns(cols[:rank] + (kernel @ Uinv).columns(),
+                                      V.nrows)
+        Pinv[i] = IntMatrix._raw(Vinv._rows[:rank] + (U @ coords)._rows,
+                                 V.nrows)
+        scales[i - 1] = tuple(a for a in (S[t, t] for t in range(min(S.shape)))
+                              if a)
+        V, Vinv, rank = W, Winv, len(scales[i - 1])
+    P[0] = V
+    for i in range(top):
+        # a_t of degree i goes to s_t times column len(s_(i+1)) + t
+        rows = [[0] * d[i].ncols for _ in range(d[i].nrows)]
+        for t, s in enumerate(scales[i]):
+            rows[len(scales[i + 1]) + t][t] = s
+        elementary = IntMatrix._raw(tuple(map(tuple, rows)), d[i].ncols)
+        if Pinv[i + 1] @ d[i] @ P[i] != elementary:
+            raise RuntimeError(f"P^-1 d^{i} P is not elementary on the block "
+                               f"of weights {weights}")
+        # the inverses unimodular_inverse returned are inverses
+        if not (Pinv[i + 1] @ P[i + 1]).is_identity():
+            raise RuntimeError(f"P^-1 P is not the identity in degree {i + 1} "
+                               f"on the block of weights {weights}")
+    return tuple(zip(P, scales))
 
 
 @lru_cache(maxsize=None)
 def _closed_form_block(weights: tuple, p: int, k: int) -> tuple:
-    """Page k of one block: (dims, reps, diffs) with reps[i] the mod-p
-    block cochains of the generators of E_k^i and diffs[i] the matrix of
-    d_k[x] = [dx / p^k] from degree i to i+1."""
-    d = _oracle_d(weights)
-    top = len(weights)
-    data = [_closed_form_degree(weights, p, k, i) for i in range(top + 1)]
-    dims = tuple(len(kept) for (_, _, _, kept) in data)
-    scale = p ** k
-    reps = tuple(IntMatrix._raw_columns([tuple(v % p for v in x)
-                                         for x in gens], d[i].ncols)
-                 for i, (gens, _, _, _) in enumerate(data))
+    """Page k of one block: (dims, gens, diffs) with gens[i] the integral
+    block cochains whose classes mod p form the basis of E_k^i, the kept
+    columns of the adapted basis (a_t, then b_t, for p^k | s_t, then every
+    h), and diffs[i] the matrix of d_k[x] = [dx / p^k] from degree i to
+    i+1, which sends a_t to (s_t / p^k) b_t mod p."""
+    q = p ** k
+    basis = _adapted_basis(weights)
+    kept = [[t for t, s in enumerate(scales) if s % q == 0]
+            for _, scales in basis]
+    dims, gens = [], []
+    for i, (P, scales) in enumerate(basis):
+        cols = P.columns()
+        # the b_t follow the a_t, and the h follow the b_t
+        kept_b, nb = (kept[i - 1], len(basis[i - 1][1])) if i else ((), 0)
+        picked = ([cols[t] for t in kept[i]]
+                  + [cols[len(scales) + t] for t in kept_b]
+                  + cols[len(scales) + nb:])
+        gens.append(IntMatrix._raw_columns(picked, P.nrows))
+        dims.append(len(picked))
     diffs = []
-    for i in range(top):
-        _, solve_next, U_next, kept_next = data[i + 1]
+    for i, (_, scales) in enumerate(basis[:-1]):
         cols = []
-        for x in data[i][0]:
-            dv = d[i].apply(x)
-            if any(v % scale for v in dv):
-                raise RuntimeError("d of a Z_k element not divisible by p^k")
-            y = solve_next([v // scale for v in dv])
-            if y is None:
-                raise RuntimeError("d_k image left the numerator lattice")
-            full = U_next.apply(y)
-            cols.append(tuple(full[t] % p for t in kept_next))
+        for j, t in enumerate(kept[i]):
+            col = [0] * dims[i + 1]
+            col[len(kept[i + 1]) + j] = scales[t] // q % p
+            cols.append(tuple(col))
+        cols += [(0,) * dims[i + 1]] * (dims[i] - len(kept[i]))
         diffs.append(IntMatrix._raw_columns(cols, dims[i + 1]))
-    diffs.append(IntMatrix.zeros(0, dims[top]))
-    return dims, reps, tuple(diffs)
+    diffs.append(IntMatrix.zeros(0, dims[-1]))
+    return tuple(dims), tuple(gens), tuple(diffs)
 
 
 def closed_form_page(r: int, n: int, p: int, k: int) -> SpectralPage:
     """Independent page computation from integer lattices.
 
     E_k^i = Z_k^i / (p Z_{k-1}^i + p^(1-k) d Z_{k-1}^(i-1)) with
-    d_k[x] = [dx / p^k], on each Koszul block (_closed_form_block); every
-    Z_j of a block degree is V diag(p^j / gcd(p^j, s_t)) for one Smith
-    form U d V = diag(s) of the block d, certified where it is computed
-    (U d V = S, S diagonal, U and V unimodular), and the page dims are the
-    sums over the blocks.  Must agree degreewise, compatibly with d_k, with
-    pages(...)[k-1].
+    d_k[x] = [dx / p^k], on each Koszul block (_closed_form_block), and the
+    page dims are the sums over the blocks.  A block's page is read off
+    its adapted basis [a | b | h] (d a_t = s_t b_t, d b = d h = 0; one
+    certified Smith form per degree, _adapted_basis): it keeps a_t and
+    b_t when p^k divides s_t, and every h.  Must agree degreewise,
+    compatibly with d_k, with pages(...)[k-1].
     """
     check_prime(p)
     if n < 1 or k < 1:
@@ -566,15 +565,15 @@ def _block_oracle_failure(couple: CoupleSum, k: int) -> Optional[dict]:
             continue
         seen.add(weights)
         beta = list(blk.beta)
-        dims, reps, diffs = _closed_form_block(weights, couple.p, k)
+        dims, gens, diffs = _closed_form_block(weights, couple.p, k)
         if dims != summand.dims:
             return {"reason": "dimension mismatch", "beta": beta}
         if not any(dims):
             # a zero page compares nothing, so it needs no transport
             continue
         failure = _page_isomorphism_failure(
-            summand, [move @ rep for move, rep in
-                      zip(blk.transport.forward, reps)], diffs.__getitem__)
+            summand, [move @ gen for move, gen in
+                      zip(blk.transport.forward, gens)], diffs.__getitem__)
         if failure is None:
             continue
         check, i, detail = failure

@@ -13,7 +13,10 @@ out kappa d + d kappa on every distinct block, the reference for the
 Clifford certificate of verify_annihilation.  hnf_z_basis and
 hnf_page_dims are the closed-form oracle's lattices and page dims from
 Hermite forms of [d | p^j I], the reference for the lattices it reads off
-one Smith form per block and degree.  pairwise_invariant_chain merges
+its adapted basis, and smith_closed_form_block computes each page as an
+integer quotient in the coordinates of one Smith form of d per block and
+degree, the reference for the pages it reads off that basis with no
+quotient.  pairwise_invariant_chain merges
 cyclic groups one by one by gcd and lcm, the reference for the invariant
 factors abgroups reads off exponent lists over a coprime base.
 """
@@ -47,7 +50,13 @@ from derhamz.derham import (
     koszul_d,
     transport,
 )
-from derhamz.intlinalg import IntMatrix, lattice_solve, preimage_basis
+from derhamz.intlinalg import (
+    IntMatrix,
+    lattice_solve,
+    preimage_basis,
+    snf,
+    unimodular_inverse,
+)
 from derhamz.modp import Solver, rank
 
 
@@ -484,6 +493,75 @@ def hnf_page_dims(weights: tuple, p: int, k: int) -> tuple:
         assert set(G.entries) <= {1, p}, G.entries
         dims.append(G.entries.count(p))
     return tuple(dims)
+
+
+@lru_cache(maxsize=None)
+def _smith(weights: tuple, i: int) -> tuple:
+    """(s, V, V^-1) for a Smith form U d^i V = S of the oracle's block d:
+    s[t] = S[t, t] for each column t of d^i, 0 past the diagonal."""
+    d = _oracle_d(weights)[i]
+    S, U, V = snf(d)
+    assert U @ d @ V == S
+    return (tuple(S[t, t] if t < S.nrows else 0 for t in range(S.ncols)),
+            V, unimodular_inverse(V))
+
+
+def _smith_page_degree(weights: tuple, p: int, k: int, i: int):
+    """Z_k / (p Z_(k-1) + p^(1-k) d Z_(k-1)) in degree i of the block, with
+    Z_j = V diag(p^j / gcd(p^j, s_t)): the generators of the page, the
+    solver of Z_k coordinates, the U of quotient and the kept indices."""
+    s, V, Vinv = _smith(weights, i)
+    scales = tuple(p ** k // gcd(p ** k, v) for v in s)
+
+    def solve(v):
+        y = Vinv.apply(v)
+        if any(a % c for a, c in zip(y, scales)):
+            return None
+        return tuple(a // c for a, c in zip(y, scales))
+
+    # p Z_(k-1) on the basis of Z_k: diag(gcd(p^k, s_t) / gcd(p^(k-1), s_t))
+    rel_cols = [(0,) * t + (gcd(p ** k, v) // gcd(p ** (k - 1), v),)
+                + (0,) * (len(s) - 1 - t) for t, v in enumerate(s)]
+    if i >= 1:
+        d = _oracle_d(weights)[i - 1]
+        s_prev, V_prev, _ = _smith(weights, i - 1)
+        scale = p ** (k - 1)
+        for col, v in zip(V_prev.columns(), s_prev):
+            dv = d.apply([scale // gcd(scale, v) * x for x in col])
+            assert not any(x % scale for x in dv)
+            coords = solve([x // scale for x in dv])
+            assert coords is not None
+            rel_cols.append(coords)
+    G, U, Uinv = quotient(IntMatrix.from_columns(rel_cols, len(s)))
+    assert set(G.entries) <= {1, p}, G.entries
+    kept = tuple(idx for idx, e in enumerate(G.entries) if e == p)
+    gens = [V.apply([c * v for c, v in zip(scales, Uinv.col(idx))])
+            for idx in kept]
+    return gens, solve, U, kept
+
+
+def smith_closed_form_block(weights: tuple, p: int, k: int) -> tuple:
+    """Page k of the block of the ordered weights, as (dims, diffs): each
+    degree an integer quotient in Smith coordinates (_smith_page_degree)
+    and diffs[i] the matrix of d_k[x] = [dx / p^k] on the kept quotient
+    generators, from degree i to i+1."""
+    d = _oracle_d(weights)
+    data = [_smith_page_degree(weights, p, k, i)
+            for i in range(len(weights) + 1)]
+    dims = tuple(len(kept) for (_, _, _, kept) in data)
+    diffs = []
+    for i in range(len(weights)):
+        _, solve_next, U_next, kept_next = data[i + 1]
+        cols = []
+        for x in data[i][0]:
+            dv = d[i].apply(x)
+            assert not any(v % p ** k for v in dv)
+            y = solve_next([v // p ** k for v in dv])
+            assert y is not None
+            full = U_next.apply(y)
+            cols.append([full[t] % p for t in kept_next])
+        diffs.append(IntMatrix.from_columns(cols, dims[i + 1]))
+    return dims, diffs
 
 
 def pairwise_invariant_chain(entries) -> tuple:

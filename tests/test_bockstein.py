@@ -1,9 +1,10 @@
 """Exact couples, derived pages, closed-form oracle agreement.
 
-The closed-form oracle reads its lattices Z_j off one certified Smith form
-per block and degree; hypothesis compares them, and the page dims, with
-the Hermite-form reference of tests/dense_oracle.py, and a faulty snf
-must make the oracle raise.
+The closed-form oracle reads its pages off one certified adapted basis per
+block (one Smith form per positive degree); hypothesis compares its
+lattices Z_j with the Hermite-form reference of tests/dense_oracle.py and
+its pages with the Smith-coordinate quotient there, and a faulty snf, a
+wrong inverse or a block d with d∘d != 0 must make the oracle raise.
 """
 
 import json
@@ -28,10 +29,9 @@ from derhamz.abgroups import (
 from derhamz.bockstein import (
     ExactCouple,
     ExactnessError,
+    _adapted_basis,
     _closed_form_block,
     _oracle_d,
-    _oracle_smith,
-    _z_scales,
     closed_form_page,
     compare_with_closed_form,
     couples,
@@ -59,6 +59,7 @@ from dense_oracle import (
     hnf_z_basis,
     modp_class_matrix,
     place,
+    smith_closed_form_block,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -377,17 +378,36 @@ class TestClosedForm:
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
        st.sampled_from([2, 3, 5]), st.integers(1, 4))
 def test_smith_lattices_are_the_hermite_lattices(weights, p, j):
-    # Z_j = V diag(p^j / gcd(p^j, s_t)) spans the lattice of the Hermite
-    # form of [d | p^j I] (so does Z_(j-1)), and the block's page j has the
-    # dims of the Hermite-form reference page
+    # on the adapted basis [a | b | h], Z_j is spanned by
+    # p^max(0, j - v_p(s_t)) a_t, every b and every h: the lattice of the
+    # Hermite form of [d | p^j I] (so is Z_(j-1))
     weights = tuple(weights)
-    for i in range(len(weights) + 1):
-        s, V, _ = _oracle_smith(weights, i)
+    for i, (P, scales) in enumerate(_adapted_basis(weights)):
         for level in (j - 1, j):
-            smith = V @ diagonal_matrix(_z_scales(s, p ** level))
-            assert (hnf(smith)[0]
+            lift = diagonal_matrix(
+                tuple(p ** max(0, level - valuation(s, p)) for s in scales)
+                + (1,) * (P.ncols - len(scales)))
+            assert (hnf(P @ lift)[0]
                     == hnf(hnf_z_basis(weights, p, level, i))[0]), (i, level)
-    assert _closed_form_block(weights, p, j)[0] == hnf_page_dims(weights, p, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.sampled_from([2, 3, 5]), st.integers(1, 4))
+def test_adapted_pages_are_the_smith_coordinate_pages(weights, p, k):
+    # page k read off the adapted basis against the integer quotient in
+    # Smith coordinates: the same dims (those of the Hermite-form
+    # reference), d_k of the same rank mod p, and generators in Z_k
+    weights = tuple(weights)
+    dims, gens, diffs = _closed_form_block(weights, p, k)
+    ref_dims, ref_diffs = smith_closed_form_block(weights, p, k)
+    assert dims == ref_dims == hnf_page_dims(weights, p, k)
+    for i, (d_k, ref_d_k) in enumerate(zip(diffs, ref_diffs)):
+        assert rank(d_k, p) == rank(ref_d_k, p), i
+    for i, cochains in enumerate(gens):
+        Z = hnf_z_basis(weights, p, k, i)
+        for col in cochains.columns():
+            assert lattice_solve(Z, col) is not None, (i, col)
 
 
 def _double_last_column(M):
@@ -398,6 +418,23 @@ def _negate_first_row(M):
     return diagonal_matrix((-1,) + (1,) * (M.nrows - 1)) @ M
 
 
+def _add_last_row_to_first(M):
+    rows = M.to_lists()
+    rows[0] = [a + b for a, b in zip(rows[0], rows[-1])]
+    return IntMatrix(rows, M.ncols)
+
+
+@pytest.fixture
+def cold_oracle():
+    # the faults below act where the oracle computes, so its caches start
+    # and end empty
+    for cache in (_oracle_d, _adapted_basis, _closed_form_block):
+        cache.cache_clear()
+    yield
+    for cache in (_oracle_d, _adapted_basis, _closed_form_block):
+        cache.cache_clear()
+
+
 @pytest.mark.parametrize("fault, message", [
     # U d V = S still holds, with S doubled in the same column, but V is
     # no longer unimodular
@@ -406,18 +443,67 @@ def _negate_first_row(M):
     (lambda S, U, V: (2 * S, U, V), "does not reduce"),
     (lambda S, U, V: (S, _negate_first_row(U), V), "does not reduce"),
 ], ids=["V column doubled", "S doubled", "U row negated"])
-def test_the_oracle_certifies_its_smith_forms(fault, message):
+def test_the_oracle_certifies_its_smith_forms(cold_oracle, fault, message):
     real = bockstein.snf
-    _oracle_smith.cache_clear()
-    _closed_form_block.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bockstein, "snf", lambda d: fault(*real(d)))
-            with pytest.raises(RuntimeError, match=message):
-                compare_with_closed_form(2, 6, 3)
-    finally:
-        _oracle_smith.cache_clear()
-        _closed_form_block.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bockstein, "snf", lambda d: fault(*real(d)))
+        with pytest.raises(RuntimeError, match=message):
+            compare_with_closed_form(2, 6, 3)
+
+
+def test_the_oracle_certifies_its_adapted_basis(cold_oracle):
+    # a V^-1 whose first row has the last row added is still unimodular
+    # and leaves every Smith form certified, but P^-1 of the degree above
+    # then gives the image of d a nonzero a coordinate; a 1x1 inverse is
+    # left alone, since adding its row to itself would break
+    # unimodularity instead
+    real = bockstein.unimodular_inverse
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bockstein, "unimodular_inverse",
+                      lambda M: (_add_last_row_to_first(real(M))
+                                 if M.nrows > 1 else real(M)))
+        with pytest.raises(RuntimeError, match="is not elementary"):
+            compare_with_closed_form(2, 6, 3)
+
+
+def test_the_oracle_certifies_its_inverses(cold_oracle):
+    # a doubled inverse of the row transform U of a Smith form keeps the
+    # b columns K U^-1 cocycles, so every Smith form and every P^-1 d P
+    # pass, but P^-1 P is twice the identity
+    real_snf, real_inverse = bockstein.snf, bockstein.unimodular_inverse
+    row_transforms = set()
+
+    def recording_snf(M):
+        S, U, V = real_snf(M)
+        row_transforms.add(id(U))
+        return S, U, V
+
+    def inverse(M):
+        inv = real_inverse(M)
+        return 2 * inv if id(M) in row_transforms else inv
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bockstein, "snf", recording_snf)
+        patch.setattr(bockstein, "unimodular_inverse", inverse)
+        with pytest.raises(RuntimeError, match="is not the identity"):
+            compare_with_closed_form(2, 6, 3)
+
+
+def test_the_oracle_certifies_d_squared_zero(cold_oracle):
+    # doubling the first column of every block d breaks d∘d = 0 on the
+    # block of (1, 1), whose d^1 d^0 is then -2
+    real = IntMatrix.from_columns.__func__
+
+    def doubled(cls, cols, nrows):
+        cols = [list(c) for c in cols]
+        if cols:
+            cols[0] = [2 * v for v in cols[0]]
+        return real(cls, cols, nrows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IntMatrix, "from_columns", classmethod(doubled))
+        with pytest.raises(AssertionError, match="d∘d != 0"):
+            _oracle_d((1, 1))
 
 
 def _identified_dims(r, n, p, k):

@@ -10,8 +10,9 @@ do not depend on which (r, n) computed them first.  A hypothesis test
 checks that a transported block is the block built directly on its own d.
 A couple holds the tower level of each key itself, with no per-block
 copy, and the closed-form oracle, which never reads a transport, catches
-a transport whose two directions are swapped; it computes one Smith form
-per ordered block and degree, shared by all its pages.
+a transport whose two directions are swapped; it computes one adapted
+basis per ordered block (one Smith form per positive degree), shared by
+all its pages, and no integer quotient or lattice solve.
 
 The statement checks on a block pair (beta, q*beta) are computed once per
 key pair, on the canonical blocks, since both blocks share their
@@ -250,15 +251,21 @@ ORACLE_COUNTS = """
 import json
 from collections import Counter
 from functools import lru_cache
-from derhamz import bockstein, intlinalg
+from derhamz import abgroups, bockstein, cohomology, derham, intlinalg
 from derhamz.derham import koszul_blocks
 from derhamz.intlinalg import IntMatrix
 
-smith, snf_calls, hermite_inputs = Counter(), [], []
+# the engine's tower and the blocks' transports first, so that every call
+# counted below is the oracle's
+bockstein.couples(3, 8, 2, 4)
+for blk in koszul_blocks(3, 8):
+    blk.transport
 
-def counted(*args):
-    smith[repr(args)] += 1
-    return oracle_smith(*args)
+adapted, snf_calls, hermite_inputs, solves = Counter(), [], [], Counter()
+
+def counted(weights):
+    adapted[repr(weights)] += 1
+    return adapted_basis(weights)
 
 def counted_snf(M):
     snf_calls.append(M.shape)
@@ -268,14 +275,25 @@ def recorded(M):
     hermite_inputs.append(M)
     return hnf_cached(M)
 
-# a fresh cache that counts its misses, and the snf and Hermite kernel the
-# oracle reaches, each rebound under the name its callers read
-oracle_smith = bockstein._oracle_smith.__wrapped__
-bockstein._oracle_smith = lru_cache(maxsize=None)(counted)
+def tallied(name, real):
+    def call(*args):
+        solves[name] += 1
+        return real(*args)
+    return call
+
+# a fresh cache that counts its misses, and the snf, Hermite kernel,
+# quotient and lattice_solve the oracle could reach, each rebound under
+# every name its callers read
+adapted_basis = bockstein._adapted_basis.__wrapped__
+bockstein._adapted_basis = lru_cache(maxsize=None)(counted)
 snf = bockstein.snf
 bockstein.snf = counted_snf
 hnf_cached = intlinalg._hnf_cached
 intlinalg._hnf_cached = recorded
+for name in ("quotient", "lattice_solve"):
+    for module in (abgroups, bockstein, cohomology, derham, intlinalg):
+        if hasattr(module, name):
+            setattr(module, name, tallied(name, getattr(module, name)))
 reports = bockstein.compare_with_closed_form(3, 8, 2)
 
 weights = {blk.weights for blk in koszul_blocks(3, 8)}
@@ -299,11 +317,12 @@ def d_next_to_scaled_identity(M):
 print(json.dumps({
     "ok": all(rep["ok"] for rep in reports),
     "pages": len(reports),
-    "most_repeated": max(smith.values()),
-    "computed": sorted(smith),
-    "needed": sorted(repr((w, i)) for w in weights
-                     for i in range(len(w) + 1)),
+    "most_repeated": max(adapted.values()),
+    "computed": sorted(adapted),
+    "needed": sorted(map(repr, weights)),
     "snf_calls": len(snf_calls),
+    "positive_degrees": sum(map(len, weights)),
+    "solves": solves,
     "hermite_of_d_and_scaled_identity": sum(map(d_next_to_scaled_identity,
                                                 hermite_inputs)),
 }))
@@ -376,13 +395,15 @@ def test_the_statement_walk_pays_per_key_and_per_sweep():
 
 def test_the_oracle_pays_one_smith_form_per_ordered_block_and_degree():
     # over compare_with_closed_form(3, 8, 2), pages 1..4: one certified
-    # Smith form per (distinct ordered weights, degree), whatever the page,
-    # and no Hermite form of [d | p^j I]
+    # adapted basis per distinct ordered weights, whatever the page, built
+    # from one snf per positive degree; no quotient, no lattice_solve and
+    # no Hermite form of [d | p^j I]
     counts = json.loads(_child(ORACLE_COUNTS))
     assert counts["ok"] and counts["pages"] == 4, counts
     assert counts["most_repeated"] == 1, counts
     assert counts["computed"] == counts["needed"], counts
-    assert counts["snf_calls"] == len(counts["needed"]), counts
+    assert counts["snf_calls"] == counts["positive_degrees"], counts
+    assert counts["solves"] == {}, counts
     assert counts["hermite_of_d_and_scaled_identity"] == 0, counts
 
 
