@@ -26,6 +26,12 @@ tower level of the target key (_identification).
 Each page is an elementary abelian p-group per degree, stored as a mod-p
 subquotient of the previous page (ExactCouple.stages), so the class of a
 cochain on any page, and every comparison, is exact matrix algebra.
+
+A couple is a value: what its groups, pages and the matrices of j and k
+fix (the maps and their checks, d∘d = 0, exactness and the derived
+content) is built once per distinct content and shared (_Content), so a
+tower level equal to another level, of its own key or of another, is
+neither rebuilt, re-certified nor derived again.
 """
 
 from __future__ import annotations
@@ -70,37 +76,40 @@ class ExactCouple:
 
     weights label the block; the engine builds every tower level on the
     canonical block of its key (_block_level), so they are the canonical
-    weights (g, 0, ..., 0).  A couple is fixed by its groups D^i, its pages
-    stages[i] and the matrices of j and k (k raises the degree by one and
-    lands in the zero group at the top).  The constructor derives the rest
-    once: E^i = (Z/p)^dim, i = p on each D^i, the three maps (each checked
-    well defined here) and the page differentials (j k) mod p, certified to
-    square to zero.  stages[i] is E^i as a mod-p subquotient: of the block
-    cochains at level 1, of the parent's E^i (by the parent's differential)
-    at later levels; parent points to the couple this one was derived from.
+    weights (g, 0, ..., 0).  A couple is a value: it is fixed by its
+    content, the groups D^i, the page dims and the matrices of j and k (k
+    raises the degree by one and lands in the zero group at the top).  The
+    constructor looks the content up in _content, which derives the rest
+    once per content key (p, D, dims, j, k), in one record shared by every
+    couple of that content (_Content): E^i = (Z/p)^dim, i = p on each D^i,
+    the three maps (each checked well defined there) and the page
+    differentials (j k) mod p, certified to square to zero.  A couple keeps
+    of its own only its weights, p, level, stages and parent: stages[i] is
+    E^i as a mod-p subquotient, of the block cochains at level 1, of the
+    parent's E^i (by the parent's differential) at later levels; parent
+    points to the couple this one was derived from.
     """
+
+    __slots__ = ("weights", "p", "level", "stages", "parent", "_content")
 
     def __init__(self, weights, p, level, D, stages, j_matrices, k_matrices,
                  parent=None):
         self.weights = weights
         self.p = p
         self.level = level
-        self.D = tuple(D)
         self.stages = tuple(stages)
         self.parent = parent
-        self.imax = len(self.D) - 1
-        self.dims = tuple(st.dim for st in self.stages)
-        self.E = tuple(FgAbGroup((p,) * dim) for dim in self.dims)
-        self.i_maps = tuple(Homomorphism(G, G, diagonal_matrix((p,) * G.ngens))
-                            for G in self.D)
-        self.j_maps = tuple(map(Homomorphism, self.D, self.E, j_matrices))
-        self.k_maps = tuple(map(Homomorphism, self.E,
-                                self.D[1:] + (FgAbGroup.zero(),), k_matrices))
-        self._d = tuple((j.matrix @ k.matrix).mod(p)
-                        for j, k in zip(self.j_maps[1:], self.k_maps))
-        if any(not (d1 @ d0).mod(p).is_zero()
-               for d0, d1 in zip(self._d, self._d[1:])):
-            raise RuntimeError("page differential does not square to zero")
+        self._content = _content(p, tuple(D),
+                                 tuple(st.dim for st in self.stages),
+                                 tuple(j_matrices), tuple(k_matrices))
+
+    D = property(lambda self: self._content.D)
+    dims = property(lambda self: self._content.dims)
+    imax = property(lambda self: self._content.imax)
+    E = property(lambda self: self._content.E)
+    i_maps = property(lambda self: self._content.i_maps)
+    j_maps = property(lambda self: self._content.j_maps)
+    k_maps = property(lambda self: self._content.k_maps)
 
     def e_dim(self, i: int) -> int:
         return self.dims[i] if 0 <= i <= self.imax else 0
@@ -110,7 +119,7 @@ class ExactCouple:
         the zero map outside 0 <= i < imax."""
         if not 0 <= i < self.imax:
             return IntMatrix.zeros(self.e_dim(i + 1), self.e_dim(i))
-        return self._d[i]
+        return self._content.d[i]
 
     def express_cochain(self, i: int, z: Sequence[int]) -> Optional[tuple]:
         """Coordinates on E^i of the class of a mod-p cochain, through the
@@ -128,6 +137,56 @@ class ExactCouple:
 
     def exactness_failures(self) -> list:
         """All broken exactness nodes, each with a witness element."""
+        return list(self._content.failures())
+
+    def check_exactness(self) -> None:
+        failures = self.exactness_failures()
+        if failures:
+            label, i, witness = failures[0]
+            raise ExactnessError(
+                f"couple level {self.level} of weights {self.weights} at "
+                f"p={self.p} fails {label} in degree {i}; witness {witness}")
+
+
+class _Content:
+    """What the content (p, D, dims, j, k) of a couple fixes, built once per
+    content key by _content and shared by every couple of that content,
+    whatever its block, level or stages.
+
+    The constructor builds E, the maps and the page differentials and
+    certifies d∘d = 0.  The exactness failures and the derived content
+    (derive's stages, D', j' and k', or the verdict of its failed check)
+    are computed when first asked for and kept, so that each runs once per
+    content key.
+    """
+
+    __slots__ = ("p", "D", "dims", "imax", "E", "i_maps", "j_maps",
+                 "k_maps", "d", "_failures", "_derived")
+
+    def __init__(self, p, D, dims, j_matrices, k_matrices):
+        self.p = p
+        self.D = D
+        self.dims = dims
+        self.imax = len(D) - 1
+        self.E = tuple(FgAbGroup((p,) * dim) for dim in dims)
+        self.i_maps = tuple(Homomorphism(G, G, diagonal_matrix((p,) * G.ngens))
+                            for G in D)
+        self.j_maps = tuple(map(Homomorphism, D, self.E, j_matrices))
+        self.k_maps = tuple(map(Homomorphism, self.E,
+                                D[1:] + (FgAbGroup.zero(),), k_matrices))
+        self.d = tuple((j.matrix @ k.matrix).mod(p)
+                       for j, k in zip(self.j_maps[1:], self.k_maps))
+        if any(not (d1 @ d0).mod(p).is_zero()
+               for d0, d1 in zip(self.d, self.d[1:])):
+            raise RuntimeError("page differential does not square to zero")
+        self._failures = self._derived = None
+
+    def failures(self) -> tuple:
+        if self._failures is None:
+            self._failures = self._find_failures()
+        return self._failures
+
+    def _find_failures(self) -> tuple:
         failures = []
         zero_E = FgAbGroup.zero()
         for i in range(self.imax + 1):
@@ -143,15 +202,71 @@ class ExactCouple:
                 ok, witness = is_exact_at(f, g)
                 if not ok:
                     failures.append((label, i, witness))
-        return failures
+        return tuple(failures)
 
-    def check_exactness(self) -> None:
-        failures = self.exactness_failures()
-        if failures:
-            label, i, witness = failures[0]
-            raise ExactnessError(
-                f"couple level {self.level} of weights {self.weights} at "
-                f"p={self.p} fails {label} in degree {i}; witness {witness}")
+    def derived(self) -> tuple:
+        """derive's (stages, D', j', k') of an exact couple of this content;
+        raises ExactnessError, on every call, when j' or k' fails its
+        check."""
+        if self._derived is None:
+            try:
+                self._derived = self._derive()
+            except ExactnessError as exc:
+                self._derived = str(exc)
+        if isinstance(self._derived, str):
+            raise ExactnessError(self._derived)
+        return self._derived
+
+    def _derive(self) -> tuple:
+        p = self.p
+        # E' = ker d / im d with d = j∘k, handled entirely mod p; the zero
+        # maps into degree 0 and out of the top degree close the complex
+        d = ((IntMatrix.zeros(self.dims[0], 0),) + self.d
+             + (IntMatrix.zeros(0, self.dims[-1]),))
+        stages = tuple(modp_homology(d_in, d_out, p)
+                       for d_in, d_out in zip(d, d[1:]))
+
+        j_matrices = []
+        for D, j, stage in zip(self.D, self.j_maps, stages):
+            # column t is j(e_t); the i-preimages of p e_t are e_t + ker i
+            j_cols = j.matrix.columns()
+            for t, m in p_torsion(D, p):
+                coords = stage.express([m * v for v in j_cols[t]])
+                if coords is None or any(v % p for v in coords):
+                    raise ExactnessError(
+                        "j' is not independent of the preimage choice")
+            cols = []
+            for j_e in j_cols:
+                coords = stage.express(j_e)
+                if coords is None:
+                    raise ExactnessError("j' value does not survive to E'")
+                cols.append(tuple(v % p for v in coords))
+            j_matrices.append(IntMatrix._raw_columns(cols, stage.dim))
+
+        k_matrices = []
+        for k, stage in zip(self.k_maps, stages):
+            # k' lands in im(i) = pG for the target G of k (0 at the top)
+            G = k.target
+            matrix, _ = class_matrix(
+                partial(express_through, diagonal_matrix((p,) * G.ngens),
+                        G.relations),
+                k.matrix @ stage.rep_matrix(), G.ngens)
+            if matrix is None:
+                raise ExactnessError("k of a surviving class misses im(i)")
+            k_matrices.append(matrix)
+
+        D = tuple(FgAbGroup(e // gcd(e, p) for e in G.entries)
+                  for G in self.D)
+        return stages, D, tuple(j_matrices), tuple(k_matrices)
+
+
+@lru_cache(maxsize=None)
+def _content(p: int, D: tuple, dims: tuple, j_matrices: tuple,
+             k_matrices: tuple) -> _Content:
+    """The one record of a couple content.  The table grows like
+    _block_level's, since every engine couple is a tower level of a key at
+    p, and levels of equal content share one entry."""
+    return _Content(p, D, dims, j_matrices, k_matrices)
 
 
 class CoupleSum:
@@ -239,46 +354,18 @@ def derive(c: ExactCouple) -> ExactCouple:
     i-preimage; it does not depend on that choice because j of every
     generator of ker i must vanish in E' (checked).  k' is k on the
     surviving classes, written on pD.
+
+    The certificate, the checks and D', E', j', k' depend on the content
+    of c alone, so they are computed once per content and kept in its
+    record (_Content); a level past which the tower is stationary finds
+    its derived content already there.  Each failed check still raises on
+    every call, the exactness certificate naming c's own level and
+    weights.
     """
     c.check_exactness()
-    p = c.p
-    # E' = ker d / im d with d = j∘k, handled entirely mod p
-    stages = [modp_homology(c.d_matrix(i - 1), c.d_matrix(i), p)
-              for i in range(c.imax + 1)]
-
-    j_matrices = []
-    for D, j, stage in zip(c.D, c.j_maps, stages):
-        # column t is j(e_t); the i-preimages of p e_t are e_t + ker i
-        j_cols = j.matrix.columns()
-        for t, m in p_torsion(D, p):
-            coords = stage.express([m * v for v in j_cols[t]])
-            if coords is None or any(v % p for v in coords):
-                raise ExactnessError(
-                    "j' is not independent of the preimage choice")
-        cols = []
-        for j_e in j_cols:
-            coords = stage.express(j_e)
-            if coords is None:
-                raise ExactnessError("j' value does not survive to E'")
-            cols.append(tuple(v % p for v in coords))
-        j_matrices.append(IntMatrix._raw_columns(cols, stage.dim))
-
-    k_matrices = []
-    for k, stage in zip(c.k_maps, stages):
-        # k' lands in im(i) = pG for the target G of k (0 at the top)
-        G = k.target
-        matrix, _ = class_matrix(
-            partial(express_through, diagonal_matrix((p,) * G.ngens),
-                    G.relations),
-            k.matrix @ stage.rep_matrix(), G.ngens)
-        if matrix is None:
-            raise ExactnessError("k of a surviving class misses im(i)")
-        k_matrices.append(matrix)
-
-    return ExactCouple(c.weights, p, c.level + 1,
-                       [FgAbGroup(d // gcd(d, p) for d in D.entries)
-                        for D in c.D], stages,
-                       j_matrices, k_matrices, parent=c)
+    stages, D, j_matrices, k_matrices = c._content.derived()
+    return ExactCouple(c.weights, c.p, c.level + 1, D, stages, j_matrices,
+                       k_matrices, parent=c)
 
 
 def couples(r: int, n: int, p: int, upto: int) -> list:
@@ -363,30 +450,48 @@ def _weights(blk) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _oracle_cells(s: int) -> tuple:
+    """Where d sends the cells of a block of s nonzero weights, once per s:
+    per degree i = 0..s, the number of degree-(i+1) cells and, per
+    degree-i cell T (the i-subsets of {1..s} in colex order), the terms
+    (row, sign, j) of d on it: for each j not in T, the row of the cell
+    T + j and the sign (-1)^(position of j in T + j)."""
+    cells = [sorted(combinations(range(1, s + 1), i), key=lambda T: T[::-1])
+             for i in range(s + 2)]
+    pattern = []
+    for i in range(s + 1):
+        index = {T: c for c, T in enumerate(cells[i + 1])}
+        terms = []
+        for T in cells[i]:
+            col = []
+            for j in range(1, s + 1):
+                if j not in T:
+                    U = tuple(sorted(T + (j,)))
+                    col.append((index[U], (-1) ** U.index(j), j))
+            terms.append(tuple(col))
+        pattern.append((len(cells[i + 1]), tuple(terms)))
+    return tuple(pattern)
+
+
 def _oracle_d(weights: tuple) -> tuple:
     """d^0 .. d^s on the block of the ordered nonzero weights w: degree-i
     cells x^(w - 1_T) dx_T, T an i-subset of {1..s} in colex order.
 
     d(x^a dx_T) = sum over j not in T of a_j x^(a - e_j) dx_j ^ dx_T, and
-    dx_j ^ dx_T = (-1)^(position of j in T + j) dx_(T + j).
+    dx_j ^ dx_T = (-1)^(position of j in T + j) dx_(T + j).  The cells,
+    rows and signs depend only on s (_oracle_cells); a = w - 1_T gives
+    a_j = w_j for every j not in T.
     """
-    s = len(weights)
-    cells = [sorted(combinations(range(1, s + 1), i), key=lambda T: T[::-1])
-             for i in range(s + 2)]
     ds = []
-    for i in range(s + 1):
-        index = {T: c for c, T in enumerate(cells[i + 1])}
+    for nrows, terms in _oracle_cells(len(weights)):
         cols = []
-        for T in cells[i]:
-            a = [w - (j in T) for j, w in enumerate(weights, 1)]
-            col = [0] * len(cells[i + 1])
-            for j in range(1, s + 1):
-                if j not in T:
-                    U = tuple(sorted(T + (j,)))
-                    col[index[U]] += (-1) ** U.index(j) * a[j - 1]
+        for col_terms in terms:
+            col = [0] * nrows
+            for row, sign, j in col_terms:
+                col[row] += sign * weights[j - 1]
             cols.append(col)
-        ds.append(IntMatrix.from_columns(cols, len(cells[i + 1])))
-    for i in range(s):
+        ds.append(IntMatrix.from_columns(cols, nrows))
+    for i in range(len(weights)):
         if not (ds[i + 1] @ ds[i]).is_zero():
             raise AssertionError(f"d∘d != 0 on the block of weights "
                                  f"{weights}")

@@ -11,9 +11,11 @@ key and p.  Every result stays in the canonical coordinates: class
 coordinates (group entries, mod-p classes) need no transport, and a
 cochain of a block is moved onto the canonical block by forward[i] of the
 block's transport where it enters (cartier_iso, whose class matrices are
-cached per ordered weights).  Integral cohomology reads only how many
-blocks each key has (derham.block_counts).  The assembled results are
-cached per (r, n) and (r, n, p).
+cached per ordered weights).  Mod-p homology is built once per distinct
+residues of its two differentials (modp_homology), so keys whose blocks
+agree mod p share it.  Integral cohomology reads only how many blocks
+each key has (derham.block_counts).  The assembled results are cached
+per (r, n) and (r, n, p).
 """
 
 from __future__ import annotations
@@ -140,8 +142,17 @@ def modp_homology(d_in: IntMatrix, d_out: IntMatrix, p: int) -> ModpDegree:
 
     The class representatives are the cocycles that greedily extend a basis
     of the coboundaries; this is the one builder of mod-p subquotients, used
-    for mod-p cohomology and for every derived Bockstein page.
+    for mod-p cohomology and for every derived Bockstein page.  Everything
+    a ModpDegree holds is a residue, so one is built per distinct residues
+    (_modp_degree): blocks whose d agree mod p share it.
     """
+    return _modp_degree(d_in.mod(p), d_out.mod(p), p)
+
+
+@lru_cache(maxsize=None)
+def _modp_degree(d_in: IntMatrix, d_out: IntMatrix, p: int) -> ModpDegree:
+    """The ModpDegree of d_in and d_out, reduced mod p; keyed like the
+    tower levels and key pairs that ask for it."""
     if not (d_out @ d_in).mod(p).is_zero():
         raise ValueError("d_out @ d_in is nonzero mod p: not a complex")
     return ModpDegree(d_in, tuple(modp.nullspace(d_out, p)), p)

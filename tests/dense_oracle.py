@@ -19,6 +19,9 @@ degree, the reference for the pages it reads off that basis with no
 quotient.  pairwise_invariant_chain merges
 cyclic groups one by one by gcd and lcm, the reference for the invariant
 factors abgroups reads off exponent lists over a coprime base.
+UnsharedCouple and unshared_derive build, certify and derive every tower
+level afresh, on mod-p homology built afresh (unshared_modp_homology),
+the reference for the couples the library shares by content.
 """
 
 from dataclasses import dataclass
@@ -26,8 +29,20 @@ from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd
 
-from derhamz.abgroups import class_matrix, homology_at, induced_map, quotient
+from derhamz.abgroups import (
+    FgAbGroup,
+    Homomorphism,
+    class_matrix,
+    diagonal_matrix,
+    express_through,
+    homology_at,
+    induced_map,
+    is_exact_at,
+    p_torsion,
+    quotient,
+)
 from derhamz.bockstein import (
+    ExactnessError,
     _block_couple,
     _block_level,
     _oracle_d,
@@ -35,6 +50,7 @@ from derhamz.bockstein import (
 )
 from derhamz.cohomology import (
     BlockHomology,
+    ModpDegree,
     block_homology,
     block_modp_homology,
     modp_homology,
@@ -57,7 +73,7 @@ from derhamz.intlinalg import (
     snf,
     unimodular_inverse,
 )
-from derhamz.modp import Solver, rank
+from derhamz.modp import Solver, nullspace, rank
 
 
 @lru_cache(maxsize=None)
@@ -586,3 +602,139 @@ def pairwise_invariant_chain(entries) -> tuple:
         if x > 1:
             chain.insert(0, x)
     return tuple(chain)
+
+
+def unshared_modp_homology(d_in: IntMatrix, d_out: IntMatrix, p: int):
+    """ker(d_out) / im(d_in) over the p-element field, a new ModpDegree on
+    every call."""
+    if not (d_out @ d_in).mod(p).is_zero():
+        raise ValueError("d_out @ d_in is nonzero mod p: not a complex")
+    return ModpDegree(d_in, tuple(nullspace(d_out, p)), p)
+
+
+class UnsharedCouple:
+    """An exact couple that builds everything its content fixes itself: E,
+    i = p, the j and k maps (each checked well defined) and the page
+    differentials (j k) mod p, certified to square to zero.  The same
+    interface as bockstein.ExactCouple, with no record shared by content."""
+
+    def __init__(self, weights, p, level, D, stages, j_matrices, k_matrices,
+                 parent=None):
+        self.weights = weights
+        self.p = p
+        self.level = level
+        self.D = tuple(D)
+        self.stages = tuple(stages)
+        self.parent = parent
+        self.imax = len(self.D) - 1
+        self.dims = tuple(st.dim for st in self.stages)
+        self.E = tuple(FgAbGroup((p,) * dim) for dim in self.dims)
+        self.i_maps = tuple(Homomorphism(G, G, diagonal_matrix((p,) * G.ngens))
+                            for G in self.D)
+        self.j_maps = tuple(map(Homomorphism, self.D, self.E, j_matrices))
+        self.k_maps = tuple(map(Homomorphism, self.E,
+                                self.D[1:] + (FgAbGroup.zero(),), k_matrices))
+        self._d = tuple((j.matrix @ k.matrix).mod(p)
+                        for j, k in zip(self.j_maps[1:], self.k_maps))
+        if any(not (d1 @ d0).mod(p).is_zero()
+               for d0, d1 in zip(self._d, self._d[1:])):
+            raise RuntimeError("page differential does not square to zero")
+
+    def e_dim(self, i: int) -> int:
+        return self.dims[i] if 0 <= i <= self.imax else 0
+
+    def d_matrix(self, i: int) -> IntMatrix:
+        if not 0 <= i < self.imax:
+            return IntMatrix.zeros(self.e_dim(i + 1), self.e_dim(i))
+        return self._d[i]
+
+    def express_cochain(self, i: int, z):
+        tower, c = [], self
+        while c is not None:
+            tower.append(c.stages[i])
+            c = c.parent
+        for stage in reversed(tower):
+            z = stage.express(z)
+            if z is None:
+                return None
+        return z
+
+    def exactness_failures(self) -> list:
+        failures = []
+        zero_E = FgAbGroup.zero()
+        for i in range(self.imax + 1):
+            if i >= 1:
+                k_in = self.k_maps[i - 1]
+            else:
+                k_in = Homomorphism.zero(zero_E, self.D[0])
+            for label, (f, g) in (
+                ("ker i = im k", (k_in, self.i_maps[i])),
+                ("ker j = im i", (self.i_maps[i], self.j_maps[i])),
+                ("ker k = im j", (self.j_maps[i], self.k_maps[i])),
+            ):
+                ok, witness = is_exact_at(f, g)
+                if not ok:
+                    failures.append((label, i, witness))
+        return failures
+
+
+def unshared_derive(c: UnsharedCouple) -> UnsharedCouple:
+    """The derived couple of an exact UnsharedCouple, every certificate and
+    check computed afresh: D' = pD, E' = ker(jk)/im(jk), j' on the
+    i-preimages (checked independent of the choice) and k' on the
+    surviving classes."""
+    failures = c.exactness_failures()
+    if failures:
+        label, i, witness = failures[0]
+        raise ExactnessError(
+            f"couple level {c.level} of weights {c.weights} at "
+            f"p={c.p} fails {label} in degree {i}; witness {witness}")
+    p = c.p
+    stages = [unshared_modp_homology(c.d_matrix(i - 1), c.d_matrix(i), p)
+              for i in range(c.imax + 1)]
+    j_matrices = []
+    for D, j, stage in zip(c.D, c.j_maps, stages):
+        j_cols = j.matrix.columns()
+        for t, m in p_torsion(D, p):
+            coords = stage.express([m * v for v in j_cols[t]])
+            if coords is None or any(v % p for v in coords):
+                raise ExactnessError(
+                    "j' is not independent of the preimage choice")
+        cols = []
+        for j_e in j_cols:
+            coords = stage.express(j_e)
+            if coords is None:
+                raise ExactnessError("j' value does not survive to E'")
+            cols.append(tuple(v % p for v in coords))
+        j_matrices.append(IntMatrix.from_columns(cols, stage.dim))
+    k_matrices = []
+    for k, stage in zip(c.k_maps, stages):
+        G = k.target
+        matrix, _ = class_matrix(
+            partial(express_through, diagonal_matrix((p,) * G.ngens),
+                    G.relations),
+            k.matrix @ stage.rep_matrix(), G.ngens)
+        if matrix is None:
+            raise ExactnessError("k of a surviving class misses im(i)")
+        k_matrices.append(matrix)
+    return UnsharedCouple(c.weights, p, c.level + 1,
+                          [FgAbGroup(d // gcd(d, p) for d in D.entries)
+                           for D in c.D], stages, j_matrices, k_matrices,
+                          parent=c)
+
+
+def unshared_tower(key: tuple, p: int, levels: int) -> list:
+    """Levels 1..levels of the tower of the canonical block of the key, as
+    UnsharedCouples: level 1 from the j and k matrices of _block_couple on
+    fresh mod-p homology, each later level by unshared_derive."""
+    weights = canonical_weights(key)
+    d = [koszul_d(weights, i) for i in range(-1, len(weights) + 1)]
+    mp = [unshared_modp_homology(d_in, d_out, p)
+          for d_in, d_out in zip(d, d[1:])]
+    first = _block_couple(weights, p, block_homology(key), mp)
+    tower = [UnsharedCouple(weights, p, 1, first.D, mp,
+                            [j.matrix for j in first.j_maps],
+                            [k.matrix for k in first.k_maps])]
+    while len(tower) < levels:
+        tower.append(unshared_derive(tower[-1]))
+    return tower

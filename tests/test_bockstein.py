@@ -8,6 +8,7 @@ wrong inverse or a block d with d∘d != 0 must make the oracle raise.
 """
 
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -40,6 +41,7 @@ from derhamz.bockstein import (
     pages,
 )
 from derhamz.cohomology import (
+    ModpDegree,
     block_homology,
     block_modp_homology,
     integral_cohomology,
@@ -214,6 +216,64 @@ class TestExactness:
         with pytest.raises(ExactnessError):
             derive(broken)
 
+    def test_equal_broken_contents_name_their_own_couples(self):
+        # the broken couple of test_derive_rejects_broken_couple under two
+        # weights and levels: one record, one certificate, and each derive
+        # raises, every time, naming the couple it was given
+        (c,) = initial_couple(1, 2, 2).summands
+        j = [IntMatrix.zeros(c.e_dim(i), G.ngens) for i, G in enumerate(c.D)]
+        k = [m.matrix for m in c.k_maps]
+        first = ExactCouple((2,), 2, 1, c.D, c.stages, j, k)
+        second = ExactCouple((6,), 2, 3, c.D, c.stages, j, k)
+        assert first._content is second._content
+        for couple in (first, second, first, second):
+            name = f"couple level {couple.level} of weights {couple.weights}"
+            with pytest.raises(ExactnessError,
+                               match=re.escape(name) + " at p=2 fails"):
+                derive(couple)
+
+    def test_a_faulty_exactness_check_is_reached(self, cold_tower):
+        # every node reported broken: the certificate of level 1 of (1, 4,
+        # 2) is computed in this test, so it raises; its record keeps the
+        # verdict until the tables are cleared
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bockstein, "is_exact_at", lambda f, g: (False, (7,)))
+            with pytest.raises(ExactnessError, match=re.escape(
+                    "couple level 1 of weights (4,) at p=2 fails ker i = im k "
+                    "in degree 0; witness (7,)")):
+                couples(1, 4, 2, 2)
+        with pytest.raises(ExactnessError):
+            couples(1, 4, 2, 2)
+        cold_tower()
+        assert [c.dims for c in couples(1, 4, 2, 3)] == [(1, 1), (1, 1),
+                                                         (0, 0)]
+
+    def test_a_page_that_keeps_the_coboundaries_fails_derive(self,
+                                                             cold_tower):
+        # derive's pages without the quotient by im d: j of the 2-torsion
+        # generator of D^1 = Z/2 of (1, 2, 2) no longer vanishes on E'
+        real = bockstein.modp_homology
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bockstein, "modp_homology",
+                          lambda d_in, d_out, p: real(
+                              IntMatrix.zeros(d_in.nrows, 0), d_out, p))
+            with pytest.raises(ExactnessError, match="j' is not independent"):
+                couples(1, 2, 2, 2)
+        cold_tower()
+        assert [c.dims for c in couples(1, 2, 2, 2)] == [(1, 1), (0, 0)]
+
+    def test_a_page_that_expresses_nothing_fails_derive(self, cold_tower):
+        # level 1 of the key (2, 1) is built first; then no class can be
+        # expressed on its derived page, which derive reaches since the
+        # level's record has not been derived yet
+        level = bockstein._block_level((2, 1), 2, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ModpDegree, "express", lambda self, z: None)
+            with pytest.raises(ExactnessError, match="j' is not independent"):
+                derive(level)
+        cold_tower()
+        assert derive(bockstein._block_level((2, 1), 2, 1)).dims == (0, 0)
+
     def test_constructor_certifies_d_squared_zero(self):
         # D = 0, Z/2, Z/2 and pages of dims (1, 2, 1); every map below is
         # well defined, but d^1 d^0 = [[1]]
@@ -227,6 +287,24 @@ class TestExactness:
             ExactCouple((2, 2), 2, 1, c.D, c.stages, j, k)
         k[1] = IntMatrix.zeros(1, 2)
         ExactCouple((2, 2), 2, 1, c.D, c.stages, j, k)
+
+
+@pytest.fixture
+def cold_tower():
+    """Clears the couple records, the mod-p homology tables and the tower
+    levels before and after the test, so that a fault injected into
+    is_exact_at, modp_homology or ModpDegree.express is reached where the
+    tower computes, no record keeps its verdict after the test, and every
+    key reads its mod-p homology from one table again; calling it clears
+    them again."""
+    def clear():
+        for cache in (bockstein._content, cohomology._modp_degree,
+                      cohomology.block_modp_homology,
+                      bockstein._block_level):
+            cache.cache_clear()
+    clear()
+    yield clear
+    clear()
 
 
 class TestDerive:
@@ -427,11 +505,11 @@ def _add_last_row_to_first(M):
 @pytest.fixture
 def cold_oracle():
     # the faults below act where the oracle computes, so its caches start
-    # and end empty
-    for cache in (_oracle_d, _adapted_basis, _closed_form_block):
+    # and end empty (_oracle_d itself is not cached)
+    for cache in (_adapted_basis, _closed_form_block):
         cache.cache_clear()
     yield
-    for cache in (_oracle_d, _adapted_basis, _closed_form_block):
+    for cache in (_adapted_basis, _closed_form_block):
         cache.cache_clear()
 
 

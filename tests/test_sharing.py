@@ -19,6 +19,14 @@ key pair, on the canonical blocks, since both blocks share their
 transport: a child counts the computations, and a hypothesis test checks
 that the key-pair results are the pair's results in its own ordered
 coordinates (dense_oracle.ordered_*).
+
+A couple is a value: its record (the maps, d∘d = 0, the exactness
+certificate and the derived content) is built once per distinct content
+(p, D, dims, j, k), so a child counts each content certified exact and
+derived once, a stationary level reads the record of the level below, and
+mod-p homology is shared by blocks whose d agree mod p.  A hypothesis test
+checks every shared tower level against the unshared reference
+(dense_oracle.unshared_tower).
 """
 
 import json
@@ -38,7 +46,7 @@ from derhamz.bockstein import (
     couples,
     derive,
 )
-from derhamz.cohomology import block_homology
+from derhamz.cohomology import block_homology, block_modp_homology
 from derhamz.derham import block_key, koszul_d, transport
 from derhamz.intlinalg import hnf, hstack, lattice_solve
 from derhamz.modp import rank, valuation
@@ -48,6 +56,7 @@ from dense_oracle import (
     ordered_cartier_classes,
     ordered_frobenius,
     ordered_identification,
+    unshared_tower,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -115,6 +124,35 @@ print(json.dumps({"calls": calls,
                   "keys": len({blk.key for blk in koszul_blocks(3, 12)}),
                   "ordered": len({blk.weights
                                   for blk in koszul_blocks(3, 12)})}))
+"""
+
+CONTENT_COUNTS = """
+import contextlib
+import io
+import json
+from collections import Counter
+from derhamz import bockstein, cli, theorems
+
+calls = {"derive": 0, "certified": Counter(), "derived": Counter()}
+real_derive = bockstein.derive
+
+def derive(c):
+    calls["derive"] += 1
+    return real_derive(c)
+
+bockstein.derive = derive
+# the record's own computations, counted per record
+for name, label in (("_find_failures", "certified"), ("_derive", "derived")):
+    def counted(record, _fn=getattr(bockstein._Content, name), _label=label):
+        calls[_label][id(record)] += 1
+        return _fn(record)
+    setattr(bockstein._Content, name, counted)
+RUN
+print(json.dumps({"derive": calls["derive"],
+                  "certified": sorted(calls["certified"].values()),
+                  "derived": sorted(calls["derived"].values()),
+                  "same_records": calls["certified"].keys()
+                                  == calls["derived"].keys()}))
 """
 
 PAIR_COUNTS = """
@@ -365,6 +403,77 @@ def test_pages_builds_each_tower_level_once_per_key():
     counts = json.loads(_child(PAGE_COUNTS))
     assert counts["keys"] == 10 and counts["ordered"] == 67, counts
     assert counts["calls"] == {"_block_couple": 10, "derive": 20}, counts
+
+
+@pytest.mark.parametrize("run, calls, contents", [
+    ("with contextlib.redirect_stdout(io.StringIO()):\n"
+     "    assert cli.main(['pages', '-r', '3', '-n', '12', '-p', '2']) == 0",
+     20, 11),
+    ("bockstein.pages(4, 16, 2)", 44, 14),
+    ("bockstein.pages(4, 16, 2, 3)", 22, 12),
+    ("theorems.sweep(3, 8)", 36, 23),
+], ids=["cli pages (3,12,2)", "pages(4,16,2)", "pages(4,16,2,3)",
+        "sweep(3,8)"])
+def test_each_couple_content_is_certified_and_derived_once(run, calls,
+                                                           contents):
+    # derive runs once per (key, p, level), but its certificate, its
+    # checks and the derived content once per distinct content: the levels
+    # past v_p(g) + 1 of a key of gcd g repeat a content (from level 1 when
+    # p does not divide g), and keys share contents, e.g. (8, 2) at level
+    # 2 and (4, 2) at level 1 at p = 2
+    counts = json.loads(_child(CONTENT_COUNTS.replace("RUN", run)))
+    assert counts["derive"] == calls, counts
+    assert counts["certified"] == counts["derived"] == [1] * contents, counts
+    assert counts["same_records"], counts
+
+
+def test_a_stationary_level_reads_the_record_below():
+    # key (1, 3) at p = 2: D = (0, Z/1, (Z/1)^2, Z/1) and zero pages, so
+    # levels 2 and 3 have the content of level 1 and read its record
+    first = _block_level((1, 3), 2, 1)
+    assert [G.entries for G in first.D] == [(), (1,), (1, 1), (1,)]
+    assert first.dims == (0, 0, 0, 0)
+    for level in (2, 3):
+        couple = _block_level((1, 3), 2, level)
+        assert couple.level == level and couple.parent.level == level - 1
+        assert couple.i_maps is first.i_maps, level
+
+
+def test_blocks_equal_mod_p_share_their_modp_homology():
+    # the canonical d of (2, 2), (4, 2) and (6, 2) vanish mod 2
+    for key in ((4, 2), (6, 2)):
+        for i in range(3):
+            assert (block_modp_homology(key, 2)[i]
+                    is block_modp_homology((2, 2), 2)[i]), (key, i)
+    assert block_modp_homology((3, 2), 2)[1] is not \
+        block_modp_homology((2, 2), 2)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.sampled_from([2, 3, 5]))
+def test_a_shared_tower_is_the_unshared_tower(g, s, p):
+    # levels 1..4 of the tower of the key against the reference that
+    # builds, certifies and derives every level afresh: the same groups,
+    # pages, maps, page differentials and exactness verdicts, and the same
+    # class of every unit cochain of the canonical block
+    key = (g, s)
+    reference = unshared_tower(key, p, 4)
+    cells = [stage.dim_cochain for stage in reference[0].stages]
+    for level, ref in enumerate(reference, 1):
+        couple = _block_level(key, p, level)
+        assert [G.entries for G in couple.D] == [G.entries for G in ref.D]
+        assert couple.dims == ref.dims, level
+        for i in range(ref.imax + 1):
+            assert couple.j_maps[i].matrix == ref.j_maps[i].matrix, (level, i)
+            assert couple.k_maps[i].matrix == ref.k_maps[i].matrix, (level, i)
+        for i in range(-1, ref.imax + 1):
+            assert couple.d_matrix(i) == ref.d_matrix(i), (level, i)
+        assert couple.exactness_failures() == ref.exactness_failures()
+        for i, n in enumerate(cells):
+            for c in range(n):
+                unit = tuple(int(t == c) for t in range(n))
+                assert (couple.express_cochain(i, unit)
+                        == ref.express_cochain(i, unit)), (level, i, c)
 
 
 def test_each_block_pair_check_is_computed_once_per_key_pair():
