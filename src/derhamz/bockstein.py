@@ -5,8 +5,10 @@ generated by the short exact coefficient sequence for multiplication by p.
 Deriving it repeatedly yields the spectral-sequence pages; a closed-form
 lattice computation of the same pages serves as an independent oracle.
 The couple, every derived couple and the oracle are direct sums over the
-multidegree blocks of the complex, and are computed block by block
-(CoupleSum).
+multidegree blocks of the complex: one summand per key, with the number of
+its blocks (CoupleSum).  Where a block's own cells matter the engine walks
+the distinct ordered weights (derham.weight_pairs); the closed-form oracle
+enumerates the blocks itself.
 
 Each level of a block's tower is computed once per key (gcd and number of
 the block's weights), on the canonical block of the key (_block_level),
@@ -58,10 +60,16 @@ from .cohomology import (
     modp_homology,
 )
 from .derham import (
-    block_pairs,
+    _compositions_desc,
+    basis_index,
+    block_counts,
+    block_key,
     canonical_weights,
-    koszul_blocks,
+    first_block,
+    first_blocks,
     koszul_d,
+    transport,
+    weight_pairs,
 )
 from .intlinalg import IntMatrix, lattice_solve, snf, unimodular_inverse
 from .modp import check_prime, valuation
@@ -274,28 +282,29 @@ class CoupleSum:
     couples.
 
     d, the Bockstein maps and every derived couple respect the
-    multidegree, so the couple is the direct sum over the Koszul blocks
-    (derham.koszul_blocks) of their own couples: summands[b] is the tower
-    level of the key of blocks[b] (_block_level; blocks of one key share
-    one object), and blocks[b].transport carries the block's cochains to
-    that level's.  Its groups, maps and page differentials are those of
-    the summands and are never assembled.  A direct sum is exact (and its
-    maps well defined) exactly when every summand is, so those
-    certificates run on the summands, once per key.
+    multidegree, so the couple is the direct sum over the Koszul blocks of
+    their own couples.  The blocks of a key (counts[key] of them,
+    derham.block_counts) share one summand, the tower level of the key
+    (summands[key], _block_level), onto which transport(w) carries the
+    cochains of a block of ordered weights w.  The dims sum the summands'
+    dims weighted by the counts; the groups, maps and page differentials
+    are never assembled.  A direct sum is exact (and its maps well
+    defined) exactly when every summand is, so those certificates run on
+    the summands, once per key.
     """
 
-    def __init__(self, r, n, p, level, blocks, summands):
+    def __init__(self, r, n, p, level, counts, summands):
         self.r = r
         self.n = n
         self.p = p
         self.level = level
         self.imax = min(n, r)
-        self.blocks = tuple(blocks)
-        self.summands = tuple(summands)
+        self.counts = dict(counts)
+        self.summands = dict(summands)
         dims = [0] * (self.imax + 1)
-        for summand in self.summands:
-            for i, dim in enumerate(summand.dims):
-                dims[i] += dim
+        for key, count in self.counts.items():
+            for i, dim in enumerate(self.summands[key].dims):
+                dims[i] += count * dim
         self.dims = tuple(dims)
 
 
@@ -376,10 +385,10 @@ def couples(r: int, n: int, p: int, upto: int) -> list:
         raise ValueError("total degree must be >= 1")
     if upto < 1:
         raise ValueError("upto must be >= 1")
-    blocks = koszul_blocks(r, n)
+    counts = block_counts(r, n)
     # level by level, so each level finds the one below it cached
-    return [CoupleSum(r, n, p, level, blocks,
-                      [_block_level(blk.key, p, level) for blk in blocks])
+    return [CoupleSum(r, n, p, level, counts,
+                      {key: _block_level(key, p, level) for key in counts})
             for level in range(1, upto + 1)]
 
 
@@ -443,10 +452,6 @@ def pages(r: int, n: int, p: int, kmax: int | None = None) -> list:
 # Z/p.  So E_k keeps a_t and b_t exactly when p^k divides s_t, and every
 # h, and d_k[a_t] = [d a_t / p^k] = (s_t / p^k) b_t, nonzero mod p only
 # when v = k.
-
-
-def _weights(blk) -> tuple:
-    return tuple(w for w in blk.beta if w)
 
 
 @lru_cache(maxsize=None)
@@ -603,18 +608,21 @@ def closed_form_page(r: int, n: int, p: int, k: int) -> SpectralPage:
 
     E_k^i = Z_k^i / (p Z_{k-1}^i + p^(1-k) d Z_{k-1}^(i-1)) with
     d_k[x] = [dx / p^k], on each Koszul block (_closed_form_block), and the
-    page dims are the sums over the blocks.  A block's page is read off
-    its adapted basis [a | b | h] (d a_t = s_t b_t, d b = d h = 0; one
-    certified Smith form per degree, _adapted_basis): it keeps a_t and
-    b_t when p^k divides s_t, and every h.  Must agree degreewise,
-    compatibly with d_k, with pages(...)[k-1].
+    page dims are the sums over the blocks, enumerated here one per
+    weight beta, so that the oracle shares neither the engine's walk nor
+    its block counts.  A block's page is read off its adapted basis [a | b
+    | h] (d a_t = s_t b_t, d b = d h = 0; one certified Smith form per
+    degree, _adapted_basis): it keeps a_t and b_t when p^k divides s_t, and
+    every h.  Must agree degreewise, compatibly with d_k, with
+    pages(...)[k-1].
     """
     check_prime(p)
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    if r < 0 or n < 1 or k < 1:
+        raise ValueError("need r >= 0, n >= 1 and k >= 1")
     dims = [0] * (min(n, r) + 1)
-    for blk in koszul_blocks(r, n):
-        for i, dim in enumerate(_closed_form_block(_weights(blk), p, k)[0]):
+    for beta in _compositions_desc(n, r):
+        weights = tuple(w for w in beta if w)
+        for i, dim in enumerate(_closed_form_block(weights, p, k)[0]):
             dims[i] += dim
     return SpectralPage(r, n, p, k, tuple(dims))
 
@@ -653,32 +661,35 @@ def compare_with_closed_form(r: int, n: int, p: int,
 def _block_oracle_failure(couple: CoupleSum, k: int) -> Optional[dict]:
     """The first failure of the comparison on the blocks, or None.
 
-    Each distinct ordered weight vector is checked once, against the
-    summand of its first block: the closed-form representatives, in the
-    block's cochains, are moved by forward[i] of the block's transport onto
-    the canonical block of the summand.  The oracle keeps the ordered
-    weights as its key, while the engine computes once per (gcd, length)
-    key, so every transport the pages use is checked here.
+    The oracle enumerates the blocks itself and checks each distinct
+    ordered weight vector once, on its first block, against the summand of
+    its key (a missing one fails on dimensions): the closed-form
+    representatives, in the block's cochains, are moved by forward[i] of
+    the block's transport onto the canonical block of the summand.  The oracle keeps
+    the ordered weights as its key, while the engine computes once per
+    (gcd, length) key, so every transport the pages use is checked here.
     Failures to conjugate the differentials come last, after every failure
     of dimensions, survival or bijectivity on some block.
     """
     conjugation = None
     seen = set()
-    for blk, summand in zip(couple.blocks, couple.summands):
-        weights = _weights(blk)
+    for beta in _compositions_desc(couple.n, couple.r):
+        weights = tuple(w for w in beta if w)
         if weights in seen:
             continue
         seen.add(weights)
-        beta = list(blk.beta)
+        beta = list(beta)
+        summand = couple.summands.get(block_key(weights))
         dims, gens, diffs = _closed_form_block(weights, couple.p, k)
-        if dims != summand.dims:
+        if summand is None or dims != summand.dims:
             return {"reason": "dimension mismatch", "beta": beta}
         if not any(dims):
             # a zero page compares nothing, so it needs no transport
             continue
         failure = _page_isomorphism_failure(
             summand, [move @ gen for move, gen in
-                      zip(blk.transport.forward, gens)], diffs.__getitem__)
+                      zip(transport(weights).forward, gens)],
+            diffs.__getitem__)
         if failure is None:
             continue
         check, i, detail = failure
@@ -730,53 +741,54 @@ def block_identification_failure(couple: CoupleSum, q: int) -> Optional[dict]:
     """The witness of the first failure of the page identification on the
     blocks, or None.
 
-    Each distinct block gamma of degree n/q is paired with its block
-    q*gamma of couple (derham.block_pairs).  Both blocks of a pair share
-    their transport (checked per pair), so the identification is checked
-    once per key pair, on the canonical tower level (_identification); only
-    a failing pair is checked again, on its unit cochains moved by
-    forward[i] of its transport, for a witness in its own cells.  The
-    witness carries the block weight and, for a class that does not
-    survive, the basis index of its cell in degree n.  Failures to
-    conjugate the differentials come last, after every failure of a cocycle
-    check or of bijectivity in some degree (a class that does not survive,
-    a class matrix of low rank, a nonzero page on a block that is no
-    q-multiple).
+    Each distinct ordered weights w of degree n/q is paired with its
+    multiple q*w of degree n (derham.weight_pairs).  Both blocks of a pair
+    share their transport (checked per pair), so the identification is
+    checked once per key pair, on the canonical tower level
+    (_identification); only a failing pair is checked again, on its unit
+    cochains moved by forward[i] of its transport, for a witness in its
+    own cells.  The witness carries the weight of the first block of q*w,
+    (q*w, 0, ..., 0), and, for a class that does not survive, the basis
+    index of its cell in degree n.  Failures to conjugate the differentials
+    come last, after every failure of a cocycle check or of bijectivity in
+    some degree (a class that does not survive, a class matrix of low
+    rank, a nonzero page on a block that is no q-multiple).
     """
-    m = couple.n // q
-    sources = koszul_blocks(couple.r, m)
-    pairs, others = block_pairs(couple.r, m, q)
+    pairs, others = weight_pairs(couple.r, couple.n // q, q)
     conjugation = None
-    for b, c in pairs:
-        src, blk = sources[b], couple.blocks[c]
-        if src.transport != blk.transport:
-            return {"check": "shares transport", "beta": list(blk.beta)}
-        verdict = _identification(src.key, blk.key, couple.p, couple.level)
+    for weights, multiple in pairs:
+        beta = first_block(multiple, couple.r)
+        move = transport(multiple)
+        if transport(weights) != move:
+            return {"check": "shares transport", "beta": list(beta)}
+        key = block_key(multiple)
+        verdict = _identification(block_key(weights), key, couple.p,
+                                  couple.level)
         if verdict is None or verdict[0] == "conjugates" and conjugation:
             continue
         if verdict[0] == "cocycle":
             return {"check": "cocycle", "degree": verdict[1],
-                    "beta": list(blk.beta)}
+                    "beta": list(beta)}
         failure = _page_isomorphism_failure(
-            couple.summands[c], blk.transport.forward, src.d)
+            couple.summands[key], move.forward, partial(koszul_d, weights))
         if failure is None or failure[:2] != verdict:
-            raise RuntimeError(f"block {list(blk.beta)} and its key pair "
+            raise RuntimeError(f"block {list(beta)} and its key pair "
                                f"disagree on the page identification")
         check, i, detail = failure
-        witness = {"degree": i, "beta": list(blk.beta)}
+        witness = {"degree": i, "beta": list(beta)}
         if check == "survives":
             return {"check": "class survives", **witness,
-                    "cell": blk.basis_index(i, detail)}
+                    "cell": basis_index(beta, i, detail)}
         if check == "bijective":
             return {"check": "bijective", **witness,
                     "matrix": detail.to_lists()}
         lhs, rhs = detail
         conjugation = {"check": "conjugates d", **witness,
                        "lhs": lhs.to_lists(), "rhs": rhs.to_lists()}
-    for c in others:
-        if any(couple.summands[c].dims):
-            return {"check": "bijective", "beta": list(couple.blocks[c].beta),
-                    "page": list(couple.summands[c].dims)}
+    nonzero = [key for key in others if any(couple.summands[key].dims)]
+    for beta, key in first_blocks(couple.r, couple.n, nonzero):
+        return {"check": "bijective", "beta": list(beta),
+                "page": list(couple.summands[key].dims)}
     return conjugation
 
 

@@ -1,21 +1,22 @@
 """Integral and mod-p cohomology of the de Rham complex, block by block.
 
-Both are direct sums over the multidegree blocks of the complex
-(derham.koszul_blocks).  Blocks of one key (gcd and number of the nonzero
-weights) are isomorphic complexes: the certified exterior-power transport
-derham.transport carries the block of any ordered weights onto the
-canonical block of its key, whose weights are (g, 0, ..., 0).  So each
-per-block result is computed once per key, on the canonical block:
-block_homology by the key, block_modp_homology and _cartier_block by the
-key and p.  Every result stays in the canonical coordinates: class
-coordinates (group entries, mod-p classes) need no transport, and a
-cochain of a block is moved onto the canonical block by forward[i] of the
-block's transport where it enters (cartier_iso, whose class matrices are
-cached per ordered weights).  Mod-p homology is built once per distinct
-residues of its two differentials (modp_homology), so keys whose blocks
-agree mod p share it.  Integral cohomology reads only how many blocks
-each key has (derham.block_counts).  The assembled results are cached
-per (r, n) and (r, n, p).
+Both are direct sums over the multidegree blocks of the complex.  Blocks
+of one key (gcd and number of the nonzero weights) are isomorphic
+complexes: the certified exterior-power transport derham.transport carries
+the block of any ordered weights onto the canonical block of its key,
+whose weights are (g, 0, ..., 0).  So each per-block result is computed
+once per key, on the canonical block: block_homology by the key,
+block_modp_homology and _cartier_block by the key and p.  Every result
+stays in the canonical coordinates: class coordinates (group entries,
+mod-p classes) need no transport, and a cochain of a block is moved onto
+the canonical block by forward[i] of the block's transport where it enters
+(cartier_iso, whose class matrices are cached per ordered weights).  Mod-p
+homology is built once per distinct residues of its two differentials
+(modp_homology), so keys whose blocks agree mod p share it.  Integral and
+mod-p cohomology read only how many blocks each key has
+(derham.block_counts); cartier_iso walks the distinct ordered weights
+(derham.ordered_weights and weight_pairs).  The assembled results are
+cached per (r, n) and (r, n, p).
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .abgroups import FgAbGroup, class_matrix, homology_at, smith_group
 from .derham import (
     block_counts,
     block_key,
-    block_pairs,
     canonical_weights,
-    koszul_blocks,
+    first_block,
+    first_blocks,
     koszul_d,
     transport,
+    weight_pairs,
 )
 from .intlinalg import IntMatrix, hstack
 from .modp import check_prime
@@ -63,9 +65,9 @@ class CohomologyResult(NamedTuple):
 def integral_cohomology(r: int, n: int) -> CohomologyResult:
     """H^i over Z for every degree of the total-degree-n complex.
 
-    The complex is the direct sum of its multidegree blocks
-    (derham.koszul_blocks), so H^i is the sum of the blocks' H^i.  A
-    block's H^i is the group of its key (block_homology), so H^i only
+    The complex is the direct sum of its multidegree blocks, so H^i is
+    the sum of the blocks' H^i.  A block's H^i is the group of its key
+    (block_homology), so H^i only
     needs the number of blocks of each key (derham.block_counts), and is
     the group of its Smith diagonal (abgroups.smith_group): the invariant
     factors, then the free generators.  No block is enumerated and no
@@ -161,26 +163,25 @@ def _modp_degree(d_in: IntMatrix, d_out: IntMatrix, p: int) -> ModpDegree:
 class ModpCohomologyResult(NamedTuple):
     """Mod-p cohomology, the direct sum of its Koszul blocks' cohomology.
 
-    H^i of the block blocks[b] over the p-element field is
-    block_modp_homology of its key, and dims[i] = dim Z^i - dim B^i is the
-    dimension of the sum."""
+    H^i of a block over the p-element field is block_modp_homology of its
+    key, and dims[i] = dim Z^i - dim B^i is the dimension of the sum."""
     r: int
     n: int
     p: int
-    blocks: tuple
     dims: tuple
 
 
 @lru_cache(maxsize=None)
 def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
     """Cohomology of the complex tensored with Z/p: each block's H^i is
-    block_modp_homology of its key."""
+    block_modp_homology of its key, so the dims sum over the keys, each
+    weighted by its number of blocks (derham.block_counts)."""
     check_prime(p)
-    blocks = koszul_blocks(r, n)
-    degs = [block_modp_homology(blk.key, p) for blk in blocks]
-    dims = tuple(sum(bd[i].dim for bd in degs if i < len(bd))
+    counts = block_counts(r, n)
+    dims = tuple(sum(count * block_modp_homology(key, p)[i].dim
+                     for key, count in counts.items() if i <= key[1])
                  for i in range(min(n, r) + 1))
-    return ModpCohomologyResult(r, n, p, blocks, dims)
+    return ModpCohomologyResult(r, n, p, dims)
 
 
 @lru_cache(maxsize=None)
@@ -195,19 +196,21 @@ def block_modp_homology(key: tuple, p: int) -> tuple:
 
 def cocycle_dim(r: int, n: int, i: int, p: int) -> int:
     """Dimension of the mod-p cocycle space in one degree: the sum of the
-    blocks' mod-p cocycle counts, read on the canonical blocks."""
+    blocks' mod-p cocycle counts, read on the canonical block of each key
+    and weighted by its number of blocks (derham.block_counts)."""
     check_prime(p)
-    return sum(len(block_modp_homology(blk.key, p)[i].cocycles)
-               for blk in koszul_blocks(r, n) if 0 <= i <= len(blk.weights))
+    return sum(count * len(block_modp_homology(key, p)[i].cocycles)
+               for key, count in block_counts(r, n).items()
+               if 0 <= i <= key[1])
 
 
-def cartier_iso(r: int, n: int, i: int, p: int) -> list:
+def cartier_iso(r: int, n: int, i: int, p: int) -> dict:
     """The inverse Cartier map from the mod-p forms of degree (n, i) to
     mod-p H^i of total degree p*n, block by block, certified bijective.
 
     In block coordinates the representative x -> x^p, dx -> x^(p-1) dx is
     the identity from block beta of total degree n to block p*beta of
-    degree p*n (derham.block_pairs).  _cartier_block certifies it on the
+    degree p*n (derham.weight_pairs).  _cartier_block certifies it on the
     canonical pair of the key: its unit cochains are cocycles whose classes
     are a basis.  The map of a block is then the classes of its unit
     cochains in block p*beta's mod-p H^i: the columns of forward[i] of the
@@ -218,31 +221,31 @@ def cartier_iso(r: int, n: int, i: int, p: int) -> list:
     entry prime to p, that its mod-p H^i vanishes, on the canonical block
     of its key.
 
-    Returns per block beta of koszul_blocks(r, n) the class matrix of its
-    degree-i cells in block p*beta, None outside the block's degrees.
-    Raises RuntimeError when a check fails, which would falsify the
-    implementation rather than the statement.
+    Returns, per ordered weights w of derham.ordered_weights(r, n) with a
+    degree i, the class matrix of the degree-i cells of a block of weights
+    w in block p*beta.  Raises RuntimeError when a check fails, which
+    would falsify the implementation rather than the statement; the error
+    names the first block (w, 0, ..., 0) of the weights.
     """
     check_prime(p)
-    blocks = koszul_blocks(r, n)
-    matrices = {}            # per ordered weights
-    for blk in blocks:
-        if not 0 <= i <= len(blk.weights) or blk.weights in matrices:
+    pairs, others = weight_pairs(r, n, p)
+    matrices = {}
+    for weights, _ in pairs:
+        if not 0 <= i <= len(weights):
             continue
-        matrix = _cartier_classes(blk.weights, i, p)
+        matrix = _cartier_classes(weights, i, p)
         if matrix is None:
-            raise RuntimeError(f"a cell of block {blk.beta} has no class in "
-                               f"block p*beta (i={i}, p={p})")
-        matrices[blk.weights] = matrix
-    multiples = koszul_blocks(r, p * n)
-    for c in block_pairs(r, n, p)[1]:
-        key = multiples[c].key
-        if 0 <= i <= key[1] and block_modp_homology(key, p)[i].dim:
-            raise RuntimeError(
-                f"mod-p H^{i} of block {multiples[c].beta} at "
-                f"(r={r}, n={n}, i={i}, p={p}) is nonzero, though p does not "
-                f"divide its weight")
-    return [matrices.get(blk.weights) for blk in blocks]
+            raise RuntimeError(f"a cell of block {first_block(weights, r)} "
+                               f"has no class in block p*beta (i={i}, "
+                               f"p={p})")
+        matrices[weights] = matrix
+    nonzero = [key for key in others
+               if 0 <= i <= key[1] and block_modp_homology(key, p)[i].dim]
+    for beta, _ in first_blocks(r, p * n, nonzero):
+        raise RuntimeError(
+            f"mod-p H^{i} of block {beta} at (r={r}, n={n}, i={i}, p={p}) "
+            f"is nonzero, though p does not divide its weight")
+    return matrices
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,11 @@ and transport(w) gives Lambda^i(A) and Lambda^i(A^-1), certified once per
 primitive vector w/g: they commute with d and are inverse to each other.
 The closed-form page oracle in bockstein keeps the ordered weights as its
 key and never reads a transport, so it checks every transport it meets.
+
+The engine walks the distinct ordered weights (ordered_weights,
+weight_pairs) and counts the blocks of each key (block_counts); it never
+enumerates the blocks, and a witness names the first block (w, 0, ..., 0)
+of its weights (first_block).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, isqrt
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .intlinalg import IntMatrix
 
@@ -122,40 +127,21 @@ def _merge_sign(T: tuple, j: int) -> int:
     return -1 if sum(1 for t in T if t < j) % 2 else 1
 
 
-class KoszulBlock(NamedTuple):
-    """One multidegree summand of the total-degree-n complex.
+def first_block(weights: tuple, r: int) -> tuple:
+    """The weight (w, 0, ..., 0) of length r: the first block of the ordered
+    weights w in lex-decreasing order, the one every witness names."""
+    return weights + (0,) * (r - len(weights))
 
-    d and the Koszul contraction kappa preserve the weight alpha + 1_T of
-    x^alpha dx_T, so the cells of weight beta (|beta| = n) span a
-    subcomplex: the Koszul complex of the integers beta_j, j in the support
-    of beta.  Its degree-i cells are x^(beta - 1_T) dx_T for the i-subsets T
-    of the support, in colex order.  Blocks with equal ordered nonzero
-    weights are the same complex, and blocks with the same key (gcd and
-    number of those weights) are isomorphic complexes (transport).
-    """
-    beta: tuple             # the weight, length r
-    weights: tuple          # the nonzero beta_j, j increasing
-    key: tuple              # block_key(weights), the sharing key
 
-    @property
-    def transport(self) -> "Transport":
-        return transport(self.weights)
-
-    def d(self, i: int) -> IntMatrix:
-        """The block d^i; the zero map outside 0 <= i <= len(weights)."""
-        return koszul_d(self.weights, i)
-
-    def kappa(self, i: int) -> IntMatrix:
-        """The block kappa from degree i to i-1."""
-        return koszul_kappa(len(self.weights), i)
-
-    def basis_index(self, i: int, c: int) -> int:
-        """The index in basis(r, n, i) of the block's degree-i cell c."""
-        support = [j for j, w in enumerate(self.beta, 1) if w]
-        T = tuple(support[t - 1] for t in _subsets_colex(len(support), i)[c])
-        alpha = tuple(w - (j in T) for j, w in enumerate(self.beta, 1))
-        piece = basis(len(self.beta), sum(self.beta), i)
-        return piece.elements.index(BasisElement(alpha, T))
+def basis_index(beta: tuple, i: int, c: int) -> int:
+    """The index in basis(r, n, i) of the degree-i cell c of the block of
+    weight beta: x^(beta - 1_T) dx_T, T the c-th i-subset of the support
+    of beta in colex order."""
+    support = [j for j, w in enumerate(beta, 1) if w]
+    T = tuple(support[t - 1] for t in _subsets_colex(len(support), i)[c])
+    alpha = tuple(w - (j in T) for j, w in enumerate(beta, 1))
+    piece = basis(len(beta), sum(beta), i)
+    return piece.elements.index(BasisElement(alpha, T))
 
 
 def koszul_d(weights: tuple, i: int) -> IntMatrix:
@@ -313,30 +299,29 @@ def _ncells(s: int, i: int) -> int:
     return comb(s, i) if 0 <= i <= s else 0
 
 
-@lru_cache(maxsize=None)
-def koszul_blocks(r: int, n: int) -> tuple:
-    """The blocks of the total-degree-n complex, beta in lex decreasing order.
+def ordered_weights(r: int, n: int) -> list:
+    """The distinct ordered nonzero weights w of the blocks of the
+    total-degree-n complex, the compositions of n into at most r positive
+    parts, in the lex-decreasing order of their first blocks (w, 0, ..., 0);
+    no w is a prefix of another, so the order does not depend on r.
 
-    Embedding every block's d^i at its cells and summing gives d on the
-    whole (r, n, i) piece.  A block d depends only on the ordered nonzero
-    weights: d sends dx_T to dx_(T + j) with coefficient beta_j times
-    _merge_sign read in support-relative positions.  kappa sends x^alpha
-    dx_T to the sum over positions k of (-1)^(k-1) x^(alpha + e_(t_k))
-    dx_(T - t_k), which stays in the block with coefficient +-1, so the
-    block kappa depends only on the size of the support.
+    The cells x^(beta - 1_T) dx_T of weight beta (|beta| = n, T a subset of
+    the support, colex order) span a subcomplex, the Koszul complex of the
+    nonzero beta_j: d sends dx_T to dx_(T + j) with coefficient beta_j times
+    _merge_sign read in support-relative positions, and kappa has entries
+    +-1.  So the block depends only on w, which stands for C(r, len(w))
+    blocks, one per support.
     """
     if r < 0 or n < 0:
         raise ValueError("r and n must be nonnegative")
-    blocks = []
-    for beta in _compositions_desc(n, r):
-        weights = tuple(w for w in beta if w)
-        blocks.append(KoszulBlock(beta, weights, block_key(weights)))
-    return tuple(blocks)
+    return sorted([tuple([a + 1 for a in alpha])
+                   for s in range(min(r, n) + 1)
+                   for alpha in _compositions_desc(n - s, s)], reverse=True)
 
 
 def block_counts(r: int, n: int) -> dict:
-    """The number of blocks of each key (g, s) in koszul_blocks(r, n),
-    without enumerating them.
+    """The number of blocks of each key (g, s) of the total-degree-n
+    complex, without enumerating them.
 
     A block of key (g, s) picks its support, C(r, s) ways, and positive
     weights summing to n with gcd g: g times a composition of m = n/g into
@@ -380,10 +365,9 @@ def _moebius(d: int) -> int:
     return -mu if d > 1 else mu
 
 
-@lru_cache(maxsize=None)
-def block_pairs(r: int, n: int, q: int) -> tuple:
-    """The distinct block pairs (beta, q*beta) of total degrees n and q*n,
-    and the distinct blocks of degree q*n that are no such multiple.
+def weight_pairs(r: int, n: int, q: int) -> tuple:
+    """The block pairs (w, q*w) of total degrees n and q*n, and the keys of
+    the blocks of degree q*n that are no such multiple.
 
     Frobenius x -> x^p, dx -> p x^(p-1) dx sends the cell x^(beta - 1_T)
     dx_T to p^i x^(p beta - 1_T) dx_T, and the Cartier representative sends
@@ -393,28 +377,22 @@ def block_pairs(r: int, n: int, q: int) -> tuple:
     the identity from beta to p*beta and Cartier (composed k times, from
     beta to p^k*beta) is the identity.
 
-    Returns (pairs, others) on blocks = koszul_blocks(r, n) and multiples =
-    koszul_blocks(r, q*n): pairs holds (b, c) for the first block b of
-    each distinct weights and the block c of weight q * blocks[b].beta;
-    others lists, increasing, the first block of each distinct weights
-    among those with a weight not divisible by q, the blocks no pair hits.
-    Computed once per (r, n, q) and shared by every statement on the pairs.
+    Returns (pairs, others): pairs holds (w, q*w) for w in
+    ordered_weights(r, n), and others the keys (g, s) with q not dividing
+    g, those of the blocks with an entry not divisible by q, which no pair
+    hits; a check on them runs per key (first_blocks names a witness).
     """
-    blocks, multiples = koszul_blocks(r, n), koszul_blocks(r, q * n)
-    where = {blk.beta: c for c, blk in enumerate(multiples)}
-    return (tuple((b, where[tuple(q * x for x in blocks[b].beta)])
-                  for b in distinct_blocks(blocks)),
-            tuple(c for c in distinct_blocks(multiples)
-                  if any(w % q for w in multiples[c].weights)))
+    return ([(w, tuple([q * x for x in w])) for w in ordered_weights(r, n)],
+            [key for key in block_counts(r, q * n) if key[0] % q])
 
 
-def distinct_blocks(blocks: Sequence[KoszulBlock]) -> list:
-    """The index of the first block of each distinct weights: blocks with
-    the same ordered nonzero weights are the same complex."""
-    first = {}
-    for b, blk in enumerate(blocks):
-        first.setdefault(blk.weights, b)
-    return list(first.values())
+def first_blocks(r: int, n: int, keys: list) -> list:
+    """[(beta, key)] for the first block of total degree n, in the walk,
+    whose key is among the given keys, or [] when there are none."""
+    if not keys:
+        return []
+    w = next(w for w in ordered_weights(r, n) if block_key(w) in keys)
+    return [(first_block(w, r), block_key(w))]
 
 
 @lru_cache(maxsize=None)

@@ -5,10 +5,12 @@ and returns a replayable report; a failing report always carries a witness
 (parameters plus the offending vector or matrix) sufficient to reproduce
 the failure in isolation.
 
-A statement about a block pair (beta, p*beta) is computed once per pair of
-keys, on the canonical blocks (_frobenius, _cartier_classes, ...): the two
-blocks share their transport, which each ordered pair checks before it
-reads the key pair's result and names its own beta in a witness.
+Every statement walks the distinct ordered weights w of the blocks
+(derham.ordered_weights), never the blocks themselves; a witness names the
+first block (w, 0, ..., 0) of its weights.  A statement about a block pair
+(w, p*w) is computed once per pair of keys, on the canonical blocks
+(_frobenius, _cartier_classes, ...): the two blocks share their transport,
+which each ordered pair checks before it reads the key pair's result.
 """
 
 from __future__ import annotations
@@ -37,14 +39,16 @@ from .cohomology import (
     modp_cohomology,
 )
 from .derham import (
-    KoszulBlock,
-    block_pairs,
+    block_key,
     canonical_weights,
     dim_formula,
-    distinct_blocks,
-    koszul_blocks,
+    first_block,
+    first_blocks,
     koszul_d,
     koszul_kappa,
+    ordered_weights,
+    transport,
+    weight_pairs,
 )
 from .intlinalg import IntMatrix
 from .modp import check_prime, primes_dividing, primes_up_to, valuation
@@ -113,8 +117,9 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
     holds in every degree, and every H^i is finite with n H^i = 0.
 
     d and kappa respect the weight, so the Euler identity is checked on
-    each distinct Koszul block, with the block's own d and kappa, through
-    the Clifford relations (_uncertified_degrees): kappa and the d of each
+    each distinct ordered weights w (derham.ordered_weights), with the
+    block's own d and kappa, through the Clifford relations
+    (_uncertified_degrees): kappa and the d of each
     unit weight vector anticommute to the identity, once per (length,
     degree), and the block's d is the weighted sum of the unit d, so
     kappa d + d kappa is |w| times the identity.  Only a degree where that
@@ -125,13 +130,12 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
         raise ValueError("need r >= 0 and n >= 0")
     checks = _Checks()
     top = min(n, r)
-    blocks = koszul_blocks(r, n)
-    blocks = [blocks[b] for b in distinct_blocks(blocks)]
-    uncertified = [(blk, _uncertified_degrees(blk.weights))
-                   for blk in blocks]
+    walk = ordered_weights(r, n)
+    uncertified = [(weights, _uncertified_degrees(weights))
+                   for weights in walk]
     for i in range(top + 1):
-        witnesses = (_euler_witness(blk, i, degrees[i])
-                     for blk, degrees in uncertified if i in degrees)
+        witnesses = (_euler_witness(weights, r, i, degrees[i])
+                     for weights, degrees in uncertified if i in degrees)
         checks.add_all(f"euler identity degree {i}",
                        (witness for witness in witnesses if witness))
     H = integral_cohomology(r, n)
@@ -140,7 +144,7 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
                    H.group(0).free_rank == 1 and not H.group(0).invariant_factors,
                    {"group": H.group(0).describe()})
         return checks.report("annihilation", (("r", r), ("n", n)))
-    keys = {blk.key for blk in blocks}
+    keys = {block_key(weights) for weights in walk}
     for i in range(top + 1):
         G = H.group(i)
         checks.add(f"H^{i} finite", G.free_rank == 0,
@@ -199,17 +203,22 @@ def _uncertified_degrees(weights: tuple) -> dict:
     return uncertified
 
 
-def _euler_witness(blk: KoszulBlock, i: int, linear: bool) -> Optional[dict]:
-    """The witness of the Euler identity in degree i on a block whose
-    Clifford certificate fails there: kappa d + d kappa multiplied out,
-    when it is not |w| times the identity (|w| is the total degree);
-    else, when the block d is no weighted sum of the unit d (linear is
-    False), that failure; else None."""
-    euler = blk.kappa(i + 1) @ blk.d(i) + blk.d(i - 1) @ blk.kappa(i)
-    if not euler.is_identity(sum(blk.weights)):
-        return _at(i, blk, matrix=euler.to_lists())
+def _euler_witness(weights: tuple, r: int, i: int,
+                   linear: bool) -> Optional[dict]:
+    """The witness of the Euler identity in degree i on the block of the
+    ordered weights w in r variables, whose Clifford certificate fails
+    there: kappa d + d kappa multiplied out, when it is not |w| times the
+    identity (|w| is the total degree); else, when the block d is no
+    weighted sum of the unit d (linear is False), that failure; else
+    None."""
+    s = len(weights)
+    euler = (koszul_kappa(s, i + 1) @ koszul_d(weights, i)
+             + koszul_d(weights, i - 1) @ koszul_kappa(s, i))
+    beta = first_block(weights, r)
+    if not euler.is_identity(sum(weights)):
+        return _at(i, beta, matrix=euler.to_lists())
     if not linear:
-        return _at(i, blk, check="d is the weighted sum of the unit d")
+        return _at(i, beta, check="d is the weighted sum of the unit d")
     return None
 
 
@@ -234,37 +243,33 @@ def verify_cartier(r: int, n: int, p: int) -> VerificationReport:
     return checks.report("cartier", (("r", r), ("n", n), ("p", p)))
 
 
-def _key_pairs(r: int, n: int, p: int):
-    """The distinct block pairs (beta, p*beta) of total degrees n and p*n,
-    and the distinct blocks of degree p*n that are no such multiple
-    (derham.block_pairs).
-
-    Each pair comes as (beta, p*beta, shared), shared being its one check
-    of its own: the two blocks share their transport (the same primitive
-    weight vector).  Read on the canonical blocks of the two keys, the
-    cell map of the pair is then forward[i] (of p*beta) times the identity
-    times backward[i] (of beta), the identity that derham.transport
-    certified once.  So every result of the pair is the result of its key
-    pair, computed once per key pair on the canonical blocks.
+def _keyed_pairs(r: int, n: int, p: int):
+    """derham.weight_pairs(r, n, p), each pair (w, p*w) as (beta, key of w,
+    key of p*w, shared): beta is the first block of w, which its witnesses
+    name, and shared its one check of its own, that the two blocks share
+    their transport (the same primitive weight vector).  Read on the
+    canonical blocks of the two keys, the cell map of the pair is then
+    forward[i] (of p*w) times the identity times backward[i] (of w), the
+    identity that derham.transport certified once.  So every result of the
+    pair is the result of its key pair, computed once per key pair on the
+    canonical blocks.
     """
-    blocks, multiples = koszul_blocks(r, n), koszul_blocks(r, p * n)
-    pairs, others = block_pairs(r, n, p)
-    return ([(blocks[b], multiples[c],
-              blocks[b].transport == multiples[c].transport)
-             for b, c in pairs],
-            [multiples[c] for c in others])
+    pairs, others = weight_pairs(r, n, p)
+    return ([(first_block(w, r), block_key(w), block_key(multiple),
+              transport(w) == transport(multiple)) for w, multiple in pairs],
+            others)
 
 
-def _on_pair(i: int, blk, shared: bool, result: tuple):
+def _on_pair(i: int, beta: tuple, shared: bool, result: tuple):
     """A key-pair result (value, failure detail) read on the pair of block
-    blk in degree i: (value, None), or (None, witness at blk), with a
+    beta in degree i: (value, None), or (None, witness at beta), with a
     matrix of the cached detail written out anew for each witness.  A pair
     that does not share its transport fails with that as its error."""
     value, failure = result if shared else (None, {
         "error": "the block and its multiple do not share their transport"})
     if failure is None:
         return value, None
-    return None, _at(i, blk, **{
+    return None, _at(i, beta, **{
         name: detail.to_lists() if isinstance(detail, IntMatrix) else detail
         for name, detail in failure.items()})
 
@@ -274,7 +279,7 @@ def _frobenius(src_key: tuple, tgt_key: tuple, p: int, i: int,
                literal: bool) -> tuple:
     """The map H^i(src) -> H^i(tgt) of the canonical blocks of a key pair
     ((g, s), (p*g, s)) induced by scale times the identity on cells
-    (derham.block_pairs).
+    (derham.weight_pairs).
 
     The literal Frobenius F_* has scale p^i, and its images are checked to
     be cocycles.  The vertical map p * (divided Frobenius) has scale p: the
@@ -351,9 +356,9 @@ def _squares(src_key: tuple, tgt_key: tuple, p: int, i: int) -> tuple:
     return broken, e.is_isomorphism()
 
 
-def _at(i: int, blk, **detail) -> dict:
-    """A witness in degree i on one block, carrying the block weight."""
-    return {"degree": i, "beta": list(blk.beta), **detail}
+def _at(i: int, beta: tuple, **detail) -> dict:
+    """A witness in degree i on the block of weight beta, carrying it."""
+    return {"degree": i, "beta": list(beta), **detail}
 
 
 def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
@@ -379,17 +384,17 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
         raise ValueError("need n >= 1")
     checks = _Checks()
     top = min(n, r)
-    pairs, others = _key_pairs(r, n, p)
+    pairs, others = _keyed_pairs(r, n, p)
 
     complete = True          # every pair has its vertical and E-side maps
     for i in range(top + 1):
         # per pair: (block, F_* into pH, its failure witness, and the same
         # two for the vertical map g)
-        row = [(blk, *_on_pair(i, blk, shared, _frobenius_into(
-                    blk.key, tgt.key, p, i, True)),
-                *_on_pair(i, blk, shared, _frobenius_into(
-                    blk.key, tgt.key, p, i, False)))
-               for blk, tgt, shared in pairs if i <= len(blk.weights)]
+        row = [(beta, *_on_pair(i, beta, shared, _frobenius_into(
+                    src, tgt, p, i, True)),
+                *_on_pair(i, beta, shared, _frobenius_into(
+                    src, tgt, p, i, False)))
+               for beta, src, tgt, shared in pairs if i <= src[1]]
         divisible = checks.add_all(
             f"F_* image divisible by p, degree {i}",
             (miss for _, _, miss, _, _ in row if miss))
@@ -398,16 +403,16 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
             (miss for *_, miss in row if miss))
         if i == 1 and divisible and lands:
             checks.add_all("vertical map equals F_* in degree 1",
-                           (_at(i, blk) for blk, cor_f, _, cor, _ in row
+                           (_at(i, beta) for beta, cor_f, _, cor, _ in row
                             if cor_f != cor))
         complete &= lands
 
     for i in range(top + 1):
         lost = []
-        for blk, tgt, shared in pairs:
-            if i <= len(blk.weights):
-                _, miss = _on_pair(i, blk, shared, _cartier_classes(
-                    blk.key, tgt.key, p, i))
+        for beta, src, tgt, shared in pairs:
+            if i <= src[1]:
+                _, miss = _on_pair(i, beta, shared, _cartier_classes(
+                    src, tgt, p, i))
                 if miss:
                     lost.append(miss)
         complete &= checks.add_all(
@@ -419,22 +424,23 @@ def verify_couple_morphism(r: int, n: int, p: int) -> VerificationReport:
     for i in range(top + 1):
         broken = {"i": [], "j": [], "k": []}
         bijective = []
-        for blk, tgt, _ in pairs:
-            if i > len(blk.weights):
+        for beta, src, tgt, _ in pairs:
+            if i > src[1]:
                 continue
-            failed, iso = _squares(blk.key, tgt.key, p, i)
+            failed, iso = _squares(src, tgt, p, i)
             for square in failed:
-                broken[square].append(_at(i, blk, square=square))
+                broken[square].append(_at(i, beta, square=square))
             if not iso:
-                e = _cartier_classes(blk.key, tgt.key, p, i)[0]
-                bijective.append(_at(i, blk, matrix=e.matrix.to_lists()))
+                e = _cartier_classes(src, tgt, p, i)[0]
+                bijective.append(_at(i, beta, matrix=e.matrix.to_lists()))
         for square, failures in broken.items():
             checks.add_all(f"square with {square} commutes, degree {i}",
                            failures)
         checks.add_all(f"E_1 -> E_2 bijective, degree {i}", bijective + [
-            _at(i, blk, dims=bockstein._block_level(blk.key, p, 2).e_dim(i))
-            for blk in others
-            if bockstein._block_level(blk.key, p, 2).e_dim(i)])
+            _at(i, beta, dims=bockstein._block_level(key, p, 2).e_dim(i))
+            for beta, key in first_blocks(r, p * n, [
+                key for key in others
+                if bockstein._block_level(key, p, 2).e_dim(i)])])
     return checks.report("couple_morphism", (("r", r), ("n", n), ("p", p)))
 
 
@@ -485,40 +491,40 @@ def verify_frobenius_iso(r: int, n: int, p: int) -> VerificationReport:
     if n < 1:
         raise ValueError("need n >= 1")
     checks = _Checks()
-    pairs, others = _key_pairs(r, n, p)
+    pairs, others = _keyed_pairs(r, n, p)
     for i in range(min(n, r) + 1):
-        row = []             # (block, multiple, vertical map, restriction)
+        row = []             # (block, keys, vertical map, restriction)
         broken = []          # witnesses of vertical maps that fail
-        for blk, tgt, shared in pairs:
-            if i > len(blk.weights):
+        for beta, src, tgt, shared in pairs:
+            if i > src[1]:
                 continue
-            f, witness = _on_pair(i, blk, shared, _frobenius(
-                blk.key, tgt.key, p, i, False))
+            f, witness = _on_pair(i, beta, shared, _frobenius(
+                src, tgt, p, i, False))
             if f is None:
                 broken.append(witness)
                 continue
-            row.append((blk, tgt, f,
-                        _restriction(blk.key, tgt.key, p, i)))
+            row.append((beta, (src, tgt), f, _restriction(src, tgt, p, i)))
         if i == 1:
-            literal = [(blk, f, *_on_pair(i, blk, True, _frobenius(
-                           blk.key, tgt.key, p, i, True)))
-                       for blk, tgt, f, _ in row]
+            literal = [(beta, f, *_on_pair(i, beta, True, _frobenius(
+                           *keys, p, i, True)))
+                       for beta, keys, f, _ in row]
             checks.add_all("vertical map equals F_* in degree 1", (
-                witness or _at(i, blk)
-                for blk, f, lit, witness in literal if lit != f))
+                witness or _at(i, beta)
+                for beta, f, lit, witness in literal if lit != f))
         if not checks.add_all(
                 f"image lands in p-primary of pH, degree {i}", broken + [
-                    _at(i, blk, matrix=g.matrix.to_lists())
-                    for blk, _, _, (_, _, g, h, _) in row if h is None]):
+                    _at(i, beta, matrix=g.matrix.to_lists())
+                    for beta, _, _, (_, _, g, h, _) in row if h is None]):
             continue
         checks.add_all(f"restricted map bijective, degree {i}", [
-            _at(i, blk, source=PA.describe(), target=PpB.describe(),
+            _at(i, beta, source=PA.describe(), target=PpB.describe(),
                 matrix=h.matrix.to_lists())
-            for blk, _, _, (PA, PpB, _, h, bijective) in row
+            for beta, _, _, (PA, PpB, _, h, bijective) in row
             if not bijective] + [
-            _at(i, blk, target=_unhit(blk.key, p, i).describe())
-            for blk in others if i <= len(blk.weights)
-            and not _unhit(blk.key, p, i).is_trivial])
+            _at(i, beta, target=_unhit(key, p, i).describe())
+            for beta, key in first_blocks(r, p * n, [
+                key for key in others
+                if i <= key[1] and not _unhit(key, p, i).is_trivial])])
     return checks.report("frobenius_iso", (("r", r), ("n", n), ("p", p)))
 
 
@@ -528,7 +534,7 @@ def verify_page_identification(r: int, n: int, p: int,
 
     The explicit map composes k Cartier cochain representatives.  In block
     coordinates it is the identity from block gamma of degree m = n/p^k to
-    block p^k*gamma of degree n (derham.block_pairs), so it is checked on
+    block p^k*gamma of degree n (derham.weight_pairs), so it is checked on
     each distinct block pair (bockstein.block_identification_failure),
     which shares its transport and reads the check of its key pair, run
     once per key pair on the canonical tower level: its columns are mod-p

@@ -1,9 +1,12 @@
 """Dense global structure maps of the de Rham complex, for tests only.
 
-The library works block by block (derham.koszul_blocks); these builders
-construct the same maps on whole graded pieces, straight from their
-formulas on monomials, so that tests can compare the block model with an
-independent dense one at small sizes.  The ordered_* functions keep the
+The library works block by block, walking the distinct ordered weights of
+the blocks (derham.ordered_weights) and counting the blocks of each key
+(derham.block_counts); koszul_blocks enumerates the blocks themselves, one
+KoszulBlock per weight beta, the reference for that walk and those counts.
+The other builders construct the same maps on whole graded pieces, straight
+from their formulas on monomials, so that tests can compare the block model
+with an independent dense one at small sizes.  The ordered_* functions keep the
 statement checks of a block pair (beta, q*beta) in the pair's own ordered
 coordinates, through both blocks' transports, as a small-size oracle for
 the key-pair results the library computes once per key pair.  dense_hnf
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from derhamz.abgroups import (
     FgAbGroup,
@@ -61,9 +65,8 @@ from derhamz.derham import (
     block_key,
     canonical_weights,
     dim_formula,
-    distinct_blocks,
-    koszul_blocks,
     koszul_d,
+    koszul_kappa,
     transport,
 )
 from derhamz.intlinalg import (
@@ -74,6 +77,68 @@ from derhamz.intlinalg import (
     unimodular_inverse,
 )
 from derhamz.modp import Solver, nullspace, rank
+
+
+class KoszulBlock(NamedTuple):
+    """One multidegree summand of the total-degree-n complex.
+
+    d and the Koszul contraction kappa preserve the weight alpha + 1_T of
+    x^alpha dx_T, so the cells of weight beta (|beta| = n) span a
+    subcomplex: the Koszul complex of the integers beta_j, j in the support
+    of beta.  Its degree-i cells are x^(beta - 1_T) dx_T for the i-subsets T
+    of the support, in colex order.  Blocks with equal ordered nonzero
+    weights are the same complex, and blocks with the same key (gcd and
+    number of those weights) are isomorphic complexes (transport).
+    """
+    beta: tuple             # the weight, length r
+    weights: tuple          # the nonzero beta_j, j increasing
+    key: tuple              # block_key(weights), the sharing key
+
+    @property
+    def transport(self):
+        return transport(self.weights)
+
+    def d(self, i: int) -> IntMatrix:
+        """The block d^i; the zero map outside 0 <= i <= len(weights)."""
+        return koszul_d(self.weights, i)
+
+    def kappa(self, i: int) -> IntMatrix:
+        """The block kappa from degree i to i-1."""
+        return koszul_kappa(len(self.weights), i)
+
+
+def _betas(total: int, parts: int):
+    """The weights of the given length summing to total, lex decreasing."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in _betas(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def koszul_blocks(r: int, n: int) -> tuple:
+    """The blocks of the total-degree-n complex in r variables, one per
+    weight beta, beta in lex decreasing order (enumerated without
+    derham's compositions)."""
+    if r < 0 or n < 0:
+        raise ValueError("r and n must be nonnegative")
+    blocks = []
+    for beta in _betas(n, r):
+        weights = tuple(w for w in beta if w)
+        blocks.append(KoszulBlock(beta, weights, block_key(weights)))
+    return tuple(blocks)
+
+
+def distinct_blocks(blocks) -> list:
+    """The index of the first block of each distinct weights: blocks with
+    the same ordered nonzero weights are the same complex."""
+    first = {}
+    for b, blk in enumerate(blocks):
+        first.setdefault(blk.weights, b)
+    return list(first.values())
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +436,8 @@ def modp_class_matrix(target, i: int, cochain_cols: IntMatrix) -> IntMatrix:
     backward[i] of the block's transport) and coboundaries, embedded at
     their cells, blocks in basis order."""
     p = target.p
-    blocks = [blk for blk in target.blocks if 0 <= i <= len(blk.weights)]
+    blocks = [blk for blk in koszul_blocks(target.r, target.n)
+              if 0 <= i <= len(blk.weights)]
     reps = [(block_cells(blk, i), [v % p for v in blk.transport.backward[i]
                                    .apply(rep)])
             for blk in blocks

@@ -16,8 +16,14 @@ and read the name.  Every method DECLARED_CALLERS names must exist too, so
 that a stale entry fails instead of passing silently.
 
 The benchmark's tracer also wraps private functions and methods of src/ by
-name; the last test checks that each of them still exists, and that the
-cached normal forms still return the IntMatrix members the tracer measures.
+name; a test checks that each of them still exists, and that the cached
+normal forms still return the IntMatrix members the tracer measures.
+
+An architecture guard: the engine walks the distinct ordered weights of the
+blocks (derham.ordered_weights) and never enumerates the weights beta
+themselves, so derham._compositions_desc is read only by the basis, the
+walk and the two functions of the closed-form oracle, which enumerates its
+blocks on its own.
 """
 
 import ast
@@ -187,3 +193,51 @@ def test_the_benchmark_trace_targets_exist():
     for cached, form in ((_hnf_cached, hnf), (_snf_cached, snf)):
         members = [X for X in cached(M) if isinstance(X, IntMatrix)]
         assert form(M)[0] in members and len(members) >= 2, cached
+
+
+# the only readers of derham._compositions_desc in src/
+COMPOSITION_READERS = ["bockstein._block_oracle_failure",
+                       "bockstein.closed_form_page", "derham.basis",
+                       "derham.ordered_weights"]
+
+
+def composition_readers(package: Path = PACKAGE) -> list:
+    """The top-level functions and methods of the package that read the
+    name _compositions_desc, as module.function or module.Class.method;
+    the rest of a class body counts as module.Class and code outside any
+    function or class as module.<module>.  Imports and the definition do
+    not read it."""
+    def reads(node) -> bool:
+        return any(isinstance(sub, ast.Name) and sub.id == "_compositions_desc"
+                   or isinstance(sub, ast.Attribute)
+                   and sub.attr == "_compositions_desc"
+                   for sub in ast.walk(node))
+
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                scopes = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                scopes = [(f"{node.name}.{item.name}"
+                           if isinstance(item, ast.FunctionDef)
+                           else node.name, item) for item in node.body]
+            else:
+                scopes = [("<module>", node)]
+            readers |= {f"{path.stem}.{name}" for name, scope in scopes
+                        if reads(scope)}
+    return sorted(readers)
+
+
+def test_only_the_basis_the_walk_and_the_oracle_enumerate_weights():
+    assert composition_readers() == COMPOSITION_READERS
+
+
+def test_the_guard_sees_a_new_enumeration(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "cohomology.py", "a") as f:
+        f.write("\n\ndef blocks(r, n):\n"
+                "    return list(derham._compositions_desc(n, r))\n")
+    assert composition_readers(tmp_path) == sorted(
+        COMPOSITION_READERS + ["cohomology.blocks"])

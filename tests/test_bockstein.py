@@ -12,6 +12,7 @@ import re
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ from derhamz.cohomology import (
     integral_cohomology,
     modp_cohomology,
 )
-from derhamz.derham import dim_formula, koszul_blocks, koszul_d
+from derhamz.derham import dim_formula, koszul_d
 from derhamz.intlinalg import IntMatrix, hnf, hstack, lattice_solve
 from derhamz.modp import rank, valuation
 from derhamz.theorems import verify_page_identification
@@ -59,6 +60,7 @@ from dense_oracle import (
     direct_couple,
     hnf_page_dims,
     hnf_z_basis,
+    koszul_blocks,
     modp_class_matrix,
     place,
     smith_closed_form_block,
@@ -68,9 +70,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _placed(c, i, mats):
-    """The blocks' degree-i matrices mats[b], their rows at the block's
-    global cells, their columns in block order."""
-    placed = [(block_cells(blk, i), M) for blk, M in zip(c.blocks, mats)
+    """The blocks' degree-i matrices mats[b], b indexing
+    koszul_blocks(c.r, c.n), their rows at the block's global cells, their
+    columns in block order."""
+    placed = [(block_cells(blk, i), M)
+              for blk, M in zip(koszul_blocks(c.r, c.n), mats)
               if i <= len(blk.weights)]
     return place(placed, dim_formula(c.r, c.n, i),
                  sum(M.ncols for _, M in placed))
@@ -83,7 +87,7 @@ def _dense_lift(c, i):
     return _placed(c, i, [blk.transport.backward[i]
                           @ block_homology(blk.key)[i].gens
                           if i <= len(blk.weights) else None
-                          for blk in c.blocks])
+                          for blk in koszul_blocks(c.r, c.n)])
 
 
 def _rep_matrix(stage):
@@ -104,9 +108,10 @@ def _dense_reps(c, i):
     """The summands' degree-i E representatives at their global cells: the
     canonical ones of each block's key, moved back through the block's
     transport."""
-    return _placed(c, i, [(blk.transport.backward[i] @ _e_reps(s, i)).mod(c.p)
-                          if i <= s.imax else None
-                          for blk, s in zip(c.blocks, c.summands)])
+    return _placed(c, i, [(blk.transport.backward[i]
+                           @ _e_reps(c.summands[blk.key], i)).mod(c.p)
+                          if i <= len(blk.weights) else None
+                          for blk in koszul_blocks(c.r, c.n)])
 
 
 def _block_diagonal(mats):
@@ -121,7 +126,7 @@ class TestInitialCouple:
     def test_connecting_map_example(self):
         # r=1, n=2, p=2: D^1 = Z/2, E^0 = <[x^2]>, del[x^2] = [x dx]
         c = initial_couple(1, 2, 2)
-        (s,) = c.summands
+        (s,) = c.summands.values()
         assert s.D[1].invariant_factors == (2,)
         assert c.dims == (1, 1)
         assert s.k_maps[0].matrix == IntMatrix([[1]])
@@ -132,7 +137,7 @@ class TestInitialCouple:
 
     def test_degree_one(self):
         c = initial_couple(1, 1, 2)
-        assert all(s.D[1].is_trivial for s in c.summands)
+        assert all(s.D[1].is_trivial for s in c.summands.values())
         assert all(d == 0 for d in c.dims)
 
     def test_requires_positive_degree(self):
@@ -152,19 +157,23 @@ class TestInitialCouple:
             MP = modp_cohomology(r, n, p)
             cpx = complex_z(r, n)
             assert c.imax == HZ.top
+            blocks = koszul_blocks(r, n)
+            # every block's summand is the one of its key
+            assert c.counts == Counter(blk.key for blk in blocks)
+            summands = [c.summands[blk.key] for blk in blocks]
             lifts = [_dense_lift(c, i) for i in range(c.imax + 2)]
             D = [FgAbGroup.zero().direct_sum(
-                     *[s.D[i] for s in c.summands if i <= s.imax])
+                     *[s.D[i] for s in summands if i <= s.imax])
                  for i in range(c.imax + 1)]
             for i in range(c.imax + 1):
-                parts = [s for s in c.summands if i <= s.imax]
+                parts = [s for s in summands if i <= s.imax]
                 assert is_isomorphic(D[i], HZ.group(i)), (r, n, p, i)
                 dense_j = modp_class_matrix(MP, i, lifts[i])
                 assert _block_diagonal([s.j_maps[i].matrix for s in parts]) \
                     == dense_j, (r, n, p, i)
                 # E^i of each summand is mod-p H^i of its block's key
                 assert [s.stages[i] for s in parts] == [
-                    block_modp_homology(blk.key, p)[i] for blk in c.blocks
+                    block_modp_homology(blk.key, p)[i] for blk in blocks
                     if i <= len(blk.weights)], (r, n, p, i)
                 reps = _dense_reps(c, i)
                 k = _block_diagonal([s.k_maps[i].matrix for s in parts])
@@ -179,7 +188,7 @@ class TestInitialCouple:
                         (r, n, p, i)
 
     def test_differential_is_zero_outside_degree_range(self):
-        for s in initial_couple(2, 4, 2).summands:
+        for s in initial_couple(2, 4, 2).summands.values():
             assert s.d_matrix(-1).shape == (s.e_dim(0), 0)
             assert s.d_matrix(s.imax).shape == (0, s.e_dim(s.imax))
 
@@ -191,7 +200,7 @@ class TestExactness:
                 for n in range(1, 9):
                     kmax = valuation(n, p) + 1
                     for c in couples(r, n, p, kmax):
-                        for s in set(c.summands):
+                        for s in c.summands.values():
                             assert s.exactness_failures() == [], \
                                 (r, n, p, c.level, s.weights)
 
@@ -201,14 +210,14 @@ class TestExactness:
                           (4, 6, 2), (4, 6, 3)]:
             kmax = valuation(n, p) + 1
             for c in couples(r, n, p, kmax):
-                for s in set(c.summands):
+                for s in c.summands.values():
                     assert s.exactness_failures() == [], \
                         (r, n, p, c.level, s.weights)
 
     def test_derive_rejects_broken_couple(self):
         # j = 0 leaves every map well defined and d = 0, but breaks
         # ker k = im j wherever E is nonzero
-        (c,) = initial_couple(1, 2, 2).summands
+        (c,) = initial_couple(1, 2, 2).summands.values()
         broken = ExactCouple(
             c.weights, c.p, c.level, c.D, c.stages,
             [IntMatrix.zeros(c.e_dim(i), G.ngens) for i, G in enumerate(c.D)],
@@ -220,7 +229,7 @@ class TestExactness:
         # the broken couple of test_derive_rejects_broken_couple under two
         # weights and levels: one record, one certificate, and each derive
         # raises, every time, naming the couple it was given
-        (c,) = initial_couple(1, 2, 2).summands
+        (c,) = initial_couple(1, 2, 2).summands.values()
         j = [IntMatrix.zeros(c.e_dim(i), G.ngens) for i, G in enumerate(c.D)]
         k = [m.matrix for m in c.k_maps]
         first = ExactCouple((2,), 2, 1, c.D, c.stages, j, k)
@@ -326,7 +335,7 @@ class TestDerive:
 
     def test_d_squared_zero_on_pages(self):
         for c in couples(2, 8, 2, valuation(8, 2) + 1):
-            for s in c.summands:
+            for s in c.summands.values():
                 for i in range(s.imax):
                     prod = s.d_matrix(i + 1) @ s.d_matrix(i)
                     assert prod.mod(2).is_zero(), (c.level, i)
@@ -399,12 +408,33 @@ class TestClosedForm:
         _closed_form_block.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             for module, name in ((derham, "transport"),
+                                 (bockstein, "transport"),
                                  (cohomology, "block_homology"),
                                  (bockstein, "block_homology"),
                                  (bockstein, "_block_level")):
                 patch.setattr(module, name, forbidden)
             dims = [closed_form_page(3, 8, 2, k).dims for k in range(1, 5)]
         assert dims == [page.dims for page in pages(3, 8, 2)]
+
+    def test_pages_walk_their_own_blocks(self):
+        # the oracle enumerates the blocks itself: it answers with the
+        # engine's walk over ordered weights and its block counts refused
+        def forbidden(*args):
+            raise AssertionError("the oracle read the engine's walk")
+
+        engine = {(r, n, p): [page.dims for page in pages(r, n, p)]
+                  for r, n, p in ((3, 8, 2), (4, 6, 3), (2, 12, 2))}
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in ((derham, "ordered_weights"),
+                                 (derham, "block_counts"),
+                                 (derham, "weight_pairs"),
+                                 (bockstein, "block_counts"),
+                                 (bockstein, "weight_pairs")):
+                patch.setattr(module, name, forbidden)
+            oracle = {(r, n, p): [closed_form_page(r, n, p, k).dims
+                                  for k in range(1, len(dims) + 1)]
+                      for (r, n, p), dims in engine.items()}
+        assert oracle == engine
 
     def test_block_d_reproduces_d_matrix(self):
         # the oracle's own block d, embedded at the block cells and summed,
@@ -603,13 +633,15 @@ class TestPageIdentification:
         assert _identified_dims(1, 4, 2, 2) == (1, 1)
         # d_2 is conjugate to d on Omega_1 mod 2, which has rank 1
         couple = couples(1, 4, 2, 2)[1]
-        assert sum(rank(s.d_matrix(0), 2) for s in couple.summands) == 1
+        assert sum(count * rank(couple.summands[key].d_matrix(0), 2)
+                   for key, count in couple.counts.items()) == 1
 
     def test_rank_matches_slice_rank(self):
         # d_1 on the first page of (2, 4, 2) has rank 1, like d on
         # Omega_2 mod 2
         couple = couples(2, 4, 2, 1)[0]
-        assert sum(rank(s.d_matrix(1), 2) for s in couple.summands) == 1
+        assert sum(count * rank(couple.summands[key].d_matrix(1), 2)
+                   for key, count in couple.counts.items()) == 1
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
@@ -634,8 +666,8 @@ class TestPagesApi:
     def test_express_cochain_on_a_deep_tower(self):
         # past nu the pages of (1, 4, 2) stay those of level 3; the class
         # of a cochain is found without recursing through 1100 levels
-        deep = couples(1, 4, 2, 1100)[-1].summands[0]
-        third = couples(1, 4, 2, 3)[-1].summands[0]
+        deep = couples(1, 4, 2, 1100)[-1].summands[4, 1]
+        third = couples(1, 4, 2, 3)[-1].summands[4, 1]
         for i, answer in ((0, None), (1, ())):
             assert deep.express_cochain(i, (1,)) == answer
             assert third.express_cochain(i, (1,)) == answer

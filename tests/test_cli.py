@@ -6,6 +6,7 @@ import json
 import resource
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,29 @@ class TestVerifyCommand:
                              preexec_fn=cap_address_space,
                              env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
         assert run.returncode == 0, run.stderr.decode()[-500:]
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("pages -r 8 -n 16 -p 2", "066f4920749076d0f26a720acd2e0170"
+                                  "80e9eb151432a4b15c4dff2a3fcc96a0"),
+        ("verify --statement page_identification -r 8 -n 16",
+         "ea543ed8c6234d198543e208a8a45502"
+         "2aa662eaf258d9490af61e1e59d28868"),
+    ])
+    def test_eight_variables_fit_in_64_mib(self, argv, digest):
+        # the couples and the page identification walk the 16384 distinct
+        # ordered weights of degree 16, not the 245157 blocks, so both run
+        # in a child capped at 64 MiB of address space, with the stdout
+        # they had when they enumerated the blocks
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+        run = subprocess.run(
+            [sys.executable, "-m", "derhamz", *argv.split(),
+             "--unsafe-bounds"],
+            capture_output=True, timeout=60, preexec_fn=cap_address_space,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert run.returncode == 0, run.stderr.decode()[-500:]
+        assert sha256(run.stdout).hexdigest() == digest
 
     def test_latex_rejected_before_the_sweep(self, capsys, monkeypatch):
         def no_sweep(*args):

@@ -24,7 +24,7 @@ from derhamz.cohomology import (
     modp_cohomology,
     modp_homology,
 )
-from derhamz.derham import dim_formula, koszul_blocks, koszul_d
+from derhamz.derham import dim_formula, koszul_d
 from derhamz.intlinalg import IntMatrix, hnf, kernel_basis, lattice_solve
 
 from derhamz.modp import rank, valuation
@@ -36,6 +36,7 @@ from dense_oracle import (
     complex_z,
     direct_couple,
     greedy,
+    koszul_blocks,
     modp_class_matrix,
     place,
     substitution_map,
@@ -205,10 +206,19 @@ class TestIntegralCohomology:
 
     def test_blocks_are_counted_not_enumerated(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("integral_cohomology enumerated the blocks")
+            raise AssertionError("the blocks were enumerated")
 
-        monkeypatch.setattr(cohomology, "koszul_blocks", refuse)
-        monkeypatch.setattr(derham, "koszul_blocks", refuse)
+        # mod-p cohomology and cocycle dims also sum over the keys
+        cases = [(1, 0, 2), (3, 6, 2), (3, 6, 3), (4, 12, 2), (0, 3, 3)]
+        expected = [(modp_cohomology(r, n, p).dims,
+                     [cocycle_dim(r, n, i, p) for i in range(-1, r + 2)])
+                    for r, n, p in cases]
+        monkeypatch.setattr(derham, "ordered_weights", refuse)
+        monkeypatch.setattr(derham, "_compositions_desc", refuse)
+        assert expected == [
+            (modp_cohomology.__wrapped__(r, n, p).dims,
+             [cocycle_dim(r, n, i, p) for i in range(-1, r + 2)])
+            for r, n, p in cases]
         for r, n in [(1, 0), (3, 6), (4, 12), (0, 3)]:
             H = integral_cohomology.__wrapped__(r, n)
             assert [d.i for d in H.degrees] == list(range(min(n, r) + 1))
@@ -327,7 +337,7 @@ class TestModpCohomology:
                         assert len(_embedded(mp, i, "coboundaries")) == \
                             gf_rank(cpx.d(i - 1), p), where
                         assert len(_embedded(mp, i, "reps")) == mp.dims[i]
-                        for blk in mp.blocks:
+                        for blk in koszul_blocks(r, n):
                             if i <= len(blk.weights):
                                 _check_block_routing(blk, cpx, i, p)
 
@@ -369,7 +379,7 @@ def _embedded(mp, i, attr):
     transport, or coboundaries, the pivot columns of the block d mod p) at
     their global cells, blocks in basis order."""
     out = []
-    for blk in mp.blocks:
+    for blk in koszul_blocks(mp.r, mp.n):
         if i <= len(blk.weights):
             back = blk.transport.backward[i]
             vecs = (coboundaries(blk.d(i - 1), mp.p) if attr == "coboundaries"
@@ -427,12 +437,17 @@ class TestCocycleDim:
 
 
 def _placed_cartier(r, n, i, p):
-    """cartier_iso's block matrices placed at their cells: columns at the
+    """cartier_iso's matrices, one per ordered weights with a degree i,
+    placed at the cells of every block of those weights: columns at the
     block's degree-i cells, rows after the previous blocks' classes (the
     blocks p*beta in basis order, and the other blocks have no classes)."""
-    placed = [(block_cells(blk, i), transpose(M)) for blk, M
-              in zip(koszul_blocks(r, n), cartier_iso(r, n, i, p))
-              if M is not None]
+    matrices = cartier_iso(r, n, i, p)
+    blocks = [blk for blk in koszul_blocks(r, n)
+              if 0 <= i <= len(blk.weights)]
+    assert list(matrices) == list(dict.fromkeys(blk.weights
+                                                for blk in blocks))
+    placed = [(block_cells(blk, i), transpose(matrices[blk.weights]))
+              for blk in blocks]
     dim = modp_cohomology(r, p * n, p).dims
     return transpose(place(placed, dim_formula(r, n, i),
                            dim[i] if i < len(dim) else 0))
@@ -441,7 +456,8 @@ def _placed_cartier(r, n, i, p):
 class TestCartierIso:
     def test_rank_one(self):
         for i in (0, 1):
-            (M,) = cartier_iso(1, 1, i, 2)
+            assert list(cartier_iso(1, 1, i, 2)) == [(1,)]
+            (M,) = cartier_iso(1, 1, i, 2).values()
             assert M.shape == (1, 1) and rank(M, 2) == 1
 
     def test_rank_two_independent_classes(self):
@@ -449,9 +465,9 @@ class TestCartierIso:
         assert M.shape == (2, 2) and rank(M, 2) == 2
 
     def test_zero_piece(self):
-        assert all(M is None for M in cartier_iso(2, 4, 3, 2))
+        assert cartier_iso(2, 4, 3, 2) == {}
         # no block has cells in a negative degree
-        assert all(M is None for M in cartier_iso(2, 2, -1, 3))
+        assert cartier_iso(2, 2, -1, 3) == {}
         assert _placed_cartier(2, 4, 3, 2).shape == (0, 0)
 
     def test_bijective_on_sweep(self):
@@ -524,7 +540,7 @@ class TestExpress:
         # x^2 has d(x^2) = 2x dx = 0 mod 2, so pick a genuine non-cocycle
         # in degree 0 at p = 3 instead: x^2, the one cell of block (2, 0)
         mp3 = modp_cohomology(2, 2, 3)
-        blk = mp3.blocks[0]
+        blk = koszul_blocks(2, 2)[0]
         assert blk.beta == (2, 0)
         assert block_cells(blk, 0) == (0,)
         assert block_modp_homology(blk.key, 3)[0].express(

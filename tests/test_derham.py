@@ -9,15 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from derhamz.bockstein import closed_form_page, pages
 from derhamz.cohomology import integral_cohomology, modp_cohomology
+from derhamz import derham
 from derhamz.derham import (
     BasisElement,
     _compositions_desc,
     basis,
+    basis_index,
     block_counts,
-    block_pairs,
     dim_formula,
-    distinct_blocks,
-    koszul_blocks,
+    first_block,
+    first_blocks,
+    ordered_weights,
+    weight_pairs,
 )
 from derhamz.intlinalg import IntMatrix
 
@@ -26,8 +29,10 @@ from dense_oracle import (
     cartier_rep_matrix,
     complex_z,
     d_matrix,
+    distinct_blocks,
     frobenius_matrix,
     index_map,
+    koszul_blocks,
     koszul_matrix,
     substitution_map,
 )
@@ -305,16 +310,19 @@ class TestKoszulBlocks:
                     assert len(set(images)) == len(images)
                     for c in rest:
                         assert any(b % p for b in multiples[c].beta)
-                    # block_pairs: the first block of each distinct weights
-                    # with its image, and the first of each distinct weights
-                    # among the rest
-                    pairs, others = block_pairs(r, n, p)
-                    assert pairs == tuple((b, images[b])
-                                          for b in distinct_blocks(blocks))
-                    first = {}
-                    for c in rest:
-                        first.setdefault(multiples[c].weights, c)
-                    assert others == tuple(sorted(first.values()))
+                    # weight_pairs: the weights of the first block of each
+                    # distinct weights with those of its image, and the
+                    # keys of the rest; first_blocks finds the first of the
+                    # rest with one of the given keys
+                    pairs, others = weight_pairs(r, n, p)
+                    assert pairs == [(blocks[b].weights,
+                                      multiples[images[b]].weights)
+                                     for b in distinct_blocks(blocks)]
+                    assert others == sorted({multiples[c].key for c in rest})
+                    for keys in [[key] for key in others] + [others, []]:
+                        assert first_blocks(r, p * n, keys) == [
+                            (multiples[c].beta, multiples[c].key)
+                            for c in rest if multiples[c].key in keys][:1]
                     for i in range(min(n, r) + 1):
                         source_of = {}
                         for blk, c in zip(blocks, images):
@@ -377,6 +385,36 @@ class TestKoszulBlocks:
                            (closed_form_page, (-2, 4, 2, 1))):
             with pytest.raises(ValueError):
                 call(*args)
+
+    def test_ordered_weights_walk_the_first_blocks(self):
+        # the distinct weights in the order they first appear among the
+        # blocks, each first seen on (w, 0, ..., 0) and standing for C(r,
+        # len w) blocks; their counts per key are block_counts
+        for r in range(7):
+            for n in range(15):
+                blocks = koszul_blocks(r, n)
+                walk = ordered_weights(r, n)
+                assert walk == [blocks[b].weights
+                                for b in distinct_blocks(blocks)], (r, n)
+                for b in distinct_blocks(blocks):
+                    assert blocks[b].beta == first_block(blocks[b].weights,
+                                                         r), (r, n, b)
+                per_weights = Counter(blk.weights for blk in blocks)
+                assert all(per_weights[w] == comb(r, len(w))
+                           for w in walk), (r, n)
+                per_key = Counter()
+                for w in walk:
+                    per_key[derham.block_key(w)] += comb(r, len(w))
+                assert per_key == block_counts(r, n), (r, n)
+
+    def test_basis_index_is_the_block_cell(self):
+        for r in range(4):
+            for n in range(7):
+                for blk in koszul_blocks(r, n):
+                    for i in range(len(blk.weights) + 1):
+                        assert [basis_index(blk.beta, i, c) for c in range(
+                            len(block_cells(blk, i)))] == list(
+                            block_cells(blk, i)), (blk.beta, i)
 
     def test_block_cells_carry_their_weight(self):
         for blk in koszul_blocks(3, 5):

@@ -25,7 +25,7 @@ FIELDS = {
     GradedPiece: ("r", "n", "i", "elements"),
     HDegree: ("i", "group"),
     CohomologyResult: ("r", "n", "degrees"),
-    ModpCohomologyResult: ("r", "n", "p", "blocks", "dims"),
+    ModpCohomologyResult: ("r", "n", "p", "dims"),
     SpectralPage: ("r", "n", "p", "k", "dims"),
     VerificationReport: ("statement", "params", "status", "checks",
                          "witness"),

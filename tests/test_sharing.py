@@ -32,6 +32,7 @@ checks every shared tower level against the unshared reference
 import json
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -53,6 +54,7 @@ from derhamz.modp import rank, valuation
 
 from dense_oracle import (
     direct_couple,
+    koszul_blocks,
     ordered_cartier_classes,
     ordered_frobenius,
     ordered_identification,
@@ -65,8 +67,8 @@ COUNT_CALLS = """
 import json
 from collections import Counter
 from derhamz import bockstein, cohomology, theorems
-from derhamz.derham import (block_key, canonical_weights, koszul_blocks,
-                            koszul_d)
+from derhamz.derham import (block_key, canonical_weights, koszul_d,
+                            ordered_weights)
 
 calls = {"homology_at": Counter(), "derive": Counter(),
          "modp_homology": Counter()}
@@ -87,8 +89,8 @@ counting("derive", lambda c: (c.weights, c.p, c.level))
 # calls it through its own binding, on page differentials)
 counting("modp_homology", lambda d_in, d_out, p: (d_in, d_out, p))
 theorems.sweep(3, 8)
-keys = {blk.key for r in range(1, 4) for n in range(1, 9)
-        for blk in koszul_blocks(r, n)}
+keys = {block_key(w) for r in range(1, 4) for n in range(1, 9)
+        for w in ordered_weights(r, n)}
 canonical_d = {koszul_d(canonical_weights(key), i)
                for key in keys for i in range(key[1] + 1)}
 print(json.dumps({
@@ -110,7 +112,7 @@ import io
 import json
 from collections import Counter
 from derhamz import bockstein, cli
-from derhamz.derham import koszul_blocks
+from derhamz.derham import block_key, ordered_weights
 
 calls = Counter()
 for name in ("_block_couple", "derive"):
@@ -121,9 +123,8 @@ for name in ("_block_couple", "derive"):
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["pages", "-r", "3", "-n", "12", "-p", "2"]) == 0
 print(json.dumps({"calls": calls,
-                  "keys": len({blk.key for blk in koszul_blocks(3, 12)}),
-                  "ordered": len({blk.weights
-                                  for blk in koszul_blocks(3, 12)})}))
+                  "keys": len({block_key(w) for w in ordered_weights(3, 12)}),
+                  "ordered": len(ordered_weights(3, 12))}))
 """
 
 CONTENT_COUNTS = """
@@ -159,7 +160,7 @@ PAIR_COUNTS = """
 import json
 from collections import Counter
 from derhamz import bockstein, theorems
-from derhamz.derham import block_key, canonical_weights, koszul_blocks
+from derhamz.derham import block_key, canonical_weights, ordered_weights
 from derhamz.modp import primes_dividing, primes_up_to, valuation
 
 calls = {"frobenius": Counter(), "cartier": Counter(),
@@ -195,18 +196,18 @@ frobenius, cartier, identification = set(), set(), set()
 for r in range(1, 4):
     for n in range(1, 9):
         for p in primes_up_to(8 // n):
-            for blk in koszul_blocks(r, n):
-                tgt = block_key(tuple(p * w for w in blk.weights))
-                for i in range(len(blk.weights) + 1):
-                    cartier.add((blk.key, tgt, p, i))
-                    frobenius |= {(blk.key, tgt, p, i, literal)
+            for w in ordered_weights(r, n):
+                src, tgt = block_key(w), block_key(tuple(p * x for x in w))
+                for i in range(len(w) + 1):
+                    cartier.add((src, tgt, p, i))
+                    frobenius |= {(src, tgt, p, i, literal)
                                   for literal in (True, False)}
         for p in primes_dividing(n):
             for k in range(1, valuation(n, p) + 1):
                 identification |= {
-                    (blk.key, block_key(tuple(p ** k * w
-                                              for w in blk.weights)), p, k)
-                    for blk in koszul_blocks(r, n // p ** k)}
+                    (block_key(w), block_key(tuple(p ** k * x for x in w)),
+                     p, k)
+                    for w in ordered_weights(r, n // p ** k)}
 canonical = lambda w: w == canonical_weights(block_key(w))
 print(json.dumps({
     "most_repeated": {name: max(c.values()) for name, c in calls.items()},
@@ -224,11 +225,11 @@ WALK_COUNTS = """
 import json
 from collections import Counter
 from functools import lru_cache
-from derhamz import bockstein, cohomology, derham, theorems
-from derhamz.derham import koszul_blocks
-from derhamz.modp import primes_dividing, primes_up_to, valuation
+from derhamz import cohomology, theorems
+from derhamz.derham import ordered_weights
+from derhamz.modp import primes_up_to
 
-calls = {"units": Counter(), "cartier": Counter(), "pairs": Counter(),
+calls = {"units": Counter(), "cartier": Counter(),
          "multiplied_out": Counter()}
 
 def counted(label, fn):
@@ -245,41 +246,31 @@ theorems._clifford_units = units
 cartier = lru_cache(maxsize=None)(
     counted("cartier", cohomology._cartier_classes.__wrapped__))
 cohomology._cartier_classes = cartier
-pairs = lru_cache(maxsize=None)(
-    counted("pairs", derham.block_pairs.__wrapped__))
-for module in (derham, cohomology, theorems, bockstein):
-    module.block_pairs = pairs
 witness = theorems._euler_witness
 
-def multiplied_out(blk, i, linear):
-    calls["multiplied_out"][repr((blk.weights, i))] += 1
-    return witness(blk, i, linear)
+def multiplied_out(weights, r, i, linear):
+    calls["multiplied_out"][repr((weights, i))] += 1
+    return witness(weights, r, i, linear)
 
 theorems._euler_witness = multiplied_out
 reports = theorems.sweep(3, 8)
 
-# what the sweep needs: (s, i) of its blocks, (weights, i, p) of the Cartier
-# statement, and (r, n, q) of its block pairs
-lengths, cartier_keys, pair_keys = set(), set(), set()
+# what the sweep needs: (s, i) of its blocks and (weights, i, p) of the
+# Cartier statement
+lengths, cartier_keys = set(), set()
 for r in range(1, 4):
     for n in range(1, 9):
-        lengths |= {len(blk.weights) for blk in koszul_blocks(r, n)}
+        lengths |= {len(w) for w in ordered_weights(r, n)}
         for p in primes_up_to(8 // n):
-            pair_keys.add((r, n, p))
-            cartier_keys |= {(blk.weights, i, p)
-                             for blk in koszul_blocks(r, n)
-                             for i in range(len(blk.weights) + 1)}
-        for p in primes_dividing(n):
-            pair_keys |= {(r, n // p ** k, p ** k)
-                          for k in range(1, valuation(n, p) + 1)}
+            cartier_keys |= {(w, i, p) for w in ordered_weights(r, n)
+                             for i in range(len(w) + 1)}
 print(json.dumps({
     "most_repeated": {name: max(c.values(), default=0)
                       for name, c in calls.items()},
     "computed": {name: sorted(c) for name, c in calls.items()},
     "needed": {"units": sorted(repr((s, i)) for s in lengths
                                for i in range(s + 1)),
-               "cartier": sorted(map(repr, cartier_keys)),
-               "pairs": sorted(map(repr, pair_keys))},
+               "cartier": sorted(map(repr, cartier_keys))},
     "annihilation_passes": all(rep.ok for rep in reports
                                if rep.statement == "annihilation"),
 }))
@@ -290,14 +281,14 @@ import json
 from collections import Counter
 from functools import lru_cache
 from derhamz import abgroups, bockstein, cohomology, derham, intlinalg
-from derhamz.derham import koszul_blocks
+from derhamz.derham import ordered_weights, transport
 from derhamz.intlinalg import IntMatrix
 
 # the engine's tower and the blocks' transports first, so that every call
 # counted below is the oracle's
 bockstein.couples(3, 8, 2, 4)
-for blk in koszul_blocks(3, 8):
-    blk.transport
+for w in ordered_weights(3, 8):
+    transport(w)
 
 adapted, snf_calls, hermite_inputs, solves = Counter(), [], [], Counter()
 
@@ -334,7 +325,7 @@ for name in ("quotient", "lattice_solve"):
             setattr(module, name, tallied(name, getattr(module, name)))
 reports = bockstein.compare_with_closed_form(3, 8, 2)
 
-weights = {blk.weights for blk in koszul_blocks(3, 8)}
+weights = set(ordered_weights(3, 8))
 oracle_d = {bockstein._oracle_d(w)[i] for w in weights
             for i in range(len(w) + 1)}
 
@@ -491,11 +482,11 @@ def test_each_block_pair_check_is_computed_once_per_key_pair():
 def test_the_statement_walk_pays_per_key_and_per_sweep():
     # over sweep(3, 8): the Clifford relations of the unit weights once per
     # (length, degree), kappa d + d kappa never multiplied out on a passing
-    # sweep, the Cartier class matrix of each ordered weights once per
-    # (weights, degree, p) whatever r, and block_pairs once per (r, n, q)
+    # sweep, and the Cartier class matrix of each ordered weights once per
+    # (weights, degree, p) whatever r
     counts = json.loads(_child(WALK_COUNTS))
     assert counts["annihilation_passes"], counts
-    assert counts["most_repeated"] == {"units": 1, "cartier": 1, "pairs": 1,
+    assert counts["most_repeated"] == {"units": 1, "cartier": 1,
                                        "multiplied_out": 0}, counts
     computed = counts["computed"]
     del computed["multiplied_out"]
@@ -542,14 +533,15 @@ def test_a_block_pair_has_the_results_of_its_key_pair(weights, p, k):
 
 def test_a_couple_holds_one_tower_level_per_key():
     # the summand of every block is the tower level of its key itself, not
-    # a copy per ordered weights: at (4, 16) 11 keys at each level
+    # a copy per ordered weights: at (4, 16) 11 keys at each level, each
+    # with the number of its blocks
+    counts = Counter(blk.key for blk in koszul_blocks(4, 16))
+    assert len(counts) == 11
     for level, couple in enumerate(couples(4, 16, 2, 5), 1):
-        keys = {blk.key for blk in couple.blocks}
-        assert len(keys) == 11
-        assert len({id(summand) for summand in couple.summands}) == 11
-        for blk, summand in zip(couple.blocks, couple.summands):
-            assert summand is _block_level(blk.key, 2, level), \
-                (blk.beta, level)
+        assert couple.counts == counts
+        assert couple.summands.keys() == counts.keys()
+        for key, summand in couple.summands.items():
+            assert summand is _block_level(key, 2, level), (key, level)
 
 
 def test_the_oracle_catches_a_swapped_transport():

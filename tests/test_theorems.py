@@ -2,11 +2,13 @@
 documented failure set of the filtration statement."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from derhamz import bockstein, derham, theorems
+from derhamz import bockstein, cohomology, derham, theorems
 from derhamz.abgroups import (
+    FgAbGroup,
     Homomorphism,
     graded_piece_dim,
     homology_at,
@@ -40,6 +42,7 @@ from dense_oracle import (
     complex_z,
     euler_checks,
     frobenius_matrix,
+    koszul_blocks,
 )
 
 
@@ -331,9 +334,7 @@ class TestPageIdentificationReport:
         # express: the image of a cell of block (2, 2, 0) under the block's
         # transport; the key pair fails, and the witness, read on the
         # block's own summand, is that cell's index in the basis of degree 4
-        couple = couples(3, 4, 2, 1)[0]
-        c = [blk.beta for blk in couple.blocks].index((2, 2, 0))
-        blk = couple.blocks[c]
+        (blk,) = [blk for blk in koszul_blocks(3, 4) if blk.beta == (2, 2, 0)]
         page = block_modp_homology(blk.key, 2)[1]
         unit = tuple(int(t == 1) for t in range(blk.d(1).ncols))
         lost = tuple(v % 2 for v in blk.transport.forward[1].apply(unit))
@@ -398,6 +399,197 @@ class TestBrokenBlockPairing:
             out, err = capsys.readouterr()
             assert code == 1 and "Traceback" not in err
             assert json.loads(out)["results"]["failed"] >= 1
+
+
+# Reports of failing statements with one fault injected, recorded before the
+# statements walked ordered weights instead of enumerating blocks: the first
+# failure and the beta of its witness must stay the ones found then.
+IDENTIFICATION_WITNESSES = json.loads("""
+{
+ "page_identification [3, 8, 2, 1]": {
+  "checks": [
+   {"name": "dimensions agree", "passed": true},
+   {"name": "cartier composite is an isomorphism per degree", "passed": false}
+  ],
+  "params": {"k": 1, "n": 8, "p": 2, "r": 3},
+  "statement": "page_identification",
+  "status": "fail",
+  "witness": {"beta": [4, 4, 0], "check": "cocycle", "degree": 1}
+ },
+ "page_identification [3, 8, 2, 2]": {
+  "checks": [
+   {"name": "dimensions agree", "passed": true},
+   {"name": "cartier composite is an isomorphism per degree", "passed": false}
+  ],
+  "params": {"k": 2, "n": 8, "p": 2, "r": 3},
+  "statement": "page_identification",
+  "status": "fail",
+  "witness": {"beta": [4, 4, 0], "check": "cocycle", "degree": 1}
+ },
+ "page_identification [4, 12, 2, 1]": {
+  "checks": [
+   {"name": "dimensions agree", "passed": true},
+   {"name": "cartier composite is an isomorphism per degree", "passed": false}
+  ],
+  "params": {"k": 1, "n": 12, "p": 2, "r": 4},
+  "statement": "page_identification",
+  "status": "fail",
+  "witness": {"beta": [8, 4, 0, 0], "check": "cocycle", "degree": 1}
+ },
+ "page_identification [4, 12, 2, 2]": {
+  "checks": [
+   {"name": "dimensions agree", "passed": true},
+   {"name": "cartier composite is an isomorphism per degree", "passed": false}
+  ],
+  "params": {"k": 2, "n": 12, "p": 2, "r": 4},
+  "statement": "page_identification",
+  "status": "fail",
+  "witness": {"beta": [8, 4, 0, 0], "check": "cocycle", "degree": 1}
+ }
+}""")
+
+TRANSPORT_WITNESSES = json.loads("""
+{
+ "couple_morphism [3, 4, 2]": {
+  "checks": [
+   {"name": "F_* image divisible by p, degree 0", "passed": false},
+   {"name": "vertical map lands in pH, degree 0", "passed": false},
+   {"name": "F_* image divisible by p, degree 1", "passed": false},
+   {"name": "vertical map lands in pH, degree 1", "passed": false},
+   {"name": "F_* image divisible by p, degree 2", "passed": false},
+   {"name": "vertical map lands in pH, degree 2", "passed": false},
+   {"name": "F_* image divisible by p, degree 3", "passed": true},
+   {"name": "vertical map lands in pH, degree 3", "passed": true},
+   {"name": "cartier image survives to E_2, degree 0", "passed": false},
+   {"name": "cartier image survives to E_2, degree 1", "passed": false},
+   {"name": "cartier image survives to E_2, degree 2", "passed": false},
+   {"name": "cartier image survives to E_2, degree 3", "passed": true}
+  ],
+  "params": {"n": 4, "p": 2, "r": 3},
+  "statement": "couple_morphism",
+  "status": "fail",
+  "witness": {"beta": [2, 2, 0], "degree": 0,
+   "error": "the block and its multiple do not share their transport"}
+ },
+ "frobenius_iso [3, 4, 2]": {
+  "checks": [
+   {"name": "image lands in p-primary of pH, degree 0", "passed": false},
+   {"name": "vertical map equals F_* in degree 1", "passed": true},
+   {"name": "image lands in p-primary of pH, degree 1", "passed": false},
+   {"name": "image lands in p-primary of pH, degree 2", "passed": false},
+   {"name": "image lands in p-primary of pH, degree 3", "passed": true},
+   {"name": "restricted map bijective, degree 3", "passed": true}
+  ],
+  "params": {"n": 4, "p": 2, "r": 3},
+  "statement": "frobenius_iso",
+  "status": "fail",
+  "witness": {"beta": [2, 2, 0], "degree": 0,
+   "error": "the block and its multiple do not share their transport"}
+ },
+ "page_identification [3, 8, 2, 1]": {
+  "checks": [
+   {"name": "dimensions agree", "passed": true},
+   {"name": "cartier composite is an isomorphism per degree", "passed": false}
+  ],
+  "params": {"k": 1, "n": 8, "p": 2, "r": 3},
+  "statement": "page_identification",
+  "status": "fail",
+  "witness": {"beta": [4, 4, 0], "check": "shares transport"}
+ }
+}""")
+
+OTHER_WITNESSES = json.loads("""
+{
+ "frobenius_iso [3, 2, 2]": {
+  "checks": [
+   {"name": "image lands in p-primary of pH, degree 0", "passed": true},
+   {"name": "restricted map bijective, degree 0", "passed": false},
+   {"name": "vertical map equals F_* in degree 1", "passed": true},
+   {"name": "image lands in p-primary of pH, degree 1", "passed": true},
+   {"name": "restricted map bijective, degree 1", "passed": false},
+   {"name": "image lands in p-primary of pH, degree 2", "passed": true},
+   {"name": "restricted map bijective, degree 2", "passed": false}
+  ],
+  "params": {"n": 2, "p": 2, "r": 3},
+  "statement": "frobenius_iso",
+  "status": "fail",
+  "witness": {"beta": [3, 1, 0], "degree": 0, "target": "Z/2"}
+ },
+ "identification": {"beta": [3, 1, 0], "check": "bijective",
+                    "page": [0, 1, 0]}
+}""")
+
+CARTIER_OTHER_ERROR = (
+    'mod-p H^1 of block (3, 1, 0) at (r=3, n=2, i=1, p=2) is '
+    'nonzero, though p does not divide its weight')
+
+
+def _replay(call: str) -> dict:
+    """The report of a call written "frobenius_iso [3, 4, 2]"."""
+    statement, args = call.split(" ", 1)
+    return getattr(theorems, f"verify_{statement}")(
+        *json.loads(args)).to_json_dict()
+
+
+class TestWitnessOrder:
+    def test_a_faulted_key_pair_names_the_first_block(self, monkeypatch):
+        # the key pairs (4g, 2) fail their cocycle check: the first pair
+        # (w, q*w) in the walk with such a target names (q*w, 0, ..., 0)
+        identification = bockstein._identification
+
+        def faulty(source_key, key, p, level):
+            if key[1] == 2 and key[0] % 4 == 0:
+                return "cocycle", 1
+            return identification(source_key, key, p, level)
+
+        monkeypatch.setattr(bockstein, "_identification", faulty)
+        for call, report in IDENTIFICATION_WITNESSES.items():
+            assert _replay(call) == report, call
+
+    def test_a_pair_that_does_not_share_its_transport(self, monkeypatch):
+        # the block of weights (4, 4) gets Lambda(A^-1) as Lambda(A), so
+        # its pair with (2, 2) no longer shares a transport
+        real = derham.transport
+
+        def faulty(weights):
+            t = real(weights)
+            if weights == (4, 4):
+                return t._replace(forward=t.backward, backward=t.forward)
+            return t
+
+        for module in (derham, bockstein, theorems):
+            monkeypatch.setattr(module, "transport", faulty)
+        for call, report in TRANSPORT_WITNESSES.items():
+            assert _replay(call) == report, call
+
+    def test_other_blocks_name_their_first_block(self, monkeypatch):
+        # the blocks that are no p-multiple are checked per key; a failing
+        # key (1, 2) is named by its first block of degree 4, (3, 1, 0)
+        unhit = theorems._unhit
+        monkeypatch.setattr(theorems, "_unhit", lambda key, p, i: FgAbGroup(
+            (2,)) if key == (1, 2) else unhit(key, p, i))
+        assert (_replay("frobenius_iso [3, 2, 2]")
+                == OTHER_WITNESSES["frobenius_iso [3, 2, 2]"])
+        couple = couples(3, 4, 2, 1)[0]
+        couple.summands[1, 2] = SimpleNamespace(dims=(0, 1, 0))
+        assert (bockstein.block_identification_failure(couple, 2)
+                == OTHER_WITNESSES["identification"])
+
+    def test_cartier_names_the_first_other_block(self, monkeypatch):
+        # key (1, 2) claims a nonzero mod-2 H^1; its first block of degree
+        # 4 in three variables is (3, 1, 0)
+        real = cohomology.block_modp_homology
+
+        def faulty(key, p):
+            degrees = real(key, p)
+            if key == (1, 2):
+                return degrees[:1] + (SimpleNamespace(dim=1),) + degrees[2:]
+            return degrees
+
+        monkeypatch.setattr(cohomology, "block_modp_homology", faulty)
+        with pytest.raises(RuntimeError) as error:
+            cohomology.cartier_iso(3, 2, 1, 2)
+        assert str(error.value) == CARTIER_OTHER_ERROR
 
 
 class TestExampleDeg4:
