@@ -337,9 +337,10 @@ def _block_couple(weights: tuple, p: int, H: Sequence[BlockHomology],
             raise RuntimeError("integral cocycle failed to reduce mod p")
         j_matrices.append(matrix)
         orders = H[i + 1].group.entries if i < top else ()
+        d = koszul_d(weights, i)
         cols = []
         for rep in mp[i].reps:
-            dv = koszul_d(weights, i).apply(rep)
+            dv = d.apply(rep)
             if any(v % p for v in dv):
                 raise RuntimeError("d of a mod-p cocycle lift not divisible by p")
             coords = (lattice_solve(H[i + 1].gens, [v // p for v in dv])
@@ -810,12 +811,11 @@ def _identification(source_key: tuple, key: tuple, p: int,
     degree.
     """
     weights = canonical_weights(key)
-    for i in range(key[1] + 1):
-        if not koszul_d(weights, i).mod(p).is_zero():
+    ds = [koszul_d(weights, i) for i in range(key[1] + 1)]
+    for i, d in enumerate(ds):
+        if not d.mod(p).is_zero():
             return "cocycle", i
     failure = _page_isomorphism_failure(
-        _block_level(key, p, level),
-        [IntMatrix.identity(koszul_d(weights, i).ncols)
-         for i in range(key[1] + 1)],
+        _block_level(key, p, level), [IntMatrix.identity(d.ncols) for d in ds],
         partial(koszul_d, canonical_weights(source_key)))
     return None if failure is None else failure[:2]

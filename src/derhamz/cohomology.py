@@ -15,8 +15,8 @@ homology is built once per distinct residues of its two differentials
 (modp_homology), so keys whose blocks agree mod p share it.  Integral and
 mod-p cohomology read only how many blocks each key has
 (derham.block_counts); cartier_iso walks the distinct ordered weights
-(derham.ordered_weights and weight_pairs).  The assembled results are
-cached per (r, n) and (r, n, p).
+(derham.ordered_weights and weight_pairs).  Integral cohomology is cached
+per (r, n); mod-p cohomology sums the per-key dims on each call.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ def block_homology(key: tuple) -> tuple:
     weights w of the key has the same groups, generated by
     transport(w).backward[i] @ gens."""
     weights = canonical_weights(key)
-    return tuple(BlockHomology(*homology_at(koszul_d(weights, i - 1),
-                                           koszul_d(weights, i)))
-                 for i in range(key[1] + 1))
+    d = [koszul_d(weights, i) for i in range(-1, key[1] + 1)]
+    return tuple(BlockHomology(*homology_at(d_in, d_out))
+                 for d_in, d_out in zip(d, d[1:]))
 
 
 class ModpDegree:
@@ -171,7 +171,6 @@ class ModpCohomologyResult(NamedTuple):
     dims: tuple
 
 
-@lru_cache(maxsize=None)
 def modp_cohomology(r: int, n: int, p: int) -> ModpCohomologyResult:
     """Cohomology of the complex tensored with Z/p: each block's H^i is
     block_modp_homology of its key, so the dims sum over the keys, each
@@ -189,9 +188,9 @@ def block_modp_homology(key: tuple, p: int) -> tuple:
     """H^0 .. H^s over the p-element field of the canonical block of the
     key (g, s), each a ModpDegree from modp_homology."""
     weights = canonical_weights(key)
-    return tuple(modp_homology(koszul_d(weights, i - 1),
-                               koszul_d(weights, i), p)
-                 for i in range(key[1] + 1))
+    d = [koszul_d(weights, i) for i in range(-1, key[1] + 1)]
+    return tuple(modp_homology(d_in, d_out, p)
+                 for d_in, d_out in zip(d, d[1:]))
 
 
 def cocycle_dim(r: int, n: int, i: int, p: int) -> int:

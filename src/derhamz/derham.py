@@ -11,11 +11,12 @@ T in colexicographic increasing order, secondary key alpha in lexicographic
 decreasing order.  Golden files depend on this order.
 
 A block of the complex is the Koszul complex of its ordered nonzero weights
-w, whose d is the wedge with w.  For a unimodular A with A w = (g, 0, ...,
-0), g = gcd(w), the exterior power Lambda(A) is a chain isomorphism onto
-the Koszul complex of (g, 0, ..., 0) (Bruns and Herzog, Cohen-Macaulay
-Rings, 1.6.21).  So the key (g, len w) fixes a block up to isomorphism,
-and transport(w) gives Lambda^i(A) and Lambda^i(A^-1), certified once per
+w, whose d is the wedge with w; koszul_d builds one degree of it per call,
+and no table keeps it.  For a unimodular A with A w = (g, 0, ..., 0), g =
+gcd(w), the exterior power Lambda(A) is a chain isomorphism onto the
+Koszul complex of (g, 0, ..., 0) (Bruns and Herzog, Cohen-Macaulay Rings,
+1.6.21).  So the key (g, len w) fixes a block up to isomorphism, and
+transport(w) gives Lambda^i(A) and Lambda^i(A^-1), certified once per
 primitive vector w/g: they commute with d and are inverse to each other.
 The closed-form page oracle in bockstein keeps the ordered weights as its
 key and never reads a transport, so it checks every transport it meets.
@@ -145,12 +146,18 @@ def basis_index(beta: tuple, i: int, c: int) -> int:
 
 
 def koszul_d(weights: tuple, i: int) -> IntMatrix:
-    """d^i of the Koszul complex of the given integers; the zero map
-    outside 0 <= i <= len(weights)."""
+    """d^i of the Koszul complex of the given integers, the wedge with
+    sum_j weights[j] dx_j; the zero map outside 0 <= i <= len(weights).
+    Built on every call: a caller that reads it twice holds it."""
     s = len(weights)
-    if 0 <= i <= s:
-        return _koszul_differentials(weights)[i]
-    return IntMatrix.zeros(_ncells(s, i + 1), _ncells(s, i))
+    ncols = _ncells(s, i)
+    if not 0 <= i <= s:
+        return IntMatrix.zeros(_ncells(s, i + 1), ncols)
+    rows = [[0] * ncols for _ in range(_ncells(s, i + 1))]
+    for c, wedge in enumerate(_wedges(s, i)):
+        for j, k, sign in wedge:
+            rows[k][c] = sign * weights[j]
+    return IntMatrix._raw(tuple(map(tuple, rows)), ncols)
 
 
 def koszul_kappa(s: int, i: int) -> IntMatrix:
@@ -393,22 +400,6 @@ def first_blocks(r: int, n: int, keys: list) -> list:
         return []
     w = next(w for w in ordered_weights(r, n) if block_key(w) in keys)
     return [(first_block(w, r), block_key(w))]
-
-
-@lru_cache(maxsize=None)
-def _koszul_differentials(weights: tuple) -> tuple:
-    """d^0 .. d^s of the Koszul complex of the s given integers: d^i is the
-    wedge with sum_j weights[j] dx_j from degree i to i + 1."""
-    s = len(weights)
-    diffs = []
-    for i in range(s + 1):
-        ncols = _ncells(s, i)
-        rows = [[0] * ncols for _ in range(_ncells(s, i + 1))]
-        for c, wedge in enumerate(_wedges(s, i)):
-            for j, k, sign in wedge:
-                rows[k][c] = sign * weights[j]
-        diffs.append(IntMatrix._raw(tuple(map(tuple, rows)), ncols))
-    return tuple(diffs)
 
 
 @lru_cache(maxsize=None)

@@ -203,7 +203,8 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def augmented(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Cached two-block [a | b]; solver state attaches to the result."""
+    """Cached two-block [a | b]: one object per (a, b), so _hnf_cached
+    hashes it once (IntMatrix keeps its hash) and hits it by identity."""
     return hstack(a, b)
 
 

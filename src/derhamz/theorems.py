@@ -11,6 +11,8 @@ first block (w, 0, ..., 0) of its weights.  A statement about a block pair
 (w, p*w) is computed once per pair of keys, on the canonical blocks
 (_frobenius, _cartier_classes, ...): the two blocks share their transport,
 which each ordered pair checks before it reads the key pair's result.
+The Euler identity is a verdict kept per ordered weights for every (r, n)
+(_uncertified_degrees); no block d is kept.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def verify_annihilation(r: int, n: int) -> VerificationReport:
     d and kappa respect the weight, so the Euler identity is checked on
     each distinct ordered weights w (derham.ordered_weights), with the
     block's own d and kappa, through the Clifford relations
-    (_uncertified_degrees): kappa and the d of each
+    (_uncertified_degrees, one verdict per w): kappa and the d of each
     unit weight vector anticommute to the identity, once per (length,
     degree), and the block's d is the weighted sum of the unit d, so
     kappa d + d kappa is |w| times the identity.  Only a degree where that
@@ -177,6 +179,7 @@ def _clifford_units(s: int, i: int) -> tuple:
     return holds, terms
 
 
+@lru_cache(maxsize=None)
 def _uncertified_degrees(weights: tuple) -> dict:
     """The degrees of the block of the ordered weights w where the Clifford
     certificate of the Euler identity fails, each mapped to whether d_w is
@@ -186,7 +189,9 @@ def _uncertified_degrees(weights: tuple) -> dict:
     d_w^i and d_w^(i-1) are the sums of w_j D_j^i and w_j D_j^(i-1) and
     the unit relations kappa D_j + D_j kappa = 1 hold in degree i,
     kappa d_w + d_w kappa = sum_j w_j = |w| in degree i.  Each sum is
-    checked entrywise: a linear combination, not a product."""
+    checked entrywise: a linear combination, not a product.  The verdict,
+    almost always empty, depends on w alone and is kept for every (r, n);
+    each d_w is built, compared and dropped."""
     s = len(weights)
     uncertified = {}
     summed_below = True      # d^-1 is the zero map for every weights

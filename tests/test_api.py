@@ -19,6 +19,10 @@ The benchmark's tracer also wraps private functions and methods of src/ by
 name; a test checks that each of them still exists, and that the cached
 normal forms still return the IntMatrix members the tracer measures.
 
+A table guard: every lru_cache table of src/ is declared in CACHE_TABLES
+with the kind of its key, so that a new table, such as a dense d kept per
+ordered weights, cannot come back unnoticed.
+
 An architecture guard: the engine walks the distinct ordered weights of the
 blocks (derham.ordered_weights) and never enumerates the weights beta
 themselves, so derham._compositions_desc is read only by the basis, the
@@ -241,3 +245,93 @@ def test_the_guard_sees_a_new_enumeration(tmp_path):
                 "    return list(derham._compositions_desc(n, r))\n")
     assert composition_readers(tmp_path) == sorted(
         COMPOSITION_READERS + ["cohomology.blocks"])
+
+
+# every lru_cache table in src/ and the kind of its key: "shape" (a length
+# and a degree), "key" (a block key (g, s), with a prime, degree or level),
+# "key pair" (a source and a target key), "ordered weights" (a block's
+# ordered weights or their primitive vector, with a degree or prime),
+# "matrix" (matrices, a couple content or group entries, by content) or
+# "(r, n)"
+CACHE_TABLES = {
+    "abgroups._smith_diagonal": "matrix",
+    "abgroups.diagonal_matrix": "matrix",
+    "bockstein._adapted_basis": "ordered weights",
+    "bockstein._block_level": "key",
+    "bockstein._closed_form_block": "ordered weights",
+    "bockstein._content": "matrix",
+    "bockstein._identification": "key pair",
+    "bockstein._oracle_cells": "shape",
+    "cohomology._cartier_block": "key",
+    "cohomology._cartier_classes": "ordered weights",
+    "cohomology._modp_degree": "matrix",
+    "cohomology.block_homology": "key",
+    "cohomology.block_modp_homology": "key",
+    "cohomology.integral_cohomology": "(r, n)",
+    "derham._exterior_transport": "ordered weights",
+    "derham._koszul_contractions": "shape",
+    "derham._subsets_colex": "shape",
+    "derham._wedges": "shape",
+    "intlinalg._hnf_cached": "matrix",
+    "intlinalg._snf_cached": "matrix",
+    "intlinalg.augmented": "matrix",
+    "theorems._cartier_classes": "key pair",
+    "theorems._clifford_units": "shape",
+    "theorems._frobenius": "key pair",
+    "theorems._frobenius_into": "key pair",
+    "theorems._restriction": "key pair",
+    "theorems._squares": "key pair",
+    "theorems._uncertified_degrees": "ordered weights",
+    "theorems._unhit": "key",
+}
+KEY_KINDS = {"shape", "key", "key pair", "ordered weights", "matrix",
+             "(r, n)"}
+
+
+def cache_tables(package: Path = PACKAGE) -> list:
+    """The functions and methods of the package decorated with lru_cache
+    or cache, bare or called, as module.function or module.Class.method."""
+    def cached(node) -> bool:
+        for decorator in node.decorator_list:
+            if isinstance(decorator, ast.Call):
+                decorator = decorator.func
+            name = (decorator.attr if isinstance(decorator, ast.Attribute)
+                    else getattr(decorator, "id", None))
+            if name in ("lru_cache", "cache"):
+                return True
+        return False
+
+    tables = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and cached(node):
+                tables.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                tables += [f"{path.stem}.{node.name}.{item.name}"
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and cached(item)]
+    return sorted(tables)
+
+
+def test_every_cache_table_is_declared_with_its_key():
+    assert cache_tables() == sorted(CACHE_TABLES)
+    assert set(CACHE_TABLES.values()) <= KEY_KINDS
+
+
+def test_the_guard_sees_a_new_table(tmp_path):
+    # a table that keeps every d of each ordered weights, as a cached
+    # function and as a cached method
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "derham.py", "a") as f:
+        f.write("\n\n@lru_cache(maxsize=None)\n"
+                "def _differentials(weights):\n"
+                "    return tuple(koszul_d(weights, i)\n"
+                "                 for i in range(len(weights) + 1))\n"
+                "\n\nclass Block:\n"
+                "    @functools.lru_cache\n"
+                "    def d(self, i):\n"
+                "        return koszul_d(self.weights, i)\n")
+    assert cache_tables(tmp_path) == sorted(
+        [*CACHE_TABLES, "derham.Block.d", "derham._differentials"])

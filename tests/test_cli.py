@@ -206,16 +206,15 @@ class TestVerifyCommand:
         # ordered weights of degree 16, not the 245157 blocks, so both run
         # in a child capped at 64 MiB of address space, with the stdout
         # they had when they enumerated the blocks
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+        _assert_fits_in_64_mib(argv, digest)
 
-        run = subprocess.run(
-            [sys.executable, "-m", "derhamz", *argv.split(),
-             "--unsafe-bounds"],
-            capture_output=True, timeout=60, preexec_fn=cap_address_space,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
-        assert run.returncode == 0, run.stderr.decode()[-500:]
-        assert sha256(run.stdout).hexdigest() == digest
+    def test_seven_variable_annihilation_fits_in_64_mib(self):
+        # the Euler certificate builds each block d, compares it and drops
+        # it; only a verdict per ordered weights is kept, so the 4096
+        # ordered weights of degree 14 fit where keeping every d did not
+        _assert_fits_in_64_mib("verify --statement annihilation -r 7 -n 14",
+                               "17991264e8419a9ff802c18c375f7576"
+                               "a88ce2879d16ff1879f5ba96b179df4c")
 
     def test_latex_rejected_before_the_sweep(self, capsys, monkeypatch):
         def no_sweep(*args):
@@ -225,6 +224,20 @@ class TestVerifyCommand:
         code = main(["verify", "--all", "-r", "1", "-n", "2", "--latex"])
         capsys.readouterr()
         assert code == 2
+
+
+def _assert_fits_in_64_mib(argv: str, digest: str):
+    """Runs the CLI with --unsafe-bounds in a child capped at 64 MiB of
+    address space and checks its exit code 0 and its stdout's sha256."""
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "derhamz", *argv.split(), "--unsafe-bounds"],
+        capture_output=True, timeout=60, preexec_fn=cap_address_space,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert run.returncode == 0, run.stderr.decode()[-500:]
+    assert sha256(run.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

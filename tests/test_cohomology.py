@@ -216,7 +216,7 @@ class TestIntegralCohomology:
         monkeypatch.setattr(derham, "ordered_weights", refuse)
         monkeypatch.setattr(derham, "_compositions_desc", refuse)
         assert expected == [
-            (modp_cohomology.__wrapped__(r, n, p).dims,
+            (modp_cohomology(r, n, p).dims,
              [cocycle_dim(r, n, i, p) for i in range(-1, r + 2)])
             for r, n, p in cases]
         for r, n in [(1, 0), (3, 6), (4, 12), (0, 3)]:

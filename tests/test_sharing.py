@@ -229,7 +229,7 @@ from derhamz import cohomology, theorems
 from derhamz.derham import ordered_weights
 from derhamz.modp import primes_up_to
 
-calls = {"units": Counter(), "cartier": Counter(),
+calls = {"units": Counter(), "verdicts": Counter(), "cartier": Counter(),
          "multiplied_out": Counter()}
 
 def counted(label, fn):
@@ -243,6 +243,8 @@ def counted(label, fn):
 units = lru_cache(maxsize=None)(
     counted("units", theorems._clifford_units.__wrapped__))
 theorems._clifford_units = units
+theorems._uncertified_degrees = lru_cache(maxsize=None)(
+    counted("verdicts", theorems._uncertified_degrees.__wrapped__))
 cartier = lru_cache(maxsize=None)(
     counted("cartier", cohomology._cartier_classes.__wrapped__))
 cohomology._cartier_classes = cartier
@@ -255,12 +257,13 @@ def multiplied_out(weights, r, i, linear):
 theorems._euler_witness = multiplied_out
 reports = theorems.sweep(3, 8)
 
-# what the sweep needs: (s, i) of its blocks and (weights, i, p) of the
-# Cartier statement
-lengths, cartier_keys = set(), set()
+# what the sweep needs: (s, i) of its blocks, the ordered weights of the
+# annihilation statement and (weights, i, p) of the Cartier statement
+lengths, walked, cartier_keys = set(), set(), set()
 for r in range(1, 4):
     for n in range(1, 9):
-        lengths |= {len(w) for w in ordered_weights(r, n)}
+        walked |= set(ordered_weights(r, n))
+        lengths |= {len(w) for w in walked}
         for p in primes_up_to(8 // n):
             cartier_keys |= {(w, i, p) for w in ordered_weights(r, n)
                              for i in range(len(w) + 1)}
@@ -270,6 +273,7 @@ print(json.dumps({
     "computed": {name: sorted(c) for name, c in calls.items()},
     "needed": {"units": sorted(repr((s, i)) for s in lengths
                                for i in range(s + 1)),
+               "verdicts": sorted(repr((w,)) for w in walked),
                "cartier": sorted(map(repr, cartier_keys))},
     "annihilation_passes": all(rep.ok for rep in reports
                                if rep.statement == "annihilation"),
@@ -481,12 +485,14 @@ def test_each_block_pair_check_is_computed_once_per_key_pair():
 
 def test_the_statement_walk_pays_per_key_and_per_sweep():
     # over sweep(3, 8): the Clifford relations of the unit weights once per
-    # (length, degree), kappa d + d kappa never multiplied out on a passing
+    # (length, degree), the Euler verdict of each ordered weights once
+    # whatever (r, n), kappa d + d kappa never multiplied out on a passing
     # sweep, and the Cartier class matrix of each ordered weights once per
     # (weights, degree, p) whatever r
     counts = json.loads(_child(WALK_COUNTS))
     assert counts["annihilation_passes"], counts
-    assert counts["most_repeated"] == {"units": 1, "cartier": 1,
+    assert counts["most_repeated"] == {"units": 1, "verdicts": 1,
+                                       "cartier": 1,
                                        "multiplied_out": 0}, counts
     computed = counts["computed"]
     del computed["multiplied_out"]

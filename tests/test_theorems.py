@@ -37,6 +37,7 @@ from derhamz.theorems import (
     verify_page_identification,
 )
 
+import dense_oracle
 from dense_oracle import (
     block_cells,
     complex_z,
@@ -72,21 +73,41 @@ class TestAnnihilation:
         assert all(passed for _, passed in rep.checks)
 
 
+def _clear_verdicts():
+    theorems._clifford_units.cache_clear()
+    theorems._uncertified_degrees.cache_clear()
+
+
 @pytest.fixture
 def cold_units():
-    """Clears the unit Clifford relations before and after the test, so that
-    a fault injected into kappa or into a unit d is read and does not
-    outlive the test."""
-    theorems._clifford_units.cache_clear()
+    """Clears the unit Clifford relations and the Euler verdicts of the
+    ordered weights before and after the test, so that a fault injected
+    into kappa or into a d is read and does not outlive the test."""
+    _clear_verdicts()
     yield
-    theorems._clifford_units.cache_clear()
+    _clear_verdicts()
 
 
-def _replace(matrices: tuple, i: int, edit) -> tuple:
-    """The matrices with the i-th one replaced by edit applied to its rows."""
-    rows = matrices[i].to_lists()
+def _edited(matrix: IntMatrix, edit) -> IntMatrix:
+    """The matrix with edit applied to its rows."""
+    rows = matrix.to_lists()
     edit(rows)
-    return matrices[:i] + (IntMatrix(rows),) + matrices[i + 1:]
+    return IntMatrix(rows)
+
+
+def _wrong_d(monkeypatch, weights: tuple, i: int, edit):
+    """Injects edit into d^i of the given weights at every binding that
+    reads derham.koszul_d (the engine's and the dense oracle's), then clears
+    the verdicts that read the right d."""
+    right = derham.koszul_d
+
+    def wrong(w, degree):
+        d = right(w, degree)
+        return _edited(d, edit) if (w, degree) == (weights, i) else d
+
+    for module in (derham, theorems, dense_oracle):
+        monkeypatch.setattr(module, "koszul_d", wrong)
+    _clear_verdicts()
 
 
 def _flip(row, col):
@@ -120,10 +141,14 @@ class TestEulerCertificate:
     def test_a_wrong_kappa_gives_the_multiplied_out_reports(
             self, monkeypatch, cold_units, s, i, edit):
         contractions = derham._koszul_contractions
-        monkeypatch.setattr(
-            derham, "_koszul_contractions",
-            lambda length: (_replace(contractions(length), i, edit)
-                            if length == s else contractions(length)))
+
+        def wrong(length):
+            kappas = contractions(length)
+            if length != s:
+                return kappas
+            return kappas[:i] + (_edited(kappas[i], edit),) + kappas[i + 1:]
+
+        monkeypatch.setattr(derham, "_koszul_contractions", wrong)
         failed = 0
         for r in range(1, 5):
             for n in range(1, 9):
@@ -141,15 +166,8 @@ class TestEulerCertificate:
         # one entry of d^1 of the unit weights (0, 1, 0): every block of
         # three weights still multiplies out to |w|, but its d is no longer
         # the weighted sum of the unit d in degree 1, read in degrees 1 and 2
-        differentials = derham._koszul_differentials
-
-        def wrong(weights):
-            ds = differentials(weights)
-            if weights != (0, 1, 0):
-                return ds
-            return _replace(ds, 1, lambda rows: rows[0].__setitem__(0, 0))
-
-        monkeypatch.setattr(derham, "_koszul_differentials", wrong)
+        _wrong_d(monkeypatch, (0, 1, 0), 1,
+                 lambda rows: rows[0].__setitem__(0, 0))
         rep = verify_annihilation(3, 5)
         assert all(passed for _, passed in euler_checks(3, 5)[0])
         assert [name for name, passed in rep.checks if not passed] == [
@@ -160,16 +178,9 @@ class TestEulerCertificate:
     def test_a_wrong_block_differential_fails_the_report(self, monkeypatch,
                                                          cold_units):
         # one entry of d^0 of the block of weights (2, 1): 3 instead of 2
-        differentials = derham._koszul_differentials
-
-        def wrong(weights):
-            ds = differentials(weights)
-            if weights != (2, 1):
-                return ds
-            return _replace(ds, 0, lambda rows: rows[0].__setitem__(0, 3))
-
         assert verify_annihilation(2, 3).ok
-        monkeypatch.setattr(derham, "_koszul_differentials", wrong)
+        _wrong_d(monkeypatch, (2, 1), 0,
+                 lambda rows: rows[0].__setitem__(0, 3))
         rep = verify_annihilation(2, 3)
         checks, witness = euler_checks(2, 3)
         assert not rep.ok and rep.checks[:len(checks)] == tuple(checks)
